@@ -1,41 +1,25 @@
-//! Per-line vs burst vs fast-forward hot-path throughput.
+//! Per-line vs burst hot-path throughput.
 //!
-//! Two workload families:
-//!
-//! * the 64 KiB-tile **streaming** workload (monotonic addresses, nothing
-//!   for the memoizer to replay) — the speedup demonstration for the burst
-//!   transaction path (`ProtectionEngine::expand_bursts` →
-//!   `DramSim::access_burst`);
-//! * two **uniform-tile** workloads (ping-pong double buffering and a
-//!   frame-loop ring) whose phases recur exactly — the speedup
-//!   demonstration for the phase-memoizing `TxnPath::FastForward` path,
-//!   which must clear ≥3× simulated bytes/sec over the burst path on both
-//!   (asserted, not just printed).
-//!
-//! * the **LLM decode** workload (GPT-S generating tokens one at a time)
-//!   — the end-to-end demonstration that real transformer serving phases
-//!   recur: the measured decode fast-forward hit rate must clear ≥50%
-//!   (asserted, and quoted in EXPERIMENTS.md).
+//! The 64 KiB-tile **streaming** workload is the speedup demonstration for
+//! the burst transaction path (`ProtectionEngine::expand_bursts` →
+//! `DramSim::access_burst`).
 //!
 //! Results are **asserted bit-identical before any timing starts** (the
-//! same assert-before-timing pattern as `benches/parallel.rs`; the
 //! exhaustive property lives in `tests/pipeline_shapes.rs`,
-//! `tests/fastforward_equivalence.rs`, and
-//! `tests/transformer_equivalence.rs`). After the criterion groups run,
-//! summary blocks print simulated bytes/sec per path and the ratios — the
-//! numbers recorded in EXPERIMENTS.md — plus a closed-form vs queued DRAM
-//! backend comparison, and every printed metric is also written to
-//! `BENCH_hotpath.json` for machine consumption. The queued backend's own
-//! hot path (burst-aware FR-FCFS service loop vs the per-line reference
-//! discipline it emulates) gets a dedicated report with a ≥5× assertion,
-//! written to `BENCH_queued.json` — the committed trajectory file.
+//! `tests/path_equivalence.rs`, and `tests/transformer_equivalence.rs`).
+//! After the criterion group runs, summary blocks print simulated
+//! bytes/sec per path and the ratios — the numbers recorded in
+//! EXPERIMENTS.md — plus a closed-form vs queued DRAM backend comparison,
+//! and every printed metric is also written to `BENCH_hotpath.json` for
+//! machine consumption. The queued backend's own hot path (burst-aware
+//! FR-FCFS service loop vs the per-line reference discipline it emulates)
+//! gets a dedicated report with a ≥5× assertion, written to
+//! `BENCH_queued.json` — the committed trajectory file.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use mgx_core::Scheme;
-use mgx_scalesim::ArrayConfig;
 use mgx_sim::{DramBackend, RunResult, SimConfig, Simulation, TxnPath};
 use mgx_trace::{DataClass, MemRequest, Trace, TraceBuilder};
-use mgx_transformer::{build_decode_trace, InferenceRequest, TransformerConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -66,106 +50,25 @@ fn stream_trace(mib: u64) -> Trace {
     b.finish()
 }
 
-/// Uniform 16 KiB tiles ping-ponging between two input buffers with a
-/// fixed output tile — after one warm lap every phase's simulator
-/// microstate recurs exactly, so the memoizer replays the steady state.
-/// The 64 KiB data footprint keeps even BP's metadata resident in its
-/// 32 KB cache (a larger footprint would thrash it and the engine state
-/// would never recur).
-const PP_TILE: u64 = 16 << 10;
-
-/// Tile passes per phase: a phase models one layer/frame pass over the
-/// resident tiles. Two forces pull on this knob: the burst path pays per
-/// touched 64 B line, so more passes make each phase more expensive to
-/// simulate — but a longer phase also widens the DRAM window a refresh can
-/// land in, and refresh-straddling phases are unrecordable (the memoizer
-/// falls back to the burst path for them). Two passes ≈ 64 KiB of traffic
-/// per phase keeps the refresh-fallback fraction near 12% while the phase
-/// is still heavy enough to amortize the per-phase fingerprint.
-const PP_PASSES: u64 = 2;
-
-fn ping_pong_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("buf", 4 * PP_TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    for i in 0..phases {
-        b.begin_unnamed_phase(500);
-        for j in 0..PP_PASSES {
-            b.push(MemRequest::read(r, base + ((i + j) % 2) * PP_TILE, PP_TILE));
-            b.push(MemRequest::write(r, base + 2 * PP_TILE, PP_TILE));
-        }
-    }
-    b.finish()
-}
-
-/// A decoder-style frame loop: a ring of four 16 KiB frame slots, each
-/// phase reading half-frame reference blocks from the two previous frames
-/// (motion compensation touches a subset of each reference) and writing
-/// the next full frame. The access pattern has period four, so the
-/// memoizer records a handful of classes (four steady-state ones plus
-/// refresh-offset variants) and replays everything after the first laps.
-fn frame_loop_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("frames", 4 * PP_TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    let slot = |i: u64| base + (i % 4) * PP_TILE;
-    for i in 0..phases {
-        b.begin_unnamed_phase(800);
-        for _ in 0..PP_PASSES {
-            b.push(MemRequest::read(r, slot(i + 2), PP_TILE / 2));
-            b.push(MemRequest::read(r, slot(i + 3), PP_TILE / 2));
-            b.push(MemRequest::write(r, slot(i), PP_TILE));
-        }
-    }
-    b.finish()
-}
-
-/// The LLM serving hot loop: GPT-S decoding one token per step (batch 1,
-/// 32-token prompt). Each step replays the same weight-streaming GEMM
-/// folds with only the KV tail moving, so after the two-touch warmup the
-/// memoizer replays the bulk of the run. Modeled on an 8-channel part:
-/// decode phases are latency-dominated, and the shorter phase horizons
-/// also keep DRAM-refresh fallbacks (which scale with phase duration vs
-/// tREFI) from eating into the hit rate.
-const DECODE_CHANNELS: usize = 8;
-
-fn decode_trace(steps: u64) -> Trace {
-    build_decode_trace(
-        &TransformerConfig::gpt_small(),
-        &InferenceRequest::new(1, 32, steps),
-        &ArrayConfig::cloud().with_dtype_bytes(2),
-    )
-}
-
-fn run_on(trace: &Trace, scheme: Scheme, path: TxnPath, channels: usize) -> RunResult {
+fn run(trace: &Trace, scheme: Scheme, path: TxnPath) -> RunResult {
     Simulation::over(trace)
-        .config(SimConfig::overlapped(channels, 700))
+        .config(SimConfig::overlapped(4, 700))
         .txn_path(path)
         .scheme(scheme)
         .run()
 }
 
-fn run(trace: &Trace, scheme: Scheme, path: TxnPath) -> RunResult {
-    run_on(trace, scheme, path, 4)
-}
-
 /// Equivalence gate: nothing is timed until every scheme's burst result
-/// matches its per-line and fast-forward twins bit for bit.
-fn assert_paths_equivalent_on(trace: &Trace, channels: usize) {
-    for scheme in Scheme::ALL {
-        let b = run_on(trace, scheme, TxnPath::Burst, channels);
-        for path in [TxnPath::PerLine, TxnPath::FastForward] {
-            let o = run_on(trace, scheme, path, channels);
-            assert_eq!(b.dram_cycles, o.dram_cycles, "{scheme:?}/{path:?}: cycles diverged");
-            assert_eq!(b.exec_ns.to_bits(), o.exec_ns.to_bits(), "{scheme:?}/{path:?}: exec_ns");
-            assert_eq!(b.traffic, o.traffic, "{scheme:?}/{path:?}: traffic diverged");
-            assert_eq!(b.dram, o.dram, "{scheme:?}/{path:?}: DRAM stats diverged");
-        }
-    }
-}
-
+/// matches its per-line twin bit for bit.
 fn assert_paths_equivalent(trace: &Trace) {
-    assert_paths_equivalent_on(trace, 4);
+    for scheme in Scheme::ALL {
+        let b = run(trace, scheme, TxnPath::Burst);
+        let o = run(trace, scheme, TxnPath::PerLine);
+        assert_eq!(b.dram_cycles, o.dram_cycles, "{scheme:?}: cycles diverged");
+        assert_eq!(b.exec_ns.to_bits(), o.exec_ns.to_bits(), "{scheme:?}: exec_ns");
+        assert_eq!(b.traffic, o.traffic, "{scheme:?}: traffic diverged");
+        assert_eq!(b.dram, o.dram, "{scheme:?}: DRAM stats diverged");
+    }
 }
 
 fn hotpath(c: &mut Criterion) {
@@ -185,41 +88,16 @@ fn hotpath(c: &mut Criterion) {
     g.finish();
 }
 
-/// The memoizer's criterion group: burst vs fast-forward on the uniform
-/// ping-pong tiles (the per-line reference would dominate the wall clock
-/// without adding information — its equivalence is asserted above).
-fn fastforward(c: &mut Criterion) {
-    let trace = ping_pong_trace(256);
-    assert_paths_equivalent(&ping_pong_trace(64));
-    assert_paths_equivalent(&frame_loop_trace(64));
-    let bytes = trace.traffic().total();
-    let mut g = c.benchmark_group("fastforward_16KiB_pingpong");
-    g.throughput(Throughput::Bytes(bytes));
-    for scheme in [Scheme::NoProtection, Scheme::Mgx, Scheme::Baseline] {
-        g.bench_with_input(BenchmarkId::new("burst", scheme.label()), &scheme, |b, &s| {
-            b.iter(|| black_box(run(&trace, s, TxnPath::Burst).dram_cycles))
-        });
-        g.bench_with_input(BenchmarkId::new("fast_forward", scheme.label()), &scheme, |b, &s| {
-            b.iter(|| black_box(run(&trace, s, TxnPath::FastForward).dram_cycles))
-        });
-    }
-    g.finish();
-}
-
 /// Best-of-N wall-clock for one configuration, in simulated bytes/sec.
-fn bytes_per_sec_on(trace: &Trace, scheme: Scheme, path: TxnPath, channels: usize) -> f64 {
+fn bytes_per_sec(trace: &Trace, scheme: Scheme, path: TxnPath) -> f64 {
     let bytes = trace.traffic().total() as f64;
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        black_box(run_on(trace, scheme, path, channels).dram_cycles);
+        black_box(run(trace, scheme, path).dram_cycles);
         best = best.min(start.elapsed().as_secs_f64());
     }
     bytes / best
-}
-
-fn bytes_per_sec(trace: &Trace, scheme: Scheme, path: TxnPath) -> f64 {
-    bytes_per_sec_on(trace, scheme, path, 4)
 }
 
 /// The headline number: simulated bytes/sec per path and the ratio.
@@ -236,120 +114,6 @@ fn ratio_report(report: &mut Report) {
         metrics.push((format!("{}.burst_bytes_per_sec", scheme.label()), burst));
     }
     report.push(("streaming", metrics));
-}
-
-/// The fast-forward headline: simulated bytes/sec on the memoizing path vs
-/// the burst path over both uniform-tile suites, **asserting** the ≥3×
-/// acceptance target on each (all five schemes aggregated, so a scheme
-/// that stopped hitting cannot hide behind a fast one).
-fn fast_forward_report(report: &mut Report) {
-    // Phase counts are sized so warmup (first-lap misses and the two-touch
-    // recording laps) is a small fraction of the run: the frame loop
-    // records ~7× more classes than the ping-pong, so it gets twice the
-    // phases to amortize them.
-    let suites: [(&'static str, Trace); 2] =
-        [("ping-pong", ping_pong_trace(2048)), ("frame-loop", frame_loop_trace(4096))];
-    println!("\nfast-forward summary (uniform-tile phases, all five schemes):");
-    println!(
-        "{:<12} {:>14} {:>14} {:>8} {:>9}",
-        "suite", "burst B/s", "fast-fwd B/s", "ratio", "hit rate"
-    );
-    for (name, trace) in &suites {
-        let bytes = trace.traffic().total() as f64 * Scheme::ALL.len() as f64;
-        let time = |path| {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let start = Instant::now();
-                for scheme in Scheme::ALL {
-                    black_box(run(trace, scheme, path).dram_cycles);
-                }
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let burst = time(TxnPath::Burst);
-        let ff = time(TxnPath::FastForward);
-        let ratio = burst / ff;
-        let stats: mgx_sim::FastForwardStats = Scheme::ALL
-            .iter()
-            .map(|&scheme| {
-                Simulation::over(trace)
-                    .config(SimConfig::overlapped(4, 700))
-                    .txn_path(TxnPath::FastForward)
-                    .scheme(scheme)
-                    .run_ff()
-                    .1
-            })
-            .sum();
-        println!(
-            "{:<12} {:>14.3e} {:>14.3e} {:>7.1}× {:>8.1}%",
-            name,
-            bytes / burst,
-            bytes / ff,
-            ratio,
-            100.0 * stats.hit_rate()
-        );
-        report.push((
-            name,
-            vec![
-                ("burst_bytes_per_sec".into(), bytes / burst),
-                ("fast_forward_bytes_per_sec".into(), bytes / ff),
-                ("speedup".into(), ratio),
-                ("hit_rate".into(), stats.hit_rate()),
-            ],
-        ));
-        assert!(ratio >= 3.0, "{name}: fast-forward only {ratio:.2}× over burst (target ≥3×)");
-    }
-}
-
-/// The LLM serving demonstration: per-scheme fast-forward hit rates and
-/// throughput on the decode trace, asserting the full-MGX decode hit rate
-/// clears 50% — the number EXPERIMENTS.md quotes. Bit-identity is gated on
-/// a shorter twin of the same shape (the exhaustive sweep lives in
-/// `tests/transformer_equivalence.rs`); the long run then measures the
-/// steady state with warmup amortized.
-fn decode_fast_forward_report(report: &mut Report) {
-    assert_paths_equivalent_on(&decode_trace(8), DECODE_CHANNELS);
-    let trace = decode_trace(96);
-    let mut metrics = Vec::new();
-    let mut mgx_rate = f64::NAN;
-    println!(
-        "\nLLM decode fast-forward (GPT-S, batch 1, 96 decode steps, {DECODE_CHANNELS}-channel):"
-    );
-    println!(
-        "{:<8} {:>14} {:>14} {:>8} {:>9}",
-        "scheme", "burst B/s", "fast-fwd B/s", "ratio", "hit rate"
-    );
-    for scheme in Scheme::ALL {
-        let burst = bytes_per_sec_on(&trace, scheme, TxnPath::Burst, DECODE_CHANNELS);
-        let ff = bytes_per_sec_on(&trace, scheme, TxnPath::FastForward, DECODE_CHANNELS);
-        let stats = Simulation::over(&trace)
-            .config(SimConfig::overlapped(DECODE_CHANNELS, 700))
-            .txn_path(TxnPath::FastForward)
-            .scheme(scheme)
-            .run_ff()
-            .1;
-        println!(
-            "{:<8} {:>14.3e} {:>14.3e} {:>7.1}× {:>8.1}%",
-            scheme.label(),
-            burst,
-            ff,
-            ff / burst,
-            100.0 * stats.hit_rate()
-        );
-        metrics.push((format!("{}.burst_bytes_per_sec", scheme.label()), burst));
-        metrics.push((format!("{}.fast_forward_bytes_per_sec", scheme.label()), ff));
-        metrics.push((format!("{}.hit_rate", scheme.label()), stats.hit_rate()));
-        if matches!(scheme, Scheme::Mgx) {
-            mgx_rate = stats.hit_rate();
-        }
-    }
-    report.push(("llm-decode", metrics));
-    assert!(
-        mgx_rate >= 0.5,
-        "MGX decode fast-forward hit rate {:.1}% below the 50% target",
-        100.0 * mgx_rate
-    );
 }
 
 /// The queued hot path: simulated bytes/sec on the queued backend's
@@ -494,14 +258,12 @@ fn write_bench_json(report: &Report, path: &str) {
     println!("\n# wrote {path}");
 }
 
-criterion_group!(benches, hotpath, fastforward);
+criterion_group!(benches, hotpath);
 
 fn main() {
     benches();
     let mut report = Report::new();
     ratio_report(&mut report);
-    fast_forward_report(&mut report);
-    decode_fast_forward_report(&mut report);
     dram_backend_report(&mut report);
     write_bench_json(&report, "BENCH_hotpath.json");
     let mut queued = Report::new();

@@ -1,15 +1,12 @@
 //! Serial vs parallel sweep wall-clock on the DNN suite — the speedup
 //! demonstration for the multi-core executor. The *results* are
-//! bit-identical by construction (asserted here and property-tested in
+//! bit-identical by construction (property-tested in
 //! `tests/pipeline_shapes.rs`); only wall time changes. On an 8-core
 //! machine the pooled suite runs ≥3× faster than the serial pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mgx_dnn::trace::stream_inference_trace;
-use mgx_dnn::Model;
-use mgx_scalesim::{ArrayConfig, Dataflow};
 use mgx_sim::experiments::dnn;
-use mgx_sim::{Scale, SimConfig, Simulation};
+use mgx_sim::{DramBackend, Scale};
 use std::hint::black_box;
 
 /// The full inference suite (12 workloads × 5 schemes) through the
@@ -19,40 +16,13 @@ fn dnn_suite_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("dnn_suite_sweep");
     g.sample_size(10);
     g.bench_function("serial", |b| {
-        b.iter(|| black_box(dnn::evaluate_inference_on(&scale, 1).len()))
+        b.iter(|| black_box(dnn::evaluate_inference(&scale, 1, DramBackend::ClosedForm).len()))
     });
     g.bench_function("parallel_all_cores", |b| {
-        b.iter(|| black_box(dnn::evaluate_inference_on(&scale, 0).len()))
+        b.iter(|| black_box(dnn::evaluate_inference(&scale, 0, DramBackend::ClosedForm).len()))
     });
     g.finish();
 }
 
-/// One workload's five-scheme sweep: stepping the schemes in turn on one
-/// thread vs broadcasting the phase stream to five scheme workers.
-fn five_scheme_broadcast(c: &mut Criterion) {
-    let model = Model::resnet50(1);
-    let acfg = ArrayConfig::cloud();
-    let scfg = SimConfig::overlapped(4, 700);
-    let stream = || stream_inference_trace(&model, &acfg, Dataflow::WeightStationary);
-    // Determinism spot-check before timing anything.
-    let serial = Simulation::over(stream()).config(scfg.clone()).run_all();
-    let parallel = Simulation::over(stream()).config(scfg.clone()).parallel(0).run_all();
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.dram_cycles, p.dram_cycles, "parallel sweep must be bit-identical");
-        assert_eq!(s.traffic, p.traffic);
-    }
-    let mut g = c.benchmark_group("resnet_run_all");
-    g.sample_size(10);
-    g.bench_function("serial", |b| {
-        b.iter(|| black_box(Simulation::over(stream()).config(scfg.clone()).run_all().len()))
-    });
-    g.bench_function("parallel_5_workers", |b| {
-        b.iter(|| {
-            black_box(Simulation::over(stream()).config(scfg.clone()).parallel(5).run_all().len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, dnn_suite_pool, five_scheme_broadcast);
+criterion_group!(benches, dnn_suite_pool);
 criterion_main!(benches);

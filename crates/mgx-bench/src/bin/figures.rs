@@ -15,24 +15,20 @@
 //! serial run, only wall-clock changes. `--store DIR` routes every suite
 //! sweep through the same content-addressed result store the `serve`
 //! daemon uses: a repeated figure run (same scale, same simulator build)
-//! reloads its sweeps from `DIR` instead of re-simulating. `--fast-forward`
-//! runs every suite on the phase-memoizing `TxnPath::FastForward` path
-//! (bypassing the store) and reports per-suite hit rates on stderr; the
-//! figures on stdout are byte-identical to a run without the flag.
+//! reloads its sweeps from `DIR` instead of re-simulating.
 //! `--stats-json PATH` additionally writes the run's full observability
-//! registry (per-suite wall-clock histograms, fast-forward counters,
-//! per-scheme simulated-bytes/DRAM-cycle totals, store hit/miss counters)
-//! as one JSON document to `PATH` — stdout stays byte-identical with or
-//! without the flag. The stderr hit-rate notes, the side-file, and a
-//! serve daemon's `metrics` op all render the same `mgx_*` counter
-//! families, so the three surfaces cannot disagree.
+//! registry (per-suite wall-clock histograms, per-scheme
+//! simulated-bytes/DRAM-cycle totals, store hit/miss counters) as one JSON
+//! document to `PATH` — stdout stays byte-identical with or without the
+//! flag. The side-file and a serve daemon's `metrics` op render the same
+//! `mgx_*` counter families, so the two surfaces cannot disagree.
 //! `--dram-model MODEL` selects the DRAM timing backend
 //! (`closed-form` | `queued`, default `closed-form`); the backend is part
 //! of the job digest, so `--store` never serves one model's sweep for the
-//! other.
+//! other. Any other `--` flag is rejected with exit status 2, like an
+//! unknown figure id.
 
 use mgx_core::MetaTraffic;
-use mgx_obs::registry::labeled;
 use mgx_obs::Registry;
 use mgx_serve::codec::evaluated_from_json;
 use mgx_serve::{ResultStore, StoreConfig};
@@ -40,7 +36,7 @@ use mgx_sim::experiments::{
     self, dnn, genome, graph, sensitivity, transformer, video, Evaluated, FIGURE_CATALOG,
 };
 use mgx_sim::job::{JobSpec, Suite};
-use mgx_sim::{render, render_json, DramBackend, Figure, Scale, TxnPath};
+use mgx_sim::{render, render_json, DramBackend, Figure, Scale};
 use std::path::PathBuf;
 
 fn wants(args: &[String], id: &str) -> bool {
@@ -137,53 +133,27 @@ fn parse_stats_json(args: &mut Vec<String>) -> Option<PathBuf> {
     path
 }
 
-/// Reads a per-suite `mgx_ff_*` counter back out of the registry.
-fn ff_counter(registry: &Registry, name: &str, suite: Suite) -> u64 {
-    registry.counter_value(&labeled(name, &[("suite", suite.name())])).unwrap_or(0)
-}
+/// The flags `main` reads itself, after the valued flags above are
+/// extracted.
+const SWITCHES: [&str; 3] = ["--quick", "--json", "--list"];
 
 /// Runs (or reloads) one suite's five-scheme sweep, routed through the
 /// content-addressed store when `--store` is set. The digest covers the
 /// scale knobs and the simulator version, so a hit is exactly the sweep
 /// this invocation would have produced. Every sweep records into
-/// `registry` (wall-clock, fast-forward counters, per-scheme totals), and
-/// the stderr notes *read back* from it — the `--stats-json` side-file
-/// renders the identical atomics, so the two surfaces agree by
-/// construction.
+/// `registry` (wall-clock, per-scheme totals), which the `--stats-json`
+/// side-file renders.
 fn suite_evals(
     suite: Suite,
     scale: &Scale,
     threads: usize,
     backend: DramBackend,
     store: Option<&ResultStore>,
-    fast_forward: bool,
     registry: &Registry,
 ) -> Vec<Evaluated> {
     let spec = JobSpec::suite_sweep(suite, *scale, threads, backend);
-    if fast_forward {
-        // The memoizing path is bit-identical to the burst path, so the
-        // store *could* cache it too — but the point of `--fast-forward` is
-        // to measure the in-run memoization, so it bypasses the store and
-        // reports its hit rate instead.
-        let (evals, _) = spec.execute_observed(TxnPath::FastForward, registry);
-        let hits = ff_counter(registry, "mgx_ff_hits_total", suite);
-        let misses = ff_counter(registry, "mgx_ff_misses_total", suite);
-        let fallbacks = ff_counter(registry, "mgx_ff_fallbacks_total", suite);
-        let recorded = ff_counter(registry, "mgx_ff_recorded_total", suite);
-        let phases = hits + misses + fallbacks;
-        eprintln!(
-            "# {}: fast-forward {:.1}% hit rate ({} hits / {} phases, {} classes, {} fallbacks)",
-            suite.name(),
-            hits as f64 / phases.max(1) as f64 * 100.0,
-            hits,
-            phases,
-            recorded,
-            fallbacks
-        );
-        return evals;
-    }
     let Some(store) = store else {
-        return spec.execute_observed(TxnPath::Burst, registry).0;
+        return spec.execute_observed(registry);
     };
     let digest = spec.digest();
     if let Some(doc) = store.get(digest) {
@@ -195,7 +165,7 @@ fn suite_evals(
             Err(e) => eprintln!("# {}: discarding unreadable store entry ({e})", suite.name()),
         }
     }
-    let evals = spec.execute_observed(TxnPath::Burst, registry).0;
+    let evals = spec.execute_observed(registry);
     if let Err(e) = store.put(digest, spec.result_json(&evals)) {
         eprintln!("# {}: store write failed ({e}); continuing uncached", suite.name());
     }
@@ -208,6 +178,14 @@ fn main() {
     let backend = parse_dram_model(&mut args);
     let store_dir = parse_store(&mut args);
     let stats_path = parse_stats_json(&mut args);
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !SWITCHES.contains(&a.as_str()))
+    {
+        eprintln!(
+            "unknown flag `{flag}` — known flags: --quick, --json, --list, --threads N, \
+             --dram-model MODEL, --store DIR, --stats-json PATH"
+        );
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--list") {
         println!("{:<10} description", "figure");
         for (id, desc) in FIGURE_CATALOG {
@@ -225,7 +203,6 @@ fn main() {
     let store = store.as_ref();
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let fast_forward = args.iter().any(|a| a == "--fast-forward");
     let scale = if quick { Scale::quick() } else { Scale::standard() };
     let print = |fig: &Figure| {
         if json {
@@ -254,15 +231,7 @@ fn main() {
 
     let dnn_inf: Vec<Evaluated> = if need_dnn_inf {
         eprintln!("# simulating DNN inference suite…");
-        let e = suite_evals(
-            Suite::DnnInference,
-            &scale,
-            threads,
-            backend,
-            store,
-            fast_forward,
-            &registry,
-        );
+        let e = suite_evals(Suite::DnnInference, &scale, threads, backend, store, &registry);
         log_volume("DNN inference", &e);
         e
     } else {
@@ -270,15 +239,7 @@ fn main() {
     };
     let dnn_train: Vec<Evaluated> = if need_dnn_train {
         eprintln!("# simulating DNN training suite…");
-        let e = suite_evals(
-            Suite::DnnTraining,
-            &scale,
-            threads,
-            backend,
-            store,
-            fast_forward,
-            &registry,
-        );
+        let e = suite_evals(Suite::DnnTraining, &scale, threads, backend, store, &registry);
         log_volume("DNN training", &e);
         e
     } else {
@@ -286,7 +247,7 @@ fn main() {
     };
     let graphs: Vec<Evaluated> = if need_graph {
         eprintln!("# simulating graph suite…");
-        let e = suite_evals(Suite::Graph, &scale, threads, backend, store, fast_forward, &registry);
+        let e = suite_evals(Suite::Graph, &scale, threads, backend, store, &registry);
         log_volume("graph", &e);
         e
     } else {
@@ -294,15 +255,7 @@ fn main() {
     };
     let llm: Vec<Evaluated> = if need_llm {
         eprintln!("# simulating transformer suite…");
-        let e = suite_evals(
-            Suite::Transformer,
-            &scale,
-            threads,
-            backend,
-            store,
-            fast_forward,
-            &registry,
-        );
+        let e = suite_evals(Suite::Transformer, &scale, threads, backend, store, &registry);
         log_volume("transformer", &e);
         e
     } else {
@@ -332,12 +285,11 @@ fn main() {
     }
     if wants(&args, "fig16") {
         eprintln!("# simulating GACT suite…");
-        let g =
-            suite_evals(Suite::Genome, &scale, threads, backend, store, fast_forward, &registry);
+        let g = suite_evals(Suite::Genome, &scale, threads, backend, store, &registry);
         print(&genome::fig16(&g));
     }
     if wants(&args, "h264") {
-        let v = suite_evals(Suite::Video, &scale, threads, backend, store, fast_forward, &registry);
+        let v = suite_evals(Suite::Video, &scale, threads, backend, store, &registry);
         print(&video::fig_h264(&v));
     }
     if wants(&args, "llm-traffic") {
@@ -351,7 +303,7 @@ fn main() {
     }
     if wants(&args, "ablations") {
         eprintln!("# running ablation sweeps…");
-        for fig in sensitivity::all_on(&scale, threads) {
+        for fig in sensitivity::all(&scale, threads) {
             print(&fig);
         }
     }
@@ -365,7 +317,7 @@ fn main() {
     }
     if let Some(path) = stats_path {
         // The side-file is the registry itself, wrapped with the run's
-        // identity knobs — the same atomics the stderr notes read.
+        // identity knobs.
         let doc = format!(
             "{{\"scale\":\"{}\",\"threads\":{threads},\"dram_model\":\"{}\",\"metrics\":{}}}",
             if quick { "quick" } else { "standard" },

@@ -26,8 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use core::cell::Cell;
-
 /// Cache geometry and policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -117,8 +115,7 @@ impl CacheStats {
     }
 }
 
-/// Component-wise sum — used when rebasing counters after a fast-forward
-/// replay (base + recorded delta).
+/// Component-wise sum.
 impl core::ops::Add for CacheStats {
     type Output = CacheStats;
     fn add(self, rhs: CacheStats) -> CacheStats {
@@ -131,12 +128,12 @@ impl core::ops::Add for CacheStats {
     }
 }
 
-/// Component-wise difference — turns two cumulative snapshots into a
-/// per-phase delta for fast-forward replay.
+/// Component-wise difference — turns two cumulative readings into the
+/// delta between them.
 ///
 /// # Panics
 ///
-/// Panics in debug builds if any component would underflow (snapshots
+/// Panics in debug builds if any component would underflow (readings
 /// taken out of order).
 impl core::ops::Sub for CacheStats {
     type Output = CacheStats;
@@ -179,35 +176,16 @@ struct LineState {
 
 const INVALID: LineState = LineState { tag: 0, dirty: false, last_use: 0, valid: false };
 
-/// Opaque microstate snapshot of a [`CacheSim`] (sets + LRU clock),
-/// produced by [`CacheSim::snapshot`] and consumed by
-/// [`CacheSim::restore`] during fast-forward replay.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    lines: Vec<LineState>,
-    clock: u64,
-}
-
 /// The cache simulator. See the crate docs for an example.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     cfg: CacheConfig,
     /// All lines, flat: set `s` occupies `lines[s * ways .. (s + 1) * ways]`.
-    /// One contiguous `Copy` buffer keeps clone/restore a single memcpy —
-    /// fast-forward replay adopts a recorded cache state once per phase.
     lines: Vec<LineState>,
     clock: u64,
     stats: CacheStats,
     set_shift: u32,
     set_mask: u64,
-    /// Memoized [`CacheSim::content_digest`], cleared by every mutation of
-    /// the sets (not by [`CacheSim::set_stats`] — stats are excluded from
-    /// the digest). Fast-forward fingerprints the cache once per phase;
-    /// without this, a replayed steady state re-hashes the whole cache
-    /// even though nothing changed since the recorded snapshot. `Cell`
-    /// because the digest is computed lazily from `&self`; `Clone` copies
-    /// the cached value, so a restored-from-snapshot clone keeps it.
-    digest_cache: Cell<Option<u64>>,
 }
 
 impl CacheSim {
@@ -227,7 +205,6 @@ impl CacheSim {
             stats: CacheStats::default(),
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            digest_cache: Cell::new(None),
         }
     }
 
@@ -256,9 +233,6 @@ impl CacheSim {
     /// victims surface as `writeback` so the caller can issue the DRAM
     /// write.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        // Even a clean read hit reorders LRU ranks, so every access
-        // invalidates the memoized digest.
-        self.digest_cache.set(None);
         self.clock += 1;
         let (set_idx, tag) = self.index(addr);
         let tag_bits = self.set_mask.count_ones();
@@ -308,98 +282,9 @@ impl CacheSim {
             .any(|l| l.valid && l.tag == tag)
     }
 
-    /// Structural digest of the cache *contents* for fast-forward
-    /// fingerprinting.
-    ///
-    /// Hashes, per set in index order and per way in **position** order
-    /// (victim search and [`CacheSim::flush`] both scan positions, so way
-    /// permutations are behaviorally meaningful): validity, tag, dirty
-    /// bit, and the way's LRU *rank* within its set. Raw `last_use`
-    /// stamps and the clock are deliberately excluded — only their
-    /// relative order ever influences behavior, so two caches that differ
-    /// only in absolute timestamps digest identically.
-    pub fn content_digest(&self) -> u64 {
-        if let Some(d) = self.digest_cache.get() {
-            debug_assert_eq!(
-                d,
-                self.compute_content_digest(),
-                "memoized digest went stale — a mutation missed the invalidation"
-            );
-            return d;
-        }
-        let d = self.compute_content_digest();
-        self.digest_cache.set(Some(d));
-        d
-    }
-
-    fn compute_content_digest(&self) -> u64 {
-        let mut h = mgx_trace::Fnv64::new();
-        for set in self.lines.chunks_exact(self.cfg.ways) {
-            for line in set {
-                if !line.valid {
-                    h.write_u8(0);
-                    continue;
-                }
-                // Rank = number of valid ways in this set touched less
-                // recently. `last_use` stamps are unique (one clock tick
-                // per access), so ranks are a permutation of 0..valid.
-                let rank =
-                    set.iter().filter(|o| o.valid && o.last_use < line.last_use).count() as u64;
-                h.write_u8(1 + u8::from(line.dirty));
-                h.write_u64(line.tag);
-                h.write_u64(rank);
-            }
-        }
-        h.finish()
-    }
-
-    /// Captures the full microstate (sets + LRU clock, not statistics)
-    /// for later [`CacheSim::restore`].
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot { lines: self.lines.clone(), clock: self.clock }
-    }
-
-    /// Restores a snapshot taken on a cache with the same geometry.
-    /// Statistics are left untouched — fast-forward replay applies the
-    /// recorded delta separately via [`CacheSim::set_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot geometry does not match.
-    pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert_eq!(self.lines.len(), snap.lines.len(), "snapshot from a different geometry");
-        self.digest_cache.set(None);
-        self.lines.copy_from_slice(&snap.lines);
-        self.clock = snap.clock;
-    }
-
-    /// Adopts another cache's microstate (lines + LRU clock + memoized
-    /// digest) without allocating — fast-forward replay jumps the live
-    /// cache to a recorded post-state once per phase. Statistics are left
-    /// untouched, exactly like [`CacheSim::restore`]; the caller rebases
-    /// them via [`CacheSim::set_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn adopt_state(&mut self, other: &CacheSim) {
-        assert_eq!(self.lines.len(), other.lines.len(), "adopting a different geometry");
-        self.lines.copy_from_slice(&other.lines);
-        self.clock = other.clock;
-        self.digest_cache.set(other.digest_cache.get());
-    }
-
-    /// Overwrites the cumulative statistics. Fast-forward support: replay
-    /// restores microstate from a recorded snapshot, then rebases stats to
-    /// `pre-replay stats + recorded delta` through this setter.
-    pub fn set_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
-    }
-
     /// Invalidates everything, returning the addresses of dirty lines (which
     /// a real controller would write back).
     pub fn flush(&mut self) -> Vec<u64> {
-        self.digest_cache.set(None);
         let mut dirty = Vec::new();
         for i in 0..self.lines.len() {
             let line = self.lines[i];
@@ -572,116 +457,6 @@ mod tests {
         let out = c.access(0x400, AccessKind::Read);
         assert_eq!(out.writeback, Some(0x200));
         assert!(c.probe(0x300) && c.probe(0x400));
-    }
-
-    #[test]
-    fn content_digest_ignores_absolute_clock() {
-        // Two caches reaching the same logical state (same lines, same
-        // dirty bits, same LRU order) through different-length histories
-        // must digest identically: only relative recency is behavioral.
-        let mut a = small();
-        a.access(0x000, AccessKind::Read);
-        a.access(0x100, AccessKind::Read);
-        let mut b = small();
-        b.access(0x000, AccessKind::Read);
-        b.access(0x000, AccessKind::Read); // extra hit: clock differs
-        b.access(0x100, AccessKind::Read);
-        assert_eq!(a.content_digest(), b.content_digest());
-    }
-
-    #[test]
-    fn content_digest_sees_each_component() {
-        let base = || {
-            let mut c = small();
-            c.access(0x000, AccessKind::Read);
-            c.access(0x100, AccessKind::Read);
-            c
-        };
-        let d0 = base().content_digest();
-        // Different resident line (tag component).
-        let mut c = small();
-        c.access(0x000, AccessKind::Read);
-        c.access(0x200, AccessKind::Read);
-        assert_ne!(d0, c.content_digest(), "tag must be hashed");
-        // Same lines, one dirtied.
-        let mut c = small();
-        c.access(0x000, AccessKind::Write);
-        c.access(0x100, AccessKind::Read);
-        assert_ne!(d0, c.content_digest(), "dirty bit must be hashed");
-        // Same lines, LRU order flipped by an extra touch.
-        let mut c = base();
-        c.access(0x000, AccessKind::Read);
-        assert_ne!(d0, c.content_digest(), "LRU rank must be hashed");
-        // Occupancy (valid bit).
-        let mut c = small();
-        c.access(0x000, AccessKind::Read);
-        assert_ne!(d0, c.content_digest(), "validity must be hashed");
-    }
-
-    #[test]
-    fn memoized_digest_tracks_every_mutation() {
-        // `content_digest` caches its result (the fast-forward hot loop
-        // hashes the cache once per phase); this walks every mutating and
-        // non-mutating entry point, letting the debug_assert inside
-        // `content_digest` catch any missed invalidation, and checks the
-        // cached value survives exactly the operations it should.
-        let mut c = small();
-        c.access(0x000, AccessKind::Write);
-        let d0 = c.content_digest();
-        assert_eq!(c.content_digest(), d0, "repeat digest must be stable");
-
-        // Clone carries the memoized value and stays correct.
-        let twin = c.clone();
-        assert_eq!(twin.content_digest(), d0);
-
-        // set_stats leaves the digest cache intact (stats are excluded).
-        c.set_stats(CacheStats::default());
-        assert_eq!(c.content_digest(), d0);
-
-        // Probing is read-only.
-        let _ = c.probe(0x000);
-        assert_eq!(c.content_digest(), d0);
-
-        // A hit reorders LRU state across sets? No — but it must still
-        // invalidate; digest of the one-line cache is unchanged in value,
-        // so exercise a real change: a second line, then a flush.
-        c.access(0x100, AccessKind::Read);
-        let d1 = c.content_digest();
-        assert_ne!(d0, d1, "access must invalidate and re-digest");
-
-        let snap = c.snapshot();
-        c.flush();
-        assert_ne!(c.content_digest(), d1, "flush must invalidate");
-        c.restore(&snap);
-        assert_eq!(c.content_digest(), d1, "restore must re-digest to the snapshot state");
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let mut c = small();
-        c.access(0x000, AccessKind::Write);
-        c.access(0x100, AccessKind::Read);
-        let snap = c.snapshot();
-        let stats_at_snap = c.stats();
-
-        // Twin A: keep going directly.
-        let mut a = c.clone();
-        // Twin B: diverge wildly, then restore.
-        c.access(0x200, AccessKind::Write);
-        c.access(0x300, AccessKind::Write);
-        c.flush();
-        c.restore(&snap);
-        c.set_stats(stats_at_snap);
-
-        assert_eq!(a.content_digest(), c.content_digest());
-        for addr in [0x200u64, 0x300, 0x000, 0x140] {
-            assert_eq!(
-                a.access(addr, AccessKind::Read),
-                c.access(addr, AccessKind::Read),
-                "post-restore behavior must match at {addr:#x}"
-            );
-        }
-        assert_eq!(a.stats(), c.stats());
     }
 
     #[test]

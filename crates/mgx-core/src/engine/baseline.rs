@@ -25,8 +25,7 @@ use super::{
 use crate::layout::{BaselineLayout, MetaKind};
 use crate::policy::ProtectionConfig;
 use mgx_cache::{AccessKind, CacheConfig, CacheSim};
-use mgx_trace::{Dir, Fnv64, MemRequest, RegionMap, LINE_BYTES};
-use std::any::Any;
+use mgx_trace::{Dir, MemRequest, RegionMap, LINE_BYTES};
 
 #[derive(Debug, Clone)]
 enum MacMode {
@@ -230,41 +229,6 @@ impl ProtectionEngine for BaselineEngine {
 
     fn traffic(&self) -> MetaTraffic {
         self.traffic
-    }
-
-    fn ff_digest(&self) -> Option<u64> {
-        // Layout is construction-constant; behavior hinges on the metadata
-        // cache contents (tags, dirty bits, LRU order) plus the coarse MAC
-        // tracker for the MGX_MAC ablation.
-        let mut h = Fnv64::new();
-        h.write_u64(self.cache.content_digest());
-        match &self.mac {
-            MacMode::FineCached => h.write_u8(1),
-            MacMode::Coarse(t) => {
-                h.write_u8(2);
-                t.ff_hash(&mut h);
-            }
-        }
-        Some(h.finish())
-    }
-
-    fn ff_snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        // Populate the cache's memoized digest before cloning: the stored
-        // post-state snapshot then carries it, so a replayed steady state
-        // never re-hashes the cache when the next phase fingerprints it.
-        let _ = self.cache.content_digest();
-        Some(Box::new(self.clone()))
-    }
-
-    fn ff_replay(&mut self, pre: &(dyn Any + Send), post: &(dyn Any + Send)) {
-        let pre = pre.downcast_ref::<Self>().expect("BP snapshot");
-        let post = post.downcast_ref::<Self>().expect("BP snapshot");
-        let traffic = self.traffic + (post.traffic - pre.traffic);
-        let cache_stats = self.cache.stats() + (post.cache.stats() - pre.cache.stats());
-        self.cache.adopt_state(&post.cache);
-        self.cache.set_stats(cache_stats);
-        self.mac = post.mac.clone();
-        self.traffic = traffic;
     }
 }
 

@@ -9,7 +9,7 @@
 use super::{LineBurst, LineTxn, MetaTraffic, TxnKind};
 use crate::layout::{self, BaselineLayout};
 use crate::policy::MacGranularity;
-use mgx_trace::{Dir, Fnv64, MemRequest, LINE_BYTES};
+use mgx_trace::{Dir, MemRequest, LINE_BYTES};
 
 /// Dedupe state: last MAC line emitted per (region, direction).
 #[derive(Debug, Clone, Default)]
@@ -52,20 +52,6 @@ impl Coalescer {
         }
         self.last[region] = Some((last, dir));
         Some((start, (last - start) / LINE_BYTES + 1))
-    }
-
-    /// Folds the dedupe state into a fast-forward fingerprint.
-    fn ff_hash(&self, h: &mut Fnv64) {
-        h.write_u64(self.last.len() as u64);
-        for entry in &self.last {
-            match entry {
-                None => h.write_u8(0),
-                Some((line, dir)) => {
-                    h.write_u8(if *dir == Dir::Read { 1 } else { 2 });
-                    h.write_u64(*line);
-                }
-            }
-        }
     }
 }
 
@@ -119,12 +105,6 @@ impl FineMacTracker {
             traffic.record_burst(&burst);
             emit(burst);
         }
-    }
-
-    /// Fast-forward fingerprint: the layout is construction-constant, so
-    /// only the coalescer window is behavioral state.
-    pub(crate) fn ff_hash(&self, h: &mut Fnv64) {
-        self.coalescer.ff_hash(h);
     }
 }
 
@@ -217,19 +197,6 @@ impl CoarseMacTracker {
                 let line = layout::mac_coarse_line(req.region, idx);
                 self.emit_line(region, line, req.dir, traffic, &mut |t| emit(t.into()));
             }
-        }
-    }
-
-    /// Fast-forward fingerprint: coalescer window plus the per-region tile
-    /// counters (granularity config is construction-constant). A
-    /// [`MacGranularity::PerRequest`] region's counter grows monotonically,
-    /// so such workloads never repeat a fingerprint — they simply fall back
-    /// to full simulation, which keeps replay trivially sound.
-    pub(crate) fn ff_hash(&self, h: &mut Fnv64) {
-        self.coalescer.ff_hash(h);
-        h.write_u64(self.tile_count.len() as u64);
-        for &count in &self.tile_count {
-            h.write_u64(count);
         }
     }
 }

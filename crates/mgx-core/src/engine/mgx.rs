@@ -9,8 +9,7 @@
 use super::macside::{CoarseMacTracker, FineMacTracker};
 use super::{emit_data, emit_data_burst, LineBurst, LineTxn, MetaTraffic, ProtectionEngine};
 use crate::policy::ProtectionConfig;
-use mgx_trace::{Fnv64, MemRequest, RegionMap};
-use std::any::Any;
+use mgx_trace::{MemRequest, RegionMap};
 
 #[derive(Debug, Clone)]
 enum MacSide {
@@ -73,33 +72,6 @@ impl ProtectionEngine for MgxEngine {
 
     fn traffic(&self) -> MetaTraffic {
         self.traffic
-    }
-
-    fn ff_digest(&self) -> Option<u64> {
-        let mut h = Fnv64::new();
-        match &self.mac {
-            MacSide::Fine(t) => {
-                h.write_u8(1);
-                t.ff_hash(&mut h);
-            }
-            MacSide::Coarse(t) => {
-                h.write_u8(2);
-                t.ff_hash(&mut h);
-            }
-        }
-        Some(h.finish())
-    }
-
-    fn ff_snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn ff_replay(&mut self, pre: &(dyn Any + Send), post: &(dyn Any + Send)) {
-        let pre = pre.downcast_ref::<Self>().expect("MGX snapshot");
-        let post = post.downcast_ref::<Self>().expect("MGX snapshot");
-        let traffic = self.traffic + (post.traffic - pre.traffic);
-        self.mac = post.mac.clone();
-        self.traffic = traffic;
     }
 }
 

@@ -22,7 +22,6 @@ pub use split::{SplitCounterEngine, LINES_PER_SC_LINE, MINOR_LIMIT};
 
 use crate::policy::ProtectionConfig;
 use mgx_trace::{Dir, MemRequest, RegionMap, Traffic, LINE_BYTES};
-use std::any::Any;
 
 /// What a DRAM line transaction carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,20 +187,6 @@ impl core::ops::AddAssign for MetaTraffic {
     }
 }
 
-/// Component-wise difference — turns two cumulative snapshots into a
-/// per-phase delta for fast-forward replay.
-impl core::ops::Sub for MetaTraffic {
-    type Output = MetaTraffic;
-    fn sub(self, rhs: MetaTraffic) -> MetaTraffic {
-        MetaTraffic {
-            data: self.data - rhs.data,
-            vn: self.vn - rhs.vn,
-            tree: self.tree - rhs.tree,
-            mac: self.mac - rhs.mac,
-        }
-    }
-}
-
 impl core::iter::Sum for MetaTraffic {
     fn sum<I: Iterator<Item = MetaTraffic>>(iter: I) -> MetaTraffic {
         iter.fold(MetaTraffic::default(), |a, b| a + b)
@@ -248,43 +233,6 @@ pub trait ProtectionEngine {
 
     /// Cumulative traffic including everything emitted so far.
     fn traffic(&self) -> MetaTraffic;
-
-    /// Microstate fingerprint for fast-forward memoization.
-    ///
-    /// Two engine states with equal digests must emit identical transaction
-    /// streams for any identical future request sequence. Digests cover only
-    /// *behavioral* state (cache contents, coalescer windows, counter
-    /// values) — cumulative statistics are excluded, since they are rebased
-    /// at replay time. Returns `None` when the engine opts out of
-    /// fast-forward (the default), forcing full simulation.
-    fn ff_digest(&self) -> Option<u64> {
-        None
-    }
-
-    /// Opaque full-state snapshot for fast-forward record/replay.
-    ///
-    /// The returned value is later handed back to [`ff_replay`] as `pre` or
-    /// `post`; the concrete type is the engine's own, so only matching
-    /// engines can exchange snapshots. `None` (the default) opts out.
-    ///
-    /// [`ff_replay`]: ProtectionEngine::ff_replay
-    fn ff_snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        None
-    }
-
-    /// Replays a recorded phase: jumps the microstate to `post` while
-    /// rebasing cumulative counters by the `post − pre` delta on top of the
-    /// current totals.
-    ///
-    /// Only called with snapshots taken by this engine type after
-    /// [`ff_snapshot`] returned `Some`; the default (for engines that opt
-    /// out) is unreachable.
-    ///
-    /// [`ff_snapshot`]: ProtectionEngine::ff_snapshot
-    fn ff_replay(&mut self, pre: &(dyn Any + Send), post: &(dyn Any + Send)) {
-        let _ = (pre, post);
-        unreachable!("fast-forward replay on an engine that opted out");
-    }
 }
 
 /// The five protection schemes evaluated in the paper.

@@ -2,7 +2,6 @@
 
 use super::{emit_data, emit_data_burst, LineBurst, LineTxn, MetaTraffic, ProtectionEngine};
 use mgx_trace::MemRequest;
-use std::any::Any;
 
 /// Emits only the data lines — no metadata at all.
 #[derive(Debug, Clone, Default)]
@@ -34,21 +33,6 @@ impl ProtectionEngine for NoProtection {
 
     fn traffic(&self) -> MetaTraffic {
         self.traffic
-    }
-
-    fn ff_digest(&self) -> Option<u64> {
-        // Stateless beyond cumulative counters: every state is equivalent.
-        Some(0x4e50) // "NP" tag, distinct from other engines' digest spaces
-    }
-
-    fn ff_snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn ff_replay(&mut self, pre: &(dyn Any + Send), post: &(dyn Any + Send)) {
-        let pre = pre.downcast_ref::<Self>().expect("NP snapshot");
-        let post = post.downcast_ref::<Self>().expect("NP snapshot");
-        self.traffic += post.traffic - pre.traffic;
     }
 }
 

@@ -18,8 +18,7 @@ use super::{
 use crate::layout::{BaselineLayout, MetaKind};
 use crate::policy::ProtectionConfig;
 use mgx_cache::{AccessKind, CacheConfig, CacheSim};
-use mgx_trace::{Dir, Fnv64, MemRequest, LINE_BYTES};
-use std::any::Any;
+use mgx_trace::{Dir, MemRequest, LINE_BYTES};
 use std::collections::HashMap;
 
 /// Data lines covered by one split-counter VN line.
@@ -192,44 +191,6 @@ impl ProtectionEngine for SplitCounterEngine {
 
     fn traffic(&self) -> MetaTraffic {
         self.traffic
-    }
-
-    fn ff_digest(&self) -> Option<u64> {
-        let mut h = Fnv64::new();
-        h.write_u8(3); // engine tag
-        h.write_u64(self.cache.content_digest());
-        // Minor counters in sorted-key order so the digest is independent
-        // of HashMap iteration order. `overflows` is excluded: it is an
-        // observable statistic, not behavioral state (it gets rebased at
-        // replay like the traffic counters).
-        let mut groups: Vec<u64> = self.minors.keys().copied().collect();
-        groups.sort_unstable();
-        h.write_u64(groups.len() as u64);
-        for group in groups {
-            h.write_u64(group);
-            h.write_bytes(&self.minors[&group]);
-        }
-        Some(h.finish())
-    }
-
-    fn ff_snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        // Seed the cache's memoized digest so the stored snapshot carries
-        // it (see BaselineEngine::ff_snapshot).
-        let _ = self.cache.content_digest();
-        Some(Box::new(self.clone()))
-    }
-
-    fn ff_replay(&mut self, pre: &(dyn Any + Send), post: &(dyn Any + Send)) {
-        let pre = pre.downcast_ref::<Self>().expect("BP_SC snapshot");
-        let post = post.downcast_ref::<Self>().expect("BP_SC snapshot");
-        let traffic = self.traffic + (post.traffic - pre.traffic);
-        let cache_stats = self.cache.stats() + (post.cache.stats() - pre.cache.stats());
-        let overflows = self.overflows + (post.overflows - pre.overflows);
-        self.cache.adopt_state(&post.cache);
-        self.cache.set_stats(cache_stats);
-        self.minors = post.minors.clone();
-        self.traffic = traffic;
-        self.overflows = overflows;
     }
 }
 

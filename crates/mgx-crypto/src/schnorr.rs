@@ -166,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn signature_depends_on_nonce_but_verifies_for_both() {
+    fn nonce_changes_the_signature_but_both_verify() {
         let g = group();
         let keys = KeyPair::from_secret(&g, b"device-secret-key-material-0001");
         let s1 = sign(&g, &keys, b"m", b"nonce-a-0000000000000001");

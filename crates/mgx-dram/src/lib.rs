@@ -237,8 +237,7 @@ impl DramStats {
     }
 }
 
-/// Component-wise sum — used when applying a recorded fast-forward delta
-/// on top of the running counters.
+/// Component-wise sum — totals statistics across runs or channels.
 impl core::ops::AddAssign for DramStats {
     fn add_assign(&mut self, rhs: DramStats) {
         self.row_hits += rhs.row_hits;
@@ -248,38 +247,6 @@ impl core::ops::AddAssign for DramStats {
         self.writes += rhs.writes;
         self.refreshes += rhs.refreshes;
         self.total_latency += rhs.total_latency;
-    }
-}
-
-/// Component-wise difference — turns two cumulative snapshots into a
-/// per-phase delta for fast-forward replay.
-///
-/// # Panics
-///
-/// Panics in debug builds if any component would underflow (snapshots
-/// taken out of order).
-impl core::ops::Sub for DramStats {
-    type Output = DramStats;
-    fn sub(self, rhs: DramStats) -> DramStats {
-        debug_assert!(
-            self.row_hits >= rhs.row_hits
-                && self.row_opens >= rhs.row_opens
-                && self.row_conflicts >= rhs.row_conflicts
-                && self.reads >= rhs.reads
-                && self.writes >= rhs.writes
-                && self.refreshes >= rhs.refreshes
-                && self.total_latency >= rhs.total_latency,
-            "dram-stats delta would underflow"
-        );
-        DramStats {
-            row_hits: self.row_hits - rhs.row_hits,
-            row_opens: self.row_opens - rhs.row_opens,
-            row_conflicts: self.row_conflicts - rhs.row_conflicts,
-            reads: self.reads - rhs.reads,
-            writes: self.writes - rhs.writes,
-            refreshes: self.refreshes - rhs.refreshes,
-            total_latency: self.total_latency - rhs.total_latency,
-        }
     }
 }
 
@@ -332,132 +299,6 @@ fn fold_row(row: u64) -> u64 {
     fold ^= fold >> 16;
     fold ^= fold >> 32;
     fold
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BankSnap {
-    open_row: Option<u64>,
-    /// `ready_*` floored at the reference cycle: every consumer computes
-    /// `max(t, ready_*)` with `t ≥ arrival ≥ reference`, so any value at
-    /// or below the reference is behaviorally indistinguishable from the
-    /// reference itself.
-    ready_act_rel: u64,
-    ready_cas_rel: u64,
-    ready_pre_rel: u64,
-}
-
-#[derive(Debug, Clone)]
-struct RankSnap {
-    banks: Vec<BankSnap>,
-    /// ACT timestamps relative to `reference − tFAW` (the oldest cycle a
-    /// retained ACT can still constrain anything through tFAW), in logical
-    /// oldest→newest ring order.
-    acts_rel: [u64; 4],
-    acts_len: u8,
-    /// Last ACT relative to `reference − tRRD`, `None` if no ACT yet.
-    last_act_rel: Option<u64>,
-}
-
-#[derive(Debug, Clone)]
-struct ChannelSnap {
-    ranks: Vec<RankSnap>,
-    /// Bus-free cycle floored at the reference (`0` = bus already idle).
-    bus_free_rel: u64,
-    last_dir: Option<Dir>,
-}
-
-/// A time-relative microstate snapshot of a [`DramSim`], captured at a
-/// *reference cycle* by [`DramSim::ff_snapshot`] and rebased at a new
-/// reference by [`DramSim::ff_restore`].
-///
-/// Every timestamp is stored relative to the reference with a
-/// behavior-preserving floor (see the field docs on the internals): two
-/// states whose snapshots compare equal are guaranteed to time any future
-/// transaction stream identically, cycle-shifted by the difference of
-/// their references — **provided no refresh window intervenes**, which the
-/// fast-forward layer checks separately via [`DramSim::refresh_slack`].
-/// Refresh position and cumulative statistics are deliberately excluded.
-#[derive(Debug, Clone)]
-pub struct DramSnapshot {
-    channels: Vec<ChannelSnap>,
-}
-
-/// Folds one bank's digest-relevant state into a single word on its own
-/// mixing chain. The per-bank chains are independent, so the CPU overlaps
-/// them across the bank loop — the serial chain of the outer hasher then
-/// sees one word per bank instead of four. `open_row` presence is encoded
-/// as `row + 1` vs `0`, which cannot collide with any real row.
-/// Distinct lane seeds for the four independent bank-word mixing chains
-/// used by [`DramSnapshot::digest`] and [`DramSim::ff_digest`]: bank `i`
-/// folds into lane `i % 4`, so the lanes run concurrently in the CPU
-/// pipeline and the outer hasher only absorbs four words at the end.
-const BANK_LANES: [u64; 4] =
-    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
-
-#[inline]
-fn bank_word(open_row: Option<u64>, ready_act: u64, ready_cas: u64, ready_pre: u64) -> u64 {
-    let mut x = mgx_trace::mix64(0x6d67_785f_6472_616d, open_row.map_or(0, |r| r + 1));
-    x = mgx_trace::mix64(x, ready_act);
-    x = mgx_trace::mix64(x, ready_cas);
-    mgx_trace::mix64(x, ready_pre)
-}
-
-impl DramSnapshot {
-    /// The largest bus-free offset across channels: the snapshot's whole
-    /// timing footprint lies within `reference + horizon()`. A replay at
-    /// a new reference is refresh-safe iff every channel's next refresh
-    /// lies strictly beyond the recorded phase's footprint (checked as
-    /// `refresh_slack(reference) > horizon` of the *post-phase* snapshot).
-    pub fn horizon(&self) -> u64 {
-        self.channels.iter().map(|c| c.bus_free_rel).max().unwrap_or(0)
-    }
-
-    /// Structural digest of the relative-encoded state.
-    ///
-    /// `last_dir` is normalized to a "don't care" sentinel on channels
-    /// whose bus is already idle at the reference: the turnaround penalty
-    /// is applied through `bus_free + turnaround`, which an idle bus can
-    /// never make binding (guarded by [`DramSim::ff_supported`]).
-    pub fn digest(&self) -> u64 {
-        let mut h = mgx_trace::Fnv64::new();
-        let mut lanes = BANK_LANES;
-        let mut bi = 0usize;
-        for ch in &self.channels {
-            h.write_u64(ch.bus_free_rel);
-            h.write_u8(if ch.bus_free_rel == 0 {
-                2
-            } else {
-                match ch.last_dir {
-                    None => 3,
-                    Some(Dir::Read) => 0,
-                    Some(Dir::Write) => 1,
-                }
-            });
-            for rank in &ch.ranks {
-                h.write_u8(rank.acts_len);
-                for i in 0..usize::from(rank.acts_len) {
-                    h.write_u64(rank.acts_rel[i]);
-                }
-                h.write_opt_u64(rank.last_act_rel);
-                for bank in &rank.banks {
-                    lanes[bi & 3] = mgx_trace::mix64(
-                        lanes[bi & 3],
-                        bank_word(
-                            bank.open_row,
-                            bank.ready_act_rel,
-                            bank.ready_cas_rel,
-                            bank.ready_pre_rel,
-                        ),
-                    );
-                    bi += 1;
-                }
-            }
-        }
-        for lane in lanes {
-            h.write_u64(lane);
-        }
-        h.finish()
-    }
 }
 
 /// The DDR4 timing simulator. One instance owns all channels.
@@ -788,183 +629,6 @@ impl DramSim {
         *self = Self::new(self.cfg);
     }
 
-    /// `true` if this configuration admits the relative-encoding floors the
-    /// fast-forward snapshot relies on.
-    ///
-    /// The one non-trivial floor is the bus: an idle bus
-    /// (`bus_free ≤ reference`) must never make `bus_free + turnaround`
-    /// the binding term of `data_start`, which holds whenever the shortest
-    /// CAS→data delay covers the largest turnaround penalty. DDR4-2400
-    /// satisfies this (min(CL, CWL) = 12 ≥ max(tWTR, CL−CWL+2) = 9);
-    /// exotic configurations that do not simply opt out of fast-forward
-    /// and take the exact burst path everywhere.
-    pub fn ff_supported(&self) -> bool {
-        let max_turnaround = self.cfg.t_wtr.max(self.cfg.t_cl.saturating_sub(self.cfg.t_cwl) + 2);
-        self.cfg.t_cl.min(self.cfg.t_cwl) >= max_turnaround
-    }
-
-    /// The earliest floor-safe reference cycle: before this, the
-    /// `reference − tFAW` / `reference − tRRD` bases of the ACT encodings
-    /// would saturate at 0 and stop being exact shifts.
-    fn ff_min_reference(&self) -> u64 {
-        self.cfg.t_faw.max(self.cfg.t_rrd)
-    }
-
-    /// Captures the relative-encoded microstate at reference cycle `now`
-    /// (the start of the phase about to issue; every transaction of that
-    /// phase arrives at `now` or later).
-    pub fn ff_snapshot(&self, now: u64) -> DramSnapshot {
-        let cfg = &self.cfg;
-        let act_base = now - cfg.t_faw.min(now);
-        let rrd_base = now - cfg.t_rrd.min(now);
-        let channels = self
-            .channels
-            .iter()
-            .map(|ch| ChannelSnap {
-                bus_free_rel: ch.bus_free.saturating_sub(now),
-                last_dir: ch.last_dir,
-                ranks: ch
-                    .ranks
-                    .iter()
-                    .map(|rank| {
-                        let mut acts_rel = [0u64; 4];
-                        let (head, len) = (rank.recent_acts.head, rank.recent_acts.len);
-                        for (i, slot) in acts_rel.iter_mut().enumerate().take(usize::from(len)) {
-                            // Logical oldest→newest: for a full ring the
-                            // oldest sits at `head`; otherwise at 0.
-                            let pos = if len == 4 { (usize::from(head) + i) & 3 } else { i };
-                            *slot = rank.recent_acts.acts[pos].saturating_sub(act_base);
-                        }
-                        RankSnap {
-                            banks: rank
-                                .banks
-                                .iter()
-                                .map(|b| BankSnap {
-                                    open_row: b.open_row,
-                                    ready_act_rel: b.ready_act.saturating_sub(now),
-                                    ready_cas_rel: b.ready_cas.saturating_sub(now),
-                                    ready_pre_rel: b.ready_pre.saturating_sub(now),
-                                })
-                                .collect(),
-                            acts_rel,
-                            acts_len: len,
-                            last_act_rel: rank.last_act.map(|a| a.saturating_sub(rrd_base)),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        DramSnapshot { channels }
-    }
-
-    /// Microstate fingerprint at reference `now`, or `None` when the state
-    /// cannot be encoded exactly (unsupported config, or `now` too early
-    /// for the ACT-window floors) — callers fall back to full simulation.
-    ///
-    /// Hashes the live state directly with the exact write sequence of
-    /// [`DramSnapshot::digest`] — this runs once per phase on the
-    /// fast-forward path, so it must not materialize (allocate) the
-    /// snapshot it fingerprints. `ff_digest_matches_snapshot_digest`
-    /// pins the equivalence.
-    pub fn ff_digest(&self, now: u64) -> Option<u64> {
-        if !self.ff_supported() || now < self.ff_min_reference() {
-            return None;
-        }
-        let cfg = &self.cfg;
-        let act_base = now - cfg.t_faw.min(now);
-        let rrd_base = now - cfg.t_rrd.min(now);
-        let mut h = mgx_trace::Fnv64::new();
-        let mut lanes = BANK_LANES;
-        let mut bi = 0usize;
-        for ch in &self.channels {
-            let bus_free_rel = ch.bus_free.saturating_sub(now);
-            h.write_u64(bus_free_rel);
-            h.write_u8(if bus_free_rel == 0 {
-                2
-            } else {
-                match ch.last_dir {
-                    None => 3,
-                    Some(Dir::Read) => 0,
-                    Some(Dir::Write) => 1,
-                }
-            });
-            for rank in &ch.ranks {
-                let (head, len) = (rank.recent_acts.head, rank.recent_acts.len);
-                h.write_u8(len);
-                for i in 0..usize::from(len) {
-                    let pos = if len == 4 { (usize::from(head) + i) & 3 } else { i };
-                    h.write_u64(rank.recent_acts.acts[pos].saturating_sub(act_base));
-                }
-                h.write_opt_u64(rank.last_act.map(|a| a.saturating_sub(rrd_base)));
-                for bank in &rank.banks {
-                    lanes[bi & 3] = mgx_trace::mix64(
-                        lanes[bi & 3],
-                        bank_word(
-                            bank.open_row,
-                            bank.ready_act.saturating_sub(now),
-                            bank.ready_cas.saturating_sub(now),
-                            bank.ready_pre.saturating_sub(now),
-                        ),
-                    );
-                    bi += 1;
-                }
-            }
-        }
-        for lane in lanes {
-            h.write_u64(lane);
-        }
-        Some(h.finish())
-    }
-
-    /// Rebases `snap` (captured at some reference) onto this simulator at
-    /// reference `now`: post-phase microstate replay. Refresh schedule and
-    /// statistics are left untouched — apply the recorded stats delta via
-    /// [`DramSim::add_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot topology does not match this simulator.
-    pub fn ff_restore(&mut self, snap: &DramSnapshot, now: u64) {
-        assert_eq!(self.channels.len(), snap.channels.len(), "snapshot topology mismatch");
-        let cfg = self.cfg;
-        let act_base = now - cfg.t_faw.min(now);
-        let rrd_base = now - cfg.t_rrd.min(now);
-        for (ch, cs) in self.channels.iter_mut().zip(&snap.channels) {
-            ch.bus_free = now + cs.bus_free_rel;
-            ch.last_dir = cs.last_dir;
-            assert_eq!(ch.ranks.len(), cs.ranks.len(), "snapshot topology mismatch");
-            for (rank, rs) in ch.ranks.iter_mut().zip(&cs.ranks) {
-                rank.last_act = rs.last_act_rel.map(|r| rrd_base + r);
-                rank.recent_acts = ActWindow::default();
-                for i in 0..usize::from(rs.acts_len) {
-                    rank.recent_acts.record(act_base + rs.acts_rel[i]);
-                }
-                assert_eq!(rank.banks.len(), rs.banks.len(), "snapshot topology mismatch");
-                for (bank, bs) in rank.banks.iter_mut().zip(&rs.banks) {
-                    bank.open_row = bs.open_row;
-                    bank.ready_act = now + bs.ready_act_rel;
-                    bank.ready_cas = now + bs.ready_cas_rel;
-                    bank.ready_pre = now + bs.ready_pre_rel;
-                }
-            }
-        }
-    }
-
-    /// Cycles until the earliest channel refresh point, measured from
-    /// `now` (0 if some channel is already due). A recorded phase delta
-    /// may be replayed at `now` only if this slack strictly exceeds the
-    /// recorded post-phase [`DramSnapshot::horizon`] — then no refresh can
-    /// fire anywhere inside the replayed window.
-    pub fn refresh_slack(&self, now: u64) -> u64 {
-        self.channels.iter().map(|ch| ch.next_refresh.saturating_sub(now)).min().unwrap_or(0)
-    }
-
-    /// Adds a recorded per-phase delta onto the cumulative statistics
-    /// (fast-forward replay bookkeeping).
-    pub fn add_stats(&mut self, delta: DramStats) {
-        self.stats += delta;
-    }
-
     /// The row currently open in the bank `loc` names, if any — the
     /// readiness predicate the FR-FCFS scheduler in
     /// [`QueuedDramSim`] scans with.
@@ -975,8 +639,7 @@ impl DramSim {
 
 /// The closed-form simulator is the default [`DramModel`]: every method
 /// delegates to the inherent implementation, `access_burst` overrides the
-/// scalar-loop default with the bit-identical row-streak fast path, and
-/// the fast-forward capability tier is fully supported.
+/// scalar-loop default with the bit-identical row-streak fast path.
 impl DramModel for DramSim {
     fn config(&self) -> DramConfig {
         DramSim::config(self)
@@ -1000,27 +663,6 @@ impl DramModel for DramSim {
 
     fn reset(&mut self) {
         DramSim::reset(self);
-    }
-
-    fn add_stats(&mut self, delta: DramStats) {
-        DramSim::add_stats(self, delta);
-    }
-
-    fn ff_digest(&self, now: u64) -> Option<u64> {
-        DramSim::ff_digest(self, now)
-    }
-
-    fn ff_snapshot(&self, now: u64) -> Option<DramSnapshot> {
-        (self.ff_supported() && now >= self.ff_min_reference())
-            .then(|| DramSim::ff_snapshot(self, now))
-    }
-
-    fn ff_restore(&mut self, snap: &DramSnapshot, now: u64) {
-        DramSim::ff_restore(self, snap, now);
-    }
-
-    fn refresh_slack(&self, now: u64) -> u64 {
-        DramSim::refresh_slack(self, now)
     }
 }
 
@@ -1302,158 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn ff_digest_excludes_refresh_phase_but_validity_tracks_it() {
-        // Two sims reach the same *microstate* through different refresh
-        // histories: A accesses a line before the first refresh point, B
-        // accesses the same line after crossing it (paying the catch-up).
-        // Once both states are stale relative to the reference, their
-        // digests must agree even though B has refreshed and A has not —
-        // the refresh position is a validity condition, not a fingerprint
-        // component.
-        let cfg = DramConfig::ddr4_2400(1);
-        let mut a = DramSim::new(cfg);
-        let mut b = DramSim::new(cfg);
-        a.access(1000, 0, Dir::Read);
-        b.access(cfg.t_refi + 1000, 0, Dir::Read);
-        assert_eq!(a.stats().refreshes, 0);
-        assert_eq!(b.stats().refreshes, 1);
-        // Both references are late enough that every timestamp is stale,
-        // but still inside the respective refresh windows (asymmetrically,
-        // so the slacks differ).
-        let now_a = 3_000;
-        let now_b = cfg.t_refi + 4_000;
-        assert_eq!(a.ff_digest(now_a), b.ff_digest(now_b));
-        // …but the validity window does see the difference.
-        assert_ne!(a.refresh_slack(now_a), b.refresh_slack(now_b));
-    }
-
-    #[test]
-    fn ff_digest_sees_each_microstate_component() {
-        let cfg = DramConfig::ddr4_2400(1);
-        let warm = |addr: u64, dir: Dir| {
-            let mut s = DramSim::new(cfg);
-            s.access(100, addr, dir);
-            s
-        };
-        let row_stride = cfg.row_bytes * cfg.banks_per_rank as u64;
-        // Open row: same bank, different row.
-        let (a, b) = (warm(0, Dir::Read), warm(row_stride, Dir::Read));
-        assert_ne!(a.ff_digest(200), b.ff_digest(200), "open row must be fingerprinted");
-        // Bus occupancy: same state viewed while busy vs after more drain
-        // time (relative bus_free differs).
-        let a = warm(0, Dir::Read);
-        let busy_now = 130; // data still on the bus (completion = 100+38)
-        assert_ne!(
-            a.ff_digest(busy_now),
-            a.ff_digest(200),
-            "bus_free offset must be fingerprinted"
-        );
-        // Direction matters while the bus is busy (turnaround is live)…
-        let (a, b) = (warm(0, Dir::Read), warm(0, Dir::Write));
-        assert_ne!(a.ff_digest(busy_now), b.ff_digest(busy_now), "live last_dir must differ");
-        // …and is normalized away once every timestamp is stale: the
-        // write's longer tWR shadow must first fully age out.
-        let stale = 100 + cfg.t_faw + cfg.t_rcd + cfg.t_cwl + cfg.t_bl + cfg.t_wr + cfg.t_ras + 10;
-        assert_eq!(
-            a.ff_digest(stale),
-            b.ff_digest(stale),
-            "stale last_dir is behaviorally dead and must not split classes"
-        );
-        // ACT recency: a second ACT on another bank shifts the rank window.
-        let mut b = warm(0, Dir::Read);
-        b.access(100, cfg.row_bytes, Dir::Read);
-        let a = warm(0, Dir::Read);
-        let now = 140;
-        assert_ne!(a.ff_digest(now), b.ff_digest(now), "ACT window must be fingerprinted");
-    }
-
-    #[test]
-    fn ff_digest_matches_snapshot_digest() {
-        // The allocation-free digest must walk the exact encoding of
-        // `ff_snapshot(now).digest()` — warm a multi-channel sim into a
-        // mixed state and compare at several references.
-        let cfg = DramConfig::ddr4_2400(2);
-        let mut sim = DramSim::new(cfg);
-        let mut t = 100;
-        for i in 0..24u64 {
-            let dir = if i % 3 == 0 { Dir::Write } else { Dir::Read };
-            t = sim.access(t + i * 7, i * 1664, dir);
-        }
-        for now in [t, t + 50, t + 5000] {
-            assert_eq!(sim.ff_digest(now), Some(sim.ff_snapshot(now).digest()));
-        }
-    }
-
-    #[test]
-    fn ff_digest_gates_unsupported_and_early_references() {
-        let sim = DramSim::new(DramConfig::ddr4_2400(1));
-        assert!(sim.ff_supported());
-        assert!(sim.ff_digest(5).is_none(), "references inside the tFAW floor are not encodable");
-        assert!(sim.ff_digest(100).is_some());
-        // A pathological turnaround-heavy part opts out entirely.
-        let weird = DramSim::new(DramConfig { t_wtr: 40, ..DramConfig::ddr4_2400(1) });
-        assert!(!weird.ff_supported());
-        assert!(weird.ff_digest(100).is_none());
-    }
-
-    #[test]
-    fn ff_restore_replays_shift_exactly() {
-        // Warm a sim, snapshot at T, and check that restoring onto any
-        // digest-equal state at T' makes the future stream time
-        // identically, shifted by T' − T, with equal stats deltas.
-        let cfg = DramConfig::ddr4_2400(2);
-        let mut warm = DramSim::new(cfg);
-        for i in 0..64u64 {
-            warm.access(200 + i, i * 64, if i % 3 == 0 { Dir::Write } else { Dir::Read });
-        }
-        let t0 = 2_000;
-        let shift = 777;
-        let snap = warm.ff_snapshot(t0);
-
-        let mut a = warm.clone();
-        let mut b = warm.clone();
-        b.ff_restore(&snap, t0 + shift); // self-restore at a shifted reference
-        assert_eq!(
-            warm.ff_digest(t0),
-            b.ff_digest(t0 + shift),
-            "restore must reproduce the digest"
-        );
-
-        let (sa, sb) = (a.stats(), b.stats());
-        for i in 0..200u64 {
-            let addr = (i % 80) * 64 + 4096;
-            let dir = if i % 5 == 0 { Dir::Write } else { Dir::Read };
-            let da = a.access(t0 + i, addr, dir);
-            let db = b.access(t0 + shift + i, addr, dir);
-            assert_eq!(da + shift, db, "completion must shift exactly at op {i}");
-        }
-        assert_eq!(a.stats() - sa, b.stats() - sb, "stats deltas must match");
-    }
-
-    #[test]
-    fn ff_snapshot_horizon_bounds_bus_state() {
-        let cfg = DramConfig::ddr4_2400(2);
-        let mut sim = DramSim::new(cfg);
-        let done = sim.access_burst(100, 0, 64, Dir::Read);
-        let snap = sim.ff_snapshot(100);
-        assert_eq!(snap.horizon(), done - 100, "horizon is the furthest bus-free offset");
-        // After everything drains, the horizon collapses to zero.
-        assert_eq!(sim.ff_snapshot(done + 10).horizon(), 0);
-    }
-
-    #[test]
-    fn ff_stats_delta_roundtrip() {
-        let mut sim = DramSim::new(DramConfig::ddr4_2400(1));
-        let pre = sim.stats();
-        sim.access_burst(0, 0, 32, Dir::Read);
-        let delta = sim.stats() - pre;
-        let mut twin = DramSim::new(DramConfig::ddr4_2400(1));
-        twin.add_stats(delta);
-        assert_eq!(twin.stats(), delta);
-        assert_eq!(delta.reads, 32);
-    }
-
-    #[test]
     fn reset_clears_state_and_stats() {
         let mut sim = one_channel();
         sim.access(0, 0, Dir::Read);
@@ -1546,51 +1036,6 @@ mod proptests {
                 }
                 prop_assert_eq!(done_b, done_s, "completion diverged");
                 prop_assert_eq!(burst.stats(), scalar.stats(), "stats diverged");
-            }
-        }
-
-        /// Restoring a snapshot at a shifted reference makes an arbitrary
-        /// future stream time identically (shifted) with identical stats
-        /// deltas — the core exactness claim behind fast-forward replay —
-        /// whenever no refresh window interferes.
-        #[test]
-        fn ff_restore_shift_equivalence(
-            warm_ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..40),
-            future_ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..40),
-            shift in 0u64..400,
-        ) {
-            let cfg = DramConfig::ddr4_2400(2);
-            let mut warm = DramSim::new(cfg);
-            let mut arrival = 100u64;
-            for &(addr, w) in &warm_ops {
-                let dir = if w { Dir::Write } else { Dir::Read };
-                warm.access(arrival, u64::from(addr) & !63, dir);
-                arrival += 2;
-            }
-            let t0 = arrival;
-            let snap = warm.ff_snapshot(t0);
-            let mut a = warm.clone();
-            let mut b = warm.clone();
-            b.ff_restore(&snap, t0 + shift);
-            prop_assert_eq!(warm.ff_digest(t0), b.ff_digest(t0 + shift));
-            let (sa, sb) = (a.stats(), b.stats());
-            let mut completions = Vec::new();
-            let mut t = 0u64;
-            for &(addr, w) in &future_ops {
-                let dir = if w { Dir::Write } else { Dir::Read };
-                let da = a.access(t0 + t, u64::from(addr) & !63, dir);
-                let db = b.access(t0 + shift + t, u64::from(addr) & !63, dir);
-                completions.push((da, db));
-                t += 3;
-            }
-            // Refresh position is *not* part of the snapshot; the claim
-            // only holds while neither twin crosses a refresh point (the
-            // fast-forward layer enforces this via refresh_slack).
-            if (a.stats() - sa).refreshes == 0 && (b.stats() - sb).refreshes == 0 {
-                for (i, (da, db)) in completions.iter().enumerate() {
-                    prop_assert_eq!(da + shift, *db, "completion {} must shift exactly", i);
-                }
-                prop_assert_eq!(a.stats() - sa, b.stats() - sb);
             }
         }
 

@@ -31,13 +31,6 @@
 //!   transactions share one arrival cycle) and folds the returned
 //!   completion into the phase's finish time. Immediate-service backends
 //!   keep the default (`0`, a no-op under `max`).
-//! * **Fast-forward** (`ff_digest`/`ff_snapshot`/`ff_restore`/
-//!   `refresh_slack`): optional. A backend that cannot encode its
-//!   microstate exactly returns `None` from the digest/snapshot pair and
-//!   the memoizing `TxnPath::FastForward` path falls back to full
-//!   simulation for every phase — a hit-rate cost, never a correctness
-//!   cost. `ff_restore` is only ever called with snapshots the same
-//!   backend produced, so the default is unreachable for honest callers.
 //!
 //! # DRAMsim3 as the online option
 //!
@@ -47,18 +40,17 @@
 //! `AddTransaction` + tick-until-callback, implement `decode` by querying
 //! the library's address mapping (and *proving* it against ours with the
 //! same cross-validation proptests — its `ro_ra_bg_ba_ch_co` style
-//! mapping strings make silent divergence easy), return `None` for every
-//! fast-forward capability, and service `drain` by ticking the clock
-//! until its transaction queues empty. Nothing above the trait would
-//! change.
+//! mapping strings make silent divergence easy), and service `drain` by
+//! ticking the clock until its transaction queues empty. Nothing above the
+//! trait would change.
 
-use crate::{DramConfig, DramSnapshot, DramStats, Loc};
+use crate::{DramConfig, DramStats, Loc};
 use mgx_trace::{Dir, LINE_BYTES};
 
 /// A DRAM timing backend the simulation pipeline can drive.
 ///
-/// `Send` is a supertrait because the parallel sweep executor moves each
-/// scheme's backend onto a worker thread.
+/// `Send` is a supertrait so a boxed backend can move across threads with
+/// the run that owns it.
 ///
 /// See the [module docs](self) for the capability tiers and the contract
 /// every implementation must honor.
@@ -109,44 +101,6 @@ pub trait DramModel: Send {
 
     /// Resets all state and statistics (new measurement window).
     fn reset(&mut self);
-
-    /// Adds a recorded per-phase delta onto the cumulative statistics
-    /// (fast-forward replay bookkeeping).
-    fn add_stats(&mut self, delta: DramStats);
-
-    /// Microstate fingerprint at reference `now`, or `None` when the
-    /// backend cannot encode its state exactly. `None` sends the
-    /// fast-forward path into per-phase fallback: full simulation, a
-    /// hit-rate cost only — bits never change.
-    fn ff_digest(&self, now: u64) -> Option<u64> {
-        let _ = now;
-        None
-    }
-
-    /// Relative-encoded microstate at reference `now`, or `None` when the
-    /// backend does not support snapshot/replay. Must return `Some` iff
-    /// [`DramModel::ff_digest`] does for the same `now`.
-    fn ff_snapshot(&self, now: u64) -> Option<DramSnapshot> {
-        let _ = now;
-        None
-    }
-
-    /// Rebases `snap` onto this backend at reference `now` (fast-forward
-    /// replay). Only ever called with snapshots this backend produced via
-    /// [`DramModel::ff_snapshot`], so backends without the capability
-    /// keep the unreachable default.
-    fn ff_restore(&mut self, snap: &DramSnapshot, now: u64) {
-        let _ = (snap, now);
-        unreachable!("ff_restore called on a backend that never produced a snapshot");
-    }
-
-    /// Cycles until the earliest refresh point measured from `now`. The
-    /// conservative default (0) refuses every replay window, which is
-    /// correct for backends that never record one.
-    fn refresh_slack(&self, now: u64) -> u64 {
-        let _ = now;
-        0
-    }
 }
 
 /// Selects which [`DramModel`] implementation a simulation runs on.
@@ -238,9 +192,6 @@ mod tests {
             fn reset(&mut self) {
                 self.0.reset();
             }
-            fn add_stats(&mut self, delta: DramStats) {
-                self.0.add_stats(delta);
-            }
         }
         let cfg = DramConfig::ddr4_2400(2);
         let mut thin = Passthrough(crate::DramSim::new(cfg));
@@ -253,8 +204,5 @@ mod tests {
         assert_eq!(done, expect, "default access_burst must be the scalar loop");
         assert_eq!(thin.stats(), reference.stats());
         assert_eq!(thin.drain(), 0, "immediate-service backends have nothing to drain");
-        assert_eq!(thin.ff_digest(1 << 20), None);
-        assert!(thin.ff_snapshot(1 << 20).is_none());
-        assert_eq!(thin.refresh_slack(1 << 20), 0);
     }
 }

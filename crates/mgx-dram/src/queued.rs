@@ -83,25 +83,9 @@
 //! converting conflicts the in-order model pays into hits (asserted in
 //! the cross-validation suite, characterized per suite in
 //! EXPERIMENTS.md).
-//!
-//! # Fast-forward
-//!
-//! Queue occupancy is microstate the relative-encoded
-//! [`DramSnapshot`] does not capture — but the
-//! pipeline only fingerprints and snapshots at **phase boundaries**,
-//! immediately after a drain, where the queues are empty and the wrapped
-//! [`DramSim`] *is* the entire microstate. So the backend opts in exactly
-//! there: with zero queued transactions (and no undrained completion
-//! window), `ff_digest`/`ff_snapshot` delegate to the inner simulator and
-//! replay is sound — the service loop is a deterministic function of the
-//! queued runs and the (restored) bank state, shifted in time with the
-//! reference. With anything still queued, the capability tier refuses:
-//! digest and snapshot return `None` and `refresh_slack` stays at the
-//! conservative 0, so the memoizing path falls back to full simulation —
-//! a hit-rate cost, never a correctness cost.
 
 use crate::model::DramModel;
-use crate::{DramConfig, DramSim, DramSnapshot, DramStats, Loc};
+use crate::{DramConfig, DramSim, DramStats, Loc};
 use mgx_trace::{Dir, LINE_BYTES};
 use std::collections::VecDeque;
 
@@ -425,45 +409,6 @@ impl DramModel for QueuedDramSim {
         }
         self.window_done = 0;
     }
-
-    fn add_stats(&mut self, delta: DramStats) {
-        self.sim.add_stats(delta);
-    }
-
-    // Fast-forward: opt in at drained-empty boundaries only — there the
-    // wrapped simulator is the entire microstate (see module docs).
-
-    fn ff_digest(&self, now: u64) -> Option<u64> {
-        if self.queued() != 0 || self.window_done != 0 {
-            return None;
-        }
-        self.sim.ff_digest(now)
-    }
-
-    fn ff_snapshot(&self, now: u64) -> Option<DramSnapshot> {
-        if self.queued() != 0 || self.window_done != 0 {
-            return None;
-        }
-        DramModel::ff_snapshot(&self.sim, now)
-    }
-
-    fn ff_restore(&mut self, snap: &DramSnapshot, now: u64) {
-        assert_eq!(self.queued(), 0, "ff_restore onto a non-drained queue");
-        self.sim.ff_restore(snap, now);
-        for ch in 0..self.open_rows.len() {
-            self.rebuild_open_rows(ch);
-        }
-    }
-
-    /// Cycles to the earliest refresh point when drained; the
-    /// conservative 0 with anything queued (undrained microstate must
-    /// refuse every replay window).
-    fn refresh_slack(&self, now: u64) -> u64 {
-        if self.queued() != 0 || self.window_done != 0 {
-            return 0;
-        }
-        self.sim.refresh_slack(now)
-    }
 }
 
 #[cfg(test)]
@@ -621,59 +566,5 @@ mod tests {
         assert_eq!(q.queued(), 0);
         assert_eq!(q.drain(), 0);
         assert_eq!(q.stats(), DramStats::default());
-    }
-
-    #[test]
-    fn fast_forward_opts_in_only_at_drained_boundaries() {
-        let mut q = QueuedDramSim::new(cfg());
-        q.access(0, 0, Dir::Read);
-        // Past `ff_min_reference` but inside the first tREFI window, so a
-        // drained backend has positive slack.
-        let now = 2048;
-        // Mid-window (entries queued): every capability refuses.
-        assert_eq!(q.ff_digest(now), None);
-        assert!(q.ff_snapshot(now).is_none());
-        assert_eq!(q.refresh_slack(now), 0, "undrained state refuses every replay window");
-        q.drain();
-        // Drained: the wrapped simulator is the whole microstate, so the
-        // capabilities delegate — and agree with a closed-form twin that
-        // serviced the same single-transaction stream.
-        let mut twin = DramSim::new(cfg());
-        twin.access(0, 0, Dir::Read);
-        assert_eq!(q.ff_digest(now), twin.ff_digest(now));
-        assert!(q.ff_digest(now).is_some());
-        assert!(q.ff_snapshot(now).is_some());
-        assert_eq!(q.refresh_slack(now), DramSim::refresh_slack(&twin, now));
-        assert!(q.refresh_slack(now) > 0);
-    }
-
-    #[test]
-    fn ff_restore_round_trips_through_the_queued_backend() {
-        let cfg2 = DramConfig::ddr4_2400(2);
-        let mut q = QueuedDramSim::new(cfg2);
-        q.access_burst(100, 0, 64, Dir::Read);
-        q.drain();
-        let t0 = 5_000;
-        let shift = 777;
-        let snap = q.ff_snapshot(t0).expect("drained backend must snapshot");
-        let mut twin = QueuedDramSim::new(cfg2);
-        twin.ff_restore(&snap, t0 + shift);
-        assert_eq!(
-            q.ff_digest(t0),
-            twin.ff_digest(t0 + shift),
-            "restore must reproduce the digest at the shifted reference"
-        );
-        // The restored twin services a future burst exactly `shift`
-        // cycles later than the original — including the FR-FCFS picks,
-        // which read the restored open-row index.
-        let da = {
-            q.access_burst(t0, 4096, 32, Dir::Write);
-            q.drain()
-        };
-        let db = {
-            twin.access_burst(t0 + shift, 4096, 32, Dir::Write);
-            twin.drain()
-        };
-        assert_eq!(da + shift, db, "replayed service must shift exactly");
     }
 }

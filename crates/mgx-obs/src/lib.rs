@@ -1,12 +1,11 @@
 //! `mgx-obs`: the unified metrics/tracing layer for the MGX workspace.
 //!
-//! The repo grew four disconnected stats surfaces (store counters,
-//! scheduler counters, fast-forward hit rates on stderr, `figures
-//! --stats-json`); this crate replaces them with one registry so every
-//! consumer — the serve daemon's `metrics` protocol op, the figures
-//! binary's stderr notes and stats side-file, and the `mgx-client bench`
-//! load harness — renders the *same* underlying atomics and can never
-//! disagree on a counter's value.
+//! The repo grew disconnected stats surfaces (store counters, scheduler
+//! counters, `figures --stats-json`); this crate replaces them with one
+//! registry so every consumer — the serve daemon's `metrics` protocol op,
+//! the figures binary's stats side-file, and the `mgx-client bench` load
+//! harness — renders the *same* underlying atomics and can never disagree
+//! on a counter's value.
 //!
 //! Three primitives, all lock-free on the update path:
 //!

@@ -1,8 +1,7 @@
 //! DNN experiments: Figs 3, 12, 13.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{SimConfig, Simulation, TxnPath};
+use crate::pipeline::{SimConfig, Simulation};
 use crate::report::Figure;
 use crate::scale::Scale;
 use mgx_core::Scheme;
@@ -19,13 +18,13 @@ pub fn setups() -> Vec<(&'static str, ArrayConfig, SimConfig)> {
     ]
 }
 
-fn evaluate(
+/// Sweeps every (model, setup) pair under all schemes on `backend`.
+fn sweep(
     models: Vec<Model>,
     training: bool,
     threads: usize,
-    path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     // Each (model, setup) sweep is independent: fan them across the pool.
     // Within a worker the five schemes stream down a single pass, so the
     // pool parallelism multiplies, not divides, the sweep concurrency.
@@ -35,55 +34,29 @@ fn evaluate(
             setups().into_iter().map(move |(name, acfg, scfg)| (m.clone(), name, acfg, scfg))
         })
         .collect();
-    let pairs = crate::parallel::map(threads, jobs, |(model, name, acfg, scfg)| {
+    crate::parallel::map(threads, jobs, |(model, name, acfg, scfg)| {
         // Phases stream straight from the lowering into the five
         // engines — the trace is never materialized.
-        let scfg = SimConfig { txn_path: path, dram_backend: backend, ..scfg };
-        let sweep = if training {
+        let scfg = SimConfig { dram_backend: backend, ..scfg };
+        let results = if training {
             Simulation::over(stream_training_trace(&model, &acfg, Dataflow::WeightStationary))
                 .config(scfg)
-                .run_all_with_stats()
+                .run_all()
         } else {
             Simulation::over(stream_inference_trace(&model, &acfg, Dataflow::WeightStationary))
                 .config(scfg)
-                .run_all_with_stats()
+                .run_all()
         };
-        let (results, stats) = super::split_sweep(sweep);
-        (Evaluated::new(model.name, name, results), stats)
-    });
-    let mut total = FastForwardStats::default();
-    let evals = pairs
-        .into_iter()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+        Evaluated::new(model.name, name, results)
+    })
 }
 
 /// Simulates the inference suite (VGG, AlexNet, GoogLeNet, ResNet, BERT,
-/// DLRM) on Cloud and Edge under all schemes.
-pub fn evaluate_inference(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_inference_on(scale, 1)
-}
-
-/// [`evaluate_inference`] with the workloads fanned across `threads` pool
-/// workers (`0` = all cores). Output is identical to the sequential run.
-pub fn evaluate_inference_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_inference_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_inference_on`] on an explicit [`TxnPath`], returning the
-/// suite's aggregate fast-forward counters next to the (path-independent)
-/// results. Burst and per-line runs report all-zero counters.
-pub fn evaluate_inference_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
-    let mut models = vec![
+/// DLRM) on Cloud and Edge under all schemes on `backend`, with the
+/// workloads fanned across `threads` pool workers (`0` = all cores).
+/// Output is identical to the sequential run.
+pub fn evaluate_inference(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+    let models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),
         Model::googlenet(scale.dnn_batch),
@@ -91,30 +64,12 @@ pub fn evaluate_inference_path(
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
         Model::dlrm(scale.dnn_batch * 16),
     ];
-    // DLRM embedding tables must fit the protected capacity at any scale.
-    models.truncate(6);
-    evaluate(models, false, threads, path, backend)
+    sweep(models, false, threads, backend)
 }
 
-/// Simulates the training suite (no DLRM, as in the paper).
-pub fn evaluate_training(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_training_on(scale, 1)
-}
-
-/// [`evaluate_training`] with the workloads fanned across `threads` pool
-/// workers (`0` = all cores). Output is identical to the sequential run.
-pub fn evaluate_training_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_training_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_training_on`] on an explicit [`TxnPath`] with aggregate
-/// fast-forward counters (see [`evaluate_inference_path`]).
-pub fn evaluate_training_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+/// Simulates the training suite (no DLRM, as in the paper) like
+/// [`evaluate_inference`].
+pub fn evaluate_training(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),
@@ -122,7 +77,7 @@ pub fn evaluate_training_path(
         Model::resnet50(scale.dnn_batch),
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
     ];
-    evaluate(models, true, threads, path, backend)
+    sweep(models, true, threads, backend)
 }
 
 /// Fig 12a/12b: memory-traffic increase of MGX and BP.

@@ -1,8 +1,7 @@
 //! Genome-alignment experiments: Fig 16.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{PhaseMode, SimConfig, Simulation, TxnPath};
+use crate::pipeline::{PhaseMode, SimConfig, Simulation};
 use crate::report::Figure;
 use crate::scale::Scale;
 use mgx_core::Scheme;
@@ -18,29 +17,13 @@ pub fn setup(accel: &GactAccelConfig) -> SimConfig {
     }
 }
 
-/// Simulates the nine Fig 16 workloads under all schemes.
-pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_on(scale, 1)
-}
-
-/// [`evaluate`] with the workloads fanned across `threads` pool workers
-/// (`0` = all cores). Output is identical to the sequential run.
-pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the suite's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
-pub fn evaluate_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+/// Simulates the nine Fig 16 workloads under all schemes on `backend`,
+/// fanned across `threads` pool workers (`0` = all cores). Output is
+/// identical to the sequential run.
+pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let accel = GactAccelConfig::default();
-    let scfg = SimConfig { txn_path: path, dram_backend: backend, ..setup(&accel) };
-    let pairs = crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
+    let scfg = SimConfig { dram_backend: backend, ..setup(&accel) };
+    crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
         let src = stream_gact_trace(
             &w,
             &accel,
@@ -49,19 +32,12 @@ pub fn evaluate_path(
             scale.genome_divisor,
             0xD4A,
         );
-        let (results, stats) =
-            super::split_sweep(Simulation::over(src).config(scfg.clone()).run_all_with_stats());
-        (Evaluated::new(w.label(), String::new(), results), stats)
-    });
-    let mut total = FastForwardStats::default();
-    let evals = pairs
-        .into_iter()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+        Evaluated::new(
+            w.label(),
+            String::new(),
+            Simulation::over(src).config(scfg.clone()).run_all(),
+        )
+    })
 }
 
 /// Fig 16: normalized execution time of GACT under MGX_VN and BP.

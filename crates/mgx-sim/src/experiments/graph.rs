@@ -1,8 +1,7 @@
 //! Graph experiments: Fig 14 (and the graph half of Fig 3).
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{SimConfig, Simulation, TxnPath};
+use crate::pipeline::{SimConfig, Simulation};
 use crate::report::Figure;
 use crate::scale::Scale;
 use mgx_core::Scheme;
@@ -17,30 +16,14 @@ pub fn setup() -> SimConfig {
     SimConfig::overlapped(4, 800)
 }
 
-/// Simulates PR and BFS over the six benchmark graphs under all schemes.
-pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_on(scale, 1)
-}
-
-/// [`evaluate`] with the six graphs fanned across `threads` pool workers
+/// Simulates PR and BFS over the six benchmark graphs under all schemes
+/// on `backend`, with the graphs fanned across `threads` pool workers
 /// (`0` = all cores); each worker generates its graph and runs both PR and
-/// BFS, so generation parallelizes too. Output order and bits are identical
-/// to the sequential run.
-pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the suite's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
-pub fn evaluate_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+/// BFS, so generation parallelizes too. Output order and bits are
+/// identical to the sequential run.
+pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let accel = GraphAccelConfig::default();
-    let scfg = SimConfig { txn_path: path, dram_backend: backend, ..setup() };
+    let scfg = SimConfig { dram_backend: backend, ..setup() };
     let per_dataset = crate::parallel::map(threads, Dataset::suite().to_vec(), |ds| {
         let g = ds.generate(scale.graph_divisor, 0xA11CE);
         // BFS sweep count measured on the actual graph from its busiest
@@ -54,28 +37,14 @@ pub fn evaluate_path(
         workloads
             .into_iter()
             .map(|w| {
-                let (results, stats) = super::split_sweep(
-                    Simulation::over(stream_graph_trace(&g, w, &accel))
-                        .config(scfg.clone())
-                        .run_all_with_stats(),
-                );
-                (
-                    Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results),
-                    stats,
-                )
+                let results = Simulation::over(stream_graph_trace(&g, w, &accel))
+                    .config(scfg.clone())
+                    .run_all();
+                Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results)
             })
             .collect::<Vec<_>>()
     });
-    let mut total = FastForwardStats::default();
-    let evals = per_dataset
-        .into_iter()
-        .flatten()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+    per_dataset.into_iter().flatten().collect()
 }
 
 /// Fig 14a: memory-traffic increase of PR/BFS under MGX and BP.

@@ -11,28 +11,9 @@ pub mod sensitivity;
 pub mod transformer;
 pub mod video;
 
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::RunResult;
 use crate::report::{Figure, Row};
 use mgx_core::{MetaTraffic, Scheme};
-
-/// Splits a five-scheme sweep's `(result, stats)` pairs into the ordered
-/// results (what [`Evaluated::new`] wants) and the per-workload sum of the
-/// fast-forward counters. On the burst/per-line paths the stats are all
-/// zero, so the sum is free.
-pub(crate) fn split_sweep(
-    pairs: Vec<(RunResult, FastForwardStats)>,
-) -> (Vec<RunResult>, FastForwardStats) {
-    let mut stats = FastForwardStats::default();
-    let results = pairs
-        .into_iter()
-        .map(|(r, s)| {
-            stats += s;
-            r
-        })
-        .collect();
-    (results, stats)
-}
 
 /// One workload simulated under every scheme (in [`Scheme::ALL`] order).
 #[derive(Debug, Clone)]

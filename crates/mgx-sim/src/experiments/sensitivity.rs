@@ -209,15 +209,10 @@ pub fn vn_scheme_comparison(scale: &Scale) -> Figure {
     }
 }
 
-/// All ablations, for the figures binary.
-pub fn all(scale: &Scale) -> Vec<Figure> {
-    all_on(scale, 1)
-}
-
-/// [`all`] with the six independent sweeps fanned across `threads` pool
-/// workers (`0` = all cores). Figure order and contents are identical to
-/// the sequential run.
-pub fn all_on(scale: &Scale, threads: usize) -> Vec<Figure> {
+/// All ablations, for the figures binary, with the six independent sweeps
+/// fanned across `threads` pool workers (`0` = all cores). Figure order and
+/// contents are identical to the sequential run.
+pub fn all(scale: &Scale, threads: usize) -> Vec<Figure> {
     let sweeps: Vec<fn(&Scale) -> Figure> = vec![
         cache_sweep,
         granularity_sweep,

@@ -8,8 +8,7 @@
 //! while BP pays a metadata read-modify-write per touched line.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{SimConfig, Simulation, TxnPath};
+use crate::pipeline::{SimConfig, Simulation};
 use crate::report::Figure;
 use crate::scale::Scale;
 use mgx_core::Scheme;
@@ -48,58 +47,31 @@ fn models() -> [TransformerConfig; 2] {
 }
 
 /// Simulates prefill, decode, and paged decode for both named shapes under
-/// all schemes.
-pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_on(scale, 1)
-}
-
-/// [`evaluate`] with the six (model × stage) workloads fanned across
-/// `threads` pool workers (`0` = all cores). Output order and bits are
-/// identical to the sequential run.
-pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the suite's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
-pub fn evaluate_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+/// all schemes on `backend`, with the six (model × stage) workloads fanned
+/// across `threads` pool workers (`0` = all cores). Output order and bits
+/// are identical to the sequential run.
+pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let req = request(scale);
     let paged = PagedConfig::default();
     let acfg = array();
-    let scfg = SimConfig { txn_path: path, dram_backend: backend, ..setup() };
+    let scfg = SimConfig { dram_backend: backend, ..setup() };
     let jobs: Vec<(TransformerConfig, &'static str)> =
         models().iter().flat_map(|&m| STAGES.map(|s| (m, s))).collect();
-    let per_job = crate::parallel::map(threads, jobs, move |(m, stage)| {
+    crate::parallel::map(threads, jobs, move |(m, stage)| {
         let cfg = scfg.clone();
-        let pairs = match stage {
-            "Prefill" => Simulation::over(stream_prefill_trace(&m, &req, &acfg))
-                .config(cfg)
-                .run_all_with_stats(),
-            "Decode" => Simulation::over(stream_decode_trace(&m, &req, &acfg))
-                .config(cfg)
-                .run_all_with_stats(),
+        let results = match stage {
+            "Prefill" => {
+                Simulation::over(stream_prefill_trace(&m, &req, &acfg)).config(cfg).run_all()
+            }
+            "Decode" => {
+                Simulation::over(stream_decode_trace(&m, &req, &acfg)).config(cfg).run_all()
+            }
             _ => Simulation::over(stream_paged_attention_trace(&m, &req, &paged, &acfg))
                 .config(cfg)
-                .run_all_with_stats(),
+                .run_all(),
         };
-        let (results, stats) = super::split_sweep(pairs);
-        (Evaluated::new(m.name, stage, results), stats)
-    });
-    let mut total = FastForwardStats::default();
-    let evals = per_job
-        .into_iter()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+        Evaluated::new(m.name, stage, results)
+    })
 }
 
 /// `llm-traffic`: memory-traffic increase of prefill/decode/paged under

@@ -5,8 +5,7 @@
 //! same overhead comparison for completeness.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{SimConfig, Simulation, TxnPath};
+use crate::pipeline::{SimConfig, Simulation};
 use crate::report::Figure;
 use crate::scale::Scale;
 use mgx_core::Scheme;
@@ -19,35 +18,14 @@ pub fn setup() -> SimConfig {
     SimConfig::overlapped(1, 500)
 }
 
-/// Simulates an IBPB GOP decode under all schemes.
-pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
-    evaluate_on(scale, 1)
-}
-
-/// [`evaluate`] with `threads` workers (`0` = all cores). There is a single
-/// decode workload, so parallelism comes from fanning the five schemes
-/// inside the sweep ([`Simulation::parallel`]) rather than from the
-/// workload pool. Output is identical to the sequential run.
-pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
-}
-
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the decode's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
-pub fn evaluate_path(
-    scale: &Scale,
-    threads: usize,
-    path: TxnPath,
-    backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+/// Simulates an IBPB GOP decode under all schemes on `backend`. There is
+/// a single decode workload, so the pool has nothing to fan out and
+/// `_threads` is accepted only to keep every suite's signature the same.
+pub fn evaluate(scale: &Scale, _threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let gop = GopStructure::ibpb(scale.video_frames);
     let src = stream_decode_trace(&gop, &DecoderConfig::default());
-    let cfg = SimConfig { txn_path: path, dram_backend: backend, ..setup() };
-    let (results, stats) = super::split_sweep(
-        Simulation::over(src).config(cfg).parallel(threads).run_all_with_stats(),
-    );
-    (vec![Evaluated::new("H.264-IBPB", String::new(), results)], stats)
+    let cfg = SimConfig { dram_backend: backend, ..setup() };
+    vec![Evaluated::new("H.264-IBPB", String::new(), Simulation::over(src).config(cfg).run_all())]
 }
 
 /// The H.264 overhead table (our addition; the paper reports functional
@@ -69,7 +47,7 @@ mod tests {
 
     #[test]
     fn video_decode_follows_the_usual_ordering() {
-        let evals = evaluate(&Scale::quick());
+        let evals = evaluate(&Scale::quick(), 1, DramBackend::ClosedForm);
         let fig = fig_h264(&evals);
         assert_eq!(fig.rows.len(), 3);
         let t = |s: Scheme| fig.rows.iter().find(|r| r.scheme == s).unwrap().normalized_time;

@@ -19,15 +19,14 @@
 //! from an on-disk store written by an older build (see DESIGN.md).
 
 use crate::experiments::{dnn, genome, graph, transformer, video, Evaluated};
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{RunResult, TxnPath};
+use crate::pipeline::RunResult;
 use crate::scale::Scale;
 use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 
 /// The workload suites a job can request — exactly the experiment-registry
 /// entry points the `figures` binary drives, so a served result is always
-/// reproducible by a direct `evaluate_*_on` call.
+/// reproducible by a direct call to the suite's `evaluate` function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// DNN inference (VGG/AlexNet/GoogLeNet/ResNet/BERT/DLRM, Cloud+Edge).
@@ -107,8 +106,7 @@ pub struct JobSpec {
     /// Workload-pool fan-out for the sweep (`0` = all cores). Changes
     /// wall-clock only; excluded from the canonical form and the digest.
     pub threads: usize,
-    /// DRAM timing backend. Unlike `threads` or the transaction path this
-    /// changes result *bits* (the queued backend reorders transactions),
+    /// DRAM timing backend. Unlike `threads` this changes result *bits* (the queued backend reorders transactions),
     /// so it is part of the canonical form and the content digest.
     pub backend: DramBackend,
 }
@@ -189,47 +187,33 @@ impl JobSpec {
         format!("{:016x}", self.digest())
     }
 
-    /// Runs the sweep exactly as the experiment registry does (the same
-    /// `evaluate_*_on` entry points the `figures` binary calls), returning
-    /// every workload of the suite under all five schemes.
+    /// Runs the sweep through the suite's experiment-registry entry point
+    /// (the one the `figures` binary calls), returning every workload of
+    /// the suite under all five schemes. The DRAM backend rides in from
+    /// the spec: it changes bits, which is exactly why it lives in the
+    /// digest; `threads` changes only wall-clock.
     pub fn execute(&self) -> Vec<Evaluated> {
-        self.execute_path(TxnPath::Burst).0
-    }
-
-    /// [`JobSpec::execute`] on an explicit [`TxnPath`], with the suite's
-    /// aggregate fast-forward counters. All three paths produce
-    /// bit-identical `Evaluated` results — the path (like `threads`) is an
-    /// execution knob, never part of the job identity or digest. The DRAM
-    /// backend, by contrast, rides in from the spec: it *does* change
-    /// bits, which is exactly why it lives in the digest.
-    pub fn execute_path(&self, path: TxnPath) -> (Vec<Evaluated>, FastForwardStats) {
         let (scale, threads, b) = (&self.scale, self.threads, self.backend);
         match self.suite {
-            Suite::DnnInference => dnn::evaluate_inference_path(scale, threads, path, b),
-            Suite::DnnTraining => dnn::evaluate_training_path(scale, threads, path, b),
-            Suite::Graph => graph::evaluate_path(scale, threads, path, b),
-            Suite::Genome => genome::evaluate_path(scale, threads, path, b),
-            Suite::Video => video::evaluate_path(scale, threads, path, b),
-            Suite::Transformer => transformer::evaluate_path(scale, threads, path, b),
+            Suite::DnnInference => dnn::evaluate_inference(scale, threads, b),
+            Suite::DnnTraining => dnn::evaluate_training(scale, threads, b),
+            Suite::Graph => graph::evaluate(scale, threads, b),
+            Suite::Genome => genome::evaluate(scale, threads, b),
+            Suite::Video => video::evaluate(scale, threads, b),
+            Suite::Transformer => transformer::evaluate(scale, threads, b),
         }
     }
 
-    /// [`JobSpec::execute_path`] with the sweep recorded into an
+    /// [`JobSpec::execute`] with the sweep recorded into an
     /// observability registry. The results are byte-identical to the
     /// unobserved call (the registry only *watches*); the registry gains:
     ///
     /// * `mgx_suite_wall_ns{suite=…}` — wall-clock of the whole sweep;
-    /// * `mgx_ff_{hits,misses,fallbacks,recorded}_total{suite=…}` — the
-    ///   fast-forward counters, replacing ad-hoc stderr accounting;
     /// * `mgx_simulated_bytes_total{suite=…,scheme=…}` and
     ///   `mgx_dram_cycles_total{suite=…,scheme=…}` — per-scheme totals
     ///   (schemes share one trace walk, so wall-clock is only separable
     ///   per suite, but simulated work is exact per scheme).
-    pub fn execute_observed(
-        &self,
-        path: TxnPath,
-        registry: &mgx_obs::Registry,
-    ) -> (Vec<Evaluated>, FastForwardStats) {
+    pub fn execute_observed(&self, registry: &mgx_obs::Registry) -> Vec<Evaluated> {
         let suite = self.suite.name();
         let wall = registry.histogram_with(
             "mgx_suite_wall_ns",
@@ -237,20 +221,8 @@ impl JobSpec {
             "wall-clock nanoseconds per suite sweep",
         );
         let span = wall.span();
-        let (evals, ff) = self.execute_path(path);
+        let evals = self.execute();
         span.stop();
-        for (name, value, help) in [
-            ("mgx_ff_hits_total", ff.hits, "fast-forward phases replayed from a recorded class"),
-            ("mgx_ff_misses_total", ff.misses, "fast-forward phases simulated (no recording yet)"),
-            (
-                "mgx_ff_fallbacks_total",
-                ff.fallbacks,
-                "fast-forward phases where memoization was inapplicable",
-            ),
-            ("mgx_ff_recorded_total", ff.recorded, "fast-forward equivalence classes recorded"),
-        ] {
-            registry.counter_with(name, &[("suite", suite)], help).add(value);
-        }
         for e in &evals {
             for r in &e.results {
                 let labels = [("suite", suite), ("scheme", r.scheme.label())];
@@ -266,7 +238,7 @@ impl JobSpec {
                     .add(r.dram_cycles);
             }
         }
-        (evals, ff)
+        evals
     }
 
     /// Serializes a sweep's results as the canonical response document —
@@ -517,7 +489,7 @@ mod tests {
     fn execute_matches_the_registry_entry_point() {
         let spec = tiny_video_spec();
         let via_job = spec.execute();
-        let direct = crate::experiments::video::evaluate_on(&spec.scale, 1);
+        let direct = crate::experiments::video::evaluate(&spec.scale, 1, spec.backend);
         assert_eq!(via_job.len(), direct.len());
         for (a, b) in via_job.iter().zip(&direct) {
             assert_eq!(a.workload, b.workload);

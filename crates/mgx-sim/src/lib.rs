@@ -18,23 +18,20 @@
 //! checked programmatically (the `mgx-bench` crate's `figures` binary and
 //! the integration tests do both).
 //!
-//! Sweeps parallelize without changing a single result bit:
-//! [`Simulation::parallel`] fans one workload's five schemes across worker
-//! threads, and the [`parallel`] pool fans independent workloads across
-//! cores (the `figures` binary's `--threads` flag).
+//! Sweeps parallelize without changing a single result bit: the
+//! [`parallel`] pool fans independent workloads across cores (the
+//! `figures` binary's `--threads` flag).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod fastfwd;
 pub mod job;
 pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod scale;
 
-pub use fastfwd::FastForwardStats;
 pub use mgx_dram::DramBackend;
 pub use pipeline::{PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
 pub use report::{render, render_json, Figure, Row};

@@ -1,42 +1,17 @@
 //! Multi-core execution of the evaluation sweeps.
 //!
-//! Two layers of parallelism, both **deterministic** — parallel runs are
-//! bit-identical to their sequential twins because no simulator state is
-//! ever shared between threads:
-//!
-//! * **Within one workload** (the phase broadcast, reached via
-//!   [`crate::Simulation::parallel`]): the calling thread drives the
-//!   [`mgx_trace::TraceSource`] as the single producer and broadcasts each
-//!   [`Phase`] over bounded channels to per-scheme worker threads, each
-//!   owning its own protection engine and DRAM model. Bounded channels give
-//!   backpressure: a fast producer blocks instead of buffering the
-//!   workload, so peak memory stays O(phases-in-flight × schemes) no matter
-//!   how long the stream is. Keeping the producer on the calling thread
-//!   also means the phase iterator itself never crosses threads — any
-//!   generator qualifies, with no `Send` bound. The broadcast payload is
-//!   an `Arc<Phase>` of coarse requests (hot generators leave the label
-//!   `None`, so a tile phase is just its request vector); each worker
-//!   expands them through the burst hot path (`SchemeRun::step`), so the
-//!   per-line work never crosses threads either.
-//!
-//! * **Across workloads** ([`map`]): the experiment registry's suites are
-//!   embarrassingly parallel (one `Evaluated` per workload), so a simple
-//!   work-claiming pool fans them over `n` threads while preserving input
-//!   order. The `figures` binary's `--threads` flag feeds this pool.
+//! The experiment registry's suites are embarrassingly parallel (one
+//! `Evaluated` per workload), so [`map`], a simple work-claiming pool, fans
+//! the workloads over `n` threads while preserving input order. Each
+//! workload's five-scheme sweep runs whole on one worker and no simulator
+//! state is shared between threads, so parallel runs are **bit-identical**
+//! to their sequential twins. The `figures` binary's `--threads` flag
+//! feeds this pool.
 //!
 //! Everything is built on `std::thread::scope` — no dependencies.
 
-use crate::fastfwd::FastForwardStats;
-use crate::pipeline::{RunResult, SchemeRun, SimConfig};
-use mgx_core::Scheme;
-use mgx_trace::{Phase, RegionMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
-
-/// Phases in flight per worker before the producer blocks (backpressure
-/// bound; each slot holds an `Arc<Phase>`, so the bytes are shared).
-const CHANNEL_DEPTH: usize = 64;
+use std::sync::Mutex;
 
 /// Resolves a thread-count knob: `0` means one thread per available core,
 /// anything else is taken literally (`1` = sequential).
@@ -46,70 +21,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Runs the five-scheme sweep with one producer (the calling thread) and
-/// up to `threads` scheme workers. Results come back in [`Scheme::ALL`]
-/// order, bit-identical to the sequential sweep.
-pub(crate) fn run_all_broadcast(
-    regions: &RegionMap,
-    phases: impl Iterator<Item = Phase>,
-    cfg: &SimConfig,
-    threads: usize,
-) -> Vec<(RunResult, FastForwardStats)> {
-    let workers = threads.clamp(1, Scheme::ALL.len());
-    // Round-robin the schemes over the workers: worker `w` owns schemes
-    // `ALL[w], ALL[w + workers], …` and steps them in that fixed order.
-    let groups: Vec<Vec<Scheme>> = (0..workers)
-        .map(|w| Scheme::ALL.iter().copied().skip(w).step_by(workers).collect())
-        .collect();
-    let mut results: Vec<Option<(RunResult, FastForwardStats)>> = vec![None; Scheme::ALL.len()];
-    std::thread::scope(|s| {
-        let mut txs: Vec<SyncSender<Arc<Phase>>> = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for group in groups {
-            let (tx, rx) = sync_channel::<Arc<Phase>>(CHANNEL_DEPTH);
-            txs.push(tx);
-            handles.push(s.spawn(move || {
-                let mut runs: Vec<SchemeRun> =
-                    group.into_iter().map(|sc| SchemeRun::new(sc, regions, cfg)).collect();
-                for phase in rx.iter() {
-                    for run in &mut runs {
-                        run.step(&phase, cfg);
-                    }
-                }
-                runs.into_iter()
-                    .map(|run| {
-                        let stats = run.ff_stats();
-                        (run.finish(cfg), stats)
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        'produce: for phase in phases {
-            let phase = Arc::new(phase);
-            for tx in &txs {
-                if tx.send(phase.clone()).is_err() {
-                    // A worker hung up (panicked): stop producing; the join
-                    // below surfaces the panic.
-                    break 'produce;
-                }
-            }
-        }
-        drop(txs); // close the channels so workers drain and finish
-        for handle in handles {
-            let finished = match handle.join() {
-                Ok(finished) => finished,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            for pair in finished {
-                let slot =
-                    Scheme::ALL.iter().position(|&sc| sc == pair.0.scheme).expect("known scheme");
-                results[slot] = Some(pair);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every scheme simulated exactly once")).collect()
 }
 
 /// Applies `f` to every item on a pool of up to `threads` worker threads,

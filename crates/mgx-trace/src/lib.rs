@@ -19,14 +19,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fnv;
 mod region;
 mod request;
 pub mod source;
 pub mod stats;
 mod trace;
 
-pub use fnv::{mix64, Fnv64};
 pub use region::{DataClass, Region, RegionId, RegionMap};
 pub use request::{Dir, MemRequest};
 pub use source::{LazyPhases, PhaseBuf, PhaseSink, TraceSource};

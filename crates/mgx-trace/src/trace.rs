@@ -42,14 +42,14 @@ impl core::ops::AddAssign for Traffic {
     }
 }
 
-/// Component-wise difference — used by the fast-forward layer to turn two
-/// cumulative snapshots into a per-phase delta.
+/// Component-wise difference — turns two cumulative readings into the
+/// delta between them.
 ///
 /// # Panics
 ///
 /// Panics in debug builds if `rhs` exceeds `self` in any component (a
 /// cumulative counter can only grow, so a larger subtrahend means the
-/// snapshots were taken out of order).
+/// readings were taken out of order).
 impl core::ops::Sub for Traffic {
     type Output = Traffic;
     fn sub(self, rhs: Traffic) -> Traffic {
@@ -111,37 +111,6 @@ impl Phase {
     /// The label for display, empty if the phase is unnamed.
     pub fn label(&self) -> &str {
         self.label.as_deref().unwrap_or("")
-    }
-
-    /// Structural signature of the phase for fast-forward memoization.
-    ///
-    /// Hashes the compute budget and every request's absolute address,
-    /// size, direction, and region — everything that determines how the
-    /// protection engines expand the phase and which DRAM rows/banks it
-    /// touches. The `label` is deliberately excluded: it is diagnostic
-    /// only and must not split otherwise-identical tile phases into
-    /// distinct equivalence classes.
-    pub fn signature(&self) -> u64 {
-        let mut h = crate::Fnv64::new();
-        h.write_u64(self.compute_cycles);
-        h.write_u64(self.requests.len() as u64);
-        for r in &self.requests {
-            // Fold each request on its own mixing chain (the chains overlap
-            // in the CPU pipeline across requests); the hasher's serial
-            // chain absorbs one word per request. This runs once per phase
-            // per scheme on the fast-forward path. Direction and region are
-            // packed injectively: region is 32-bit, so `region << 1 | dir`
-            // cannot alias another (region, dir) pair.
-            let mut x = crate::mix64(0x6d67_785f_7265_7173, r.addr);
-            x = crate::mix64(x, r.bytes);
-            let dir_bit = match r.dir {
-                Dir::Read => 0,
-                Dir::Write => 1,
-            };
-            x = crate::mix64(x, u64::from(r.region.0) << 1 | dir_bit);
-            h.write_u64(x);
-        }
-        h.finish()
     }
 
     /// Raw data traffic of this phase (no protection metadata).
@@ -354,40 +323,6 @@ mod tests {
         let mut b = TraceBuilder::new();
         b.begin_phase("p", 0);
         b.push(req(Dir::Read, 0));
-    }
-
-    #[test]
-    fn signature_ignores_label_but_not_structure() {
-        let mk = |label: Option<&str>, addr: u64, bytes: u64, dir: Dir, region: u32, cc: u64| {
-            let mut p = match label {
-                Some(l) => Phase::new(l, cc),
-                None => Phase::unnamed(cc),
-            };
-            p.requests.push(MemRequest { addr, bytes, dir, region: RegionId(region) });
-            p
-        };
-        let base = mk(Some("conv1"), 0x1000, 4096, Dir::Read, 0, 500);
-        // Label differences must not split classes.
-        assert_eq!(
-            base.signature(),
-            mk(Some("conv2"), 0x1000, 4096, Dir::Read, 0, 500).signature()
-        );
-        assert_eq!(base.signature(), mk(None, 0x1000, 4096, Dir::Read, 0, 500).signature());
-        // Every structural component must show up in the digest.
-        assert_ne!(base.signature(), mk(None, 0x2000, 4096, Dir::Read, 0, 500).signature());
-        assert_ne!(base.signature(), mk(None, 0x1000, 2048, Dir::Read, 0, 500).signature());
-        assert_ne!(base.signature(), mk(None, 0x1000, 4096, Dir::Write, 0, 500).signature());
-        assert_ne!(base.signature(), mk(None, 0x1000, 4096, Dir::Read, 1, 500).signature());
-        assert_ne!(base.signature(), mk(None, 0x1000, 4096, Dir::Read, 0, 501).signature());
-        // Request count matters even when prefixes agree.
-        let mut two = mk(None, 0x1000, 4096, Dir::Read, 0, 500);
-        two.requests.push(MemRequest {
-            addr: 0x1000,
-            bytes: 4096,
-            dir: Dir::Read,
-            region: RegionId(0),
-        });
-        assert_ne!(base.signature(), two.signature());
     }
 
     #[test]

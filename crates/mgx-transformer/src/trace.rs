@@ -11,9 +11,8 @@
 //!   cost, exactly like inference in the paper's DNN suite).
 //! * **Decode** ([`stream_decode_trace`]): `decode_steps × layers` steps,
 //!   one new token per sequence per step. The KV cache *appends* — every
-//!   slot is still written exactly once across the run (monotonic VN), but
-//!   the weight stream repeats per step, which is what the fast-forward
-//!   layer memoizes.
+//!   slot is still written exactly once across the run (monotonic VN),
+//!   while the weight stream repeats per step.
 //! * **Paged decode** ([`stream_paged_attention_trace`]): the same compute
 //!   with the cache carved into fixed-size token blocks indexed through a
 //!   block table (vLLM-style). Appends hit block interiors (write-once);
@@ -281,13 +280,11 @@ impl Lowering {
         let cycles = (2 * self.rows * ctx_now * d).div_ceil(cfg.pe_count()).max(1);
         sink.begin_phase(format!("l{l}.attn"), cycles);
         sink.push(MemRequest::read(self.act.0, self.qkv_out, self.rows * d * dt));
-        // K/V streams newest-to-oldest (the online softmax is order-free, so
-        // the kernel may start on the freshest tokens). For the simulator the
-        // order is load-bearing: each decode step grows the context at the
-        // *head* of this stream, so walking it in reverse leaves the trailing
-        // microstate (MAC coalescer windows, DRAM open rows) parked on the
-        // step-invariant low slots — exactly what lets the fast-forward layer
-        // recognize the following GEMM folds as recurring phases.
+        // K/V streams newest-to-oldest. The online softmax does not depend
+        // on read order, so any order is a faithful kernel; this one is kept
+        // because the pinned result bytes (`llm-time` in
+        // ci/figures-quick-baseline.json) were produced with it, and the
+        // order does move DRAM row hits and MAC coalescing.
         match &self.paged {
             None => {
                 for s in 0..self.req.batch {

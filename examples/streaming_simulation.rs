@@ -46,15 +46,13 @@ fn tile_stream() -> (RegionMap, impl Iterator<Item = Phase>) {
 fn main() {
     let gib = TOTAL_BYTES as f64 / (1u64 << 30) as f64;
     println!("streaming {gib:.0} GiB of tile traffic through the pipeline…");
-    println!("(one producer drives the lazy stream; each scheme runs on its own");
-    println!(" worker thread behind a bounded broadcast — peak memory = phases in flight)\n");
+    println!("(the lazy stream is consumed one phase at a time by all five schemes —");
+    println!(" peak memory = one phase)\n");
 
     let cfg = SimConfig::overlapped(4, 700);
-    // All five schemes in a single pass, fanned across the machine's cores.
-    // `.parallel(0)` = one worker per core; output bits match the serial
-    // sweep exactly, it just lands ~5× sooner on a big enough machine.
+    // All five schemes in a single pass over the stream.
     let start = std::time::Instant::now();
-    let results = Simulation::over(tile_stream()).config(cfg).parallel(0).run_all();
+    let results = Simulation::over(tile_stream()).config(cfg).run_all();
     let wall = start.elapsed();
     let np = results[0].clone();
     println!("{:<8} {:>12} {:>12} {:>10}", "scheme", "exec (ms)", "moved (GiB)", "exec×");

@@ -62,11 +62,8 @@
 //!
 //! let model = Model::alexnet(1);
 //! let src = stream_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary);
-//! // One pass over the lazy phase stream drives all five schemes; with
-//! // `.parallel(n)` they run on worker threads fed by a broadcast of that
-//! // same pass (0 = all cores) — results are bit-identical either way.
-//! let results =
-//!     Simulation::over(src).config(SimConfig::overlapped(4, 700)).parallel(2).run_all();
+//! // One pass over the lazy phase stream drives all five schemes.
+//! let results = Simulation::over(src).config(SimConfig::overlapped(4, 700)).run_all();
 //! assert_eq!(results.len(), 5);
 //! let np = &results[0];
 //! let mgx = results.iter().find(|r| r.scheme == Scheme::Mgx).unwrap();

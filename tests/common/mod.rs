@@ -1,22 +1,15 @@
-//! Shared differential harness: run one workload under every transaction
-//! path and assert the results are **bit-identical** — `dram_cycles`,
+//! Shared differential harness: run one workload on both transaction
+//! paths and assert the results are **bit-identical** — `dram_cycles`,
 //! `traffic`, `dram` by `==` and `exec_ns` down to its float bits.
 //!
-//! `TxnPath::Burst` is the reference (it is itself proven equivalent to
-//! `TxnPath::PerLine` by the burst proptest in `tests/pipeline_shapes.rs`);
-//! the harness sweeps the other paths, both phase modes, and thread counts
-//! {1, 4} against it, for all five schemes at once. Any test crate can
-//! `mod common;` and feed it a trace — the fast-forward equivalence and
-//! divergence suites both do.
+//! `TxnPath::Burst` is the reference; the harness checks
+//! `TxnPath::PerLine` against it over both phase modes, for all five
+//! schemes at once. Any test crate can `mod common;` and feed it a trace.
 
 #![allow(dead_code)] // each test crate includes this module and uses a subset
 
-use mgx::sim::{FastForwardStats, PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
-use mgx::trace::{DataClass, MemRequest, Trace, TraceBuilder};
-
-/// The uniform tile size the memoizable workloads use (small enough that
-/// BP's metadata stays resident in its cache, so engine state recurs).
-pub const TILE: u64 = 16 << 10;
+use mgx::sim::{DramBackend, PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
+use mgx::trace::Trace;
 
 /// Both phase modes the pipeline supports — every harness sweep covers
 /// overlapped (DNN/graph style) and serial-units (GACT style) timing.
@@ -31,8 +24,9 @@ pub fn config_for(mode: PhaseMode) -> SimConfig {
     cfg
 }
 
-fn run_all(trace: &Trace, cfg: &SimConfig, path: TxnPath, threads: usize) -> Vec<RunResult> {
-    Simulation::over(trace).config(cfg.clone()).txn_path(path).parallel(threads).run_all()
+/// The five-scheme sweep of `trace` on `path`.
+pub fn run_all(trace: &Trace, cfg: &SimConfig, path: TxnPath) -> Vec<RunResult> {
+    Simulation::over(trace).config(cfg.clone()).txn_path(path).run_all()
 }
 
 /// Asserts two five-scheme sweeps are bit-identical, field by field.
@@ -56,148 +50,19 @@ pub fn assert_results_identical(reference: &[RunResult], other: &[RunResult], ct
     }
 }
 
-/// The headline sweep: every `TxnPath` × phase mode × thread count must
-/// reproduce the single-threaded burst reference bit for bit, across all
-/// five schemes.
+/// The headline sweep on the default closed-form DRAM backend: in both
+/// phase modes the per-line path must reproduce the burst reference bit
+/// for bit, across all five schemes.
 pub fn assert_all_paths_bit_identical(trace: &Trace, label: &str) {
+    assert_paths_bit_identical_with(trace, label, DramBackend::ClosedForm);
+}
+
+/// [`assert_all_paths_bit_identical`] on an explicit DRAM backend.
+pub fn assert_paths_bit_identical_with(trace: &Trace, label: &str, backend: DramBackend) {
     for mode in all_modes() {
-        let cfg = config_for(mode);
-        let reference = run_all(trace, &cfg, TxnPath::Burst, 1);
-        for path in [TxnPath::Burst, TxnPath::PerLine, TxnPath::FastForward] {
-            for threads in [1usize, 4] {
-                if path == TxnPath::Burst && threads == 1 {
-                    continue; // that's the reference itself
-                }
-                let got = run_all(trace, &cfg, path, threads);
-                let ctx = format!("{label}/{mode:?}/{path:?}/t{threads}");
-                assert_results_identical(&reference, &got, &ctx);
-            }
-        }
+        let cfg = SimConfig { dram_backend: backend, ..config_for(mode) };
+        let reference = run_all(trace, &cfg, TxnPath::Burst);
+        let got = run_all(trace, &cfg, TxnPath::PerLine);
+        assert_results_identical(&reference, &got, &format!("{label}/{mode:?}/{}", backend.name()));
     }
-}
-
-/// Fast-forward-only differential: runs every scheme under `FastForward`,
-/// asserts bit-identity against the burst reference, and returns the summed
-/// memoizer counters so callers can additionally assert *how* the result
-/// was produced (hits vs fallbacks) — the divergence suite's bread and
-/// butter.
-pub fn assert_ff_identical_with_stats(
-    trace: &Trace,
-    cfg: &SimConfig,
-    ctx: &str,
-) -> FastForwardStats {
-    let reference = run_all(trace, cfg, TxnPath::Burst, 1);
-    let mut total = FastForwardStats::default();
-    for r in &reference {
-        let (got, stats) = Simulation::over(trace)
-            .config(cfg.clone())
-            .txn_path(TxnPath::FastForward)
-            .scheme(r.scheme)
-            .run_ff();
-        assert_results_identical(
-            std::slice::from_ref(r),
-            std::slice::from_ref(&got),
-            &format!("{ctx}/{}", r.scheme),
-        );
-        total += stats;
-    }
-    total
-}
-
-// ---------------------------------------------------------------------------
-// Workload blueprints
-// ---------------------------------------------------------------------------
-
-/// Double-buffered uniform tiles: read ping/pong input, write a fixed
-/// output tile. The classic memoizable shape — after one warm lap every
-/// phase recurs.
-pub fn ping_pong_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("buf", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    for i in 0..phases {
-        b.begin_unnamed_phase(500);
-        b.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
-        b.push(MemRequest::write(r, base + 2 * TILE, TILE));
-    }
-    b.finish()
-}
-
-/// A decoder-style ring of four frame slots: each phase reads half-tile
-/// reference blocks from the two previous frames and writes the next frame.
-/// Period-four recurrence → a handful of classes.
-pub fn frame_ring_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("frames", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    let slot = |i: u64| base + (i % 4) * TILE;
-    for i in 0..phases {
-        b.begin_unnamed_phase(800);
-        b.push(MemRequest::read(r, slot(i + 2), TILE / 2));
-        b.push(MemRequest::read(r, slot(i + 3), TILE / 2));
-        b.push(MemRequest::write(r, slot(i), TILE));
-    }
-    b.finish()
-}
-
-/// A monotonic stream: every phase touches fresh addresses, so nothing
-/// ever recurs — the memoizer must degrade gracefully to pure burst.
-pub fn stream_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("stream", phases * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    for i in 0..phases {
-        b.begin_unnamed_phase(200);
-        if i % 4 == 0 {
-            b.push(MemRequest::write(r, base + i * TILE, TILE));
-        } else {
-            b.push(MemRequest::read(r, base + i * TILE, TILE));
-        }
-    }
-    b.finish()
-}
-
-/// Interleaves a recurring ping-pong phase with non-uniform odd phases —
-/// four distinct shapes (odd sizes, different offsets, differing compute)
-/// cycling between the recurring passes. Recognizably different
-/// fingerprints alternate within one run, yet the whole sequence has a
-/// short period, so the memoizer must keep the classes apart *and* still
-/// replay each of them.
-pub fn interleaved_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("mix", 64 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    let odd: [(u64, u64, u64); 4] = [
-        (16 * TILE, 3 * TILE / 2 + 64, 150),
-        (20 * TILE + 4096, 5 * TILE / 4, 900),
-        (24 * TILE + 128, TILE / 2 + 192, 400),
-        (30 * TILE, 2 * TILE, 650),
-    ];
-    for i in 0..phases {
-        if i % 2 == 0 {
-            b.begin_unnamed_phase(500);
-            b.push(MemRequest::read(r, base + (i % 4) / 2 * TILE, TILE));
-            b.push(MemRequest::write(r, base + 2 * TILE, TILE));
-        } else {
-            let (off, bytes, compute) = odd[((i / 2) % 4) as usize];
-            b.begin_unnamed_phase(compute);
-            b.push(MemRequest::read(r, base + off, bytes));
-        }
-    }
-    b.finish()
-}
-
-/// Ping-pong phases separated by huge compute gaps, shifting each phase's
-/// start relative to the refresh schedule — the refresh-validity window
-/// must reject replays whose slack is too small and fall back.
-pub fn refresh_gap_trace(phases: u64, gap_cycles: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("gap", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
-    for i in 0..phases {
-        b.begin_unnamed_phase(if i % 2 == 0 { gap_cycles } else { 500 });
-        b.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
-        b.push(MemRequest::write(r, base + 2 * TILE, TILE));
-    }
-    b.finish()
 }

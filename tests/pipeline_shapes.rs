@@ -183,37 +183,8 @@ fn spec_source(specs: Vec<PhaseSpec>) -> (RegionMap, impl Iterator<Item = Phase>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance property of the parallel executor: for any workload,
-    /// phase mode, and worker count, the multi-threaded five-scheme sweep
-    /// is bit-identical — cycles, traffic breakdown, DRAM stats, even the
-    /// float bits of `exec_ns` — to the sequential pass.
-    #[test]
-    fn parallel_run_all_matches_sequential(
-        specs in proptest::collection::vec(
-            (0u64..200_000, proptest::collection::vec(
-                (0usize..4, 1u64..1_000_000, proptest::strategy::any::<bool>()), 1..4)),
-            1..24),
-        serial in proptest::strategy::any::<bool>(),
-        units in 1u64..4,
-        threads in 2usize..9,
-    ) {
-        let mode = if serial { PhaseMode::Serial { units } } else { PhaseMode::Overlapped };
-        let cfg = SimConfig { mode, ..SimConfig::overlapped(2, 700) };
-        let sequential = Simulation::over(spec_source(specs.clone())).config(cfg.clone()).run_all();
-        let parallel =
-            Simulation::over(spec_source(specs)).config(cfg).parallel(threads).run_all();
-        for (p, s) in parallel.iter().zip(&sequential) {
-            prop_assert_eq!(p.scheme, s.scheme);
-            prop_assert_eq!(p.dram_cycles, s.dram_cycles,
-                "cycles diverged for {} at {} threads", s.scheme, threads);
-            prop_assert_eq!(p.traffic, s.traffic, "traffic diverged for {}", s.scheme);
-            prop_assert_eq!(p.dram, s.dram, "DRAM stats diverged for {}", s.scheme);
-            prop_assert_eq!(p.exec_ns.to_bits(), s.exec_ns.to_bits());
-        }
-    }
-
-    /// The acceptance property of the burst hot path: for any workload,
-    /// phase mode, and thread count in {1, 4}, simulating with batched
+    /// The acceptance property of the burst hot path: for any workload and
+    /// phase mode, simulating with batched
     /// `LineBurst` transactions (engine `expand_bursts` → DRAM
     /// `access_burst`, the default) is bit-identical — cycles, traffic
     /// breakdown, DRAM stats, even the float bits of `exec_ns` — to the
@@ -229,23 +200,18 @@ proptest! {
     ) {
         let mode = if serial { PhaseMode::Serial { units } } else { PhaseMode::Overlapped };
         let base = SimConfig { mode, ..SimConfig::overlapped(2, 700) };
-        for threads in [1usize, 4] {
-            let burst = Simulation::over(spec_source(specs.clone()))
-                .config(SimConfig { txn_path: TxnPath::Burst, ..base.clone() })
-                .parallel(threads)
-                .run_all();
-            let line = Simulation::over(spec_source(specs.clone()))
-                .config(SimConfig { txn_path: TxnPath::PerLine, ..base.clone() })
-                .parallel(threads)
-                .run_all();
-            for (b, l) in burst.iter().zip(&line) {
-                prop_assert_eq!(b.scheme, l.scheme);
-                prop_assert_eq!(b.dram_cycles, l.dram_cycles,
-                    "cycles diverged for {} at {} threads", l.scheme, threads);
-                prop_assert_eq!(b.traffic, l.traffic, "traffic diverged for {}", l.scheme);
-                prop_assert_eq!(b.dram, l.dram, "DRAM stats diverged for {}", l.scheme);
-                prop_assert_eq!(b.exec_ns.to_bits(), l.exec_ns.to_bits());
-            }
+        let burst = Simulation::over(spec_source(specs.clone()))
+            .config(SimConfig { txn_path: TxnPath::Burst, ..base.clone() })
+            .run_all();
+        let line = Simulation::over(spec_source(specs))
+            .config(SimConfig { txn_path: TxnPath::PerLine, ..base })
+            .run_all();
+        for (b, l) in burst.iter().zip(&line) {
+            prop_assert_eq!(b.scheme, l.scheme);
+            prop_assert_eq!(b.dram_cycles, l.dram_cycles, "cycles diverged for {}", l.scheme);
+            prop_assert_eq!(b.traffic, l.traffic, "traffic diverged for {}", l.scheme);
+            prop_assert_eq!(b.dram, l.dram, "DRAM stats diverged for {}", l.scheme);
+            prop_assert_eq!(b.exec_ns.to_bits(), l.exec_ns.to_bits());
         }
     }
 

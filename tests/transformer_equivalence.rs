@@ -1,13 +1,13 @@
 //! Transformer workload differential suite: the LLM traces (prefill,
 //! contiguous decode, paged decode) through the shared bit-identity
-//! harness — `FastForward ≡ Burst ≡ PerLine` across all five schemes, both
-//! phase modes, and thread counts {1, 4} — plus the KV-cache edge cases
-//! (ring rollover, batch interleaving, zero decode steps) and the
-//! evaluate-level sweep the `figures`/serve stack depends on.
+//! harness — `Burst ≡ PerLine` across all five schemes and both phase
+//! modes — plus the KV-cache edge cases (ring rollover, batch
+//! interleaving, zero decode steps) and the evaluate-level sweep the
+//! `figures`/serve stack depends on.
 //!
 //! Shapes are proptest-drawn: odd FFN widths, GQA groupings, and prompt
 //! lengths that do and don't fill the context window all land in the same
-//! harness, so a signature leak in any lowering path (weight chunking, KV
+//! harness, so a path divergence in any lowering (weight chunking, KV
 //! ring arithmetic, block-table publication) fails loudly.
 
 // The shape strategies pass enough parameters that the proptest macro's
@@ -16,12 +16,9 @@
 
 mod common;
 
-use common::{
-    assert_all_paths_bit_identical, assert_ff_identical_with_stats, assert_results_identical,
-    config_for,
-};
+use common::{assert_all_paths_bit_identical, assert_results_identical, config_for};
 use mgx::scalesim::ArrayConfig;
-use mgx::sim::{DramBackend, PhaseMode, Scale, Simulation, TxnPath};
+use mgx::sim::{DramBackend, PhaseMode, Scale, Simulation};
 use mgx::trace::Trace;
 use mgx::transformer::{
     build_decode_trace, build_paged_attention_trace, build_prefill_trace, stream_decode_trace,
@@ -107,9 +104,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The headline harness sweep on proptest-drawn shapes: every path ×
-    /// mode × thread count reproduces the single-threaded burst reference
-    /// bit for bit, for all three trace generators.
+    /// The headline harness sweep on proptest-drawn shapes: the per-line
+    /// path reproduces the burst reference bit for bit in both phase
+    /// modes, for all three trace generators.
     #[test]
     fn transformer_traces_all_paths_bit_identical(
         shape in (head_pairs(), 1u64..3, 17u64..160, (any::<bool>(), 4u64..20)),
@@ -133,8 +130,8 @@ proptest! {
 #[test]
 fn kv_ring_rollover_stays_bit_identical() {
     // 6 prompt + 10 decode tokens into an 8-slot window: the ring laps,
-    // slots are overwritten, attention reads cap at the window — the
-    // memoizer must never replay across the layout change.
+    // slots are overwritten, attention reads cap at the window — both
+    // paths must agree across the layout change.
     let m = model(2, 2, 1, 64, true, 8);
     let req = InferenceRequest::new(1, 6, 10);
     let cfg = array();
@@ -180,57 +177,28 @@ fn zero_decode_steps_yield_empty_decode_traces() {
     }
 }
 
-#[test]
-fn decode_steady_state_actually_replays() {
-    // The equivalence above would hold trivially if the memoizer never
-    // hit; pin that a long tiny decode really replays. The aggregate spans
-    // all five schemes — the cache-bearing BP variants hit far less than
-    // the stateless MGX family, so the bar is a conservative quarter.
-    let m = model(2, 2, 1, 64, true, 32);
-    let req = InferenceRequest::new(1, 4, 40);
-    let trace = build_decode_trace(&m, &req, &array());
-    let cfg = config_for(PhaseMode::Overlapped);
-    let stats = assert_ff_identical_with_stats(&trace, &cfg, "decode-steady");
-    assert!(stats.recorded > 0, "no classes recorded");
-    assert!(
-        stats.hits > stats.phases() / 4,
-        "expected steady-state replays, got {} hits / {} phases",
-        stats.hits,
-        stats.phases()
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// The evaluate-level guarantee `figures` and serve lean on:
-    /// `evaluate_transformer` is bit-identical across every transaction
-    /// path and thread count {1, 4} — same workload labels, same float
-    /// bits — for any scale.
+    /// The evaluate-level guarantee `figures` and serve lean on: the
+    /// transformer suite's `evaluate` is bit-identical at thread counts
+    /// {1, 4} — same workload labels, same float bits — for any scale.
+    /// Per-line stays covered at this suite's own configuration:
+    /// `transformer::setup()` is `config_for(PhaseMode::Overlapped)`,
+    /// which the trace-level tests above already sweep on both paths.
     #[test]
-    fn evaluate_transformer_bit_identical_across_paths_and_threads(
+    fn evaluate_transformer_bit_identical_across_threads(
         dnn_batch in 1u64..3,
         bert_seq in 2u64..5,
     ) {
         let scale = Scale { dnn_batch, bert_seq, ..Scale::quick() };
-        let (reference, _) = transformer::evaluate_path(&scale, 1, TxnPath::Burst, DramBackend::ClosedForm);
-        for path in [TxnPath::Burst, TxnPath::PerLine, TxnPath::FastForward] {
-            for threads in [1usize, 4] {
-                if path == TxnPath::Burst && threads == 1 {
-                    continue;
-                }
-                let (got, _) = transformer::evaluate_path(&scale, threads, path, DramBackend::ClosedForm);
-                prop_assert_eq!(reference.len(), got.len());
-                for (r, o) in reference.iter().zip(&got) {
-                    prop_assert_eq!(&r.workload, &o.workload);
-                    prop_assert_eq!(&r.config, &o.config);
-                    assert_results_identical(
-                        &r.results,
-                        &o.results,
-                        &format!("evaluate/{}/{:?}/t{}", r.workload, path, threads),
-                    );
-                }
-            }
+        let reference = transformer::evaluate(&scale, 1, DramBackend::ClosedForm);
+        let got = transformer::evaluate(&scale, 4, DramBackend::ClosedForm);
+        prop_assert_eq!(reference.len(), got.len());
+        for (r, o) in reference.iter().zip(&got) {
+            prop_assert_eq!(&r.workload, &o.workload);
+            prop_assert_eq!(&r.config, &o.config);
+            assert_results_identical(&r.results, &o.results, &format!("evaluate/{}/t4", r.workload));
         }
     }
 }
