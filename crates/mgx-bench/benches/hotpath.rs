@@ -52,8 +52,7 @@ fn stream_trace(mib: u64) -> Trace {
 
 fn run(trace: &Trace, scheme: Scheme, path: TxnPath) -> RunResult {
     Simulation::over(trace)
-        .config(SimConfig::overlapped(4, 700))
-        .txn_path(path)
+        .config(SimConfig { txn_path: path, ..SimConfig::overlapped(4, 700) })
         .scheme(scheme)
         .run()
 }
@@ -116,6 +115,11 @@ fn ratio_report(report: &mut Report) {
     report.push(("streaming", metrics));
 }
 
+/// The Cloud setup on the queued DRAM backend, on `path`.
+fn queued(path: TxnPath) -> SimConfig {
+    SimConfig { txn_path: path, dram_backend: DramBackend::Queued, ..SimConfig::overlapped(4, 700) }
+}
+
 /// The queued hot path: simulated bytes/sec on the queued backend's
 /// burst-aware service loop (`TxnPath::Burst` → run-granular queue →
 /// row-streak service) vs the per-line reference discipline it emulates
@@ -130,18 +134,8 @@ fn queued_hotpath_report(report: &mut Report) {
     // Equivalence gate on a shorter twin (per-line pace), then on the
     // measured trace itself via the crossval-style stats comparison.
     for scheme in [Scheme::NoProtection, Scheme::Mgx, Scheme::Baseline] {
-        let burst = Simulation::over(&trace)
-            .config(SimConfig::overlapped(4, 700))
-            .txn_path(TxnPath::Burst)
-            .dram_backend(DramBackend::Queued)
-            .scheme(scheme)
-            .run();
-        let line = Simulation::over(&trace)
-            .config(SimConfig::overlapped(4, 700))
-            .txn_path(TxnPath::PerLine)
-            .dram_backend(DramBackend::Queued)
-            .scheme(scheme)
-            .run();
+        let burst = Simulation::over(&trace).config(queued(TxnPath::Burst)).scheme(scheme).run();
+        let line = Simulation::over(&trace).config(queued(TxnPath::PerLine)).scheme(scheme).run();
         assert_eq!(burst.dram_cycles, line.dram_cycles, "{scheme:?}: queued burst ≠ per-line");
         assert_eq!(burst.exec_ns.to_bits(), line.exec_ns.to_bits(), "{scheme:?}: exec_ns");
         assert_eq!(burst.traffic, line.traffic, "{scheme:?}: traffic diverged");
@@ -159,13 +153,7 @@ fn queued_hotpath_report(report: &mut Report) {
             for _ in 0..3 {
                 let start = Instant::now();
                 black_box(
-                    Simulation::over(&trace)
-                        .config(SimConfig::overlapped(4, 700))
-                        .txn_path(path)
-                        .dram_backend(DramBackend::Queued)
-                        .scheme(scheme)
-                        .run()
-                        .dram_cycles,
+                    Simulation::over(&trace).config(queued(path)).scheme(scheme).run().dram_cycles,
                 );
                 best = best.min(start.elapsed().as_secs_f64());
             }
@@ -215,9 +203,10 @@ fn dram_backend_report(report: &mut Report) {
                 let start = Instant::now();
                 black_box(
                     Simulation::over(&trace)
-                        .config(SimConfig::overlapped(4, 700))
-                        .txn_path(TxnPath::Burst)
-                        .dram_backend(backend)
+                        .config(SimConfig {
+                            dram_backend: backend,
+                            ..SimConfig::overlapped(4, 700)
+                        })
                         .scheme(scheme)
                         .run()
                         .dram_cycles,

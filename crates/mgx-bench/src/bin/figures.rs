@@ -25,8 +25,9 @@
 //! `--dram-model MODEL` selects the DRAM timing backend
 //! (`closed-form` | `queued`, default `closed-form`); the backend is part
 //! of the job digest, so `--store` never serves one model's sweep for the
-//! other. Any other `--` flag is rejected with exit status 2, like an
-//! unknown figure id.
+//! other. Any other `--` flag, or a valued flag with a missing or
+//! malformed value, is rejected with exit status 2, like an unknown
+//! figure id.
 
 use mgx_core::MetaTraffic;
 use mgx_obs::Registry;
@@ -53,88 +54,31 @@ fn log_volume(name: &str, evals: &[Evaluated]) {
     );
 }
 
-/// Extracts every `--threads N` / `--threads=N` from `args` (last wins),
-/// removing what it consumed. Absent → 1 (serial); `0` → one worker per
-/// core.
-fn parse_threads(args: &mut Vec<String>) -> usize {
-    let mut threads = 1;
-    while let Some(i) = args.iter().position(|a| a == "--threads" || a.starts_with("--threads=")) {
-        let flag = args.remove(i);
-        let value = match flag.strip_prefix("--threads=") {
-            Some(v) => v.to_string(),
-            None => {
-                assert!(i < args.len(), "--threads needs a value (0 = all cores)");
-                args.remove(i)
-            }
-        };
-        threads = value.parse().expect("--threads takes an integer (0 = all cores)");
-    }
-    threads
+/// Reports a malformed command line on stderr and exits with status 2
+/// before anything is simulated.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
-/// Extracts every `--dram-model MODEL` / `--dram-model=MODEL` from `args`
-/// (last wins), removing what it consumed. Absent → the closed-form
-/// backend, which keeps the default figures byte-identical across the
-/// backend seam.
-fn parse_dram_model(args: &mut Vec<String>) -> DramBackend {
-    let mut backend = DramBackend::ClosedForm;
-    while let Some(i) =
-        args.iter().position(|a| a == "--dram-model" || a.starts_with("--dram-model="))
-    {
-        let flag = args.remove(i);
-        let value = match flag.strip_prefix("--dram-model=") {
-            Some(v) => v.to_string(),
-            None => {
-                assert!(i < args.len(), "--dram-model needs a value (closed-form|queued)");
-                args.remove(i)
-            }
-        };
-        backend = DramBackend::from_name(&value).unwrap_or_else(|| {
-            let known: Vec<&str> = DramBackend::ALL.iter().map(|b| b.name()).collect();
-            panic!("unknown dram model `{value}` (known: {})", known.join(", "))
+/// Extracts every `--flag VALUE` / `--flag=VALUE` from `args` (last wins),
+/// removing what it consumed. A flag without a value is a usage error
+/// whose hint shows `--flag METAVAR`.
+fn take_flag(args: &mut Vec<String>, flag: &str, metavar: &str) -> Option<String> {
+    let prefix = format!("{flag}=");
+    let mut found = None;
+    while let Some(i) = args.iter().position(|a| a == flag || a.starts_with(&prefix)) {
+        let raw = args.remove(i);
+        found = Some(match raw.strip_prefix(&prefix) {
+            Some(v) if !v.is_empty() => v.to_string(),
+            None if i < args.len() => args.remove(i),
+            _ => usage_error(&format!("`{flag}` needs a value: {flag} {metavar}")),
         });
     }
-    backend
+    found
 }
 
-/// Extracts every `--store DIR` / `--store=DIR` from `args` (last wins),
-/// removing what it consumed.
-fn parse_store(args: &mut Vec<String>) -> Option<PathBuf> {
-    let mut dir = None;
-    while let Some(i) = args.iter().position(|a| a == "--store" || a.starts_with("--store=")) {
-        let flag = args.remove(i);
-        dir = Some(PathBuf::from(match flag.strip_prefix("--store=") {
-            Some(v) => v.to_string(),
-            None => {
-                assert!(i < args.len(), "--store needs a directory");
-                args.remove(i)
-            }
-        }));
-    }
-    dir
-}
-
-/// Extracts every `--stats-json PATH` / `--stats-json=PATH` from `args`
-/// (last wins), removing what it consumed.
-fn parse_stats_json(args: &mut Vec<String>) -> Option<PathBuf> {
-    let mut path = None;
-    while let Some(i) =
-        args.iter().position(|a| a == "--stats-json" || a.starts_with("--stats-json="))
-    {
-        let flag = args.remove(i);
-        path = Some(PathBuf::from(match flag.strip_prefix("--stats-json=") {
-            Some(v) => v.to_string(),
-            None => {
-                assert!(i < args.len(), "--stats-json needs a file path");
-                args.remove(i)
-            }
-        }));
-    }
-    path
-}
-
-/// The flags `main` reads itself, after the valued flags above are
-/// extracted.
+/// The flags `main` reads itself, after the valued flags are extracted.
 const SWITCHES: [&str; 3] = ["--quick", "--json", "--list"];
 
 /// Runs (or reloads) one suite's five-scheme sweep, routed through the
@@ -174,17 +118,28 @@ fn suite_evals(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
-    let backend = parse_dram_model(&mut args);
-    let store_dir = parse_store(&mut args);
-    let stats_path = parse_stats_json(&mut args);
+    // Absent → 1 (serial); `0` → one worker per core.
+    let threads = take_flag(&mut args, "--threads", "N").map_or(1, |v| {
+        v.parse().unwrap_or_else(|_| {
+            usage_error(&format!("`--threads` takes an integer (0 = all cores), not `{v}`"))
+        })
+    });
+    // Absent → the closed-form backend behind every published figure.
+    let backend =
+        take_flag(&mut args, "--dram-model", "MODEL").map_or(DramBackend::ClosedForm, |v| {
+            DramBackend::from_name(&v).unwrap_or_else(|| {
+                let known: Vec<&str> = DramBackend::ALL.iter().map(|b| b.name()).collect();
+                usage_error(&format!("unknown dram model `{v}` (known: {})", known.join(", ")))
+            })
+        });
+    let store_dir = take_flag(&mut args, "--store", "DIR").map(PathBuf::from);
+    let stats_path = take_flag(&mut args, "--stats-json", "PATH").map(PathBuf::from);
     if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !SWITCHES.contains(&a.as_str()))
     {
-        eprintln!(
+        usage_error(&format!(
             "unknown flag `{flag}` — known flags: --quick, --json, --list, --threads N, \
              --dram-model MODEL, --store DIR, --stats-json PATH"
-        );
-        std::process::exit(2);
+        ));
     }
     if args.iter().any(|a| a == "--list") {
         println!("{:<10} description", "figure");

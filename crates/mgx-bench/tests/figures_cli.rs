@@ -1,6 +1,7 @@
-//! Command-line contract of the `figures` binary: an unknown `--` flag is
-//! rejected with exit status 2 and a hint before anything is simulated,
-//! exactly like an unknown figure id, while every documented flag parses.
+//! Command-line contract of the `figures` binary: an unknown `--` flag, or
+//! a valued flag with a missing or malformed value, is rejected with exit
+//! status 2 and a hint before anything is simulated, exactly like an
+//! unknown figure id, while every documented flag parses.
 
 use std::process::{Command, Output};
 
@@ -23,6 +24,24 @@ fn unknown_flags_exit_2_with_a_hint() {
             "{args:?}: the error must name the flag: {stderr}"
         );
         assert!(stderr.contains("--quick"), "{args:?}: the error must list the known flags");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run before the rejection");
+    }
+}
+
+#[test]
+fn missing_or_malformed_flag_values_exit_2_with_a_hint() {
+    for (args, hint) in [
+        (&["fig12a", "--threads"][..], "`--threads` needs a value: --threads N"),
+        (&["fig12a", "--threads="], "`--threads` needs a value: --threads N"),
+        (&["fig12a", "--threads", "x"], "`--threads` takes an integer (0 = all cores), not `x`"),
+        (&["fig12a", "--dram-model", "bogus"], "unknown dram model `bogus` (known: closed-form"),
+        (&["fig12a", "--store"], "`--store` needs a value: --store DIR"),
+        (&["fig12a", "--stats-json"], "`--stats-json` needs a value: --stats-json PATH"),
+    ] {
+        let out = figures(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be rejected: {stderr}");
+        assert!(stderr.contains(hint), "{args:?}: expected `{hint}` in: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run before the rejection");
     }
 }

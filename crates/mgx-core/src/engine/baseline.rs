@@ -4,7 +4,8 @@
 //! §VI-A): per-64 B-line version numbers stored in DRAM under an 8-ary
 //! integrity tree, per-64 B MACs, and a 32 KB shared metadata cache (LRU,
 //! write-back, write-allocate). The same engine with coarse uncached MACs is
-//! the MGX_MAC ablation.
+//! the MGX_MAC ablation, and with split-counter VN lines it is the stronger
+//! conventional baseline of the `ablation-vn-scheme` figure.
 //!
 //! Traffic rules per data line:
 //!
@@ -17,15 +18,33 @@
 //! * **Evictions** — a dirty VN/tree line writeback must update its parent
 //!   node (read-modify-write through the cache), which can cascade; the
 //!   cascade is bounded by the tree depth.
+//!
+//! Split counters (the VN compression of the paper's related work, refs
+//! [83]/[84]) change only the VN encoding: one 64 B VN line holds a shared
+//! 64-bit *major* counter plus 64 seven-bit *minors*, so it covers 4 KB of
+//! data instead of 512 B — 8× less VN bandwidth and a shallower tree. The
+//! cost: when a write overflows a minor, the major bumps and **every** line
+//! of the 4 KB group is re-encrypted (read + write of the whole group).
 
 use super::macside::CoarseMacTracker;
 use super::{
     emit_data, emit_data_burst, LineBurst, LineTxn, MetaTraffic, ProtectionEngine, TxnKind,
 };
-use crate::layout::{BaselineLayout, MetaKind};
+use crate::layout::{BaselineLayout, MetaKind, ENTRIES_PER_LINE};
 use crate::policy::ProtectionConfig;
 use mgx_cache::{AccessKind, CacheConfig, CacheSim};
 use mgx_trace::{Dir, MemRequest, RegionMap, LINE_BYTES};
+use std::collections::HashMap;
+
+/// A split-counter VN line covers 8× the data of an MEE one, so data
+/// addresses are shifted right by this before the layout's VN math.
+const SC_VN_SHIFT: u32 = 3;
+
+/// Data lines covered by one split-counter VN line (one minor each).
+const SC_LINES: u64 = ENTRIES_PER_LINE << SC_VN_SHIFT;
+
+/// The write that brings a 7-bit minor counter to this value overflows it.
+const MINOR_LIMIT: u8 = 127;
 
 #[derive(Debug, Clone)]
 enum MacMode {
@@ -35,41 +54,58 @@ enum MacMode {
     Coarse(CoarseMacTracker),
 }
 
-/// The baseline / MGX_MAC traffic model.
+/// Minor counters per 4 KB group: engine-internal state standing in for
+/// the values the hardware reads out of a cached split-counter VN line.
+type Minors = HashMap<u64, [u8; SC_LINES as usize]>;
+
+/// The baseline / MGX_MAC / split-counter traffic model.
 #[derive(Debug, Clone)]
 pub struct BaselineEngine {
     layout: BaselineLayout,
+    /// Right shift applied to a data address before `layout.vn_line_of`:
+    /// 0 for MEE VN lines, [`SC_VN_SHIFT`] for split counters.
+    vn_shift: u32,
     cache: CacheSim,
     mac: MacMode,
+    /// `Some` only under split counters.
+    minors: Option<Minors>,
     traffic: MetaTraffic,
-    name: &'static str,
 }
 
 impl BaselineEngine {
     /// The true baseline: fine MACs, cached metadata.
     pub fn fine_mac(config: &ProtectionConfig) -> Self {
-        Self::build(config, MacMode::FineCached, "BP")
+        Self::build(config, MacMode::FineCached, None)
     }
 
     /// The MGX_MAC ablation: off-chip VNs + tree, but coarse uncached MACs.
     pub fn coarse_mac(regions: &RegionMap, config: &ProtectionConfig) -> Self {
-        Self::build(
-            config,
-            MacMode::Coarse(CoarseMacTracker::new(config.resolve(regions))),
-            "MGX_MAC",
-        )
+        Self::build(config, MacMode::Coarse(CoarseMacTracker::new(config.resolve(regions))), None)
     }
 
-    fn build(config: &ProtectionConfig, mac: MacMode, name: &'static str) -> Self {
+    /// The split-counter baseline: fine cached MACs, and VN lines of one
+    /// major plus 64 minor counters, each covering 4 KB of data.
+    pub fn split_counter(config: &ProtectionConfig) -> Self {
+        Self::build(config, MacMode::FineCached, Some(Minors::new()))
+    }
+
+    fn build(config: &ProtectionConfig, mac: MacMode, minors: Option<Minors>) -> Self {
+        let (protected_bytes, vn_shift) = match minors {
+            None => (config.protected_bytes, 0),
+            // One tree leaf per split-counter line: the layout spans an 8×
+            // smaller space so its tree covers exactly those lines.
+            Some(_) => ((config.protected_bytes >> SC_VN_SHIFT).max(1 << 20), SC_VN_SHIFT),
+        };
         Self {
-            layout: BaselineLayout::new(config.protected_bytes, config.tree_arity),
+            layout: BaselineLayout::new(protected_bytes, config.tree_arity),
+            vn_shift,
             cache: CacheSim::new(CacheConfig {
                 capacity_bytes: config.metadata_cache_bytes,
                 ..CacheConfig::metadata_32k()
             }),
             mac,
+            minors,
             traffic: MetaTraffic::default(),
-            name,
         }
     }
 
@@ -129,7 +165,7 @@ impl BaselineEngine {
             Dir::Read => AccessKind::Read,
             Dir::Write => AccessKind::Write,
         };
-        let vn_line = self.layout.vn_line_of(data_line);
+        let vn_line = self.layout.vn_line_of(data_line >> self.vn_shift);
         let out = self.cache.access(vn_line, kind);
         if out.fill {
             self.record_emit(vn_line, Dir::Read, emit);
@@ -163,14 +199,57 @@ impl BaselineEngine {
     /// The per-line cached VN (+ fine MAC) walk shared verbatim by
     /// [`ProtectionEngine::expand`] and
     /// [`ProtectionEngine::expand_bursts`].
+    ///
+    /// Under split counters a write also bumps each line's minor counter.
+    /// The counters never touch the cache, so they are bumped ahead of the
+    /// walk, which pauses after an overflowing line's VN and MAC accesses
+    /// to emit its group's re-encryption. Elsewhere the loop runs once.
     fn cached_meta_walk(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
         let first = req.addr / LINE_BYTES;
         let last = (req.end() - 1) / LINE_BYTES;
-        for line in first..=last {
-            let addr = line * LINE_BYTES;
-            self.vn_access(addr, req.dir, emit);
-            if matches!(self.mac, MacMode::FineCached) {
-                self.mac_access_cached(addr, req.dir, emit);
+        let split_write = req.dir == Dir::Write && self.minors.is_some();
+        let mut from = first;
+        loop {
+            let overflow =
+                if split_write { (from..=last).find(|&line| self.bump_minor(line)) } else { None };
+            for line in from..=overflow.unwrap_or(last) {
+                let addr = line * LINE_BYTES;
+                self.vn_access(addr, req.dir, emit);
+                if matches!(self.mac, MacMode::FineCached) {
+                    self.mac_access_cached(addr, req.dir, emit);
+                }
+            }
+            let Some(line) = overflow else { return };
+            self.reencrypt_group(line, emit);
+            from = line + 1;
+        }
+    }
+
+    /// Bumps data line `line`'s minor counter, returning whether it
+    /// overflowed. An overflow bumps the major, which zeroes every minor
+    /// of the group.
+    fn bump_minor(&mut self, line: u64) -> bool {
+        let Some(minors) = &mut self.minors else { return false };
+        let counters = minors.entry(line / SC_LINES).or_insert([0; SC_LINES as usize]);
+        let slot = (line % SC_LINES) as usize;
+        counters[slot] += 1;
+        if counters[slot] < MINOR_LIMIT {
+            return false;
+        }
+        *counters = [0; SC_LINES as usize];
+        true
+    }
+
+    /// Re-encrypts the 4 KB group holding data line `line` after a major
+    /// bump: each line is read and written back, attributed to the VN
+    /// scheme rather than to data.
+    fn reencrypt_group(&mut self, line: u64, emit: &mut dyn FnMut(LineTxn)) {
+        let base = line / SC_LINES * SC_LINES * LINE_BYTES;
+        for i in 0..SC_LINES {
+            for dir in [Dir::Read, Dir::Write] {
+                let txn = LineTxn { addr: base + i * LINE_BYTES, dir, kind: TxnKind::Vn };
+                self.traffic.record(&txn);
+                emit(txn);
             }
         }
     }
@@ -192,10 +271,6 @@ impl BaselineEngine {
 }
 
 impl ProtectionEngine for BaselineEngine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
         emit_data(req, &mut self.traffic, emit);
         self.cached_meta_walk(req, emit);
@@ -336,5 +411,157 @@ mod tests {
         e.flush(&mut |t| kinds.push((t.dir, t.kind)));
         assert!(!kinds.is_empty());
         assert!(kinds.iter().all(|(d, _)| *d == Dir::Write));
+    }
+
+    /// Expands `req`, returning how many lines of minor-overflow
+    /// re-encryption it emitted (VN-kind transactions on data addresses).
+    fn reencrypted_lines(e: &mut BaselineEngine, req: &MemRequest) -> (u64, u64) {
+        let (mut reads, mut writes) = (0, 0);
+        e.expand(req, &mut |t| {
+            if t.kind == TxnKind::Vn && BaselineLayout::classify(t.addr) == MetaKind::Data {
+                match t.dir {
+                    Dir::Read => reads += 1,
+                    Dir::Write => writes += 1,
+                }
+            }
+        });
+        (reads, writes)
+    }
+
+    #[test]
+    fn split_counters_beat_mee_on_streaming_reads() {
+        let cfg = ProtectionConfig::default();
+        let mut sc = BaselineEngine::split_counter(&cfg);
+        let mut mee = BaselineEngine::fine_mac(&cfg);
+        stream(&mut sc, 0, Dir::Read, 8);
+        stream(&mut mee, 0, Dir::Read, 8);
+        let sc_vn = sc.traffic().vn_overhead();
+        let mee_vn = mee.traffic().vn_overhead();
+        assert!(sc_vn < mee_vn / 4.0, "SC VN overhead {sc_vn:.4} should be ≪ MEE {mee_vn:.4}");
+        // MAC side identical.
+        assert!((sc.traffic().mac_overhead() - mee.traffic().mac_overhead()).abs() < 0.01);
+    }
+
+    #[test]
+    fn minor_overflow_forces_group_reencryption() {
+        let mut sc = BaselineEngine::split_counter(&ProtectionConfig::default());
+        let req = MemRequest::write(mgx_trace::RegionId(0), 0, 64);
+        // Hammer one line: only the MINOR_LIMIT-th write overflows, and it
+        // moves the whole 4 KB group both ways.
+        let mut storms = Vec::new();
+        for _ in 0..MINOR_LIMIT {
+            storms.push(reencrypted_lines(&mut sc, &req));
+        }
+        assert_eq!(storms.pop(), Some((SC_LINES, SC_LINES)));
+        assert!(storms.iter().all(|&s| s == (0, 0)), "no earlier write overflows");
+        assert!(sc.traffic().vn.read_bytes >= SC_LINES * 64);
+        assert!(sc.traffic().vn.write_bytes >= SC_LINES * 64);
+    }
+
+    #[test]
+    fn burst_expansion_matches_per_line_including_overflow_storms() {
+        let cfg = ProtectionConfig::default();
+        let mut scalar = BaselineEngine::split_counter(&cfg);
+        let mut batched = BaselineEngine::split_counter(&cfg);
+        let region = mgx_trace::RegionId(0);
+        let mut storm_lines = 0;
+        // Enough same-line writes to trip a minor overflow mid-stream,
+        // interleaved with reads that exercise the cached VN/MAC walks.
+        for i in 0..(MINOR_LIMIT as u64 + 40) {
+            let reqs =
+                [MemRequest::write(region, 0, 64), MemRequest::read(region, (i % 7) * 4096, 2048)];
+            for req in reqs {
+                let mut a = Vec::new();
+                scalar.expand(&req, &mut |t| a.push(t));
+                let mut b = Vec::new();
+                batched.expand_bursts(&req, &mut |burst| b.extend(burst.iter_lines()));
+                assert_eq!(a, b, "burst stream diverged at step {i}");
+                storm_lines +=
+                    a.iter().filter(|t| t.kind == TxnKind::Vn && t.addr < SC_LINES * 64).count();
+            }
+        }
+        assert!(storm_lines > 0, "the stream must trip an overflow");
+        assert_eq!(scalar.traffic(), batched.traffic());
+    }
+
+    #[test]
+    fn split_counter_write_walks_like_its_lines_written_one_by_one() {
+        // Minors are bumped ahead of the walk; every re-encryption must
+        // still land right after its own line's VN and MAC accesses.
+        let cfg = ProtectionConfig {
+            protected_bytes: 8 << 20,
+            metadata_cache_bytes: 512,
+            ..ProtectionConfig::default()
+        };
+        let mut whole = BaselineEngine::split_counter(&cfg);
+        let mut by_line = BaselineEngine::split_counter(&cfg);
+        let region = mgx_trace::RegionId(0);
+        let meta = |e: &mut BaselineEngine, req: &MemRequest, out: &mut Vec<LineTxn>| {
+            e.expand(req, &mut |t| {
+                if t.kind != TxnKind::Data {
+                    out.push(t)
+                }
+            })
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..1200u64 {
+            // 3–6 lines straddling a 4 KB group boundary, over 16 KiB.
+            let addr = (i * 4096 + 4096 - 192) % (16 << 10);
+            let req = MemRequest::write(region, addr, 192 + (i % 4) * 64);
+            meta(&mut whole, &req, &mut a);
+            for line in req.addr / 64..=(req.end() - 1) / 64 {
+                meta(&mut by_line, &MemRequest::write(region, line * 64, 64), &mut b);
+            }
+        }
+        assert_eq!(a, b);
+        assert!(a.iter().any(|t| t.kind == TxnKind::Vn && t.addr < SC_LINES * 64 * 4));
+    }
+
+    #[test]
+    fn no_overflow_under_normal_write_counts() {
+        let mut sc = BaselineEngine::split_counter(&ProtectionConfig::default());
+        let region = mgx_trace::RegionId(0);
+        for i in 0..(4u64 << 20) / 4096 {
+            let req = MemRequest::write(region, i * 4096, 4096);
+            assert_eq!(
+                reencrypted_lines(&mut sc, &req),
+                (0, 0),
+                "single-pass writes never overflow"
+            );
+        }
+    }
+
+    #[test]
+    fn split_counter_dirty_eviction_fills_a_missing_parent() {
+        // One fully associative 8-line set over a 4-level tree (8 MiB of
+        // data is 1 MiB of split-counter index space).
+        let cfg = ProtectionConfig {
+            protected_bytes: 8 << 20,
+            metadata_cache_bytes: 512,
+            ..ProtectionConfig::default()
+        };
+        let mut sc = BaselineEngine::split_counter(&cfg);
+        let region = mgx_trace::RegionId(0);
+        // The write climb dirties the VN line and its whole tree path;
+        // re-reading the line makes the VN line younger than that path, so
+        // LRU evicts the parent before the VN line.
+        sc.expand(&MemRequest::write(region, 0, 64), &mut |_| {});
+        sc.expand(&MemRequest::read(region, 0, 64), &mut |_| {});
+        let mut txns = Vec::new();
+        for i in 1..16u64 {
+            sc.expand(&MemRequest::read(region, i << 18, 64), &mut |t| txns.push(t));
+        }
+        let vn_line = sc.layout.vn_line_of(0);
+        let wb = txns
+            .iter()
+            .position(|t| t.addr == vn_line && t.dir == Dir::Write)
+            .expect("the dirty VN line is evicted");
+        let parent =
+            LineTxn { addr: sc.layout.vn_parent(vn_line), dir: Dir::Read, kind: TxnKind::Tree };
+        assert_eq!(
+            txns.get(wb + 1),
+            Some(&parent),
+            "the writeback refills its parent to update it"
+        );
     }
 }

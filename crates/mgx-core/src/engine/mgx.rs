@@ -22,7 +22,6 @@ enum MacSide {
 pub struct MgxEngine {
     mac: MacSide,
     traffic: MetaTraffic,
-    name: &'static str,
 }
 
 impl MgxEngine {
@@ -31,25 +30,16 @@ impl MgxEngine {
         Self {
             mac: MacSide::Coarse(CoarseMacTracker::new(config.resolve(regions))),
             traffic: MetaTraffic::default(),
-            name: "MGX",
         }
     }
 
     /// MGX_VN ablation: on-chip VNs but per-64 B MACs.
-    pub fn fine(_regions: &RegionMap) -> Self {
-        Self {
-            mac: MacSide::Fine(FineMacTracker::new()),
-            traffic: MetaTraffic::default(),
-            name: "MGX_VN",
-        }
+    pub fn fine() -> Self {
+        Self { mac: MacSide::Fine(FineMacTracker::new()), traffic: MetaTraffic::default() }
     }
 }
 
 impl ProtectionEngine for MgxEngine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
         emit_data(req, &mut self.traffic, emit);
         match &mut self.mac {
@@ -119,7 +109,7 @@ mod tests {
     #[test]
     fn mgx_vn_streaming_overhead_is_12_5_percent() {
         let regions = regions();
-        let mut e = MgxEngine::fine(&regions);
+        let mut e = MgxEngine::fine();
         let feat = regions.iter().next().unwrap().0;
         let base = regions.get(feat).base;
         for i in 0..256u64 {

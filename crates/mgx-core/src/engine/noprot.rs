@@ -17,10 +17,6 @@ impl NoProtection {
 }
 
 impl ProtectionEngine for NoProtection {
-    fn name(&self) -> &'static str {
-        "NP"
-    }
-
     fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
         emit_data(req, &mut self.traffic, emit);
     }

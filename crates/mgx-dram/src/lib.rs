@@ -624,11 +624,6 @@ impl DramSim {
         done
     }
 
-    /// Resets all bank/bus state and statistics (new measurement window).
-    pub fn reset(&mut self) {
-        *self = Self::new(self.cfg);
-    }
-
     /// The row currently open in the bank `loc` names, if any — the
     /// readiness predicate the FR-FCFS scheduler in
     /// [`QueuedDramSim`] scans with.
@@ -659,10 +654,6 @@ impl DramModel for DramSim {
 
     fn access_burst(&mut self, arrival: u64, addr: u64, lines: u64, dir: Dir) -> u64 {
         DramSim::access_burst(self, arrival, addr, lines, dir)
-    }
-
-    fn reset(&mut self) {
-        DramSim::reset(self);
     }
 }
 
@@ -941,16 +932,6 @@ mod tests {
         let peak = sim.config().peak_bytes_per_cycle();
         assert!(bpc > 0.85 * peak, "burst streaming {bpc:.2} B/c vs peak {peak:.2}");
         assert!(sim.stats().row_hit_rate() > 0.9);
-    }
-
-    #[test]
-    fn reset_clears_state_and_stats() {
-        let mut sim = one_channel();
-        sim.access(0, 0, Dir::Read);
-        sim.reset();
-        assert_eq!(sim.stats(), DramStats::default());
-        let cfg = sim.config();
-        assert_eq!(sim.access(0, 0, Dir::Read), cfg.t_rcd + cfg.t_cl + cfg.t_bl);
     }
 }
 

@@ -98,9 +98,6 @@ pub trait DramModel: Send {
     fn drain(&mut self) -> u64 {
         0
     }
-
-    /// Resets all state and statistics (new measurement window).
-    fn reset(&mut self);
 }
 
 /// Selects which [`DramModel`] implementation a simulation runs on.
@@ -188,9 +185,6 @@ mod tests {
             }
             fn access(&mut self, arrival: u64, addr: u64, dir: Dir) -> u64 {
                 self.0.access(arrival, addr, dir)
-            }
-            fn reset(&mut self) {
-                self.0.reset();
             }
         }
         let cfg = DramConfig::ddr4_2400(2);

@@ -395,20 +395,6 @@ impl DramModel for QueuedDramSim {
         }
         std::mem::take(&mut self.window_done)
     }
-
-    fn reset(&mut self) {
-        self.sim.reset();
-        for q in &mut self.queues {
-            q.clear();
-        }
-        for n in &mut self.lines_queued {
-            *n = 0;
-        }
-        for rows in &mut self.open_rows {
-            rows.fill(NO_ROW);
-        }
-        self.window_done = 0;
-    }
 }
 
 #[cfg(test)]
@@ -556,15 +542,5 @@ mod tests {
             queued_done < inorder_done,
             "batched rows must finish earlier ({queued_done} vs {inorder_done})"
         );
-    }
-
-    #[test]
-    fn reset_clears_queues_and_window() {
-        let mut q = QueuedDramSim::new(cfg());
-        q.access(0, 0, Dir::Write);
-        q.reset();
-        assert_eq!(q.queued(), 0);
-        assert_eq!(q.drain(), 0);
-        assert_eq!(q.stats(), DramStats::default());
     }
 }

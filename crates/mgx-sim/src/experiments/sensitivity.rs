@@ -155,53 +155,14 @@ pub fn dataflow_ablation(scale: &Scale) -> Figure {
 /// MEE baseline vs split-counter baseline vs MGX: does MGX's advantage
 /// survive a stronger (VN-compressing) conventional scheme?
 pub fn vn_scheme_comparison(scale: &Scale) -> Figure {
-    use mgx_core::engine::SplitCounterEngine;
-    use mgx_core::ProtectionEngine;
     let trace = resnet_trace(scale, Dataflow::WeightStationary);
     let cfg = SimConfig::overlapped(4, 700);
     let np = Simulation::over(&trace).config(cfg.clone()).run();
     let mut rows = Vec::new();
-    for scheme in [Scheme::Mgx, Scheme::Baseline] {
+    for scheme in [Scheme::Mgx, Scheme::Baseline, Scheme::SplitCounter] {
         let r = Simulation::over(&trace).config(cfg.clone()).scheme(scheme).run();
         rows.push(row("ResNet".into(), "Cloud".into(), scheme, &np, &r));
     }
-    // The split-counter engine is not one of the paper's five schemes, so
-    // drive it through the raw traffic path and report it as a BP row with
-    // a labelled workload.
-    let mut engine = SplitCounterEngine::new(&cfg.protection);
-    let mut dram = cfg.dram_backend.build(cfg.dram);
-    let mut now = 0u64;
-    // Same fractional-carry accel→DRAM conversion as the pipeline proper,
-    // and the same burst currency (reads as emitted, writes drained after
-    // the phase's reads).
-    let mut carry = 0u64;
-    for phase in &trace.phases {
-        let compute = cfg.to_dram(phase.compute_cycles, &mut carry);
-        let mut bursts = Vec::new();
-        for req in &phase.requests {
-            engine.expand_bursts(req, &mut |b| bursts.push(b));
-        }
-        let mut done = now;
-        for b in bursts.iter().filter(|b| b.dir.is_read()) {
-            done = done.max(dram.access_burst(now, b.addr, b.lines, b.dir));
-        }
-        for b in bursts.iter().filter(|b| !b.dir.is_read()) {
-            done = done.max(dram.access_burst(now, b.addr, b.lines, b.dir));
-        }
-        done = done.max(dram.drain());
-        now += compute.max(done - now);
-    }
-    engine.flush(&mut |_| {});
-    let t = engine.traffic();
-    rows.push(Row {
-        workload: "ResNet (split-counter)".into(),
-        config: "Cloud".into(),
-        scheme: Scheme::Baseline,
-        traffic_increase: t.total_bytes() as f64 / np.total_bytes().max(1) as f64,
-        normalized_time: now as f64 / np.dram_cycles.max(1) as f64,
-        mac_overhead: t.mac_overhead(),
-        vn_overhead: t.vn_overhead(),
-    });
     Figure {
         id: "ablation-vn-scheme",
         title: "MGX vs MEE vs split-counter baselines (ResNet inference)".into(),
@@ -270,6 +231,7 @@ mod tests {
     fn split_counter_sits_between_mgx_and_mee() {
         let fig = vn_scheme_comparison(&tiny());
         assert_eq!(fig.rows.len(), 3);
+        assert_eq!(fig.rows[2].scheme.label(), "BP_SC");
         let mgx = fig.rows[0].traffic_increase;
         let mee = fig.rows[1].traffic_increase;
         let sc = fig.rows[2].traffic_increase;

@@ -373,6 +373,7 @@ mod tests {
             assert_eq!(scheme_from_label(s.label()), Some(s));
         }
         assert_eq!(scheme_from_label("np"), None, "labels are case-sensitive");
+        assert_eq!(scheme_from_label("BP_SC"), None, "split counters stay off the wire");
     }
 
     #[test]

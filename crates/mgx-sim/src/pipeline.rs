@@ -98,11 +98,7 @@ impl SimConfig {
     /// time by ~a million cycles. Each [`SchemeRun`] owns one carry, so the
     /// total over any phase stream is exact to the last cycle and streamed
     /// simulation stays bit-identical to the collected one.
-    ///
-    /// `pub(crate)` so ad-hoc timing paths outside the pipeline (the
-    /// split-counter comparison in `experiments::sensitivity`) share the
-    /// exact conversion instead of re-deriving it.
-    pub(crate) fn to_dram(&self, cycles: u64, carry: &mut u64) -> u64 {
+    fn to_dram(&self, cycles: u64, carry: &mut u64) -> u64 {
         let denom = self.accel_freq_mhz as u128;
         let num = cycles as u128 * self.dram.freq_mhz as u128 + *carry as u128;
         *carry = (num % denom) as u64;
@@ -361,47 +357,6 @@ impl<S: TraceSource> Simulation<S> {
         self
     }
 
-    /// Sets the DRAM channel configuration.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.cfg.dram = dram;
-        self
-    }
-
-    /// Sets the accelerator clock (phases carry cycles at this clock).
-    pub fn accel_freq_mhz(mut self, mhz: u64) -> Self {
-        self.cfg.accel_freq_mhz = mhz;
-        self
-    }
-
-    /// Sets the phase combination mode.
-    pub fn mode(mut self, mode: PhaseMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the protection parameters.
-    pub fn protection(mut self, protection: ProtectionConfig) -> Self {
-        self.cfg.protection = protection;
-        self
-    }
-
-    /// Selects the transaction currency ([`TxnPath::Burst`] by default).
-    /// [`TxnPath::PerLine`] is the slow reference path; results are
-    /// bit-identical either way.
-    pub fn txn_path(mut self, path: TxnPath) -> Self {
-        self.cfg.txn_path = path;
-        self
-    }
-
-    /// Selects the DRAM timing backend ([`DramBackend::ClosedForm`] by
-    /// default). [`DramBackend::Queued`] models controller queuing with
-    /// FR-FCFS reordering — a *different* (higher-fidelity) timing
-    /// answer, not a bit-identical alternative path.
-    pub fn dram_backend(mut self, backend: DramBackend) -> Self {
-        self.cfg.dram_backend = backend;
-        self
-    }
-
     /// Consumes the source under the selected scheme.
     pub fn run(self) -> RunResult {
         let (regions, phases) = self.source.into_stream();
@@ -608,8 +563,11 @@ mod tests {
     fn per_line_reference_path_is_bit_identical_to_bursts() {
         let trace = stream_trace(2, 25);
         let burst = Simulation::over(&trace).config(cfg()).run_all();
-        let line = Simulation::over(&trace).config(cfg()).txn_path(TxnPath::PerLine).run_all();
-        for (b, l) in burst.iter().zip(&line) {
+        let per_line = SimConfig { txn_path: TxnPath::PerLine, ..cfg() };
+        let line = Simulation::over(&trace).config(per_line.clone()).run_all();
+        let sc = |cfg| Simulation::over(&trace).config(cfg).scheme(Scheme::SplitCounter).run();
+        let (burst_sc, line_sc) = (sc(cfg()), sc(per_line));
+        for (b, l) in burst.iter().chain([&burst_sc]).zip(line.iter().chain([&line_sc])) {
             assert_eq!(b.scheme, l.scheme);
             assert_eq!(b.dram_cycles, l.dram_cycles, "{:?} diverged", b.scheme);
             assert_eq!(b.traffic, l.traffic, "{:?} traffic diverged", b.scheme);
@@ -625,8 +583,9 @@ mod tests {
         // run exactly, while timing is free to differ.
         let trace = stream_trace(2, 25);
         let closed = Simulation::over(&trace).config(cfg()).run_all();
-        let queued =
-            Simulation::over(&trace).config(cfg()).dram_backend(DramBackend::Queued).run_all();
+        let queued = Simulation::over(&trace)
+            .config(SimConfig { dram_backend: DramBackend::Queued, ..cfg() })
+            .run_all();
         for (c, q) in closed.iter().zip(&queued) {
             assert_eq!(c.scheme, q.scheme);
             assert_eq!(c.traffic, q.traffic, "{:?} traffic diverged", c.scheme);

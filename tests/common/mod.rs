@@ -26,7 +26,7 @@ pub fn config_for(mode: PhaseMode) -> SimConfig {
 
 /// The five-scheme sweep of `trace` on `path`.
 pub fn run_all(trace: &Trace, cfg: &SimConfig, path: TxnPath) -> Vec<RunResult> {
-    Simulation::over(trace).config(cfg.clone()).txn_path(path).run_all()
+    Simulation::over(trace).config(SimConfig { txn_path: path, ..cfg.clone() }).run_all()
 }
 
 /// Asserts two five-scheme sweeps are bit-identical, field by field.
