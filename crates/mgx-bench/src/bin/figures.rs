@@ -5,11 +5,13 @@
 //! cargo run -p mgx-bench --release --bin figures -- fig13a fig14b --quick
 //! ```
 //!
-//! `--list` prints the available figure ids with one-line descriptions
-//! and exits. `--quick` uses the reduced CI scale (see `mgx_sim::Scale`);
-//! the default is the standard scale recorded in EXPERIMENTS.md. `--json`
-//! switches every figure (and the summary table) to machine-readable
-//! per-scheme JSON, one object per line, for downstream plotting.
+//! `--list` prints the available figure ids with their titles and exits.
+//! `--quick` uses the reduced CI scale (see `mgx_sim::Scale`); the
+//! default is the standard scale recorded in EXPERIMENTS.md. `--json`
+//! switches every figure (and the summary and pruning tables) to
+//! machine-readable JSON, one object per line, for downstream plotting.
+//! Every id comes from `mgx_sim::experiments::FIGURES`; each suite an
+//! id needs is simulated once and shared by every id that reads it.
 //! `--threads N` fans the independent workloads of each suite across `N`
 //! pool workers (`0` = one per core); results are byte-identical to the
 //! serial run, only wall-clock changes. `--store DIR` routes every suite
@@ -33,16 +35,11 @@ use mgx_core::MetaTraffic;
 use mgx_obs::Registry;
 use mgx_serve::codec::evaluated_from_json;
 use mgx_serve::{ResultStore, StoreConfig};
-use mgx_sim::experiments::{
-    self, dnn, genome, graph, sensitivity, transformer, video, Evaluated, FIGURE_CATALOG,
-};
+use mgx_sim::experiments::{entry, Evaluated, FIGURES};
 use mgx_sim::job::{JobSpec, Suite};
-use mgx_sim::{render, render_json, DramBackend, Figure, Scale};
+use mgx_sim::{DramBackend, Scale};
+use std::collections::HashMap;
 use std::path::PathBuf;
-
-fn wants(args: &[String], id: &str) -> bool {
-    args.iter().any(|a| a == id || a == "all")
-}
 
 /// Progress note: how much DRAM traffic a suite's sweep actually moved.
 fn log_volume(name: &str, evals: &[Evaluated]) {
@@ -142,133 +139,48 @@ fn main() {
         ));
     }
     if args.iter().any(|a| a == "--list") {
-        println!("{:<10} description", "figure");
-        for (id, desc) in FIGURE_CATALOG {
-            println!("{id:<10} {desc}");
+        println!("{:<10} title", "figure");
+        for e in FIGURES {
+            println!("{:<10} {}", e.id, e.title);
         }
+        println!("{:<10} Everything above", "all");
         return;
     }
     // One registry for the whole invocation: suite sweeps, the result
     // store, and the `--stats-json` side-file all share it.
     let registry = Registry::new();
     let store = store_dir.map(|dir| {
-        ResultStore::open_observed(StoreConfig { mem_entries: 16, disk: Some(dir) }, &registry)
+        ResultStore::open(StoreConfig { mem_entries: 16, disk: Some(dir) }, &registry)
             .expect("--store directory must be creatable")
     });
     let store = store.as_ref();
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let scale = if quick { Scale::quick() } else { Scale::standard() };
-    let print = |fig: &Figure| {
-        if json {
-            println!("{}", render_json(fig));
-        } else {
-            println!("{}", render(fig));
-        }
-    };
-    let args: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
-    let args = if args.is_empty() { vec!["all".to_string()] } else { args };
-    for id in &args {
-        if !FIGURE_CATALOG.iter().any(|(known, _)| known == id) {
-            eprintln!("unknown figure `{id}` — run with --list to see the available ids");
-            std::process::exit(2);
-        }
+    let ids: Vec<&str> = args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();
+    let ids = if ids.is_empty() { vec!["all"] } else { ids };
+    if let Some(id) = ids.iter().find(|&&id| id != "all" && entry(id).is_none()) {
+        eprintln!("unknown figure `{id}` — run with --list to see the available ids");
+        std::process::exit(2);
     }
 
     eprintln!("# scale: {scale:?}");
     eprintln!("# dram model: {}", backend.name());
     eprintln!("# threads: {} ({threads} requested)", mgx_sim::parallel::resolve_threads(threads));
 
-    let need_dnn_inf = ["fig3", "fig12a", "fig13a", "summary"].iter().any(|f| wants(&args, f));
-    let need_dnn_train = ["fig3", "fig12b", "fig13b", "summary"].iter().any(|f| wants(&args, f));
-    let need_graph = ["fig3", "fig14a", "fig14b", "summary"].iter().any(|f| wants(&args, f));
-    let need_llm = ["llm-traffic", "llm-time"].iter().any(|f| wants(&args, f));
-
-    let dnn_inf: Vec<Evaluated> = if need_dnn_inf {
-        eprintln!("# simulating DNN inference suite…");
-        let e = suite_evals(Suite::DnnInference, &scale, threads, backend, store, &registry);
-        log_volume("DNN inference", &e);
-        e
-    } else {
-        Vec::new()
-    };
-    let dnn_train: Vec<Evaluated> = if need_dnn_train {
-        eprintln!("# simulating DNN training suite…");
-        let e = suite_evals(Suite::DnnTraining, &scale, threads, backend, store, &registry);
-        log_volume("DNN training", &e);
-        e
-    } else {
-        Vec::new()
-    };
-    let graphs: Vec<Evaluated> = if need_graph {
-        eprintln!("# simulating graph suite…");
-        let e = suite_evals(Suite::Graph, &scale, threads, backend, store, &registry);
-        log_volume("graph", &e);
-        e
-    } else {
-        Vec::new()
-    };
-    let llm: Vec<Evaluated> = if need_llm {
-        eprintln!("# simulating transformer suite…");
-        let e = suite_evals(Suite::Transformer, &scale, threads, backend, store, &registry);
-        log_volume("transformer", &e);
-        e
-    } else {
-        Vec::new()
-    };
-
-    if wants(&args, "fig3") {
-        print(&experiments::fig3(&dnn_inf, &dnn_train, &graphs));
-    }
-    if wants(&args, "fig12a") {
-        print(&dnn::fig12(&dnn_inf, false));
-    }
-    if wants(&args, "fig12b") {
-        print(&dnn::fig12(&dnn_train, true));
-    }
-    if wants(&args, "fig13a") {
-        print(&dnn::fig13(&dnn_inf, false));
-    }
-    if wants(&args, "fig13b") {
-        print(&dnn::fig13(&dnn_train, true));
-    }
-    if wants(&args, "fig14a") {
-        print(&graph::fig14a(&graphs));
-    }
-    if wants(&args, "fig14b") {
-        print(&graph::fig14b(&graphs));
-    }
-    if wants(&args, "fig16") {
-        eprintln!("# simulating GACT suite…");
-        let g = suite_evals(Suite::Genome, &scale, threads, backend, store, &registry);
-        print(&genome::fig16(&g));
-    }
-    if wants(&args, "h264") {
-        let v = suite_evals(Suite::Video, &scale, threads, backend, store, &registry);
-        print(&video::fig_h264(&v));
-    }
-    if wants(&args, "llm-traffic") {
-        print(&transformer::fig_llm_traffic(&llm));
-    }
-    if wants(&args, "llm-time") {
-        print(&transformer::fig_llm_time(&llm));
-    }
-    if wants(&args, "pruning") {
-        println!("{}", pruning_table());
-    }
-    if wants(&args, "ablations") {
-        eprintln!("# running ablation sweeps…");
-        for fig in sensitivity::all(&scale, threads) {
-            print(&fig);
+    // Table order, not argument order; each suite is simulated (or
+    // reloaded) at most once and shared by every entry that reads it.
+    let mut sweeps: HashMap<Suite, Vec<Evaluated>> = HashMap::new();
+    for e in FIGURES.iter().filter(|e| ids.iter().any(|&id| id == e.id || id == "all")) {
+        for &suite in e.suites() {
+            sweeps.entry(suite).or_insert_with(|| {
+                eprintln!("# simulating {} suite…", suite.name());
+                let evals = suite_evals(suite, &scale, threads, backend, store, &registry);
+                log_volume(suite.name(), &evals);
+                evals
+            });
         }
-    }
-    if wants(&args, "summary") {
-        let claims = experiments::summary_claims(&dnn_inf, &dnn_train, &graphs);
-        if json {
-            println!("{}", experiments::render_claims_json(&claims));
-        } else {
-            println!("{}", experiments::render_claims(&claims));
-        }
+        print!("{}", e.render(|suite| &sweeps[&suite], &scale, threads, json));
     }
     if let Some(path) = stats_path {
         // The side-file is the registry itself, wrapped with the run's
@@ -282,44 +194,4 @@ fn main() {
         std::fs::write(&path, doc).expect("--stats-json path must be writable");
         eprintln!("# wrote run metrics to {}", path.display());
     }
-}
-
-/// §VII-B: compression-format sizes and the dynamic-pruning traffic factor
-/// (Fig 20's setting) on a synthetic sparse feature tile.
-fn pruning_table() -> String {
-    use mgx_dnn::pruning::{ChannelMask, CscTile, CsrTile, DenseTile, RlcTile};
-    let mut out = String::from("## pruning — §VII-B compressed formats (64×64 tile)\n");
-    out.push_str(&format!("{:<12} {:>10} {:>10} {:>8}\n", "density", "format", "bytes", "ratio"));
-    for density_pct in [5u32, 15, 30, 60] {
-        let mut data = vec![0.0f32; 64 * 64];
-        for (i, v) in data.iter_mut().enumerate() {
-            if (i as u32 * 2654435761) % 100 < density_pct {
-                *v = i as f32 + 1.0;
-            }
-        }
-        let t = DenseTile::new(64, 64, data);
-        let dense = 64 * 64 * 4;
-        for (name, bytes) in [
-            ("CSR", CsrTile::encode(&t).bytes()),
-            ("CSC", CscTile::encode(&t).bytes()),
-            ("RLC", RlcTile::encode(&t).bytes()),
-        ] {
-            out.push_str(&format!(
-                "{:<12} {:>10} {:>10} {:>8.2}\n",
-                format!("{density_pct}%"),
-                name,
-                bytes,
-                bytes as f64 / dense as f64
-            ));
-        }
-    }
-    let saliency: Vec<f32> = (0..64).map(|i| (i % 10) as f32 / 10.0).collect();
-    let mask = ChannelMask::from_saliency(&saliency, 0.5);
-    out.push_str(&format!(
-        "channel gating: {}/{} channels kept, traffic ×{:.2}\n",
-        mask.active(),
-        mask.len(),
-        mask.traffic_factor()
-    ));
-    out
 }

@@ -51,9 +51,9 @@ use mgx_obs::Registry;
 use mgx_serve::codec::{evaluated_from_json, spec_to_wire};
 use mgx_serve::json::Json;
 use mgx_serve::Client;
-use mgx_sim::experiments::suite_figures;
+use mgx_sim::experiments::{entry, Source, FIGURES};
 use mgx_sim::job::{scheme_from_label, JobSpec, Suite};
-use mgx_sim::{render_json, DramBackend, Scale};
+use mgx_sim::{DramBackend, Scale};
 
 fn die(msg: &str) -> ! {
     eprintln!("mgx-client: {msg}");
@@ -155,24 +155,31 @@ fn main() {
         }
         "render" => {
             let fig = if args.is_empty() { die("need a figure id") } else { args.remove(0) };
-            // The shared per-suite registry (`mgx_sim::experiments`) names
-            // the suite and builder; the figure id implies the suite, so
-            // `--suite` is optional here.
-            let builders = suite_figures();
-            let Some((_, suite, build)) = builders.iter().find(|(id, _, _)| *id == fig) else {
-                let known: Vec<&str> = builders.iter().map(|(id, _, _)| *id).collect();
+            // The figure table (`mgx_sim::experiments::FIGURES`) names the
+            // suite and schemes; the figure id implies the suite, so
+            // `--suite` is optional here. Only single-suite entries can be
+            // rendered from one served sweep.
+            let Some((figure, suite)) = entry(&fig).and_then(|e| match e.source {
+                Source::Suite(suite, _) => Some((e, suite)),
+                _ => None,
+            }) else {
+                let known: Vec<&str> = FIGURES
+                    .iter()
+                    .filter(|e| matches!(e.source, Source::Suite(..)))
+                    .map(|e| e.id)
+                    .collect();
                 die(&format!("unknown figure `{fig}` (render supports: {})", known.join(" ")));
             };
             // Figures need the full five-scheme sweep; any --schemes flag
             // is overridden so the document reloads as `Evaluated`s.
-            let mut spec = spec_from_flags(&mut args, Some(*suite));
-            spec = JobSpec { suite: *suite, schemes: Scheme::ALL.to_vec(), ..spec };
+            let mut spec = spec_from_flags(&mut args, Some(suite));
+            spec = JobSpec { suite, schemes: Scheme::ALL.to_vec(), ..spec };
             let doc = connect(&addr).run(&spec).unwrap_or_else(|e| die(&e.to_string()));
             if doc.contains("\"ok\":false") {
                 die(&format!("server error: {doc}"));
             }
             let evals = evaluated_from_json(&doc).unwrap_or_else(|e| die(&e));
-            println!("{}", render_json(&build(&evals)));
+            print!("{}", figure.render(|_| &evals, &spec.scale, spec.threads, true));
         }
         "metrics" => {
             let mut c = connect(&addr);

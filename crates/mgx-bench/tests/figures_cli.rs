@@ -1,8 +1,10 @@
 //! Command-line contract of the `figures` binary: an unknown `--` flag, or
 //! a valued flag with a missing or malformed value, is rejected with exit
 //! status 2 and a hint before anything is simulated, exactly like an
-//! unknown figure id, while every documented flag parses.
+//! unknown figure id, while every documented flag parses; and `--json`
+//! prints one JSON object per line.
 
+use mgx_serve::json::Json;
 use std::process::{Command, Output};
 
 fn figures(args: &[&str]) -> Output {
@@ -66,4 +68,20 @@ fn every_documented_flag_is_accepted() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("fig12a"), "--list prints the catalog");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn json_mode_prints_one_json_object_per_line() {
+    let out = figures(&["pruning", "h264", "--quick", "--json"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let ids: Vec<String> = stdout
+        .lines()
+        .map(|line| {
+            let doc = Json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+            let id = doc.get("id").and_then(Json::as_str);
+            id.unwrap_or_else(|| panic!("no \"id\": {line}")).to_string()
+        })
+        .collect();
+    assert_eq!(ids, ["h264", "pruning"], "table order, one line each");
 }

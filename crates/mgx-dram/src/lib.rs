@@ -633,8 +633,8 @@ impl DramSim {
 }
 
 /// The closed-form simulator is the default [`DramModel`]: every method
-/// delegates to the inherent implementation, `access_burst` overrides the
-/// scalar-loop default with the bit-identical row-streak fast path.
+/// delegates to the inherent implementation, `access_burst` to the
+/// bit-identical row-streak fast path.
 impl DramModel for DramSim {
     fn config(&self) -> DramConfig {
         DramSim::config(self)

@@ -3,57 +3,39 @@
 //! Everything above this crate (the pipeline, the experiment registry, the
 //! binaries) speaks to DRAM through the [`DramModel`] trait; the concrete
 //! [`DramSim`](crate::DramSim) closed-form simulator is merely its default
-//! implementation. The seam exists so higher-fidelity backends — the
-//! native [`QueuedDramSim`](crate::QueuedDramSim) here, or an FFI binding
-//! to a real cycle-accurate simulator such as DRAMsim3 — can slot in
-//! without the pipeline knowing which one it drives.
+//! implementation. The seam lets a higher-fidelity backend — the native
+//! [`QueuedDramSim`](crate::QueuedDramSim) here — slot in without the
+//! pipeline knowing which one it drives.
 //!
-//! # Capability tiers
+//! # Contract
 //!
-//! The trait is layered so a backend only implements what it can honor:
-//!
-//! * **Required** (`access`, `decode`, `stats`, …): every backend must
-//!   service single line transactions and expose the shared address
-//!   mapping. The decode bit-layout is part of the contract — the
-//!   cross-validation proptests in `tests/backend_crossval.rs` hold every
-//!   backend to the same address→(channel, rank, bank, row) layout, so a
-//!   misaligned mapping (the classic integration bug when wiring external
-//!   simulators) cannot ship silently.
-//! * **Burst** (`access_burst`): the default implementation is the scalar
-//!   loop — one `access` per line. [`DramSim`](crate::DramSim) overrides
-//!   it with closed-form row-streak arithmetic that is bit-identical to
-//!   the loop; backends that cannot make that guarantee simply inherit
-//!   the loop and the pipeline's `TxnPath::Burst` degrades gracefully to
-//!   per-line servicing without any caller-side branching.
+//! * **Required** (`access`, `access_burst`, `decode`, `stats`, …): every
+//!   backend must service single line transactions and bursts of
+//!   consecutive lines, and expose the shared address mapping. A burst is
+//!   bit-identical to one `access` per line, only faster:
+//!   [`DramSim`](crate::DramSim) uses closed-form row-streak arithmetic,
+//!   [`QueuedDramSim`](crate::QueuedDramSim) a run-granular service loop
+//!   built on top of it. The decode bit-layout is part of the contract —
+//!   the cross-validation proptests in `tests/backend_crossval.rs` hold
+//!   every backend to the same address→(channel, rank, bank, row) layout,
+//!   so a misaligned mapping cannot ship silently.
 //! * **Deferred service** (`drain`): a queueing backend may postpone
 //!   servicing to reorder transactions. The pipeline calls `drain` at
 //!   every phase boundary (the legal reorder window — all of a phase's
 //!   transactions share one arrival cycle) and folds the returned
 //!   completion into the phase's finish time. Immediate-service backends
 //!   keep the default (`0`, a no-op under `max`).
-//!
-//! # DRAMsim3 as the online option
-//!
-//! This workspace builds offline, so real DRAMsim3 is documented rather
-//! than linked: a `Dramsim3Model` would hold the `dramsim3::MemorySystem`
-//! handle behind the same trait, translate `access` into
-//! `AddTransaction` + tick-until-callback, implement `decode` by querying
-//! the library's address mapping (and *proving* it against ours with the
-//! same cross-validation proptests — its `ro_ra_bg_ba_ch_co` style
-//! mapping strings make silent divergence easy), and service `drain` by
-//! ticking the clock until its transaction queues empty. Nothing above the
-//! trait would change.
 
 use crate::{DramConfig, DramStats, Loc};
-use mgx_trace::{Dir, LINE_BYTES};
+use mgx_trace::Dir;
 
 /// A DRAM timing backend the simulation pipeline can drive.
 ///
 /// `Send` is a supertrait so a boxed backend can move across threads with
 /// the run that owns it.
 ///
-/// See the [module docs](self) for the capability tiers and the contract
-/// every implementation must honor.
+/// See the [module docs](self) for the contract every implementation must
+/// honor.
 pub trait DramModel: Send {
     /// The configuration in use.
     fn config(&self) -> DramConfig;
@@ -73,21 +55,12 @@ pub trait DramModel: Send {
     fn access(&mut self, arrival: u64, addr: u64, dir: Dir) -> u64;
 
     /// Services `lines` consecutive transactions starting at the
-    /// line-aligned `addr`, all queued at `arrival`.
-    ///
-    /// The default is the scalar reference loop, so any backend is
-    /// burst-capable; backends with a faster equivalent override it —
-    /// the closed-form row-streak in [`DramSim`](crate::DramSim), and the
-    /// run-granular FR-FCFS service loop in
-    /// [`QueuedDramSim`](crate::QueuedDramSim) built on top of it.
-    /// Callers may assume nothing beyond "bit-identical to the loop".
-    fn access_burst(&mut self, arrival: u64, addr: u64, lines: u64, dir: Dir) -> u64 {
-        let mut done = arrival;
-        for i in 0..lines {
-            done = done.max(self.access(arrival, addr + i * LINE_BYTES, dir));
-        }
-        done
-    }
+    /// line-aligned `addr`, all queued at `arrival`, bit-identically to
+    /// one [`DramModel::access`] per line (the closed-form row-streak in
+    /// [`DramSim`](crate::DramSim), the run-granular FR-FCFS service loop
+    /// in [`QueuedDramSim`](crate::QueuedDramSim)). Callers may assume
+    /// nothing beyond "bit-identical to the loop".
+    fn access_burst(&mut self, arrival: u64, addr: u64, lines: u64, dir: Dir) -> u64;
 
     /// Services every deferred transaction and returns the maximum
     /// completion cycle among transactions serviced since the previous
@@ -162,41 +135,10 @@ mod tests {
     fn build_produces_the_matching_config() {
         for b in DramBackend::ALL {
             let cfg = DramConfig::ddr4_2400(2);
-            let model = b.build(cfg);
+            let mut model = b.build(cfg);
             assert_eq!(model.config(), cfg);
             assert_eq!(model.stats(), DramStats::default());
+            assert_eq!(model.drain(), 0, "a fresh model has nothing to drain");
         }
-    }
-
-    #[test]
-    fn default_burst_is_the_scalar_loop_and_default_drain_is_a_noop() {
-        // A minimal immediate-service backend that only implements the
-        // required tier; the provided defaults must make it usable.
-        struct Passthrough(crate::DramSim);
-        impl DramModel for Passthrough {
-            fn config(&self) -> DramConfig {
-                self.0.config()
-            }
-            fn stats(&self) -> DramStats {
-                self.0.stats()
-            }
-            fn decode(&self, addr: u64) -> Loc {
-                self.0.decode(addr)
-            }
-            fn access(&mut self, arrival: u64, addr: u64, dir: Dir) -> u64 {
-                self.0.access(arrival, addr, dir)
-            }
-        }
-        let cfg = DramConfig::ddr4_2400(2);
-        let mut thin = Passthrough(crate::DramSim::new(cfg));
-        let mut reference = crate::DramSim::new(cfg);
-        let mut expect = 0;
-        for i in 0..96u64 {
-            expect = expect.max(reference.access(0, i * LINE_BYTES, Dir::Read));
-        }
-        let done = thin.access_burst(0, 0, 96, Dir::Read);
-        assert_eq!(done, expect, "default access_burst must be the scalar loop");
-        assert_eq!(thin.stats(), reference.stats());
-        assert_eq!(thin.drain(), 0, "immediate-service backends have nothing to drain");
     }
 }

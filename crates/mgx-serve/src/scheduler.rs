@@ -174,19 +174,10 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawns the worker pool over `store` with a private metric registry.
-    pub fn new(cfg: SchedulerConfig, store: Arc<ResultStore>) -> Self {
-        Self::new_observed(cfg, store, &Registry::new())
-    }
-
-    /// [`Scheduler::new`] with the counters, gauges, and latency
-    /// histograms registered in a shared observability registry
-    /// (`mgx_jobs_*` / `mgx_job_*` families).
-    pub fn new_observed(
-        cfg: SchedulerConfig,
-        store: Arc<ResultStore>,
-        registry: &Registry,
-    ) -> Self {
+    /// Spawns the worker pool over `store`, with the counters, gauges,
+    /// and latency histograms registered in `registry` (`mgx_jobs_*` /
+    /// `mgx_job_*` families).
+    pub fn new(cfg: SchedulerConfig, store: Arc<ResultStore>, registry: &Registry) -> Self {
         let (tx, rx) = sync_channel::<u64>(cfg.queue_capacity.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let shared = Arc::new(Shared {
@@ -398,6 +389,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<u64>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreConfig;
     use mgx_sim::job::Suite;
     use mgx_sim::{DramBackend, Scale};
 
@@ -412,9 +404,12 @@ mod tests {
     }
 
     fn sched(workers: usize, queue: usize, mem: usize) -> Scheduler {
+        let registry = Registry::new();
+        let store = ResultStore::open(StoreConfig { mem_entries: mem, disk: None }, &registry);
         Scheduler::new(
             SchedulerConfig { workers, queue_capacity: queue },
-            Arc::new(ResultStore::in_memory(mem)),
+            Arc::new(store.unwrap()),
+            &registry,
         )
     }
 

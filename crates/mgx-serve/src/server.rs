@@ -126,9 +126,8 @@ fn serve_on(listener: TcpListener, cfg: ServerConfig, stop: Arc<AtomicBool>) -> 
     // layer all register their metrics here, and the `stats`/`metrics`
     // ops render it.
     let registry = Arc::new(Registry::new());
-    let store = Arc::new(ResultStore::open_observed(cfg.store.clone(), &registry)?);
-    let scheduler =
-        Arc::new(Scheduler::new_observed(cfg.scheduler.clone(), store.clone(), &registry));
+    let store = Arc::new(ResultStore::open(cfg.store.clone(), &registry)?);
+    let scheduler = Arc::new(Scheduler::new(cfg.scheduler.clone(), store.clone(), &registry));
     let sentinel = sentinel_path(&cfg);
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {

@@ -148,14 +148,10 @@ impl ResultStore {
     /// endorse), and a fresh temp file may be another process's write in
     /// flight between `create` and `rename`. A genuinely orphaned temp
     /// file from a crash only has to wait one more open to age out.
-    pub fn open(cfg: StoreConfig) -> io::Result<Self> {
-        Self::open_observed(cfg, &Registry::new())
-    }
-
-    /// [`ResultStore::open`] with the counters registered in a shared
-    /// observability registry (`mgx_store_*` families) instead of a
-    /// private one, so other surfaces read the same atomics.
-    pub fn open_observed(cfg: StoreConfig, registry: &Registry) -> io::Result<Self> {
+    ///
+    /// The counters register in `registry` (`mgx_store_*` families), so
+    /// every surface that renders it reads the same atomics.
+    pub fn open(cfg: StoreConfig, registry: &Registry) -> io::Result<Self> {
         if let Some(dir) = &cfg.disk {
             fs::create_dir_all(dir)?;
             for entry in fs::read_dir(dir)? {
@@ -184,11 +180,6 @@ impl ResultStore {
             counters: Counters::register(registry),
             tmp_seq: AtomicU64::new(0),
         })
-    }
-
-    /// An in-memory-only store (tests, `--store` absent).
-    pub fn in_memory(mem_entries: usize) -> Self {
-        Self::open(StoreConfig { mem_entries, disk: None }).expect("no I/O without a disk tier")
     }
 
     fn path_of(&self, digest: u64) -> Option<PathBuf> {
@@ -326,9 +317,13 @@ mod tests {
         dir
     }
 
+    fn memory_only(mem_entries: usize) -> ResultStore {
+        ResultStore::open(StoreConfig { mem_entries, disk: None }, &Registry::new()).unwrap()
+    }
+
     #[test]
     fn memory_tier_round_trips_and_counts() {
-        let s = ResultStore::in_memory(8);
+        let s = memory_only(8);
         assert!(s.get(1).is_none());
         s.put(1, "{\"a\":1}".into()).unwrap();
         assert_eq!(&*s.get(1).unwrap(), "{\"a\":1}\n");
@@ -338,7 +333,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let s = ResultStore::in_memory(2);
+        let s = memory_only(2);
         s.put(1, "one".into()).unwrap();
         s.put(2, "two".into()).unwrap();
         s.get(1); // 2 becomes LRU
@@ -354,11 +349,11 @@ mod tests {
         let dir = tmp_dir("reopen");
         let cfg = StoreConfig { mem_entries: 8, disk: Some(dir.clone()) };
         {
-            let s = ResultStore::open(cfg.clone()).unwrap();
+            let s = ResultStore::open(cfg.clone(), &Registry::new()).unwrap();
             s.put(42, "{\"x\":true}".into()).unwrap();
             s.flush().unwrap();
         }
-        let s = ResultStore::open(cfg).unwrap();
+        let s = ResultStore::open(cfg, &Registry::new()).unwrap();
         assert_eq!(s.mem_entries(), 0, "fresh memory tier");
         assert_eq!(&*s.get(42).unwrap(), "{\"x\":true}\n");
         assert_eq!(s.stats().disk_loads, 1);
@@ -379,7 +374,11 @@ mod tests {
         // (shared store directory): open must leave it alone.
         let fresh = dir.join("00000000000000ab.json.tmp-99998-1");
         fs::write(&fresh, "someone else's in-flight write").unwrap();
-        let s = ResultStore::open(StoreConfig { mem_entries: 4, disk: Some(dir.clone()) }).unwrap();
+        let s = ResultStore::open(
+            StoreConfig { mem_entries: 4, disk: Some(dir.clone()) },
+            &Registry::new(),
+        )
+        .unwrap();
         assert!(!stale.exists(), "interrupted-write leftovers must not survive open");
         assert!(fresh.exists(), "a concurrent writer's live tmp file must not be swept");
         assert!(s.get(0xaa).is_none(), "a tmp file is never a visible entry");
@@ -394,10 +393,16 @@ mod tests {
         // interchangeable, so both must succeed and exactly one complete
         // document must remain.
         let dir = tmp_dir("race");
-        let s1 =
-            ResultStore::open(StoreConfig { mem_entries: 4, disk: Some(dir.clone()) }).unwrap();
-        let s2 =
-            ResultStore::open(StoreConfig { mem_entries: 4, disk: Some(dir.clone()) }).unwrap();
+        let s1 = ResultStore::open(
+            StoreConfig { mem_entries: 4, disk: Some(dir.clone()) },
+            &Registry::new(),
+        )
+        .unwrap();
+        let s2 = ResultStore::open(
+            StoreConfig { mem_entries: 4, disk: Some(dir.clone()) },
+            &Registry::new(),
+        )
+        .unwrap();
         s1.put(0xcc, "{\"winner\":true}".into()).unwrap();
         s2.put(0xcc, "{\"winner\":true}".into()).unwrap();
         assert_eq!(&*s2.get(0xcc).unwrap(), "{\"winner\":true}\n");
@@ -413,7 +418,11 @@ mod tests {
         // write protocol, incomplete.
         let torn = dir.join(format!("{:016x}.json", 0xbbu64));
         fs::write(&torn, "{\"truncat").unwrap();
-        let s = ResultStore::open(StoreConfig { mem_entries: 4, disk: Some(dir.clone()) }).unwrap();
+        let s = ResultStore::open(
+            StoreConfig { mem_entries: 4, disk: Some(dir.clone()) },
+            &Registry::new(),
+        )
+        .unwrap();
         assert!(s.get(0xbb).is_none());
         assert!(!torn.exists(), "torn document is unlinked on detection");
         let _ = fs::remove_dir_all(dir);
@@ -423,7 +432,11 @@ mod tests {
     fn concurrent_puts_leave_only_complete_documents() {
         let dir = tmp_dir("concurrent");
         let s = std::sync::Arc::new(
-            ResultStore::open(StoreConfig { mem_entries: 64, disk: Some(dir.clone()) }).unwrap(),
+            ResultStore::open(
+                StoreConfig { mem_entries: 64, disk: Some(dir.clone()) },
+                &Registry::new(),
+            )
+            .unwrap(),
         );
         std::thread::scope(|scope| {
             for t in 0..8u64 {
@@ -449,7 +462,7 @@ mod tests {
 
     #[test]
     fn put_normalizes_the_newline_terminator() {
-        let s = ResultStore::in_memory(4);
+        let s = memory_only(4);
         s.put(7, "doc\n\n".into()).unwrap();
         assert_eq!(&*s.get(7).unwrap(), "doc\n");
     }

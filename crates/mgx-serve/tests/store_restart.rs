@@ -5,6 +5,7 @@
 //! — the property that makes `serve --store DIR` survive restarts without
 //! re-simulating anything.
 
+use mgx_obs::Registry;
 use mgx_serve::{ResultStore, StoreConfig};
 use std::collections::BTreeMap;
 use std::fs;
@@ -42,7 +43,7 @@ fn disk_tier_survives_restart_and_serves_bytes_verbatim() {
     // Session one: populate far past the memory tier's capacity, so most
     // entries exist *only* on disk, then shut down cleanly.
     {
-        let store = ResultStore::open(cfg.clone()).unwrap();
+        let store = ResultStore::open(cfg.clone(), &Registry::new()).unwrap();
         for (&digest, doc) in &docs {
             store.put(digest, doc.clone()).unwrap();
         }
@@ -52,7 +53,7 @@ fn disk_tier_survives_restart_and_serves_bytes_verbatim() {
     } // drop = restart
 
     // Session two: a cold process over the same directory.
-    let store = ResultStore::open(cfg).unwrap();
+    let store = ResultStore::open(cfg, &Registry::new()).unwrap();
     assert_eq!(store.mem_entries(), 0, "restart starts with a cold memory tier");
     assert_eq!(store.disk_entries(), docs.len(), "disk tier survived the restart");
 
@@ -86,10 +87,10 @@ fn unknown_digests_after_restart_are_clean_misses() {
     let dir = scratch_dir("miss");
     let cfg = StoreConfig { mem_entries: 4, disk: Some(dir.clone()) };
     {
-        let store = ResultStore::open(cfg.clone()).unwrap();
+        let store = ResultStore::open(cfg.clone(), &Registry::new()).unwrap();
         store.put(1, "{\"ok\":true}".into()).unwrap();
     }
-    let store = ResultStore::open(cfg).unwrap();
+    let store = ResultStore::open(cfg, &Registry::new()).unwrap();
     assert!(store.get(2).is_none());
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses, stats.disk_loads), (0, 1, 0));

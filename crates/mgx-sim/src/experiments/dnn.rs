@@ -1,10 +1,9 @@
-//! DNN experiments: Figs 3, 12, 13.
+//! DNN experiments: the inference and training suites behind Figs 3, 12
+//! and 13.
 
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
-use crate::report::Figure;
 use crate::scale::Scale;
-use mgx_core::Scheme;
 use mgx_dnn::trace::{stream_inference_trace, stream_training_trace};
 use mgx_dnn::Model;
 use mgx_dram::DramBackend;
@@ -80,36 +79,11 @@ pub fn evaluate_training(scale: &Scale, threads: usize, backend: DramBackend) ->
     sweep(models, true, threads, backend)
 }
 
-/// Fig 12a/12b: memory-traffic increase of MGX and BP.
-pub fn fig12(evals: &[Evaluated], training: bool) -> Figure {
-    Figure {
-        id: if training { "fig12b" } else { "fig12a" },
-        title: format!(
-            "DNN {} memory-traffic increase (MGX vs BP, Cloud & Edge)",
-            if training { "training" } else { "inference" }
-        ),
-        rows: evals.iter().flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::Baseline])).collect(),
-    }
-}
-
-/// Fig 13a/13b: normalized execution time of MGX and its ablations.
-pub fn fig13(evals: &[Evaluated], training: bool) -> Figure {
-    Figure {
-        id: if training { "fig13b" } else { "fig13a" },
-        title: format!(
-            "DNN {} normalized execution time (MGX, MGX_VN, MGX_MAC, BP)",
-            if training { "training" } else { "inference" }
-        ),
-        rows: evals
-            .iter()
-            .flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::MgxVn, Scheme::MgxMac, Scheme::Baseline]))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{entry, tests::rows_of};
+    use mgx_core::Scheme;
 
     /// A single small model through the whole pipeline (smoke test — the
     /// full suites run in the benches/binary at release speed).
@@ -147,10 +121,10 @@ mod tests {
                 .config(scfg)
                 .run_all();
         let evals = vec![Evaluated::new("AlexNet", "Edge", results)];
-        let f12 = fig12(&evals, false);
-        assert_eq!(f12.rows.len(), 2);
-        let f13 = fig13(&evals, false);
-        assert_eq!(f13.rows.len(), 4);
-        assert!(f13.rows.iter().all(|r| r.normalized_time >= 1.0));
+        let render = |id| entry(id).unwrap().render(|_| &evals, &Scale::quick(), 1, true);
+        let (f12, f13) = (render("fig12a"), render("fig13a"));
+        assert_eq!(rows_of(&f12).len(), 2);
+        assert_eq!(rows_of(&f13).len(), 4);
+        assert!(rows_of(&f13).iter().all(|&(_, time)| time >= 1.0));
     }
 }

@@ -1,10 +1,8 @@
-//! Genome-alignment experiments: Fig 16.
+//! Genome-alignment experiments: the suite behind Fig 16.
 
 use super::Evaluated;
 use crate::pipeline::{PhaseMode, SimConfig, Simulation};
-use crate::report::Figure;
 use crate::scale::Scale;
-use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_genome::accel::{stream_gact_trace, GactAccelConfig, GenomeWorkload};
 
@@ -40,22 +38,10 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
     })
 }
 
-/// Fig 16: normalized execution time of GACT under MGX_VN and BP.
-///
-/// The paper simulates only the MGX_VN mode for Darwin because reference
-/// chunks load from effectively random offsets with variable tile sizes, so
-/// coarse-grained MACs don't apply (§VII-A).
-pub fn fig16(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "fig16",
-        title: "GACT normalized execution time (MGX_VN vs BP)".into(),
-        rows: evals.iter().flat_map(|e| e.rows(&[Scheme::MgxVn, Scheme::Baseline])).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_core::Scheme;
     use mgx_genome::ErrorProfile;
 
     #[test]

@@ -1,10 +1,8 @@
-//! Graph experiments: Fig 14 (and the graph half of Fig 3).
+//! Graph experiments: the suite behind Fig 14 (and the graph half of Fig 3).
 
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
-use crate::report::Figure;
 use crate::scale::Scale;
-use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_graph::accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
 use mgx_graph::algorithms;
@@ -47,30 +45,10 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
     per_dataset.into_iter().flatten().collect()
 }
 
-/// Fig 14a: memory-traffic increase of PR/BFS under MGX and BP.
-pub fn fig14a(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "fig14a",
-        title: "Graph memory-traffic increase (PR & BFS, MGX vs BP)".into(),
-        rows: evals.iter().flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::Baseline])).collect(),
-    }
-}
-
-/// Fig 14b: normalized execution time of PR/BFS under all schemes.
-pub fn fig14b(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "fig14b",
-        title: "Graph normalized execution time (MGX, MGX_VN, MGX_MAC, BP)".into(),
-        rows: evals
-            .iter()
-            .flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::MgxVn, Scheme::MgxMac, Scheme::Baseline]))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_core::Scheme;
     use mgx_graph::rmat::RmatGenerator;
 
     #[test]

@@ -10,7 +10,9 @@
 //!   [`arity_sweep`];
 //! * §VI-A: bandwidth balance (channel count) → [`channel_sweep`];
 //! * Fig 7: tiling/dataflow determines `writes_per_output`, i.e. how many
-//!   VN increments a layer needs → [`dataflow_ablation`].
+//!   VN increments a layer needs → [`dataflow_ablation`];
+//! * MGX against a stronger, VN-compressing conventional baseline (split
+//!   counters) → [`vn_scheme_comparison`].
 
 use crate::pipeline::{SimConfig, Simulation};
 use crate::report::{Figure, Row};
@@ -23,24 +25,6 @@ use mgx_trace::Trace;
 
 fn resnet_trace(scale: &Scale, dataflow: Dataflow) -> Trace {
     build_inference_trace(&Model::resnet50(scale.dnn_batch), &ArrayConfig::cloud(), dataflow)
-}
-
-fn row(
-    workload: String,
-    config: String,
-    scheme: Scheme,
-    np: &crate::RunResult,
-    r: &crate::RunResult,
-) -> Row {
-    Row {
-        workload,
-        config,
-        scheme,
-        traffic_increase: r.total_bytes() as f64 / np.total_bytes().max(1) as f64,
-        normalized_time: r.dram_cycles as f64 / np.dram_cycles.max(1) as f64,
-        mac_overhead: r.traffic.mac_overhead(),
-        vn_overhead: r.traffic.vn_overhead(),
-    }
 }
 
 /// BP overhead vs metadata-cache capacity (8 KB … 1 MB).
@@ -58,7 +42,7 @@ pub fn cache_sweep(scale: &Scale) -> Figure {
             ..base_cfg.clone()
         };
         let bp = Simulation::over(&trace).config(cfg).scheme(Scheme::Baseline).run();
-        rows.push(row(format!("ResNet cache={kb}KB"), "Cloud".into(), Scheme::Baseline, &np, &bp));
+        rows.push(Row::normalized(format!("ResNet cache={kb}KB"), "Cloud".into(), &np, &bp));
     }
     Figure {
         id: "ablation-cache",
@@ -82,7 +66,7 @@ pub fn granularity_sweep(scale: &Scale) -> Figure {
             ..base_cfg.clone()
         };
         let mgx = Simulation::over(&trace).config(cfg).scheme(Scheme::Mgx).run();
-        rows.push(row(format!("ResNet mac={g}B"), "Cloud".into(), Scheme::Mgx, &np, &mgx));
+        rows.push(Row::normalized(format!("ResNet mac={g}B"), "Cloud".into(), &np, &mgx));
     }
     Figure {
         id: "ablation-granularity",
@@ -103,7 +87,7 @@ pub fn arity_sweep(scale: &Scale) -> Figure {
             ..base_cfg.clone()
         };
         let bp = Simulation::over(&trace).config(cfg).scheme(Scheme::Baseline).run();
-        rows.push(row(format!("ResNet arity={arity}"), "Cloud".into(), Scheme::Baseline, &np, &bp));
+        rows.push(Row::normalized(format!("ResNet arity={arity}"), "Cloud".into(), &np, &bp));
     }
     Figure {
         id: "ablation-arity",
@@ -121,7 +105,7 @@ pub fn channel_sweep(scale: &Scale) -> Figure {
         let np = Simulation::over(&trace).config(cfg.clone()).run();
         for scheme in [Scheme::Mgx, Scheme::Baseline] {
             let r = Simulation::over(&trace).config(cfg.clone()).scheme(scheme).run();
-            rows.push(row(format!("ResNet {channels}ch"), "Cloud".into(), scheme, &np, &r));
+            rows.push(Row::normalized(format!("ResNet {channels}ch"), "Cloud".into(), &np, &r));
         }
     }
     Figure {
@@ -142,7 +126,7 @@ pub fn dataflow_ablation(scale: &Scale) -> Figure {
         let np = Simulation::over(&trace).config(cfg.clone()).run();
         for scheme in [Scheme::Mgx, Scheme::Baseline] {
             let r = Simulation::over(&trace).config(cfg.clone()).scheme(scheme).run();
-            rows.push(row(format!("ResNet {name}"), "Cloud".into(), scheme, &np, &r));
+            rows.push(Row::normalized(format!("ResNet {name}"), "Cloud".into(), &np, &r));
         }
     }
     Figure {
@@ -161,7 +145,7 @@ pub fn vn_scheme_comparison(scale: &Scale) -> Figure {
     let mut rows = Vec::new();
     for scheme in [Scheme::Mgx, Scheme::Baseline, Scheme::SplitCounter] {
         let r = Simulation::over(&trace).config(cfg.clone()).scheme(scheme).run();
-        rows.push(row("ResNet".into(), "Cloud".into(), scheme, &np, &r));
+        rows.push(Row::normalized("ResNet".into(), "Cloud".into(), &np, &r));
     }
     Figure {
         id: "ablation-vn-scheme",

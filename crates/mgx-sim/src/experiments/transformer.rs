@@ -9,9 +9,7 @@
 
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
-use crate::report::Figure;
 use crate::scale::Scale;
-use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_scalesim::ArrayConfig;
 use mgx_transformer::trace::{
@@ -74,32 +72,11 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
     })
 }
 
-/// `llm-traffic`: memory-traffic increase of prefill/decode/paged under
-/// MGX and BP.
-pub fn fig_llm_traffic(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "llm-traffic",
-        title: "LLM inference memory-traffic increase (prefill/decode/paged, MGX vs BP)".into(),
-        rows: evals.iter().flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::Baseline])).collect(),
-    }
-}
-
-/// `llm-time`: normalized execution time of prefill/decode/paged under all
-/// protected schemes.
-pub fn fig_llm_time(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "llm-time",
-        title: "LLM inference normalized execution time (MGX, MGX_VN, MGX_MAC, BP)".into(),
-        rows: evals
-            .iter()
-            .flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::MgxVn, Scheme::MgxMac, Scheme::Baseline]))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{entry, tests::rows_of};
+    use mgx_core::Scheme;
 
     /// One small decode workload through the suite config — keeps the
     /// debug-build cost of the smoke test down, like the DNN suite's
@@ -180,9 +157,11 @@ mod tests {
             )
         };
         let evals = vec![stub("GPT-S", "Prefill"), stub("GPT-S", "Decode")];
-        assert_eq!(fig_llm_traffic(&evals).rows.len(), 2 * 2);
-        assert_eq!(fig_llm_time(&evals).rows.len(), 2 * 4);
-        assert_eq!(fig_llm_traffic(&evals).id, "llm-traffic");
-        assert_eq!(fig_llm_time(&evals).id, "llm-time");
+        let render = |id| entry(id).unwrap().render(|_| &evals, &Scale::quick(), 1, true);
+        let (traffic, time) = (render("llm-traffic"), render("llm-time"));
+        assert_eq!(rows_of(&traffic).len(), 2 * 2);
+        assert_eq!(rows_of(&time).len(), 2 * 4);
+        assert!(traffic.starts_with("{\"id\":\"llm-traffic\","), "{traffic}");
+        assert!(time.starts_with("{\"id\":\"llm-time\","), "{time}");
     }
 }

@@ -6,9 +6,7 @@
 
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
-use crate::report::Figure;
 use crate::scale::Scale;
-use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_h264::decoder::{stream_decode_trace, DecoderConfig};
 use mgx_h264::GopStructure;
@@ -28,29 +26,19 @@ pub fn evaluate(scale: &Scale, _threads: usize, backend: DramBackend) -> Vec<Eva
     vec![Evaluated::new("H.264-IBPB", String::new(), Simulation::over(src).config(cfg).run_all())]
 }
 
-/// The H.264 overhead table (our addition; the paper reports functional
-/// correctness only).
-pub fn fig_h264(evals: &[Evaluated]) -> Figure {
-    Figure {
-        id: "h264",
-        title: "H.264 decode overhead (video case study)".into(),
-        rows: evals
-            .iter()
-            .flat_map(|e| e.rows(&[Scheme::Mgx, Scheme::MgxVn, Scheme::Baseline]))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{entry, tests::rows_of};
+    use mgx_core::Scheme;
 
     #[test]
     fn video_decode_follows_the_usual_ordering() {
         let evals = evaluate(&Scale::quick(), 1, DramBackend::ClosedForm);
-        let fig = fig_h264(&evals);
-        assert_eq!(fig.rows.len(), 3);
-        let t = |s: Scheme| fig.rows.iter().find(|r| r.scheme == s).unwrap().normalized_time;
+        let json = entry("h264").unwrap().render(|_| &evals, &Scale::quick(), 1, true);
+        let rows = rows_of(&json);
+        assert_eq!(rows.len(), 3);
+        let t = |s: Scheme| rows.iter().find(|(label, _)| *label == s.label()).unwrap().1;
         assert!(t(Scheme::Mgx) <= t(Scheme::MgxVn) + 1e-9);
         assert!(t(Scheme::MgxVn) <= t(Scheme::Baseline) + 1e-9);
         assert!(t(Scheme::Mgx) < 1.10);

@@ -13,10 +13,10 @@
 //! folds everything into execution time and traffic per scheme, consuming
 //! one phase at a time so footprint is independent of workload length.
 //!
-//! Each paper figure is one function in [`experiments`] returning a
-//! [`report::Figure`] whose rows can be printed ([`report::render`]) or
-//! checked programmatically (the `mgx-bench` crate's `figures` binary and
-//! the integration tests do both).
+//! Each paper figure is one entry of the [`experiments::FIGURES`] table,
+//! rendered as a text table ([`report::render`]) or a JSON line
+//! ([`report::render_json`]) by the `mgx-bench` crate's `figures` binary
+//! and `mgx-client render`.
 //!
 //! Sweeps parallelize without changing a single result bit: the
 //! [`parallel`] pool fans independent workloads across cores (the

@@ -42,13 +42,9 @@ pub enum PhaseMode {
 pub enum TxnPath {
     /// Engines emit contiguous [`LineBurst`]s, serviced by
     /// `DramModel::access_burst`. On the closed-form backend that is the
-    /// row-streak arithmetic fast path; the queued backend overrides it
-    /// too (run-granular queue entries, streaks retired through the same
-    /// closed-form arithmetic, bit-identical to its per-line service
-    /// order); a backend without a faster equivalent inherits the trait's
-    /// scalar-loop default, so this path degrades gracefully (same bits
-    /// as [`TxnPath::PerLine`], fewer engine callbacks) instead of being
-    /// closed-form-only.
+    /// row-streak arithmetic fast path; on the queued backend, run-granular
+    /// queue entries whose streaks retire through the same closed-form
+    /// arithmetic, bit-identical to its per-line service order.
     #[default]
     Burst,
     /// One virtual callback plus one scalar `DramModel::access` per

@@ -1,5 +1,6 @@
 //! Figure data structures and text rendering.
 
+use crate::pipeline::RunResult;
 use mgx_core::Scheme;
 
 /// One measured point of a figure.
@@ -21,6 +22,27 @@ pub struct Row {
     pub vn_overhead: f64,
 }
 
+impl Row {
+    /// Run `r`, normalized to the no-protection run `np` of the same
+    /// workload.
+    pub(crate) fn normalized(
+        workload: String,
+        config: String,
+        np: &RunResult,
+        r: &RunResult,
+    ) -> Row {
+        Row {
+            workload,
+            config,
+            scheme: r.scheme,
+            traffic_increase: r.total_bytes() as f64 / np.total_bytes().max(1) as f64,
+            normalized_time: r.dram_cycles as f64 / np.dram_cycles.max(1) as f64,
+            mac_overhead: r.traffic.mac_overhead(),
+            vn_overhead: r.traffic.vn_overhead(),
+        }
+    }
+}
+
 /// A regenerated table/figure.
 #[derive(Debug, Clone)]
 pub struct Figure {
@@ -32,35 +54,8 @@ pub struct Figure {
     pub rows: Vec<Row>,
 }
 
-impl Figure {
-    /// Rows of one scheme.
-    pub fn scheme_rows(&self, scheme: Scheme) -> impl Iterator<Item = &Row> {
-        self.rows.iter().filter(move |r| r.scheme == scheme)
-    }
-
-    /// Mean of `f` over one scheme's rows (0 if none).
-    pub fn mean_of(&self, scheme: Scheme, f: impl Fn(&Row) -> f64) -> f64 {
-        let vals: Vec<f64> = self.scheme_rows(scheme).map(f).collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
-    /// Mean normalized execution time of a scheme.
-    pub fn mean_time(&self, scheme: Scheme) -> f64 {
-        self.mean_of(scheme, |r| r.normalized_time)
-    }
-
-    /// Mean traffic increase of a scheme.
-    pub fn mean_traffic(&self, scheme: Scheme) -> f64 {
-        self.mean_of(scheme, |r| r.traffic_increase)
-    }
-}
-
 /// Minimal JSON string escaping shared by the `--json` renderers (here and
-/// `experiments::render_claims_json`).
+/// in `experiments`).
 pub(crate) fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -156,15 +151,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn means_are_per_scheme() {
-        let f = fig();
-        assert!((f.mean_time(Scheme::Baseline) - 1.3).abs() < 1e-9);
-        assert!((f.mean_traffic(Scheme::Baseline) - 1.4).abs() < 1e-9);
-        assert!((f.mean_time(Scheme::Mgx) - 1.01).abs() < 1e-9);
-        assert_eq!(f.mean_time(Scheme::MgxVn), 0.0);
     }
 
     #[test]

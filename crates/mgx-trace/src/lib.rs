@@ -22,13 +22,11 @@
 mod region;
 mod request;
 pub mod source;
-pub mod stats;
 mod trace;
 
 pub use region::{DataClass, Region, RegionId, RegionMap};
 pub use request::{Dir, MemRequest};
 pub use source::{LazyPhases, PhaseBuf, PhaseSink, TraceSource};
-pub use stats::TraceStats;
 pub use trace::{Phase, Trace, TraceBuilder, Traffic};
 
 /// Size of one DRAM transaction / cache line in bytes.

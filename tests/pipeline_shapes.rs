@@ -14,7 +14,9 @@ use mgx::graph::rmat::RmatGenerator;
 use mgx::h264::decoder::{stream_decode_trace, DecoderConfig};
 use mgx::h264::GopStructure;
 use mgx::scalesim::{ArrayConfig, Dataflow};
-use mgx::sim::{PhaseMode, SimConfig, Simulation, TxnPath};
+use mgx::serve::json::Json;
+use mgx::sim::job::Suite;
+use mgx::sim::{PhaseMode, Scale, SimConfig, Simulation, TxnPath};
 use mgx::trace::{DataClass, MemRequest, Phase, RegionMap, Trace, TraceSource};
 use mgx_sim::experiments::{self, Evaluated};
 use proptest::prelude::*;
@@ -106,12 +108,12 @@ fn video_decode_overheads_are_modest_under_mgx() {
 fn fig3_builder_collects_bp_rows_across_domains() {
     let scfg = SimConfig::overlapped(4, 700);
     let model = Model::alexnet(1);
-    let inf = vec![eval(
+    let inf = [eval(
         build_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary),
         &scfg,
         "AlexNet",
     )];
-    let train = vec![eval(
+    let train = [eval(
         build_training_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary),
         &scfg,
         "AlexNet",
@@ -119,13 +121,22 @@ fn fig3_builder_collects_bp_rows_across_domains() {
     let g = RmatGenerator::social(12, 2).generate(50_000);
     let gsrc =
         stream_graph_trace(&g, GraphWorkload::PageRank { iters: 2 }, &GraphAccelConfig::default());
-    let graphs = vec![eval(gsrc, &SimConfig::overlapped(4, 800), "PR-test")];
-    let fig = experiments::fig3(&inf, &train, &graphs);
-    assert_eq!(fig.rows.len(), 3);
-    assert!(fig.rows.iter().all(|r| r.scheme == Scheme::Baseline));
-    assert!(fig.rows.iter().all(|r| r.vn_overhead > 0.0 && r.mac_overhead > 0.0));
-    assert_eq!(fig.rows[0].workload, "AlexNet-Inf");
-    assert_eq!(fig.rows[1].workload, "AlexNet-Train");
+    let graphs = [eval(gsrc, &SimConfig::overlapped(4, 800), "PR-test")];
+    let sweep = |suite| match suite {
+        Suite::DnnInference => &inf[..],
+        Suite::DnnTraining => &train[..],
+        _ => &graphs[..],
+    };
+    let line = experiments::entry("fig3").unwrap().render(sweep, &Scale::quick(), 1, true);
+    let fig = Json::parse(&line).unwrap();
+    let rows = fig.get("rows").and_then(Json::as_arr).unwrap();
+    let field = |r: &Json, key| r.get(key).unwrap().clone();
+    assert_eq!(rows.len(), 3);
+    assert!(rows.iter().all(|r| field(r, "scheme").as_str() == Some(Scheme::Baseline.label())));
+    assert!(rows.iter().all(|r| field(r, "vn_ov").as_f64() > Some(0.0)));
+    assert!(rows.iter().all(|r| field(r, "mac_ov").as_f64() > Some(0.0)));
+    assert_eq!(field(&rows[0], "workload").as_str(), Some("AlexNet-Inf"));
+    assert_eq!(field(&rows[1], "workload").as_str(), Some("AlexNet-Train"));
 }
 
 /// A workload-stream blueprint the proptest can both lazily generate from
