@@ -31,6 +31,7 @@
 //! malformed value, is rejected with exit status 2, like an unknown
 //! figure id.
 
+use mgx_bench::{take_flag, usage_error};
 use mgx_core::MetaTraffic;
 use mgx_obs::Registry;
 use mgx_serve::codec::evaluated_from_json;
@@ -49,30 +50,6 @@ fn log_volume(name: &str, evals: &[Evaluated]) {
         evals.len(),
         total.total_bytes() as f64 / (1u64 << 30) as f64
     );
-}
-
-/// Reports a malformed command line on stderr and exits with status 2
-/// before anything is simulated.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// Extracts every `--flag VALUE` / `--flag=VALUE` from `args` (last wins),
-/// removing what it consumed. A flag without a value is a usage error
-/// whose hint shows `--flag METAVAR`.
-fn take_flag(args: &mut Vec<String>, flag: &str, metavar: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut found = None;
-    while let Some(i) = args.iter().position(|a| a == flag || a.starts_with(&prefix)) {
-        let raw = args.remove(i);
-        found = Some(match raw.strip_prefix(&prefix) {
-            Some(v) if !v.is_empty() => v.to_string(),
-            None if i < args.len() => args.remove(i),
-            _ => usage_error(&format!("`{flag}` needs a value: {flag} {metavar}")),
-        });
-    }
-    found
 }
 
 /// The flags `main` reads itself, after the valued flags are extracted.
@@ -160,8 +137,7 @@ fn main() {
     let ids: Vec<&str> = args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();
     let ids = if ids.is_empty() { vec!["all"] } else { ids };
     if let Some(id) = ids.iter().find(|&&id| id != "all" && entry(id).is_none()) {
-        eprintln!("unknown figure `{id}` — run with --list to see the available ids");
-        std::process::exit(2);
+        usage_error(&format!("unknown figure `{id}` — run with --list to see the available ids"));
     }
 
     eprintln!("# scale: {scale:?}");

@@ -10,7 +10,6 @@
 //!   run         submit + fetch in one round trip (prints the document)
 //!   render FIG  fetch the suite behind FIG and print the same JSON line
 //!               `figures --json` prints for it (byte-identical)
-//!   stats       print the server counter envelope
 //!   metrics     print the server's full metrics registry (line JSON;
 //!               `--format prometheus` for the text exposition)
 //!   suites      print the workload registry
@@ -45,7 +44,11 @@
 //!   --out PATH       where to write the run document
 //!                    (default BENCH_serve.json)
 //! ```
+//!
+//! A valued flag without its value exits 2 with a `--flag METAVAR` hint
+//! before any connection opens; every later error exits 1.
 
+use mgx_bench::take_flag;
 use mgx_core::Scheme;
 use mgx_obs::Registry;
 use mgx_serve::codec::{evaluated_from_json, spec_to_wire};
@@ -60,46 +63,27 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Extracts `--flag VALUE` / `--flag=VALUE` from `args` (last wins).
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut found = None;
-    while let Some(i) = args.iter().position(|a| a == flag || a.starts_with(&prefix)) {
-        let raw = args.remove(i);
-        found = Some(match raw.strip_prefix(&prefix) {
-            Some(v) => v.to_string(),
-            None => {
-                if i >= args.len() {
-                    die(&format!("{flag} needs a value"));
-                }
-                args.remove(i)
-            }
-        });
-    }
-    found
-}
-
 /// Builds a spec from the CLI flags. `default_suite` is set by commands
 /// that imply the suite themselves (`render`); everything else requires
 /// `--suite` (or `--spec-json`).
 fn spec_from_flags(args: &mut Vec<String>, default_suite: Option<Suite>) -> JobSpec {
-    if let Some(raw) = take_flag(args, "--spec-json") {
+    if let Some(raw) = take_flag(args, "--spec-json", "J") {
         let v = Json::parse(&raw).unwrap_or_else(|e| die(&format!("--spec-json: {e}")));
         return mgx_serve::codec::spec_from_wire(&v)
             .unwrap_or_else(|e| die(&format!("--spec-json: {e}")));
     }
-    let suite = match take_flag(args, "--suite") {
+    let suite = match take_flag(args, "--suite", "S") {
         Some(name) => {
             Suite::from_name(&name).unwrap_or_else(|| die(&format!("unknown suite `{name}`")))
         }
         None => default_suite.unwrap_or_else(|| die("need --suite (or --spec-json)")),
     };
-    let scale = match take_flag(args, "--scale").as_deref() {
+    let scale = match take_flag(args, "--scale", "S").as_deref() {
         None | Some("quick") => Scale::quick(),
         Some("standard") => Scale::standard(),
         Some(other) => die(&format!("unknown scale `{other}` (quick|standard)")),
     };
-    let schemes: Vec<Scheme> = match take_flag(args, "--schemes") {
+    let schemes: Vec<Scheme> = match take_flag(args, "--schemes", "A,B") {
         None => Vec::new(),
         Some(list) => list
             .split(',')
@@ -110,10 +94,10 @@ fn spec_from_flags(args: &mut Vec<String>, default_suite: Option<Suite>) -> JobS
             })
             .collect(),
     };
-    let threads = take_flag(args, "--threads")
+    let threads = take_flag(args, "--threads", "N")
         .map(|t| t.parse().unwrap_or_else(|_| die("--threads takes an integer")))
         .unwrap_or(1);
-    let backend = match take_flag(args, "--dram-model") {
+    let backend = match take_flag(args, "--dram-model", "M") {
         None => DramBackend::ClosedForm,
         Some(name) => DramBackend::from_name(&name).unwrap_or_else(|| {
             let known: Vec<&str> = DramBackend::ALL.iter().map(|b| b.name()).collect();
@@ -129,7 +113,8 @@ fn connect(addr: &str) -> Client {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".into());
+    let addr =
+        take_flag(&mut args, "--addr", "HOST:PORT").unwrap_or_else(|| "127.0.0.1:7070".into());
     let command = if args.is_empty() {
         die("need a command (see --help in the source header)")
     } else {
@@ -182,8 +167,9 @@ fn main() {
             print!("{}", figure.render(|_| &evals, &spec.scale, spec.threads, true));
         }
         "metrics" => {
+            let format = take_flag(&mut args, "--format", "FORMAT");
             let mut c = connect(&addr);
-            match take_flag(&mut args, "--format").as_deref() {
+            match format.as_deref() {
                 None | Some("json") => {
                     let reply = c.metrics().unwrap_or_else(|e| die(&e.to_string()));
                     println!("{}", reply.render());
@@ -195,10 +181,9 @@ fn main() {
                 Some(other) => die(&format!("unknown format `{other}` (json|prometheus)")),
             }
         }
-        "stats" | "suites" | "shutdown" => {
+        "suites" | "shutdown" => {
             let mut c = connect(&addr);
             let reply = match command.as_str() {
-                "stats" => c.stats(),
                 "shutdown" => c.shutdown(),
                 _ => c
                     .request("{\"op\":\"suites\"}")
@@ -207,26 +192,27 @@ fn main() {
             println!("{}", reply.unwrap_or_else(|e| die(&e.to_string())).render());
         }
         "bench" => {
-            let connections: usize = take_flag(&mut args, "--connections")
+            let connections: usize = take_flag(&mut args, "--connections", "N")
                 .map(|v| v.parse().unwrap_or_else(|_| die("--connections takes an integer")))
                 .unwrap_or(8);
-            let requests: usize = take_flag(&mut args, "--requests")
+            let requests: usize = take_flag(&mut args, "--requests", "M")
                 .map(|v| v.parse().unwrap_or_else(|_| die("--requests takes an integer")))
                 .unwrap_or(4);
-            let rate: Option<f64> = take_flag(&mut args, "--rate").map(|v| {
+            let rate: Option<f64> = take_flag(&mut args, "--rate", "R").map(|v| {
                 let r: f64 = v.parse().unwrap_or_else(|_| die("--rate takes a number"));
                 if r.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                     die("--rate must be positive");
                 }
                 r
             });
-            let duration: f64 = take_flag(&mut args, "--duration")
+            let duration: f64 = take_flag(&mut args, "--duration", "S")
                 .map(|v| v.parse().unwrap_or_else(|_| die("--duration takes seconds")))
                 .unwrap_or(5.0);
-            let warmup: usize = take_flag(&mut args, "--warmup")
+            let warmup: usize = take_flag(&mut args, "--warmup", "W")
                 .map(|v| v.parse().unwrap_or_else(|_| die("--warmup takes an integer")))
                 .unwrap_or(0);
-            let out = take_flag(&mut args, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
+            let out =
+                take_flag(&mut args, "--out", "PATH").unwrap_or_else(|| "BENCH_serve.json".into());
             let spec = spec_from_flags(&mut args, None);
             let cfg = BenchConfig { connections, requests, rate, duration, warmup, out };
             bench(&addr, &spec, &cfg);
@@ -260,12 +246,6 @@ struct BenchConfig {
 /// server accrues queueing delay instead of silently thinning the load
 /// (the coordinated-omission fix from the HdrHistogram literature).
 fn bench(addr: &str, spec: &JobSpec, cfg: &BenchConfig) {
-    let grab = |c: &mut Client, key: &str| -> u64 {
-        c.stats()
-            .ok()
-            .and_then(|v| v.get(key).and_then(Json::as_u64))
-            .unwrap_or_else(|| die("stats op failed"))
-    };
     let registry = Registry::new();
     let lat_help = "client-observed `run` latency";
     let measure = registry.histogram_with("bench_latency_ns", &[("phase", "measure")], lat_help);
@@ -275,8 +255,7 @@ fn bench(addr: &str, spec: &JobSpec, cfg: &BenchConfig) {
         registry.counter_with("bench_requests_total", &[("outcome", "error")], "requests");
 
     let mut c = connect(addr);
-    let (hits0, miss0, exec0) =
-        (grab(&mut c, "store_hits"), grab(&mut c, "store_misses"), grab(&mut c, "jobs_executed"));
+    let (_, [hits0, miss0, exec0]) = server_counters(&mut c);
     // Open loop: a fixed arrival schedule, round-robined over the
     // connections; request `i` fires at `start + i/rate` regardless of how
     // the server is keeping up. Closed loop: each connection issues its
@@ -360,10 +339,7 @@ fn bench(addr: &str, spec: &JobSpec, cfg: &BenchConfig) {
     let elapsed = start.elapsed().as_secs_f64();
     let ok: usize = results.iter().map(|(n, _)| n).sum();
     let all_identical = results.iter().all(|&(_, i)| i);
-    let (hits1, miss1, exec1) =
-        (grab(&mut c, "store_hits"), grab(&mut c, "store_misses"), grab(&mut c, "jobs_executed"));
-    let server_metrics =
-        c.metrics().ok().and_then(|reply| reply.get("metrics").cloned()).unwrap_or(Json::Null);
+    let (server_metrics, [hits1, miss1, exec1]) = server_counters(&mut c);
     let (dh, dm) = (hits1 - hits0, miss1 - miss0);
     let lookups = (dh + dm).max(1);
     println!(
@@ -407,6 +383,19 @@ fn bench(addr: &str, spec: &JobSpec, cfg: &BenchConfig) {
     if ok != total || !all_identical {
         std::process::exit(1);
     }
+}
+
+/// The server's `metrics` registry, with the store hit, store miss and
+/// jobs-executed counters `bench` reports deltas of.
+fn server_counters(c: &mut Client) -> (Json, [u64; 3]) {
+    let reply = c.metrics().unwrap_or_else(|e| die(&format!("metrics op failed: {e}")));
+    let metrics = reply.get("metrics").cloned().unwrap_or_else(|| die("metrics op failed"));
+    let counters = ["mgx_store_hits_total", "mgx_store_misses_total", "mgx_jobs_executed_total"]
+        .map(|name| {
+            let value = metrics.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64);
+            value.unwrap_or_else(|| die(&format!("metrics reply lacks `{name}`")))
+        });
+    (metrics, counters)
 }
 
 /// Renders and writes the `BENCH_serve.json` run document: the load shape,

@@ -164,11 +164,6 @@ impl MerkleTree {
         }
     }
 
-    /// Number of interior+leaf tag slots (the untrusted storage footprint).
-    pub fn node_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
-
     /// Corrupts a stored node tag — **test hook** modelling an attacker who
     /// modifies tree metadata in DRAM.
     ///

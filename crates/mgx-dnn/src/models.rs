@@ -30,29 +30,6 @@ impl Model {
         self.ops.iter().any(|o| matches!(o.kind, OpKind::Embedding { .. }))
     }
 
-    /// The six inference benchmarks in the paper's order.
-    pub fn inference_suite(batch: u64) -> Vec<Model> {
-        vec![
-            Model::vgg16(batch),
-            Model::alexnet(batch),
-            Model::googlenet(batch),
-            Model::resnet50(batch),
-            Model::bert_base(batch, 128),
-            Model::dlrm(batch.max(32)),
-        ]
-    }
-
-    /// The five training benchmarks (no DLRM, as in Fig 12b/13b).
-    pub fn training_suite(batch: u64) -> Vec<Model> {
-        vec![
-            Model::vgg16(batch),
-            Model::alexnet(batch),
-            Model::googlenet(batch),
-            Model::resnet50(batch),
-            Model::bert_base(batch, 128),
-        ]
-    }
-
     /// AlexNet (227×227×3 input).
     pub fn alexnet(batch: u64) -> Model {
         let mut ops = Vec::new();
@@ -589,18 +566,6 @@ mod tests {
         assert!(Model::dlrm(32).has_embeddings());
         assert!(!Model::resnet50(1).has_embeddings());
         assert!(!Model::bert_base(1, 128).has_embeddings());
-    }
-
-    #[test]
-    fn suites_have_paper_composition() {
-        let inf = Model::inference_suite(4);
-        assert_eq!(
-            inf.iter().map(|m| m.name).collect::<Vec<_>>(),
-            vec!["VGG", "AlexNet", "GoogleNet", "ResNet", "BERT", "DLRM"]
-        );
-        let tr = Model::training_suite(4);
-        assert_eq!(tr.len(), 5, "training suite excludes DLRM (Fig 12b)");
-        assert!(tr.iter().all(|m| m.name != "DLRM"));
     }
 
     #[test]

@@ -216,16 +216,6 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Average latency per transaction in cycles.
-    pub fn avg_latency(&self) -> f64 {
-        let n = self.reads + self.writes;
-        if n == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / n as f64
-        }
-    }
-
     /// Row-buffer hit rate in [0, 1].
     pub fn row_hit_rate(&self) -> f64 {
         let n = self.row_hits + self.row_opens + self.row_conflicts;

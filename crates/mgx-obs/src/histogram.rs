@@ -65,8 +65,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// A concurrent log-bucketed histogram. Recording is wait-free (a handful
 /// of relaxed atomic RMWs); snapshots are consistent when writers are
-/// quiescent (the seqlock in [`crate::Coherent`] provides that when it
-/// matters).
+/// quiescent.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,

@@ -30,12 +30,6 @@
 //! path pays one relaxed atomic RMW per event — out-of-band by
 //! construction, which is how the byte-identity CI gates on the figures
 //! output stay meaningful with instrumentation compiled in.
-//!
-//! For multi-counter invariants (e.g. a store's `hits + misses ==
-//! lookups`), [`Coherent`] provides a seqlock: writers group related
-//! updates in `write(..)`, snapshot readers retry in `read(..)` until
-//! they observe a quiescent interval — so a snapshot can never see a hit
-//! counted whose lookup is missing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +39,5 @@ pub mod metric;
 pub mod registry;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metric::{Coherent, Counter, Gauge, Span};
+pub use metric::{Counter, Gauge, Span};
 pub use registry::Registry;

@@ -1,9 +1,7 @@
-//! Scalar metrics ([`Counter`], [`Gauge`]), the [`Span`] timer, and the
-//! [`Coherent`] seqlock for multi-counter snapshot consistency.
+//! Scalar metrics ([`Counter`], [`Gauge`]) and the [`Span`] timer.
 
 use crate::histogram::Histogram;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A monotonic counter. Updates are single relaxed atomic RMWs; reads are
@@ -114,66 +112,9 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A seqlock guarding the *consistency* of a group of related metrics.
-///
-/// Individual counters are lock-free atomics, so a reader loading several
-/// of them one after another can observe a state no writer ever produced
-/// (a `hit` counted whose lookup is not yet in `lookups`). `Coherent`
-/// fixes that for the snapshot path without slowing the common read path:
-///
-/// * writers wrap each logically-atomic group of updates in
-///   [`Coherent::write`] — one uncontended mutex lock plus two sequence
-///   bumps per event (cheap at request granularity, and subsystems like
-///   the result store already serialize these events through their own
-///   lock anyway);
-/// * snapshot readers wrap their loads in [`Coherent::read`], which
-///   retries until the sequence number was even and unchanged across the
-///   loads — i.e. no write section overlapped the snapshot.
-///
-/// Plain single-metric reads (a render, a live gauge) can skip the
-/// seqlock entirely; they only give up cross-metric consistency.
-#[derive(Debug, Default)]
-pub struct Coherent {
-    seq: AtomicU64,
-    writers: Mutex<()>,
-}
-
-impl Coherent {
-    /// A fresh coherence domain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` as one logically-atomic update group.
-    pub fn write<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.writers.lock().unwrap();
-        self.seq.fetch_add(1, Ordering::Release); // now odd: snapshot in progress
-        let out = f();
-        self.seq.fetch_add(1, Ordering::Release); // even again: quiescent
-        out
-    }
-
-    /// Runs `f` until it observes a quiescent interval (no overlapping
-    /// [`Coherent::write`]), returning that consistent result.
-    pub fn read<T>(&self, f: impl Fn() -> T) -> T {
-        loop {
-            let before = self.seq.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let out = f();
-            if self.seq.load(Ordering::Acquire) == before {
-                return out;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -197,33 +138,5 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 2);
         assert!(snap.sum >= ns);
-    }
-
-    #[test]
-    fn coherent_snapshots_never_tear_paired_updates() {
-        // Writers always keep a == b inside the write section's end state;
-        // a coherent reader must never observe a != b.
-        let a = Arc::new(Counter::new());
-        let b = Arc::new(Counter::new());
-        let dom = Arc::new(Coherent::new());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let (a, b, dom, stop) = (a.clone(), b.clone(), dom.clone(), stop.clone());
-                s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        dom.write(|| {
-                            a.inc();
-                            b.inc();
-                        });
-                    }
-                });
-            }
-            for _ in 0..2000 {
-                let (x, y) = dom.read(|| (a.get(), b.get()));
-                assert_eq!(x, y, "coherent read tore a paired update");
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
     }
 }

@@ -4,7 +4,7 @@
 //! `base_name{label="value",…}` — to shared handles. Registration is
 //! idempotent: asking for an existing name returns the *same* underlying
 //! atomic, which is what lets several subsystems (a result store, the
-//! stats protocol op, a stderr progress note) agree on one value by
+//! `metrics` protocol op, a stderr progress note) agree on one value by
 //! construction. Registration order is preserved and both renderers emit
 //! it deterministically, so rendering the same registry state twice
 //! yields the same bytes.
@@ -138,11 +138,6 @@ impl Registry {
         )
     }
 
-    /// [`Registry::gauge`] with a `{label="value"}` suffix.
-    pub fn gauge_with(&self, base: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
-        self.gauge(&labeled(base, labels), help)
-    }
-
     /// A histogram handle for `name`, registering it on first use.
     ///
     /// # Panics
@@ -185,14 +180,6 @@ impl Registry {
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
         match self.inner.lock().unwrap().metrics.get(name)? {
             Metric::Gauge(g) => Some(g.get()),
-            _ => None,
-        }
-    }
-
-    /// Snapshots a histogram by full name.
-    pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        match self.inner.lock().unwrap().metrics.get(name)? {
-            Metric::Histogram(h) => Some(h.snapshot()),
             _ => None,
         }
     }

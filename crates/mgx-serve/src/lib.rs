@@ -13,7 +13,7 @@
 //!    specs against the experiment registry;
 //! 2. a **scheduler** ([`scheduler`]): a bounded queue with backpressure
 //!    feeding a worker pool, each job running the exact
-//!    `evaluate_*_on` sweep (which fans workloads over
+//!    [`JobSpec::execute`] sweep (which fans workloads over
 //!    [`mgx_sim::parallel::map`]), with single-flight deduplication so
 //!    concurrent identical requests simulate once;
 //! 3. a **content-addressed result store** ([`store`]): results keyed by
@@ -29,9 +29,12 @@
 //! reply with stored bytes verbatim.
 //!
 //! The `mgx-bench` crate ships the `serve` daemon binary and the
-//! `mgx-client` CLI (submit/poll/fetch, a concurrent `--bench` mode, and
-//! figure rendering that reuses the registry's builders so served results
-//! diff cleanly against `figures --json` output).
+//! `mgx-client` CLI (submit/poll/fetch, the concurrent `bench` load
+//! harness, and figure rendering through the same figure table as
+//! `figures`, so served results diff cleanly against `figures --json`
+//! output).
+//!
+//! [`JobSpec::execute`]: mgx_sim::job::JobSpec::execute
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,5 +46,5 @@ pub mod server;
 pub mod store;
 
 pub use scheduler::{FetchError, JobStatus, Scheduler, SchedulerConfig, Submitted};
-pub use server::{run, spawn, Client, Handle, ServerConfig};
-pub use store::{ResultStore, StoreConfig, StoreStats};
+pub use server::{spawn, Client, Handle, ServerConfig};
+pub use store::{ResultStore, StoreConfig};

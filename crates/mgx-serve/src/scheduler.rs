@@ -13,11 +13,11 @@
 //! * **Single flight**: a digest that is already queued or running is never
 //!   enqueued again — concurrent identical submissions coalesce onto the
 //!   one execution and all their fetches are served from the same stored
-//!   document. The `jobs_executed` counter therefore counts *simulations*,
-//!   not requests, which is what the e2e tests pin.
+//!   document. The `mgx_jobs_executed_total` counter therefore counts
+//!   *simulations*, not requests, which is what the e2e tests pin.
 
 use crate::store::ResultStore;
-use mgx_obs::{Coherent, Counter, Gauge, Histogram, Registry};
+use mgx_obs::{Counter, Gauge, Histogram, Registry};
 use mgx_sim::job::JobSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,8 +86,6 @@ pub enum FetchError {
     /// The job completed but the store evicted the document (memory-only
     /// tier smaller than the working set); resubmitting recomputes it.
     Evicted,
-    /// Scheduler is shutting down and the job can no longer complete.
-    Shutdown,
 }
 
 impl std::fmt::Display for FetchError {
@@ -96,21 +94,8 @@ impl std::fmt::Display for FetchError {
             FetchError::Unknown => write!(f, "unknown job; submit it first"),
             FetchError::Failed(msg) => write!(f, "job failed: {msg}"),
             FetchError::Evicted => write!(f, "result evicted from the store; resubmit"),
-            FetchError::Shutdown => write!(f, "server shutting down"),
         }
     }
-}
-
-/// Counter snapshot for the `stats` op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SchedulerStats {
-    /// Simulations actually executed (cache hits and coalesced submissions
-    /// do not count).
-    pub jobs_executed: u64,
-    /// Digests currently waiting in the queue.
-    pub queued: u64,
-    /// Digests currently simulating.
-    pub running: u64,
 }
 
 /// One digest's entry in the job table. `enqueued` is reset each time the
@@ -122,9 +107,8 @@ struct JobEntry {
     enqueued: Instant,
 }
 
-/// Shared [`mgx_obs`] handles under `mgx_jobs_*` / `mgx_job_*`: the
-/// `stats` op, the `metrics` op, and the scheduler itself all read the
-/// same atomics. The queue-wait / execute histograms decompose a
+/// Shared [`mgx_obs`] handles under `mgx_jobs_*` / `mgx_job_*`, which the
+/// `metrics` op renders. The queue-wait / execute histograms decompose a
 /// simulation's latency into its time-in-queue and time-on-a-worker.
 struct Metrics {
     executed: Arc<Counter>,
@@ -132,7 +116,6 @@ struct Metrics {
     running: Arc<Gauge>,
     queue_wait_ns: Arc<Histogram>,
     execute_ns: Arc<Histogram>,
-    coherent: Coherent,
 }
 
 impl Metrics {
@@ -152,7 +135,6 @@ impl Metrics {
                 "mgx_job_execute_ns",
                 "nanoseconds a worker spent simulating a job (successful runs)",
             ),
-            coherent: Coherent::new(),
         }
     }
 }
@@ -233,7 +215,7 @@ impl Scheduler {
                         digest,
                         JobEntry { spec, status: JobStatus::Queued, enqueued: Instant::now() },
                     );
-                    self.shared.metrics.coherent.write(|| self.shared.metrics.queued.add(1));
+                    self.shared.metrics.queued.add(1);
                 }
             }
         }
@@ -255,7 +237,7 @@ impl Scheduler {
         let mut jobs = self.shared.jobs.lock().unwrap();
         if let Some(entry) = jobs.get_mut(&digest) {
             if entry.status == JobStatus::Queued {
-                self.shared.metrics.coherent.write(|| self.shared.metrics.queued.sub(1));
+                self.shared.metrics.queued.sub(1);
             }
             entry.status = JobStatus::Failed(msg.into());
         }
@@ -267,22 +249,18 @@ impl Scheduler {
         self.shared.jobs.lock().unwrap().get(&digest).map(|e| e.status.clone())
     }
 
-    /// Blocks until the job's document is available (or the job fails),
-    /// checking `keep_waiting` between condvar wakeups so connection
-    /// threads can abandon the wait on shutdown.
-    pub fn fetch_wait(
-        &self,
-        digest: u64,
-        keep_waiting: impl Fn() -> bool,
-    ) -> Result<Arc<str>, FetchError> {
+    /// Blocks until the job's document is available (or the job fails).
+    ///
+    /// A wait rides out a shutdown: [`Scheduler::drain`] completes every
+    /// job the scheduler accepted, so a waiter always observes Done or
+    /// Failed rather than an abandoned job. (Submissions, by contrast, are
+    /// refused once draining starts.)
+    pub fn fetch_wait(&self, digest: u64) -> Result<Arc<str>, FetchError> {
         loop {
             let status = {
                 let jobs = self.shared.jobs.lock().unwrap();
                 match jobs.get(&digest).map(|e| e.status.clone()) {
                     Some(JobStatus::Queued) | Some(JobStatus::Running) => {
-                        if !keep_waiting() {
-                            return Err(FetchError::Shutdown);
-                        }
                         let _unused =
                             self.shared.cv.wait_timeout(jobs, Duration::from_millis(200)).unwrap();
                         continue;
@@ -301,18 +279,6 @@ impl Scheduler {
                 Some(_) => unreachable!("queued/running loop back above"),
             };
         }
-    }
-
-    /// Counter snapshot from one quiescent instant (the [`Coherent`] read
-    /// retries across overlapping queue transitions, so `queued` and
-    /// `running` always describe the same moment).
-    pub fn stats(&self) -> SchedulerStats {
-        let m = &self.shared.metrics;
-        m.coherent.read(|| SchedulerStats {
-            jobs_executed: m.executed.get(),
-            queued: m.queued.get().max(0) as u64,
-            running: m.running.get().max(0) as u64,
-        })
     }
 
     /// Stops accepting, lets the workers finish everything already queued
@@ -351,10 +317,8 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<u64>>) {
             shared.metrics.queue_wait_ns.record_duration(entry.enqueued.elapsed());
             entry.spec.clone()
         };
-        shared.metrics.coherent.write(|| {
-            shared.metrics.queued.sub(1);
-            shared.metrics.running.add(1);
-        });
+        shared.metrics.queued.sub(1);
+        shared.metrics.running.add(1);
         let started = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let evals = spec.execute();
@@ -364,7 +328,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<u64>>) {
             Ok(document) => match shared.store.put(digest, document) {
                 Ok(_) => {
                     shared.metrics.execute_ns.record_duration(started.elapsed());
-                    shared.metrics.coherent.write(|| shared.metrics.executed.inc());
+                    shared.metrics.executed.inc();
                     JobStatus::Done
                 }
                 Err(e) => JobStatus::Failed(format!("store write failed: {e}")),
@@ -378,7 +342,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<u64>>) {
                 JobStatus::Failed(msg.to_string())
             }
         };
-        shared.metrics.coherent.write(|| shared.metrics.running.sub(1));
+        shared.metrics.running.sub(1);
         if let Some(entry) = shared.jobs.lock().unwrap().get_mut(&digest) {
             entry.status = status;
         }
@@ -403,60 +367,66 @@ mod tests {
         }
     }
 
-    fn sched(workers: usize, queue: usize, mem: usize) -> Scheduler {
-        let registry = Registry::new();
-        let store = ResultStore::open(StoreConfig { mem_entries: mem, disk: None }, &registry);
+    fn sched(workers: usize, queue: usize, mem: usize, registry: &Registry) -> Scheduler {
+        let store = ResultStore::open(StoreConfig { mem_entries: mem, disk: None }, registry);
         Scheduler::new(
             SchedulerConfig { workers, queue_capacity: queue },
             Arc::new(store.unwrap()),
-            &registry,
+            registry,
         )
+    }
+
+    /// `mgx_jobs_executed_total` as the `metrics` op reports it.
+    fn executed(registry: &Registry) -> u64 {
+        registry.counter_value("mgx_jobs_executed_total").expect("registered at boot")
     }
 
     #[test]
     fn submit_execute_fetch_round_trips() {
-        let s = sched(2, 8, 16);
+        let registry = Registry::new();
+        let s = sched(2, 8, 16, &registry);
         let (digest, how) = s.submit(spec(2)).unwrap();
         assert_eq!(how, Submitted::Enqueued);
-        let doc = s.fetch_wait(digest, || true).unwrap();
+        let doc = s.fetch_wait(digest).unwrap();
         let expected = spec(2).canonicalize();
         assert_eq!(&*doc, format!("{}\n", expected.result_json(&expected.execute())));
-        assert_eq!(s.stats().jobs_executed, 1);
+        assert_eq!(executed(&registry), 1);
         assert_eq!(s.status(digest), Some(JobStatus::Done));
     }
 
     #[test]
     fn identical_submissions_simulate_once() {
-        let s = Arc::new(sched(2, 8, 16));
+        let registry = Registry::new();
+        let s = Arc::new(sched(2, 8, 16, &registry));
         let docs: Vec<Arc<str>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..6)
                 .map(|_| {
                     let s = s.clone();
                     scope.spawn(move || {
                         let (d, _) = s.submit(spec(3)).unwrap();
-                        s.fetch_wait(d, || true).unwrap()
+                        s.fetch_wait(d).unwrap()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(docs.windows(2).all(|w| w[0] == w[1]), "all responses identical");
-        assert_eq!(s.stats().jobs_executed, 1, "six submissions, one simulation");
+        assert_eq!(executed(&registry), 1, "six submissions, one simulation");
         // A later identical submission is a pure cache hit.
         let (_, how) = s.submit(spec(3)).unwrap();
         assert_eq!(how, Submitted::Cached);
-        assert_eq!(s.stats().jobs_executed, 1);
+        assert_eq!(executed(&registry), 1);
     }
 
     #[test]
     fn fetch_of_an_unknown_job_fails_fast() {
-        let s = sched(1, 4, 4);
-        assert_eq!(s.fetch_wait(0xdead, || true), Err(FetchError::Unknown));
+        let s = sched(1, 4, 4, &Registry::new());
+        assert_eq!(s.fetch_wait(0xdead), Err(FetchError::Unknown));
     }
 
     #[test]
     fn invalid_specs_are_rejected_at_submit() {
-        let s = sched(1, 4, 4);
+        let s = sched(1, 4, 4, &Registry::new());
         let mut bad = spec(1);
         bad.scale.dnn_batch = 0;
         assert!(s.submit(bad).unwrap_err().contains("dnn_batch"));
@@ -464,14 +434,15 @@ mod tests {
 
     #[test]
     fn drain_completes_everything_already_queued() {
-        let s = sched(1, 16, 32);
+        let registry = Registry::new();
+        let s = sched(1, 16, 32, &registry);
         let digests: Vec<u64> = (1..=4).map(|f| s.submit(spec(f)).unwrap().0).collect();
         s.drain();
         for d in &digests {
             assert_eq!(s.status(*d), Some(JobStatus::Done), "drained jobs must finish");
-            assert!(s.fetch_wait(*d, || true).is_ok());
+            assert!(s.fetch_wait(*d).is_ok());
         }
-        assert_eq!(s.stats().jobs_executed, 4);
+        assert_eq!(executed(&registry), 4);
         assert!(s.submit(spec(9)).is_err(), "post-drain submissions are refused");
     }
 }

@@ -12,7 +12,6 @@
 //! | `poll` | `job` | `{"ok":true,"job":...,"status":"queued\|running\|done\|failed"}` |
 //! | `fetch` | `job` | the stored result document itself, verbatim |
 //! | `run` | `spec` | submit + fetch in one round trip (reply = document) |
-//! | `stats` | — | counters (`jobs_executed`, store hits/misses, …) |
 //! | `metrics` | `format` (optional) | the full observability registry: line-JSON dialect by default, `"format":"prometheus"` for the text exposition (as an escaped `exposition` string) |
 //! | `suites` | — | the workload registry with one-line descriptions |
 //! | `shutdown` | — | `{"ok":true,"draining":true}`, then graceful drain |
@@ -23,12 +22,13 @@
 //! one and to a direct [`JobSpec::result_json`] call — the property the
 //! e2e tests diff for.
 //!
-//! `stats` and `metrics` read the *same* [`mgx_obs`] atomics the store
-//! and scheduler update (one shared [`Registry`] per server), so the two
-//! surfaces can never disagree. `metrics` additionally exposes per-op
-//! request counts and latency histograms (`mgx_requests_total{op=…}`,
-//! `mgx_request_ns{op=…}`), queue-wait vs execute decomposition, and the
-//! open-connection gauge.
+//! `metrics` is the service's one counter surface: it renders the
+//! [`mgx_obs`] atomics the store, scheduler and request layer update (one
+//! shared [`Registry`] per server). Besides the store and job families it
+//! carries per-op request counts and latency histograms
+//! (`mgx_requests_total{op=…}`, `mgx_request_ns{op=…}`, registered for
+//! every op at boot, so each reads 0 until used), the queue-wait vs
+//! execute decomposition, and the open-connection gauge.
 //!
 //! # Shutdown
 //!
@@ -48,7 +48,7 @@ use crate::codec::{spec_from_wire, spec_to_wire};
 use crate::json::{self, Json};
 use crate::scheduler::{Scheduler, SchedulerConfig, Submitted};
 use crate::store::{ResultStore, StoreConfig};
-use mgx_obs::Registry;
+use mgx_obs::{Counter, Gauge, Histogram, Registry};
 use mgx_sim::job::Suite;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -99,12 +99,6 @@ impl Handle {
     }
 }
 
-/// Binds and serves on the calling thread until a shutdown is requested.
-pub fn run(cfg: ServerConfig) -> io::Result<()> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    serve_on(listener, cfg, Arc::new(AtomicBool::new(false)))
-}
-
 /// Binds, then serves on a background thread; returns once the port is
 /// known so callers can connect immediately.
 pub fn spawn(cfg: ServerConfig) -> io::Result<Handle> {
@@ -120,32 +114,63 @@ fn sentinel_path(cfg: &ServerConfig) -> Option<PathBuf> {
     cfg.store.disk.as_ref().map(|d| d.join("shutdown"))
 }
 
+/// The op labels the request meters are kept under: the ops the protocol
+/// serves, then `invalid` (the line is not JSON) and `unknown` (it names
+/// no served op).
+const OP_LABELS: [&str; 9] =
+    ["submit", "poll", "fetch", "run", "metrics", "suites", "shutdown", "invalid", "unknown"];
+/// Index of `invalid` in [`OP_LABELS`]; every label before it is a served op.
+const INVALID: usize = 7;
+const UNKNOWN: usize = 8;
+
+/// The request layer's meters, registered once per server so that
+/// counting a request formats no metric name and takes no registry lock.
+/// `requests` and `latency` are indexed like [`OP_LABELS`].
+struct RequestMeters {
+    requests: [Arc<Counter>; OP_LABELS.len()],
+    latency: [Arc<Histogram>; OP_LABELS.len()],
+    connections_open: Arc<Gauge>,
+}
+
+impl RequestMeters {
+    fn register(registry: &Registry) -> Self {
+        Self {
+            requests: OP_LABELS.map(|op| {
+                registry.counter_with("mgx_requests_total", &[("op", op)], "requests by op")
+            }),
+            latency: OP_LABELS.map(|op| {
+                let help = "request service time by op";
+                registry.histogram_with("mgx_request_ns", &[("op", op)], help)
+            }),
+            connections_open: registry.gauge("mgx_connections_open", "live client connections"),
+        }
+    }
+}
+
 fn serve_on(listener: TcpListener, cfg: ServerConfig, stop: Arc<AtomicBool>) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     // One registry per server: the store, the scheduler, and the protocol
-    // layer all register their metrics here, and the `stats`/`metrics`
-    // ops render it.
+    // layer all register their metrics here, and the `metrics` op renders
+    // it.
     let registry = Arc::new(Registry::new());
     let store = Arc::new(ResultStore::open(cfg.store.clone(), &registry)?);
-    let scheduler = Arc::new(Scheduler::new(cfg.scheduler.clone(), store.clone(), &registry));
+    let scheduler = Arc::new(Scheduler::new(cfg.scheduler.clone(), store, &registry));
+    let meters = Arc::new(RequestMeters::register(&registry));
     let sentinel = sentinel_path(&cfg);
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let scheduler = scheduler.clone();
-                let store = store.clone();
                 let registry = registry.clone();
+                let meters = meters.clone();
                 let stop = stop.clone();
-                let workers = cfg.scheduler.workers;
                 connections.push(std::thread::spawn(move || {
-                    let open = registry.gauge("mgx_connections_open", "live client connections");
-                    open.add(1);
+                    meters.connections_open.add(1);
                     // Connection errors (peer reset mid-line, broken pipe)
                     // only end that connection.
-                    let _ =
-                        handle_connection(stream, &scheduler, &store, &registry, &stop, workers);
-                    open.sub(1);
+                    let _ = handle_connection(stream, &scheduler, &registry, &meters, &stop);
+                    meters.connections_open.sub(1);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -209,10 +234,9 @@ fn read_line_with_flag(
 fn handle_connection(
     stream: TcpStream,
     scheduler: &Scheduler,
-    store: &ResultStore,
     registry: &Registry,
+    meters: &RequestMeters,
     stop: &Arc<AtomicBool>,
-    workers: usize,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     stream.set_nodelay(true).ok();
@@ -227,11 +251,9 @@ fn handle_connection(
         // dispatch, including any `fetch_wait` blocking — exactly what
         // the client experiences past the socket.
         let started = std::time::Instant::now();
-        let (reply, op) = dispatch(&line, scheduler, store, registry, stop, workers);
-        registry.counter_with("mgx_requests_total", &[("op", op)], "requests by op").inc();
-        registry
-            .histogram_with("mgx_request_ns", &[("op", op)], "request service time by op")
-            .record_duration(started.elapsed());
+        let (reply, op) = dispatch(&line, scheduler, registry, stop);
+        meters.requests[op].inc();
+        meters.latency[op].record_duration(started.elapsed());
         writer.write_all(reply.as_bytes())?;
         if !reply.ends_with('\n') {
             writer.write_all(b"\n")?;
@@ -250,36 +272,25 @@ fn parse_job_id(req: &Json) -> Result<u64, String> {
     u64::from_str_radix(hex, 16).map_err(|_| format!("`{hex}` is not a 16-hex job id"))
 }
 
-/// Serves one request line, returning the reply and the static op label
-/// the per-op metrics are recorded under.
+/// Serves one request line, returning the reply and the index in
+/// [`OP_LABELS`] the request is metered under.
 fn dispatch(
     line: &str,
     scheduler: &Scheduler,
-    store: &ResultStore,
     registry: &Registry,
     stop: &Arc<AtomicBool>,
-    workers: usize,
-) -> (String, &'static str) {
+) -> (String, usize) {
     let req = match Json::parse(line) {
         Ok(v) => v,
-        Err(e) => return (error_reply(&format!("bad request JSON: {e}")), "invalid"),
+        Err(e) => return (error_reply(&format!("bad request JSON: {e}")), INVALID),
     };
-    let op = req.get("op").and_then(Json::as_str).unwrap_or("");
-    let label = match op {
-        "submit" => "submit",
-        "poll" => "poll",
-        "fetch" => "fetch",
-        "run" => "run",
-        "stats" => "stats",
-        "metrics" => "metrics",
-        "suites" => "suites",
-        "shutdown" => "shutdown",
-        _ => "unknown",
-    };
-    let reply = match op {
+    let name = req.get("op").and_then(Json::as_str).unwrap_or("");
+    let served = &OP_LABELS[..INVALID];
+    let op = served.iter().position(|&label| label == name).unwrap_or(UNKNOWN);
+    let reply = match name {
         "submit" => {
             let Some(spec) = req.get("spec") else {
-                return (error_reply("submit needs a `spec` object"), label);
+                return (error_reply("submit needs a `spec` object"), op);
             };
             match spec_from_wire(spec).and_then(|s| scheduler.submit(s)) {
                 Ok((digest, how)) => {
@@ -311,13 +322,8 @@ fn dispatch(
             },
             Err(e) => error_reply(&e),
         },
-        // Fetches ride out a shutdown (`|| true`): every job the scheduler
-        // accepted is completed by `drain`, so a waiter always observes
-        // Done/Failed rather than an abandoned wait — the graceful-drain
-        // contract the module docs promise. (Submissions, by contrast, are
-        // refused once draining starts.)
         "fetch" => match parse_job_id(&req) {
-            Ok(digest) => match scheduler.fetch_wait(digest, || true) {
+            Ok(digest) => match scheduler.fetch_wait(digest) {
                 Ok(doc) => doc.to_string(),
                 Err(e) => error_reply(&e.to_string()),
             },
@@ -325,34 +331,15 @@ fn dispatch(
         },
         "run" => {
             let Some(spec) = req.get("spec") else {
-                return (error_reply("run needs a `spec` object"), label);
+                return (error_reply("run needs a `spec` object"), op);
             };
             match spec_from_wire(spec).and_then(|s| scheduler.submit(s)) {
-                Ok((digest, _)) => match scheduler.fetch_wait(digest, || true) {
+                Ok((digest, _)) => match scheduler.fetch_wait(digest) {
                     Ok(doc) => doc.to_string(),
                     Err(e) => error_reply(&e.to_string()),
                 },
                 Err(e) => error_reply(&e),
             }
-        }
-        "stats" => {
-            let s = scheduler.stats();
-            let st = store.stats();
-            json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("jobs_executed", json::num(s.jobs_executed)),
-                ("queued", json::num(s.queued)),
-                ("running", json::num(s.running)),
-                ("store_hits", json::num(st.hits)),
-                ("store_misses", json::num(st.misses)),
-                ("store_disk_loads", json::num(st.disk_loads)),
-                ("store_insertions", json::num(st.insertions)),
-                ("store_evictions", json::num(st.evictions)),
-                ("mem_entries", json::num(store.mem_entries())),
-                ("disk_entries", json::num(store.disk_entries())),
-                ("workers", json::num(workers)),
-            ])
-            .render()
         }
         "metrics" => {
             let format = req.get("format").and_then(Json::as_str).unwrap_or("json");
@@ -389,11 +376,9 @@ fn dispatch(
             stop.store(true, Ordering::SeqCst);
             json::obj(vec![("ok", Json::Bool(true)), ("draining", Json::Bool(true))]).render()
         }
-        other => error_reply(&format!(
-            "unknown op `{other}` (submit|poll|fetch|run|stats|metrics|suites|shutdown)"
-        )),
+        other => error_reply(&format!("unknown op `{other}` ({})", served.join("|"))),
     };
-    (reply, label)
+    (reply, op)
 }
 
 /// A blocking client for the protocol above — what `mgx-client` and the
@@ -459,11 +444,6 @@ impl Client {
         self.request_parsed(&format!("{{\"op\":\"poll\",\"job\":\"{job_hex}\"}}"))
     }
 
-    /// Fetches the counter envelope.
-    pub fn stats(&mut self) -> io::Result<Json> {
-        self.request_parsed("{\"op\":\"stats\"}")
-    }
-
     /// Fetches the full observability registry in the line-JSON dialect:
     /// `{"ok":true,"metrics":{"counters":…,"gauges":…,"histograms":…}}`.
     pub fn metrics(&mut self) -> io::Result<Json> {
@@ -515,6 +495,11 @@ mod tests {
         .expect("bind loopback")
     }
 
+    /// A counter from the `metrics` op, by full name.
+    fn counter(c: &mut Client, name: &str) -> Option<u64> {
+        c.metrics().unwrap().get("metrics")?.get("counters")?.get(name)?.as_u64()
+    }
+
     #[test]
     fn submit_poll_fetch_and_stats_flow() {
         let server = boot();
@@ -528,8 +513,7 @@ mod tests {
         let expected = spec.clone().canonicalize();
         assert_eq!(doc, expected.result_json(&expected.execute()));
         assert_eq!(c.poll(&job).unwrap().get("status").and_then(Json::as_str), Some("done"));
-        let stats = c.stats().unwrap();
-        assert_eq!(stats.get("jobs_executed").and_then(Json::as_u64), Some(1));
+        assert_eq!(counter(&mut c, "mgx_jobs_executed_total"), Some(1));
         c.shutdown().unwrap();
         server.join().unwrap();
     }
@@ -542,9 +526,8 @@ mod tests {
         let cold = c.run(&spec).unwrap();
         let warm = c.run(&spec).unwrap();
         assert_eq!(cold, warm, "cached response must be bit-identical");
-        let stats = c.stats().unwrap();
-        assert_eq!(stats.get("jobs_executed").and_then(Json::as_u64), Some(1));
-        assert!(stats.get("store_hits").and_then(Json::as_u64).unwrap() >= 1);
+        assert_eq!(counter(&mut c, "mgx_jobs_executed_total"), Some(1));
+        assert!(counter(&mut c, "mgx_store_hits_total").unwrap() >= 1);
         c.shutdown().unwrap();
         server.join().unwrap();
     }
@@ -566,8 +549,16 @@ mod tests {
             let v = Json::parse(&reply).unwrap();
             assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         }
-        // The connection is still usable after every error.
-        assert!(c.stats().unwrap().get("ok").and_then(Json::as_bool).unwrap());
+        // `stats` is no op: the hint lists every op the server serves.
+        assert_eq!(
+            c.request("{\"op\":\"stats\"}").unwrap(),
+            "{\"ok\":false,\"error\":\"unknown op `stats` \
+             (submit|poll|fetch|run|metrics|suites|shutdown)\"}"
+        );
+        // The connection is still usable after every error, and both
+        // unnamed ops (`teleport`, `stats`) counted as `unknown`.
+        assert_eq!(counter(&mut c, "mgx_requests_total{op=\"unknown\"}"), Some(2));
+        assert_eq!(counter(&mut c, "mgx_requests_total{op=\"invalid\"}"), Some(1));
         c.shutdown().unwrap();
         server.join().unwrap();
     }

@@ -19,7 +19,7 @@
 //!
 //! [`JobSpec::result_json`]: mgx_sim::job::JobSpec::result_json
 
-use mgx_obs::{Coherent, Counter, Registry};
+use mgx_obs::{Counter, Registry};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
@@ -42,34 +42,15 @@ impl Default for StoreConfig {
     }
 }
 
-/// Monotonic counters exposed through the `stats` protocol op.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Lookups answered from memory or disk.
-    pub hits: u64,
-    /// Lookups that found nothing (the job had to simulate).
-    pub misses: u64,
-    /// Hits that were promoted from the disk tier.
-    pub disk_loads: u64,
-    /// Documents inserted.
-    pub insertions: u64,
-    /// Memory-tier entries evicted by the LRU policy.
-    pub evictions: u64,
-}
-
 /// The store's counters are shared [`mgx_obs`] handles registered under
-/// `mgx_store_*`: the `stats` op, the `metrics` op, and any report writer
-/// holding the same [`Registry`] all read the very atomics the store
-/// updates, so the surfaces cannot disagree. The [`Coherent`] domain makes
-/// multi-counter snapshots logically atomic (a `hit` is never visible
-/// without the eviction it caused).
+/// `mgx_store_*`: the `metrics` op and any report writer holding the same
+/// [`Registry`] read the very atomics the store updates.
 struct Counters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     disk_loads: Arc<Counter>,
     insertions: Arc<Counter>,
     evictions: Arc<Counter>,
-    coherent: Coherent,
 }
 
 impl Counters {
@@ -82,7 +63,6 @@ impl Counters {
             insertions: registry.counter("mgx_store_insertions_total", "documents inserted"),
             evictions: registry
                 .counter("mgx_store_evictions_total", "memory-tier entries evicted by LRU"),
-            coherent: Coherent::new(),
         }
     }
 }
@@ -189,22 +169,20 @@ impl ResultStore {
     /// Looks a digest up: memory first, then disk (promoting on hit).
     pub fn get(&self, digest: u64) -> Option<Arc<str>> {
         if let Some(v) = self.mem.lock().unwrap().get(digest) {
-            self.counters.coherent.write(|| self.counters.hits.inc());
+            self.counters.hits.inc();
             return Some(v);
         }
         if let Some(path) = self.path_of(digest) {
             if let Some(doc) = read_complete(&path) {
                 let value: Arc<str> = Arc::from(doc);
                 let evicted = self.mem.lock().unwrap().put(digest, value.clone());
-                self.counters.coherent.write(|| {
-                    self.counters.evictions.add(evicted);
-                    self.counters.hits.inc();
-                    self.counters.disk_loads.inc();
-                });
+                self.counters.evictions.add(evicted);
+                self.counters.hits.inc();
+                self.counters.disk_loads.inc();
                 return Some(value);
             }
         }
-        self.counters.coherent.write(|| self.counters.misses.inc());
+        self.counters.misses.inc();
         None
     }
 
@@ -243,10 +221,8 @@ impl ResultStore {
             }
         }
         let evicted = self.mem.lock().unwrap().put(digest, value.clone());
-        self.counters.coherent.write(|| {
-            self.counters.evictions.add(evicted);
-            self.counters.insertions.inc();
-        });
+        self.counters.evictions.add(evicted);
+        self.counters.insertions.inc();
         Ok(value)
     }
 
@@ -279,19 +255,6 @@ impl ResultStore {
         }
         Ok(())
     }
-
-    /// Counter snapshot. The [`Coherent`] read retries across overlapping
-    /// updates, so the five counters are from one quiescent instant — a
-    /// `stats` reply can no longer show a hit whose eviction is missing.
-    pub fn stats(&self) -> StoreStats {
-        self.counters.coherent.read(|| StoreStats {
-            hits: self.counters.hits.get(),
-            misses: self.counters.misses.get(),
-            disk_loads: self.counters.disk_loads.get(),
-            insertions: self.counters.insertions.get(),
-            evictions: self.counters.evictions.get(),
-        })
-    }
 }
 
 /// Reads a stored document, returning `None` (and unlinking the file) if
@@ -317,23 +280,30 @@ mod tests {
         dir
     }
 
-    fn memory_only(mem_entries: usize) -> ResultStore {
-        ResultStore::open(StoreConfig { mem_entries, disk: None }, &Registry::new()).unwrap()
+    fn memory_only(mem_entries: usize, registry: &Registry) -> ResultStore {
+        ResultStore::open(StoreConfig { mem_entries, disk: None }, registry).unwrap()
+    }
+
+    /// The store's `mgx_store_{name}_total` counter as `metrics` reports it.
+    fn count(registry: &Registry, name: &str) -> u64 {
+        registry.counter_value(&format!("mgx_store_{name}_total")).expect("registered at open")
     }
 
     #[test]
     fn memory_tier_round_trips_and_counts() {
-        let s = memory_only(8);
+        let registry = Registry::new();
+        let s = memory_only(8, &registry);
         assert!(s.get(1).is_none());
         s.put(1, "{\"a\":1}".into()).unwrap();
         assert_eq!(&*s.get(1).unwrap(), "{\"a\":1}\n");
-        let st = s.stats();
-        assert_eq!((st.hits, st.misses, st.insertions), (1, 1, 1));
+        let counts = ["hits", "misses", "insertions"].map(|name| count(&registry, name));
+        assert_eq!(counts, [1, 1, 1]);
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let s = memory_only(2);
+        let registry = Registry::new();
+        let s = memory_only(2, &registry);
         s.put(1, "one".into()).unwrap();
         s.put(2, "two".into()).unwrap();
         s.get(1); // 2 becomes LRU
@@ -341,7 +311,7 @@ mod tests {
         assert!(s.get(2).is_none(), "LRU victim must be 2");
         assert!(s.get(1).is_some());
         assert!(s.get(3).is_some());
-        assert_eq!(s.stats().evictions, 1);
+        assert_eq!(count(&registry, "evictions"), 1);
     }
 
     #[test]
@@ -353,10 +323,11 @@ mod tests {
             s.put(42, "{\"x\":true}".into()).unwrap();
             s.flush().unwrap();
         }
-        let s = ResultStore::open(cfg, &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let s = ResultStore::open(cfg, &registry).unwrap();
         assert_eq!(s.mem_entries(), 0, "fresh memory tier");
         assert_eq!(&*s.get(42).unwrap(), "{\"x\":true}\n");
-        assert_eq!(s.stats().disk_loads, 1);
+        assert_eq!(count(&registry, "disk_loads"), 1);
         assert_eq!(s.mem_entries(), 1, "disk hit promoted to memory");
         let _ = fs::remove_dir_all(dir);
     }
@@ -462,7 +433,7 @@ mod tests {
 
     #[test]
     fn put_normalizes_the_newline_terminator() {
-        let s = memory_only(4);
+        let s = memory_only(4, &Registry::new());
         s.put(7, "doc\n\n".into()).unwrap();
         assert_eq!(&*s.get(7).unwrap(), "doc\n");
     }

@@ -17,6 +17,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The store's `mgx_store_{name}_total` counter as `metrics` reports it.
+fn count(registry: &Registry, name: &str) -> u64 {
+    registry.counter_value(&format!("mgx_store_{name}_total")).expect("registered at open")
+}
+
 /// Deterministic fake result documents keyed by digest, shaped like real
 /// `result_json` envelopes (including >2^53 integers, which the store must
 /// carry as opaque bytes).
@@ -53,7 +58,8 @@ fn disk_tier_survives_restart_and_serves_bytes_verbatim() {
     } // drop = restart
 
     // Session two: a cold process over the same directory.
-    let store = ResultStore::open(cfg, &Registry::new()).unwrap();
+    let registry = Registry::new();
+    let store = ResultStore::open(cfg, &registry).unwrap();
     assert_eq!(store.mem_entries(), 0, "restart starts with a cold memory tier");
     assert_eq!(store.disk_entries(), docs.len(), "disk tier survived the restart");
 
@@ -65,19 +71,19 @@ fn disk_tier_survives_restart_and_serves_bytes_verbatim() {
     }
 
     // Attribution: every warm fetch was a hit *loaded from the disk tier*.
-    let stats = store.stats();
-    assert_eq!(stats.hits, docs.len() as u64, "all fetches hit");
-    assert_eq!(stats.misses, 0, "nothing was lost");
-    assert_eq!(stats.disk_loads, docs.len() as u64, "every hit came off disk");
-    assert_eq!(stats.insertions, 0, "no re-simulation, no re-insertions");
+    let hits = count(&registry, "hits");
+    let disk_loads = count(&registry, "disk_loads");
+    assert_eq!(hits, docs.len() as u64, "all fetches hit");
+    assert_eq!(count(&registry, "misses"), 0, "nothing was lost");
+    assert_eq!(disk_loads, docs.len() as u64, "every hit came off disk");
+    assert_eq!(count(&registry, "insertions"), 0, "no re-simulation, no re-insertions");
 
     // A re-fetch of a just-promoted entry is served from memory: hits grow,
     // disk loads do not.
     let last = *docs.keys().last().unwrap();
     assert!(store.get(last).is_some());
-    let stats2 = store.stats();
-    assert_eq!(stats2.hits, stats.hits + 1);
-    assert_eq!(stats2.disk_loads, stats.disk_loads, "memory hit must not touch disk");
+    assert_eq!(count(&registry, "hits"), hits + 1);
+    assert_eq!(count(&registry, "disk_loads"), disk_loads, "memory hit must not touch disk");
 
     let _ = fs::remove_dir_all(dir);
 }
@@ -90,9 +96,10 @@ fn unknown_digests_after_restart_are_clean_misses() {
         let store = ResultStore::open(cfg.clone(), &Registry::new()).unwrap();
         store.put(1, "{\"ok\":true}".into()).unwrap();
     }
-    let store = ResultStore::open(cfg, &Registry::new()).unwrap();
+    let registry = Registry::new();
+    let store = ResultStore::open(cfg, &registry).unwrap();
     assert!(store.get(2).is_none());
-    let stats = store.stats();
-    assert_eq!((stats.hits, stats.misses, stats.disk_loads), (0, 1, 0));
+    let counts = ["hits", "misses", "disk_loads"].map(|name| count(&registry, name));
+    assert_eq!(counts, [0, 1, 0]);
     let _ = fs::remove_dir_all(dir);
 }

@@ -10,9 +10,9 @@
 //! queries exactly (same spec → same key → bit-identical cached bytes).
 //!
 //! The digest deliberately **excludes** `threads`: the parallel executor
-//! is bit-identical to the serial one by construction (pinned by the
-//! `parallel ≡ serial` proptest in `tests/pipeline_shapes.rs` and
-//! re-pinned end-to-end by the serve proptest in `tests/serve_e2e.rs`),
+//! is bit-identical to the serial one by construction (pinned by
+//! `threads_never_change_the_result_document` below and re-pinned
+//! end-to-end by the serve proptest in `tests/serve_e2e.rs`),
 //! so a 1-thread and an 8-thread run of the same job share one cache
 //! entry. It deliberately **includes** a crate-version salt: a code
 //! change that shifts any simulated bit must not be served stale results
@@ -398,6 +398,25 @@ mod tests {
         let spec = tiny_video_spec();
         for threads in [0usize, 1, 2, 8] {
             assert_eq!(JobSpec { threads, ..spec.clone() }.digest(), spec.digest());
+        }
+    }
+
+    #[test]
+    fn threads_never_change_the_result_document() {
+        let quick = Scale::quick();
+        for (suite, scale) in [
+            (Suite::Graph, Scale { graph_divisor: 4000, pr_iters: 1, ..quick }),
+            (
+                Suite::Genome,
+                Scale { genome_reads: 2, genome_read_len: 200, genome_divisor: 4000, ..quick },
+            ),
+            (Suite::Video, Scale { video_frames: 4, ..quick }),
+        ] {
+            let document = |threads| {
+                let spec = JobSpec { suite, scale, threads, ..tiny_video_spec() };
+                spec.result_json(&spec.execute())
+            };
+            assert_eq!(document(1), document(3), "{} document moved with threads", suite.name());
         }
     }
 

@@ -4,12 +4,12 @@
 //! * the acceptance smoke — a `--quick`-scale server answers ≥ 8
 //!   concurrent client connections with responses bit-identical to direct
 //!   `Simulation` runs, and a repeated identical request is a store hit
-//!   (the exposed `jobs_executed` counter stays put);
+//!   (the `mgx_jobs_executed_total` counter that `metrics` exposes stays
+//!   put);
 //! * the memoization property — for random job specs (suites, scheme
 //!   subsets, scales, phase modes via the suite choice, and thread
 //!   counts), the cold response and the warm/cached response are both
-//!   byte-identical to calling the corresponding `evaluate_*_on` entry
-//!   point directly.
+//!   byte-identical to calling `JobSpec::execute` directly.
 
 use mgx::core::Scheme;
 use mgx::serve::json::Json;
@@ -27,8 +27,13 @@ fn boot(workers: usize, queue: usize) -> mgx::serve::Handle {
     .expect("bind loopback")
 }
 
+/// A counter from the `metrics` op, by full name.
+fn counter(c: &mut Client, name: &str) -> Option<u64> {
+    c.metrics().unwrap().get("metrics")?.get("counters")?.get(name)?.as_u64()
+}
+
 fn executed(c: &mut Client) -> u64 {
-    c.stats().unwrap().get("jobs_executed").and_then(Json::as_u64).expect("stats envelope")
+    counter(c, "mgx_jobs_executed_total").expect("registered at boot")
 }
 
 /// What the registry itself would answer: the exact bytes `fetch` must
@@ -140,8 +145,7 @@ fn served_transformer_suite_matches_direct_evaluation() {
 #[test]
 fn metrics_op_agrees_with_the_request_sequence_and_stats() {
     // Issue a known op sequence, then check the `metrics` reply counts it
-    // exactly — and that `stats` (which renders the same registry atomics)
-    // can never disagree with it.
+    // exactly: requests by op, and the store and job counters they moved.
     let server = boot(2, 8);
     let spec = JobSpec {
         suite: Suite::Video,
@@ -154,7 +158,6 @@ fn metrics_op_agrees_with_the_request_sequence_and_stats() {
     let cold = c.run(&spec).expect("cold run");
     let warm = c.run(&spec).expect("warm run");
     assert_eq!(cold, warm);
-    let stats = c.stats().unwrap();
     let reply = c.metrics().unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
     let m = reply.get("metrics").expect("metrics subdocument");
@@ -163,21 +166,22 @@ fn metrics_op_agrees_with_the_request_sequence_and_stats() {
     // `metrics` request itself is counted after its reply renders, so it
     // does not observe itself.)
     assert_eq!(counter("mgx_requests_total{op=\"run\"}"), Some(2));
-    assert_eq!(counter("mgx_requests_total{op=\"stats\"}"), Some(1));
     assert_eq!(counter("mgx_jobs_executed_total"), Some(1), "the warm run must be a store hit");
-    // Cross-surface consistency: `stats` wire keys are rendered from the
-    // same counters the `metrics` op exposes.
-    let stat = |key: &str| stats.get(key).and_then(Json::as_u64);
-    assert_eq!(counter("mgx_jobs_executed_total"), stat("jobs_executed"));
-    assert_eq!(counter("mgx_store_hits_total"), stat("store_hits"));
-    assert_eq!(counter("mgx_store_misses_total"), stat("store_misses"));
-    // The per-op latency histogram saw exactly the run requests.
-    let run_latency_count = m
-        .get("histograms")
-        .and_then(|h| h.get("mgx_request_ns{op=\"run\"}"))
-        .and_then(|h| h.get("count"))
-        .and_then(Json::as_u64);
-    assert_eq!(run_latency_count, Some(2));
+    // The cold run misses at submit and hits at fetch; the warm run hits
+    // at both.
+    assert_eq!(counter("mgx_store_misses_total"), Some(1));
+    assert_eq!(counter("mgx_store_hits_total"), Some(3));
+    // The per-op latency histogram saw exactly the run requests, and an op
+    // never sent reads 0 in both families: the meters exist from boot.
+    let latency_count = |op: &str| {
+        m.get("histograms")
+            .and_then(|h| h.get(&format!("mgx_request_ns{{op=\"{op}\"}}")))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(latency_count("run"), Some(2));
+    assert_eq!(counter("mgx_requests_total{op=\"poll\"}"), Some(0));
+    assert_eq!(latency_count("poll"), Some(0));
     // The Prometheus exposition is the same registry in the other dialect.
     let text = c.metrics_prometheus().expect("prometheus exposition");
     assert!(
@@ -229,7 +233,7 @@ proptest! {
         let expected = direct_document(&spec);
         let mut c = Client::connect(&server.addr).expect("connect");
         let cold = c.run(&spec).expect("cold run");
-        prop_assert_eq!(&cold, &expected, "cold response diverged from evaluate_*_on");
+        prop_assert_eq!(&cold, &expected, "cold response diverged from JobSpec::execute");
         let before = executed(&mut c);
         let warm = c.run(&spec).expect("warm run");
         prop_assert_eq!(&warm, &expected, "warm response diverged");
