@@ -27,8 +27,9 @@
 //! `--dram-model MODEL` selects the DRAM timing backend
 //! (`closed-form` | `queued`, default `closed-form`); the backend is part
 //! of the job digest, so `--store` never serves one model's sweep for the
-//! other. Any other `--` flag, or a valued flag with a missing or
-//! malformed value, is rejected with exit status 2, like an unknown
+//! other. Any other `--` flag, a valued flag with a missing or malformed
+//! value, or a `--store` / `--stats-json` path that cannot be opened, is
+//! rejected with exit status 2 before any suite runs, like an unknown
 //! figure id.
 
 use mgx_bench::{take_flag, usage_error};
@@ -40,6 +41,8 @@ use mgx_sim::experiments::{entry, Evaluated, FIGURES};
 use mgx_sim::job::{JobSpec, Suite};
 use mgx_sim::{DramBackend, Scale};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Progress note: how much DRAM traffic a suite's sweep actually moved.
@@ -123,14 +126,6 @@ fn main() {
         println!("{:<10} Everything above", "all");
         return;
     }
-    // One registry for the whole invocation: suite sweeps, the result
-    // store, and the `--stats-json` side-file all share it.
-    let registry = Registry::new();
-    let store = store_dir.map(|dir| {
-        ResultStore::open(StoreConfig { mem_entries: 16, disk: Some(dir) }, &registry)
-            .expect("--store directory must be creatable")
-    });
-    let store = store.as_ref();
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let scale = if quick { Scale::quick() } else { Scale::standard() };
@@ -139,6 +134,24 @@ fn main() {
     if let Some(id) = ids.iter().find(|&&id| id != "all" && entry(id).is_none()) {
         usage_error(&format!("unknown figure `{id}` — run with --list to see the available ids"));
     }
+    // One registry for the whole invocation: suite sweeps, the result
+    // store, and the `--stats-json` side-file all share it. The store and
+    // the side-file are opened before any suite runs, so a bad path costs
+    // no simulation.
+    let registry = Registry::new();
+    let store = store_dir.map(|dir| {
+        let cfg = StoreConfig { mem_entries: 16, disk: Some(dir.clone()) };
+        ResultStore::open(cfg, &registry).unwrap_or_else(|e| {
+            usage_error(&format!("`--store {}`: cannot open the store: {e}", dir.display()))
+        })
+    });
+    let store = store.as_ref();
+    let stats_file = stats_path.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => {
+            usage_error(&format!("`--stats-json {}`: cannot create the file: {e}", path.display()))
+        }
+    });
 
     eprintln!("# scale: {scale:?}");
     eprintln!("# dram model: {}", backend.name());
@@ -158,7 +171,7 @@ fn main() {
         }
         print!("{}", e.render(|suite| &sweeps[&suite], &scale, threads, json));
     }
-    if let Some(path) = stats_path {
+    if let Some((path, mut file)) = stats_file {
         // The side-file is the registry itself, wrapped with the run's
         // identity knobs.
         let doc = format!(
@@ -167,7 +180,10 @@ fn main() {
             backend.name(),
             registry.render_json()
         );
-        std::fs::write(&path, doc).expect("--stats-json path must be writable");
+        if let Err(e) = file.write_all(doc.as_bytes()) {
+            eprintln!("figures: writing `--stats-json {}`: {e}", path.display());
+            std::process::exit(1);
+        }
         eprintln!("# wrote run metrics to {}", path.display());
     }
 }

@@ -1,11 +1,11 @@
-//! Benchmark harness crate: see the `figures` binary (regenerates every
-//! paper table/figure) and the Criterion benches under `benches/`.
+//! Command-line front ends: the `figures` binary (regenerates every paper
+//! table/figure), the `serve` daemon and its `mgx-client`. Performance is
+//! measured by the benchmark under `perfbench/`, not by this crate.
 //!
 //! Run `cargo run -p mgx-bench --release --bin figures -- all` for the full
 //! evaluation, or pass figure ids (`fig3 fig12a fig13b fig14a fig16 h264
 //! pruning summary`). `--quick` switches to the reduced CI scale;
-//! `--threads 0` fans the sweeps across every core (byte-identical output,
-//! see `benches/parallel.rs` for the serial-vs-parallel comparison).
+//! `--threads 0` fans the sweeps across every core (byte-identical output).
 //!
 //! The library itself is the command-line parser the `figures`, `serve`
 //! and `mgx-client` binaries share, so a valued flag reads and fails the

@@ -1,8 +1,8 @@
-//! Command-line contract of the `figures` binary: an unknown `--` flag, or
-//! a valued flag with a missing or malformed value, is rejected with exit
-//! status 2 and a hint before anything is simulated, exactly like an
-//! unknown figure id, while every documented flag parses; and `--json`
-//! prints one JSON object per line.
+//! Command-line contract of the `figures` binary: an unknown `--` flag, a
+//! valued flag with a missing or malformed value, or a file path that
+//! cannot be opened, is rejected with exit status 2 and a hint before
+//! anything is simulated, exactly like an unknown figure id, while every
+//! documented flag parses; and `--json` prints one JSON object per line.
 
 use mgx_serve::json::Json;
 use std::process::{Command, Output};
@@ -39,6 +39,16 @@ fn missing_or_malformed_flag_values_exit_2_with_a_hint() {
         (&["fig12a", "--dram-model", "bogus"], "unknown dram model `bogus` (known: closed-form"),
         (&["fig12a", "--store"], "`--store` needs a value: --store DIR"),
         (&["fig12a", "--stats-json"], "`--stats-json` needs a value: --stats-json PATH"),
+        // Tests run in the package directory, where `Cargo.toml` is a file,
+        // so neither path can be created.
+        (
+            &["h264", "--quick", "--stats-json", "Cargo.toml/x.json"],
+            "`--stats-json Cargo.toml/x.json`: cannot create the file",
+        ),
+        (
+            &["h264", "--quick", "--store", "Cargo.toml/store"],
+            "`--store Cargo.toml/store`: cannot open",
+        ),
     ] {
         let out = figures(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

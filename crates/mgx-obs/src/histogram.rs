@@ -110,11 +110,6 @@ impl Histogram {
         crate::Span::start(self)
     }
 
-    /// Observation count (sum over buckets).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
     /// An owned snapshot of the current state. The `count` is derived
     /// from the bucket sums, so percentile ranks are always internally
     /// consistent even if writers raced the snapshot.
@@ -162,11 +157,6 @@ impl HistogramSnapshot {
     /// The exact maximum, if anything was recorded.
     pub fn max_value(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of the recorded values, if anything was recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// The `q`-quantile estimate (`0 < q <= 1`), with the error bound
@@ -277,7 +267,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.quantiles(), None);
-        assert_eq!(s.mean(), None);
         assert_eq!(s, HistogramSnapshot::empty());
     }
 
@@ -312,6 +301,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 4000);
+        assert_eq!(h.snapshot().count, 4000);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! The repo grew disconnected stats surfaces (store counters, scheduler
 //! counters, `figures --stats-json`); this crate replaces them with one
-//! registry so every consumer — the serve daemon's `metrics` protocol op,
-//! the figures binary's stats side-file, and the `mgx-client bench` load
-//! harness — renders the *same* underlying atomics and can never disagree
-//! on a counter's value.
+//! registry so every consumer — the serve daemon's `metrics` protocol op
+//! and the figures binary's stats side-file — renders the *same*
+//! underlying atomics and can never disagree on a counter's value.
 //!
 //! Three primitives, all lock-free on the update path:
 //!

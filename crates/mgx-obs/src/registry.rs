@@ -273,9 +273,9 @@ impl Registry {
     }
 }
 
-/// The JSON summary of one histogram snapshot (shared by
-/// [`Registry::render_json`] and external report writers).
-pub fn snapshot_json(snap: &HistogramSnapshot) -> String {
+/// The JSON summary of one histogram snapshot in
+/// [`Registry::render_json`].
+fn snapshot_json(snap: &HistogramSnapshot) -> String {
     match snap.quantiles() {
         None => format!("{{\"count\":0,\"sum\":{}}}", snap.sum),
         Some([p50, p90, p99, p999]) => format!(

@@ -29,10 +29,9 @@
 //! reply with stored bytes verbatim.
 //!
 //! The `mgx-bench` crate ships the `serve` daemon binary and the
-//! `mgx-client` CLI (submit/poll/fetch, the concurrent `bench` load
-//! harness, and figure rendering through the same figure table as
-//! `figures`, so served results diff cleanly against `figures --json`
-//! output).
+//! `mgx-client` CLI (submit/poll/fetch, metrics, and figure rendering
+//! through the same figure table as `figures`, so served results diff
+//! cleanly against `figures --json` output).
 //!
 //! [`JobSpec::execute`]: mgx_sim::job::JobSpec::execute
 

@@ -17,6 +17,11 @@
 //! | `shutdown` | — | `{"ok":true,"draining":true}`, then graceful drain |
 //! | anything else | — | `{"ok":false,"error":...}` |
 //!
+//! A request line longer than 64 KiB (65,536 bytes before its `\n`) is
+//! never buffered whole: the server skips it through its `\n`, replies
+//! `{"ok":false,"error":"request line exceeds 65536 bytes"}`, counts it
+//! under `op="invalid"` and keeps serving the connection.
+//!
 //! `fetch`/`run` reply with the result document **verbatim** (the bytes
 //! the store holds), so a cached response is bit-identical to the cold
 //! one and to a direct [`JobSpec::result_json`] call — the property the
@@ -50,7 +55,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig, Submitted};
 use crate::store::{ResultStore, StoreConfig};
 use mgx_obs::{Counter, Gauge, Histogram, Registry};
 use mgx_sim::job::Suite;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,9 +119,13 @@ fn sentinel_path(cfg: &ServerConfig) -> Option<PathBuf> {
     cfg.store.disk.as_ref().map(|d| d.join("shutdown"))
 }
 
+/// The longest request line served, in bytes before its `\n`. The cap is
+/// what bounds a connection's read buffer.
+const MAX_LINE: usize = 64 << 10;
+
 /// The op labels the request meters are kept under: the ops the protocol
-/// serves, then `invalid` (the line is not JSON) and `unknown` (it names
-/// no served op).
+/// serves, then `invalid` (the line is not JSON, or is over
+/// [`MAX_LINE`]) and `unknown` (it names no served op).
 const OP_LABELS: [&str; 9] =
     ["submit", "poll", "fetch", "run", "metrics", "suites", "shutdown", "invalid", "unknown"];
 /// Index of `invalid` in [`OP_LABELS`]; every label before it is a served op.
@@ -197,25 +206,38 @@ fn serve_on(listener: TcpListener, cfg: ServerConfig, stop: Arc<AtomicBool>) -> 
 
 /// Reads one `\n`-terminated line from a stream with a read timeout,
 /// preserving partial bytes across timeouts and re-checking `stop`.
-/// `Ok(None)` = clean EOF or shutdown.
+/// `Ok(None)` = clean EOF or shutdown; `Ok(Some(None))` = the line was
+/// longer than [`MAX_LINE`] and has been skipped through its `\n`.
 fn read_line_with_flag(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
     stop: &AtomicBool,
-) -> io::Result<Option<String>> {
+) -> io::Result<Option<Option<String>>> {
     buf.clear();
+    let mut overlong = false;
     loop {
-        match reader.read_until(b'\n', buf) {
+        // At most `MAX_LINE + 1` bytes are held: one more than a served
+        // line's content, so a full buffer without `\n` is over the cap.
+        let room = (MAX_LINE + 1 - buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
             Ok(0) => {
                 return Ok(None); // EOF
             }
             Ok(_) if buf.last() == Some(&b'\n') => {
+                if overlong {
+                    return Ok(Some(None));
+                }
                 buf.pop();
                 if buf.last() == Some(&b'\r') {
                     buf.pop();
                 }
                 let line = String::from_utf8_lossy(buf).into_owned();
-                return Ok(Some(line));
+                return Ok(Some(Some(line)));
+            }
+            // Past the cap, drop what was read and read on to the `\n`.
+            Ok(_) if buf.len() > MAX_LINE => {
+                overlong = true;
+                buf.clear();
             }
             // A read timeout mid-line leaves what was read in `buf`;
             // loop to keep appending unless we are shutting down.
@@ -244,14 +266,17 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     while let Some(line) = read_line_with_flag(&mut reader, &mut buf, stop)? {
-        if line.trim().is_empty() {
+        if line.as_deref().is_some_and(|l| l.trim().is_empty()) {
             continue;
         }
         // Per-op request accounting: the latency span covers the whole
         // dispatch, including any `fetch_wait` blocking — exactly what
         // the client experiences past the socket.
         let started = std::time::Instant::now();
-        let (reply, op) = dispatch(&line, scheduler, registry, stop);
+        let (reply, op) = match line {
+            Some(line) => dispatch(&line, scheduler, registry, stop),
+            None => (error_reply(&format!("request line exceeds {MAX_LINE} bytes")), INVALID),
+        };
         meters.requests[op].inc();
         meters.latency[op].record_duration(started.elapsed());
         writer.write_all(reply.as_bytes())?;

@@ -86,7 +86,7 @@ mod tests {
     use mgx_core::Scheme;
 
     /// A single small model through the whole pipeline (smoke test — the
-    /// full suites run in the benches/binary at release speed).
+    /// full suites run in the `figures` binary at release speed).
     #[test]
     fn alexnet_cloud_shapes_hold() {
         let model = Model::alexnet(1);

@@ -34,10 +34,9 @@ pub enum PhaseMode {
 ///
 /// Both paths produce **bit-identical** results — `Burst` is the default
 /// and the reason the simulator is fast; `PerLine` is the reference path
-/// kept alive so the equivalence stays checkable (the `hotpath` bench,
-/// the burst proptest in `tests/pipeline_shapes.rs` and
-/// `tests/path_equivalence.rs` compare the two down to the `exec_ns`
-/// float bits).
+/// kept alive so the equivalence stays checkable (the burst proptest in
+/// `tests/pipeline_shapes.rs` and `tests/path_equivalence.rs` compare the
+/// two down to the `exec_ns` float bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxnPath {
     /// Engines emit contiguous [`LineBurst`]s, serviced by

@@ -28,7 +28,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Fast preset for `cargo bench` / CI (seconds per figure).
+    /// Fast preset for CI and the benchmark (seconds per figure).
     pub fn quick() -> Self {
         Self {
             dnn_batch: 2,

@@ -4,9 +4,10 @@
 //! workload shapes that stress different parts of the burst hot path:
 //! warm metadata caches, ring-buffer reuse, monotonic streams, mixed
 //! request shapes, refresh windows landing inside bursts, a real DNN
-//! trace, and a proptest over random mixtures of those phases. The mixed
-//! and refresh-straddling shapes also run on the queued DRAM backend,
-//! whose run-granular service loop must match its per-line discipline.
+//! trace, and a proptest over random mixtures of those phases. The
+//! stream, mixed and refresh-straddling shapes also run on the queued DRAM
+//! backend, whose run-granular service loop must match its per-line
+//! discipline.
 
 mod common;
 
@@ -127,7 +128,9 @@ fn frame_ring_all_paths_bit_identical() {
 
 #[test]
 fn monotonic_stream_all_paths_bit_identical() {
-    assert_all_paths_bit_identical(&stream_trace(64), "stream");
+    for backend in DramBackend::ALL {
+        assert_paths_bit_identical_with(&stream_trace(64), "stream", backend);
+    }
 }
 
 #[test]
