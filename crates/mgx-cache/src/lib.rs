@@ -165,7 +165,7 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineState {
     tag: u64,
     dirty: bool,
@@ -237,49 +237,82 @@ impl CacheSim {
         let (set_idx, tag) = self.index(addr);
         let tag_bits = self.set_mask.count_ones();
         let line_shift = self.set_shift;
+        let write = matches!(kind, AccessKind::Write);
         let set = &mut self.lines[set_idx * self.cfg.ways..(set_idx + 1) * self.cfg.ways];
 
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            set[way].last_use = self.clock;
-            if matches!(kind, AccessKind::Write) {
-                set[way].dirty = true;
+        // One pass finds a hit or the victim. An invalid way's stamp is 0
+        // and a valid one's at least 1, so the least stamp picks the first
+        // invalid way, else the least-recently-used one.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (way, line) in set.iter_mut().enumerate() {
+            if line.valid && line.tag == tag {
+                line.last_use = self.clock;
+                line.dirty |= write;
+                self.stats.hits += 1;
+                return AccessOutcome { hit: true, fill: false, writeback: None };
             }
-            self.stats.hits += 1;
-            return AccessOutcome { hit: true, fill: false, writeback: None };
+            if line.last_use < oldest {
+                oldest = line.last_use;
+                victim = way;
+            }
         }
 
         self.stats.misses += 1;
         self.stats.fills += 1;
-
-        // Victim: an invalid way if present, else the least-recently used.
-        let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("set is non-empty")
-        });
-
         let mut writeback = None;
         if set[victim].valid && set[victim].dirty {
             writeback = Some(((set[victim].tag << tag_bits) | set_idx as u64) << line_shift);
             self.stats.writebacks += 1;
         }
-        set[victim] = LineState {
-            tag,
-            dirty: matches!(kind, AccessKind::Write),
-            last_use: self.clock,
-            valid: true,
-        };
+        set[victim] = LineState { tag, dirty: write, last_use: self.clock, valid: true };
         AccessOutcome { hit: false, fill: true, writeback }
+    }
+
+    /// Applies `rounds` passes of [`access`](Self::access) over `lines`,
+    /// in order, in closed form — provided every line is resident.
+    ///
+    /// Every access of those passes is a hit, and a hit evicts nothing, so
+    /// their whole effect is: the clock and the hit count advance by
+    /// `rounds × lines.len()`, each line's LRU stamp becomes that of its
+    /// access in the last pass, and a write dirties every line. Returns
+    /// `false` and changes nothing if any line is absent; the caller then
+    /// runs the scalar loop, whose first access misses.
+    pub fn repeat_hits(&mut self, lines: &[u64], kind: AccessKind, rounds: u64) -> bool {
+        if !lines.iter().all(|&addr| self.probe(addr)) {
+            return false;
+        }
+        let width = lines.len() as u64;
+        let total = rounds * width;
+        if total == 0 {
+            return true;
+        }
+        // The last pass touches `lines[i]` at clock `last_pass + i + 1`.
+        let last_pass = self.clock + total - width;
+        for (i, &addr) in lines.iter().enumerate() {
+            let way = self.way_of(addr).expect("every line was probed resident");
+            let line = &mut self.lines[way];
+            line.last_use = last_pass + i as u64 + 1;
+            line.dirty |= matches!(kind, AccessKind::Write);
+        }
+        self.clock += total;
+        self.stats.hits += total;
+        true
+    }
+
+    /// Index into `lines` of the way holding `addr`'s line, if resident.
+    fn way_of(&self, addr: u64) -> Option<usize> {
+        let (set_idx, tag) = self.index(addr);
+        let base = set_idx * self.cfg.ways;
+        self.lines[base..base + self.cfg.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|way| base + way)
     }
 
     /// Checks residency without updating LRU or stats.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.lines[set_idx * self.cfg.ways..(set_idx + 1) * self.cfg.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.way_of(addr).is_some()
     }
 
     /// Invalidates everything, returning the addresses of dirty lines (which
@@ -520,6 +553,12 @@ mod proptests {
         }
     }
 
+    /// Everything an access can observe or change: clock, stats, and each
+    /// way's tag, valid bit, dirty bit and LRU stamp.
+    fn state(sim: &CacheSim) -> (u64, CacheStats, Vec<LineState>) {
+        (sim.clock, sim.stats, sim.lines.clone())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -540,6 +579,62 @@ mod proptests {
                 prop_assert_eq!(got.hit, hit, "hit mismatch at {:#x}", addr);
                 prop_assert_eq!(got.writeback, wb, "writeback mismatch at {:#x}", addr);
             }
+        }
+
+        /// `repeat_hits` leaves the cache exactly as the scalar loop of
+        /// hits it stands for, and refuses (changing nothing) when a line
+        /// is absent. 32 candidate lines over 4 sets of 4 ways keep about
+        /// half of them resident, and a run of the resident lines sorted by
+        /// set usually puts several picks in one set.
+        #[test]
+        fn repeat_hits_equals_scalar_access_loop(
+            history in proptest::collection::vec((0u64..32, any::<bool>()), 1..200),
+            pick in (0usize..16, 1usize..4, any::<bool>()),
+            write in any::<bool>(),
+            rounds in 0u64..10,
+            absent_at in 0usize..4,
+            after in proptest::collection::vec((0u64..32, any::<bool>()), 0..100),
+        ) {
+            let cfg = CacheConfig { capacity_bytes: 1024, line_bytes: 64, ways: 4 };
+            let kind_of = |w: bool| if w { AccessKind::Write } else { AccessKind::Read };
+            let mut sim = CacheSim::new(cfg);
+            for &(line, w) in &history {
+                sim.access(line * 64, kind_of(w));
+            }
+            let sets = cfg.sets() as u64;
+            let (mut resident, absent): (Vec<u64>, Vec<u64>) =
+                (0..32u64).map(|line| line * 64).partition(|&addr| sim.probe(addr));
+            resident.sort_by_key(|&addr| (addr / 64 % sets, addr));
+            let (start, count, reverse) = pick;
+            let start = start % resident.len();
+            let mut lines: Vec<u64> =
+                resident[start..(start + count).min(resident.len())].to_vec();
+            if reverse {
+                lines.reverse();
+            }
+            let kind = kind_of(write);
+
+            let mut batched = sim.clone();
+            let mut scalar = sim.clone();
+            prop_assert!(batched.repeat_hits(&lines, kind, rounds));
+            for _ in 0..rounds {
+                for &addr in &lines {
+                    prop_assert!(scalar.access(addr, kind).hit);
+                }
+            }
+            prop_assert_eq!(state(&batched), state(&scalar), "lines {:?} x {}", lines, rounds);
+            for &(line, w) in &after {
+                let (addr, kind) = (line * 64, kind_of(w));
+                let outcomes = (batched.access(addr, kind), scalar.access(addr, kind));
+                prop_assert_eq!(outcomes.0, outcomes.1, "later access to line {} diverged", line);
+            }
+            prop_assert_eq!(state(&batched), state(&scalar));
+
+            let mut with_absent = lines.clone();
+            with_absent.insert(absent_at.min(lines.len()), absent[0]);
+            let before = state(&sim);
+            prop_assert!(!sim.repeat_hits(&with_absent, kind, rounds));
+            prop_assert_eq!(state(&sim), before, "a refused repeat_hits changed the cache");
         }
     }
 }

@@ -131,15 +131,17 @@ impl BaselineEngine {
 
     /// Handles a dirty-line writeback plus the cascading parent updates.
     fn process_writeback(&mut self, wb: u64, emit: &mut dyn FnMut(LineTxn)) {
-        let mut queue = vec![wb];
         // A dirty eviction updates its tree parent, which may evict another
-        // dirty line. Cascades climb the tree, so depth bounds honest chains;
-        // the cap below is a hard stop against pathological LRU ping-pong.
+        // dirty line. Each step makes one cache access, which evicts at most
+        // one line, so at most one writeback is ever pending. Cascades climb
+        // the tree, so depth bounds honest chains; the cap below is a hard
+        // stop against pathological LRU ping-pong.
         let mut budget = self.layout.tree_depth() + 4;
-        while let Some(addr) = queue.pop() {
+        let mut pending = Some(wb);
+        while let Some(addr) = pending.take() {
             self.record_emit(addr, Dir::Write, emit);
             if budget == 0 {
-                continue;
+                break;
             }
             budget -= 1;
             let parent = match BaselineLayout::classify(addr) {
@@ -152,9 +154,7 @@ impl BaselineEngine {
                 if out.fill {
                     self.record_emit(p, Dir::Read, emit);
                 }
-                if let Some(wb2) = out.writeback {
-                    queue.push(wb2);
-                }
+                pending = out.writeback;
             }
         }
     }
@@ -196,7 +196,7 @@ impl BaselineEngine {
         }
     }
 
-    /// The per-line cached VN (+ fine MAC) walk shared verbatim by
+    /// The cached VN (+ fine MAC) walk shared verbatim by
     /// [`ProtectionEngine::expand`] and
     /// [`ProtectionEngine::expand_bursts`].
     ///
@@ -212,16 +212,45 @@ impl BaselineEngine {
         loop {
             let overflow =
                 if split_write { (from..=last).find(|&line| self.bump_minor(line)) } else { None };
-            for line in from..=overflow.unwrap_or(last) {
-                let addr = line * LINE_BYTES;
-                self.vn_access(addr, req.dir, emit);
-                if matches!(self.mac, MacMode::FineCached) {
-                    self.mac_access_cached(addr, req.dir, emit);
-                }
-            }
+            self.walk_lines(from, overflow.unwrap_or(last), req.dir, emit);
             let Some(line) = overflow else { return };
             self.reencrypt_group(line, emit);
             from = line + 1;
+        }
+    }
+
+    /// VN (+ fine MAC) accesses for data lines `from..=to`, in line order,
+    /// batching the hits within each aligned group of [`ENTRIES_PER_LINE`]
+    /// lines.
+    ///
+    /// A group's lines share one VN line (under split counters, 8 groups
+    /// do) and one fine MAC line. A line makes both accesses scalar; if
+    /// both metadata lines are then resident, every later access of the
+    /// group is a hit, and hits never evict, so [`CacheSim::repeat_hits`]
+    /// applies them in closed form. Otherwise the line's own fills and
+    /// cascade evicted one of them, and the next line runs scalar too.
+    fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineTxn)) {
+        let fine_mac = matches!(self.mac, MacMode::FineCached);
+        let kind = match dir {
+            Dir::Read => AccessKind::Read,
+            Dir::Write => AccessKind::Write,
+        };
+        let mut line = from;
+        while line <= to {
+            let addr = line * LINE_BYTES;
+            self.vn_access(addr, dir, emit);
+            if fine_mac {
+                self.mac_access_cached(addr, dir, emit);
+            }
+            let group_last = (line | (ENTRIES_PER_LINE - 1)).min(to);
+            let meta =
+                [self.layout.vn_line_of(addr >> self.vn_shift), self.layout.mac_fine_line_of(addr)];
+            let meta = if fine_mac { &meta[..] } else { &meta[..1] };
+            line = if self.cache.repeat_hits(meta, kind, group_last - line) {
+                group_last + 1
+            } else {
+                line + 1
+            };
         }
     }
 
@@ -282,11 +311,10 @@ impl ProtectionEngine for BaselineEngine {
     }
 
     fn expand_bursts(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst)) {
-        // The data lines stream as one burst; the cached metadata walk is
-        // inherently per-line (every line consults the LRU cache and can
-        // trigger fills/writebacks in between), so it stays the *same*
-        // scalar walk, each transaction riding as a 1-line burst in
-        // exactly the order `expand` produces.
+        // The data lines stream as one burst. The cached metadata walk is
+        // the *same* walk `expand` runs: it batches only the cache hits
+        // within each 8-line group, which emit nothing, so every fill and
+        // writeback rides as a 1-line burst in exactly `expand`'s order.
         emit_data_burst(req, &mut self.traffic, emit);
         self.cached_meta_walk(req, &mut |t| emit(t.into()));
         if let MacMode::Coarse(tracker) = &mut self.mac {
@@ -413,6 +441,16 @@ mod tests {
         assert!(kinds.iter().all(|(d, _)| *d == Dir::Write));
     }
 
+    /// Keeps the VN, tree and fine-MAC transactions: what the cached walk
+    /// emits, as opposed to data and coarse MACs, which follow the request.
+    fn meta_only(t: LineTxn, out: &mut Vec<LineTxn>) {
+        if !matches!(BaselineLayout::classify(t.addr), MetaKind::MacCoarse)
+            && t.kind != TxnKind::Data
+        {
+            out.push(t);
+        }
+    }
+
     /// Expands `req`, returning how many lines of minor-overflow
     /// re-encryption it emitted (VN-kind transactions on data addresses).
     fn reencrypted_lines(e: &mut BaselineEngine, req: &MemRequest) -> (u64, u64) {
@@ -485,36 +523,78 @@ mod tests {
     }
 
     #[test]
-    fn split_counter_write_walks_like_its_lines_written_one_by_one() {
-        // Minors are bumped ahead of the walk; every re-encryption must
-        // still land right after its own line's VN and MAC accesses.
+    fn walk_matches_its_lines_sent_one_by_one() {
+        // A 1-line request never batches, so a request must walk exactly
+        // like its lines sent one by one: same VN, tree and fine-MAC
+        // streams (split-counter re-encryptions included, each right after
+        // its own line's accesses) and same cache statistics. One 8-way set
+        // over a 5-level tree lets a line's own climb and cascade evict its
+        // group's VN or MAC line, which the next line, run scalar, must
+        // then refill.
         let cfg = ProtectionConfig {
             protected_bytes: 8 << 20,
             metadata_cache_bytes: 512,
             ..ProtectionConfig::default()
         };
-        let mut whole = BaselineEngine::split_counter(&cfg);
-        let mut by_line = BaselineEngine::split_counter(&cfg);
-        let region = mgx_trace::RegionId(0);
-        let meta = |e: &mut BaselineEngine, req: &MemRequest, out: &mut Vec<LineTxn>| {
-            e.expand(req, &mut |t| {
-                if t.kind != TxnKind::Data {
-                    out.push(t)
-                }
-            })
+        let regions = {
+            let mut m = RegionMap::new();
+            m.alloc("all", cfg.protected_bytes, DataClass::Feature);
+            m
         };
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for i in 0..1200u64 {
-            // 3–6 lines straddling a 4 KB group boundary, over 16 KiB.
-            let addr = (i * 4096 + 4096 - 192) % (16 << 10);
-            let req = MemRequest::write(region, addr, 192 + (i % 4) * 64);
-            meta(&mut whole, &req, &mut a);
-            for line in req.addr / 64..=(req.end() - 1) / 64 {
-                meta(&mut by_line, &MemRequest::write(region, line * 64, 64), &mut b);
+        let region = mgx_trace::RegionId(0);
+        let engines: [(&str, &dyn Fn() -> BaselineEngine); 3] = [
+            ("fine_mac", &|| BaselineEngine::fine_mac(&cfg)),
+            ("coarse_mac", &|| BaselineEngine::coarse_mac(&regions, &cfg)),
+            ("split_counter", &|| BaselineEngine::split_counter(&cfg)),
+        ];
+        for (name, build) in engines {
+            let (mut whole, mut by_line) = (build(), build());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut refills = 0;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..1000u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let lines = 1 + (x >> 33) % 40;
+                // Every other request writes across the 4 KB boundary at
+                // 4 KiB, so split-counter minors overflow there; the rest
+                // read or write anywhere.
+                let req = if i % 2 == 0 {
+                    MemRequest::write(region, 4096 - 64, lines * 64)
+                } else {
+                    let addr = (x >> 20) % ((8 << 20) / 64 - lines) * 64;
+                    match x & 1 {
+                        0 => MemRequest::read(region, addr, lines * 64),
+                        _ => MemRequest::write(region, addr, lines * 64),
+                    }
+                };
+                whole.expand(&req, &mut |t| meta_only(t, &mut a));
+                let first = req.addr / 64;
+                for line in first..=(req.end() - 1) / 64 {
+                    let one = MemRequest { addr: line * 64, bytes: 64, ..req };
+                    let own = [
+                        by_line.layout.vn_line_of(one.addr >> by_line.vn_shift),
+                        by_line.layout.mac_fine_line_of(one.addr),
+                    ];
+                    by_line.expand(&one, &mut |t| {
+                        let mid_group = line != first && line % ENTRIES_PER_LINE != 0;
+                        if mid_group && t.dir == Dir::Read && own.contains(&t.addr) {
+                            refills += 1;
+                        }
+                        meta_only(t, &mut b)
+                    });
+                }
+            }
+            assert!(a == b, "{name}: the grouped walk diverged from the per-line one");
+            assert_eq!(whole.cache.stats(), by_line.cache.stats(), "{name}");
+            assert!(refills > 0, "{name}: no group fell back to the scalar walk");
+            if name == "split_counter" {
+                assert!(
+                    a.iter().any(|t| t.kind == TxnKind::Vn
+                        && BaselineLayout::classify(t.addr) == MetaKind::Data),
+                    "the stream must trip a minor overflow"
+                );
             }
         }
-        assert_eq!(a, b);
-        assert!(a.iter().any(|t| t.kind == TxnKind::Vn && t.addr < SC_LINES * 64 * 4));
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //!
 //! Everything runs on flag-check loops rather than blocking forever: the
 //! accept loop polls a nonblocking listener, and connection readers use a
-//! short read timeout and re-check the flag between attempts. A
+//! short read timeout and re-check the flag between attempts. A reply
+//! write that stalls for 2 s ends its connection, so a client that
+//! pipelines requests and never reads the replies cannot pin the drain. A
 //! `shutdown` op (or, when a store directory is configured, an external
 //! `touch <dir>/shutdown` — the std-only stand-in for SIGTERM, since
 //! installing a real signal handler needs `libc` and the build is
@@ -122,6 +124,13 @@ fn sentinel_path(cfg: &ServerConfig) -> Option<PathBuf> {
 /// The longest request line served, in bytes before its `\n`. The cap is
 /// what bounds a connection's read buffer.
 const MAX_LINE: usize = 64 << 10;
+
+/// How long one send of a reply may block before the connection is
+/// dropped. A client that stops reading holds its connection thread, and
+/// with it the graceful drain, for about two of these at most: a send
+/// that stalls after copying part of a reply returns that part when the
+/// timeout expires, and the next send fails.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The op labels the request meters are kept under: the ops the protocol
 /// serves, then `invalid` (the line is not JSON, or is over
@@ -261,6 +270,7 @@ fn handle_connection(
     stop: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
