@@ -27,9 +27,7 @@
 //! of the 4 KB group is re-encrypted (read + write of the whole group).
 
 use super::macside::CoarseMacTracker;
-use super::{
-    emit_data, emit_data_burst, LineBurst, LineTxn, MetaTraffic, ProtectionEngine, TxnKind,
-};
+use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine, TxnKind};
 use crate::layout::{BaselineLayout, MetaKind, ENTRIES_PER_LINE};
 use crate::policy::ProtectionConfig;
 use mgx_cache::{AccessKind, CacheConfig, CacheSim};
@@ -123,14 +121,15 @@ impl BaselineEngine {
         }
     }
 
-    fn record_emit(&mut self, addr: u64, dir: Dir, emit: &mut dyn FnMut(LineTxn)) {
-        let txn = LineTxn { addr, dir, kind: Self::kind_of(addr) };
-        self.traffic.record(&txn);
-        emit(txn);
+    /// Counts and emits one metadata line as a 1-line burst.
+    fn record_emit(&mut self, addr: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
+        let burst = LineBurst { addr, lines: 1, dir, kind: Self::kind_of(addr) };
+        self.traffic.record_burst(&burst);
+        emit(burst);
     }
 
     /// Handles a dirty-line writeback plus the cascading parent updates.
-    fn process_writeback(&mut self, wb: u64, emit: &mut dyn FnMut(LineTxn)) {
+    fn process_writeback(&mut self, wb: u64, emit: &mut dyn FnMut(LineBurst)) {
         // A dirty eviction updates its tree parent, which may evict another
         // dirty line. Each step makes one cache access, which evicts at most
         // one line, so at most one writeback is ever pending. Cascades climb
@@ -160,7 +159,7 @@ impl BaselineEngine {
     }
 
     /// One cached metadata access with tree walk on VN misses.
-    fn vn_access(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineTxn)) {
+    fn vn_access(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
         let kind = match dir {
             Dir::Read => AccessKind::Read,
             Dir::Write => AccessKind::Write,
@@ -196,15 +195,14 @@ impl BaselineEngine {
         }
     }
 
-    /// The cached VN (+ fine MAC) walk shared verbatim by
-    /// [`ProtectionEngine::expand`] and
-    /// [`ProtectionEngine::expand_bursts`].
+    /// The cached VN (+ fine MAC) walk of one request. Every fill,
+    /// writeback and re-encrypted line goes out as a 1-line burst.
     ///
     /// Under split counters a write also bumps each line's minor counter.
     /// The counters never touch the cache, so they are bumped ahead of the
     /// walk, which pauses after an overflowing line's VN and MAC accesses
     /// to emit its group's re-encryption. Elsewhere the loop runs once.
-    fn cached_meta_walk(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
+    fn cached_meta_walk(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst)) {
         let first = req.addr / LINE_BYTES;
         let last = (req.end() - 1) / LINE_BYTES;
         let split_write = req.dir == Dir::Write && self.minors.is_some();
@@ -229,7 +227,7 @@ impl BaselineEngine {
     /// group is a hit, and hits never evict, so [`CacheSim::repeat_hits`]
     /// applies them in closed form. Otherwise the line's own fills and
     /// cascade evicted one of them, and the next line runs scalar too.
-    fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineTxn)) {
+    fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
         let fine_mac = matches!(self.mac, MacMode::FineCached);
         let kind = match dir {
             Dir::Read => AccessKind::Read,
@@ -272,18 +270,19 @@ impl BaselineEngine {
     /// Re-encrypts the 4 KB group holding data line `line` after a major
     /// bump: each line is read and written back, attributed to the VN
     /// scheme rather than to data.
-    fn reencrypt_group(&mut self, line: u64, emit: &mut dyn FnMut(LineTxn)) {
+    fn reencrypt_group(&mut self, line: u64, emit: &mut dyn FnMut(LineBurst)) {
         let base = line / SC_LINES * SC_LINES * LINE_BYTES;
         for i in 0..SC_LINES {
             for dir in [Dir::Read, Dir::Write] {
-                let txn = LineTxn { addr: base + i * LINE_BYTES, dir, kind: TxnKind::Vn };
-                self.traffic.record(&txn);
-                emit(txn);
+                let burst =
+                    LineBurst { addr: base + i * LINE_BYTES, lines: 1, dir, kind: TxnKind::Vn };
+                self.traffic.record_burst(&burst);
+                emit(burst);
             }
         }
     }
 
-    fn mac_access_cached(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineTxn)) {
+    fn mac_access_cached(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
         let kind = match dir {
             Dir::Read => AccessKind::Read,
             Dir::Write => AccessKind::Write,
@@ -300,23 +299,13 @@ impl BaselineEngine {
 }
 
 impl ProtectionEngine for BaselineEngine {
-    fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
-        emit_data(req, &mut self.traffic, emit);
-        self.cached_meta_walk(req, emit);
-        if let MacMode::Coarse(tracker) = &mut self.mac {
-            let mut traffic = self.traffic;
-            tracker.expand(req, &mut traffic, emit);
-            self.traffic = traffic;
-        }
-    }
-
     fn expand_bursts(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst)) {
-        // The data lines stream as one burst. The cached metadata walk is
-        // the *same* walk `expand` runs: it batches only the cache hits
-        // within each 8-line group, which emit nothing, so every fill and
-        // writeback rides as a 1-line burst in exactly `expand`'s order.
+        // The data lines stream as one burst. The cached metadata walk
+        // batches only the cache hits within each 8-line group, which emit
+        // nothing, so every fill and writeback is a 1-line burst in line
+        // order.
         emit_data_burst(req, &mut self.traffic, emit);
-        self.cached_meta_walk(req, &mut |t| emit(t.into()));
+        self.cached_meta_walk(req, emit);
         if let MacMode::Coarse(tracker) = &mut self.mac {
             let mut traffic = self.traffic;
             tracker.expand_bursts(req, &mut traffic, emit);
@@ -324,7 +313,7 @@ impl ProtectionEngine for BaselineEngine {
         }
     }
 
-    fn flush(&mut self, emit: &mut dyn FnMut(LineTxn)) {
+    fn flush(&mut self, emit: &mut dyn FnMut(LineBurst)) {
         for wb in self.cache.flush() {
             self.record_emit(wb, Dir::Write, emit);
         }
@@ -353,7 +342,7 @@ mod tests {
                 Dir::Read => MemRequest::read(region, base + i * 4096, 4096),
                 Dir::Write => MemRequest::write(region, base + i * 4096, 4096),
             };
-            e.expand(&req, &mut |_| {});
+            e.expand_bursts(&req, &mut |_| {});
         }
     }
 
@@ -388,7 +377,7 @@ mod tests {
         // 64 KiB working set re-read 10 times: metadata fits in 32 KB cache.
         for _ in 0..10 {
             for i in 0..16u64 {
-                e.expand(&MemRequest::read(region, i * 4096, 4096), &mut |_| {});
+                e.expand_bursts(&MemRequest::read(region, i * 4096, 4096), &mut |_| {});
             }
         }
         assert!(e.cache_hit_rate() > 0.85, "hit rate {:.3}", e.cache_hit_rate());
@@ -405,7 +394,7 @@ mod tests {
         for _ in 0..2000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let addr = (x % (8 << 30)) & !63;
-            e.expand(&MemRequest::read(region, addr, 64), &mut |_| {});
+            e.expand_bursts(&MemRequest::read(region, addr, 64), &mut |_| {});
         }
         let t = e.traffic();
         assert!(
@@ -434,32 +423,32 @@ mod tests {
     fn flush_emits_only_writes() {
         let mut e = BaselineEngine::fine_mac(&ProtectionConfig::default());
         let region = mgx_trace::RegionId(0);
-        e.expand(&MemRequest::write(region, 0, 4096), &mut |_| {});
+        e.expand_bursts(&MemRequest::write(region, 0, 4096), &mut |_| {});
         let mut kinds = Vec::new();
-        e.flush(&mut |t| kinds.push((t.dir, t.kind)));
+        e.flush(&mut |b| kinds.push((b.dir, b.kind)));
         assert!(!kinds.is_empty());
         assert!(kinds.iter().all(|(d, _)| *d == Dir::Write));
     }
 
-    /// Keeps the VN, tree and fine-MAC transactions: what the cached walk
+    /// Keeps the VN, tree and fine-MAC bursts: what the cached walk
     /// emits, as opposed to data and coarse MACs, which follow the request.
-    fn meta_only(t: LineTxn, out: &mut Vec<LineTxn>) {
-        if !matches!(BaselineLayout::classify(t.addr), MetaKind::MacCoarse)
-            && t.kind != TxnKind::Data
+    fn meta_only(b: LineBurst, out: &mut Vec<LineBurst>) {
+        if !matches!(BaselineLayout::classify(b.addr), MetaKind::MacCoarse)
+            && b.kind != TxnKind::Data
         {
-            out.push(t);
+            out.push(b);
         }
     }
 
     /// Expands `req`, returning how many lines of minor-overflow
-    /// re-encryption it emitted (VN-kind transactions on data addresses).
+    /// re-encryption it emitted (VN-kind bursts on data addresses).
     fn reencrypted_lines(e: &mut BaselineEngine, req: &MemRequest) -> (u64, u64) {
         let (mut reads, mut writes) = (0, 0);
-        e.expand(req, &mut |t| {
-            if t.kind == TxnKind::Vn && BaselineLayout::classify(t.addr) == MetaKind::Data {
-                match t.dir {
-                    Dir::Read => reads += 1,
-                    Dir::Write => writes += 1,
+        e.expand_bursts(req, &mut |b| {
+            if b.kind == TxnKind::Vn && BaselineLayout::classify(b.addr) == MetaKind::Data {
+                match b.dir {
+                    Dir::Read => reads += b.lines,
+                    Dir::Write => writes += b.lines,
                 }
             }
         });
@@ -494,32 +483,6 @@ mod tests {
         assert!(storms.iter().all(|&s| s == (0, 0)), "no earlier write overflows");
         assert!(sc.traffic().vn.read_bytes >= SC_LINES * 64);
         assert!(sc.traffic().vn.write_bytes >= SC_LINES * 64);
-    }
-
-    #[test]
-    fn burst_expansion_matches_per_line_including_overflow_storms() {
-        let cfg = ProtectionConfig::default();
-        let mut scalar = BaselineEngine::split_counter(&cfg);
-        let mut batched = BaselineEngine::split_counter(&cfg);
-        let region = mgx_trace::RegionId(0);
-        let mut storm_lines = 0;
-        // Enough same-line writes to trip a minor overflow mid-stream,
-        // interleaved with reads that exercise the cached VN/MAC walks.
-        for i in 0..(MINOR_LIMIT as u64 + 40) {
-            let reqs =
-                [MemRequest::write(region, 0, 64), MemRequest::read(region, (i % 7) * 4096, 2048)];
-            for req in reqs {
-                let mut a = Vec::new();
-                scalar.expand(&req, &mut |t| a.push(t));
-                let mut b = Vec::new();
-                batched.expand_bursts(&req, &mut |burst| b.extend(burst.iter_lines()));
-                assert_eq!(a, b, "burst stream diverged at step {i}");
-                storm_lines +=
-                    a.iter().filter(|t| t.kind == TxnKind::Vn && t.addr < SC_LINES * 64).count();
-            }
-        }
-        assert!(storm_lines > 0, "the stream must trip an overflow");
-        assert_eq!(scalar.traffic(), batched.traffic());
     }
 
     #[test]
@@ -567,7 +530,7 @@ mod tests {
                         _ => MemRequest::write(region, addr, lines * 64),
                     }
                 };
-                whole.expand(&req, &mut |t| meta_only(t, &mut a));
+                whole.expand_bursts(&req, &mut |b| meta_only(b, &mut a));
                 let first = req.addr / 64;
                 for line in first..=(req.end() - 1) / 64 {
                     let one = MemRequest { addr: line * 64, bytes: 64, ..req };
@@ -575,12 +538,12 @@ mod tests {
                         by_line.layout.vn_line_of(one.addr >> by_line.vn_shift),
                         by_line.layout.mac_fine_line_of(one.addr),
                     ];
-                    by_line.expand(&one, &mut |t| {
+                    by_line.expand_bursts(&one, &mut |burst| {
                         let mid_group = line != first && line % ENTRIES_PER_LINE != 0;
-                        if mid_group && t.dir == Dir::Read && own.contains(&t.addr) {
+                        if mid_group && burst.dir == Dir::Read && own.contains(&burst.addr) {
                             refills += 1;
                         }
-                        meta_only(t, &mut b)
+                        meta_only(burst, &mut b)
                     });
                 }
             }
@@ -589,8 +552,8 @@ mod tests {
             assert!(refills > 0, "{name}: no group fell back to the scalar walk");
             if name == "split_counter" {
                 assert!(
-                    a.iter().any(|t| t.kind == TxnKind::Vn
-                        && BaselineLayout::classify(t.addr) == MetaKind::Data),
+                    a.iter().any(|b| b.kind == TxnKind::Vn
+                        && BaselineLayout::classify(b.addr) == MetaKind::Data),
                     "the stream must trip a minor overflow"
                 );
             }
@@ -625,21 +588,25 @@ mod tests {
         // The write climb dirties the VN line and its whole tree path;
         // re-reading the line makes the VN line younger than that path, so
         // LRU evicts the parent before the VN line.
-        sc.expand(&MemRequest::write(region, 0, 64), &mut |_| {});
-        sc.expand(&MemRequest::read(region, 0, 64), &mut |_| {});
-        let mut txns = Vec::new();
+        sc.expand_bursts(&MemRequest::write(region, 0, 64), &mut |_| {});
+        sc.expand_bursts(&MemRequest::read(region, 0, 64), &mut |_| {});
+        let mut bursts = Vec::new();
         for i in 1..16u64 {
-            sc.expand(&MemRequest::read(region, i << 18, 64), &mut |t| txns.push(t));
+            sc.expand_bursts(&MemRequest::read(region, i << 18, 64), &mut |b| bursts.push(b));
         }
         let vn_line = sc.layout.vn_line_of(0);
-        let wb = txns
+        let wb = bursts
             .iter()
-            .position(|t| t.addr == vn_line && t.dir == Dir::Write)
+            .position(|b| b.addr == vn_line && b.dir == Dir::Write)
             .expect("the dirty VN line is evicted");
-        let parent =
-            LineTxn { addr: sc.layout.vn_parent(vn_line), dir: Dir::Read, kind: TxnKind::Tree };
+        let parent = LineBurst {
+            addr: sc.layout.vn_parent(vn_line),
+            lines: 1,
+            dir: Dir::Read,
+            kind: TxnKind::Tree,
+        };
         assert_eq!(
-            txns.get(wb + 1),
+            bursts.get(wb + 1),
             Some(&parent),
             "the writeback refills its parent to update it"
         );

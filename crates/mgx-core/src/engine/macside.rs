@@ -6,7 +6,7 @@
 //! line once. The trackers below reproduce exactly that behaviour by
 //! remembering the last MAC line touched per region and direction.
 
-use super::{LineBurst, LineTxn, MetaTraffic, TxnKind};
+use super::{LineBurst, MetaTraffic, TxnKind};
 use crate::layout::{self, BaselineLayout};
 use crate::policy::MacGranularity;
 use mgx_trace::{Dir, MemRequest, LINE_BYTES};
@@ -18,40 +18,26 @@ struct Coalescer {
 }
 
 impl Coalescer {
-    fn ensure(&mut self, region: usize) {
+    /// Admits the contiguous run of MAC lines `first..=last`, returning the
+    /// MAC burst actually admitted (`None` if the run collapses entirely).
+    ///
+    /// A MAC line is dropped only when it is the (line, direction) pair
+    /// last remembered for its region. Within one run only the *first*
+    /// line can match (lines strictly ascend afterwards), and the run's
+    /// last line is remembered either way, so admitting the run at once
+    /// equals admitting its lines one by one in ascending order.
+    fn admit_run(&mut self, region: usize, first: u64, last: u64, dir: Dir) -> Option<LineBurst> {
         if self.last.len() <= region {
             self.last.resize(region + 1, None);
         }
-    }
-
-    /// Returns `true` if the (line, dir) pair is new and should be emitted.
-    fn admit(&mut self, region: usize, line: u64, dir: Dir) -> bool {
-        self.ensure(region);
-        if self.last[region] == Some((line, dir)) {
-            false
-        } else {
-            self.last[region] = Some((line, dir));
-            true
-        }
-    }
-
-    /// Admits a contiguous run of MAC lines `first..=last` at once,
-    /// returning the `(start, lines)` actually admitted (`None` if the run
-    /// collapses entirely).
-    ///
-    /// Equivalent to calling [`Coalescer::admit`] per line in ascending
-    /// order: within one run only the *first* line can match the
-    /// remembered state (lines strictly ascend afterwards), and the final
-    /// remembered state is the run's last line either way.
-    fn admit_run(&mut self, region: usize, first: u64, last: u64, dir: Dir) -> Option<(u64, u64)> {
-        self.ensure(region);
         let start =
             if self.last[region] == Some((first, dir)) { first + LINE_BYTES } else { first };
         if start > last {
             return None;
         }
         self.last[region] = Some((last, dir));
-        Some((start, (last - start) / LINE_BYTES + 1))
+        let lines = (last - start) / LINE_BYTES + 1;
+        Some(LineBurst { addr: start, lines, dir, kind: TxnKind::Mac })
     }
 }
 
@@ -69,27 +55,8 @@ impl FineMacTracker {
         Self { layout: BaselineLayout::new(16 << 30, 8), coalescer: Coalescer::default() }
     }
 
-    pub(crate) fn expand(
-        &mut self,
-        req: &MemRequest,
-        traffic: &mut MetaTraffic,
-        emit: &mut dyn FnMut(LineTxn),
-    ) {
-        let first = self.layout.mac_fine_line_of(req.addr);
-        let last = self.layout.mac_fine_line_of(req.end() - 1);
-        let mut line = first;
-        while line <= last {
-            if self.coalescer.admit(req.region.0 as usize, line, req.dir) {
-                let txn = LineTxn { addr: line, dir: req.dir, kind: TxnKind::Mac };
-                traffic.record(&txn);
-                emit(txn);
-            }
-            line += LINE_BYTES;
-        }
-    }
-
-    /// Batched twin of [`FineMacTracker::expand`]: the request's MAC lines
-    /// form one contiguous run, emitted as a single burst.
+    /// The request's MAC lines form one contiguous run, emitted as a
+    /// single burst.
     pub(crate) fn expand_bursts(
         &mut self,
         req: &MemRequest,
@@ -98,10 +65,7 @@ impl FineMacTracker {
     ) {
         let first = self.layout.mac_fine_line_of(req.addr);
         let last = self.layout.mac_fine_line_of(req.end() - 1);
-        if let Some((start, lines)) =
-            self.coalescer.admit_run(req.region.0 as usize, first, last, req.dir)
-        {
-            let burst = LineBurst { addr: start, lines, dir: req.dir, kind: TxnKind::Mac };
+        if let Some(burst) = self.coalescer.admit_run(req.region.0 as usize, first, last, req.dir) {
             traffic.record_burst(&burst);
             emit(burst);
         }
@@ -123,53 +87,9 @@ impl CoarseMacTracker {
         Self { granularity, coalescer: Coalescer::default(), tile_count: vec![0; n] }
     }
 
-    fn emit_line(
-        &mut self,
-        region: usize,
-        line: u64,
-        dir: Dir,
-        traffic: &mut MetaTraffic,
-        emit: &mut dyn FnMut(LineTxn),
-    ) {
-        if self.coalescer.admit(region, line, dir) {
-            let txn = LineTxn { addr: line, dir, kind: TxnKind::Mac };
-            traffic.record(&txn);
-            emit(txn);
-        }
-    }
-
-    pub(crate) fn expand(
-        &mut self,
-        req: &MemRequest,
-        traffic: &mut MetaTraffic,
-        emit: &mut dyn FnMut(LineTxn),
-    ) {
-        let region = req.region.0 as usize;
-        let gran = self.granularity.get(region).copied().unwrap_or(MacGranularity::COARSE);
-        match gran {
-            MacGranularity::Bytes(g) => {
-                let first_block = req.addr / g;
-                let last_block = (req.end() - 1) / g;
-                let mut line = layout::mac_coarse_line(req.region, first_block);
-                let last_line = layout::mac_coarse_line(req.region, last_block);
-                while line <= last_line {
-                    self.emit_line(region, line, req.dir, traffic, emit);
-                    line += LINE_BYTES;
-                }
-            }
-            MacGranularity::PerRequest => {
-                let idx = self.tile_count[region];
-                self.tile_count[region] += 1;
-                let line = layout::mac_coarse_line(req.region, idx);
-                self.emit_line(region, line, req.dir, traffic, emit);
-            }
-        }
-    }
-
-    /// Batched twin of [`CoarseMacTracker::expand`]: the covering MAC
-    /// lines of a coarse-granularity request are contiguous, so they go
-    /// out as one burst ([`MacGranularity::PerRequest`] touches exactly
-    /// one line and stays a 1-line burst).
+    /// The covering MAC lines of a coarse-granularity request are
+    /// contiguous, so they go out as one burst
+    /// ([`MacGranularity::PerRequest`] touches exactly one line).
     pub(crate) fn expand_bursts(
         &mut self,
         req: &MemRequest,
@@ -178,25 +98,21 @@ impl CoarseMacTracker {
     ) {
         let region = req.region.0 as usize;
         let gran = self.granularity.get(region).copied().unwrap_or(MacGranularity::COARSE);
-        match gran {
-            MacGranularity::Bytes(g) => {
-                let first_block = req.addr / g;
-                let last_block = (req.end() - 1) / g;
-                let first = layout::mac_coarse_line(req.region, first_block);
-                let last = layout::mac_coarse_line(req.region, last_block);
-                if let Some((start, lines)) = self.coalescer.admit_run(region, first, last, req.dir)
-                {
-                    let burst = LineBurst { addr: start, lines, dir: req.dir, kind: TxnKind::Mac };
-                    traffic.record_burst(&burst);
-                    emit(burst);
-                }
-            }
+        let (first, last) = match gran {
+            MacGranularity::Bytes(g) => (
+                layout::mac_coarse_line(req.region, req.addr / g),
+                layout::mac_coarse_line(req.region, (req.end() - 1) / g),
+            ),
             MacGranularity::PerRequest => {
                 let idx = self.tile_count[region];
                 self.tile_count[region] += 1;
                 let line = layout::mac_coarse_line(req.region, idx);
-                self.emit_line(region, line, req.dir, traffic, &mut |t| emit(t.into()));
+                (line, line)
             }
+        };
+        if let Some(burst) = self.coalescer.admit_run(region, first, last, req.dir) {
+            traffic.record_burst(&burst);
+            emit(burst);
         }
     }
 }
@@ -205,50 +121,55 @@ impl CoarseMacTracker {
 mod tests {
     use super::*;
     use mgx_trace::RegionId;
+    use proptest::prelude::*;
 
-    fn collect<F>(mut f: F) -> (Vec<LineTxn>, MetaTraffic)
+    fn collect<F>(mut f: F) -> (Vec<LineBurst>, MetaTraffic)
     where
-        F: FnMut(&mut MetaTraffic, &mut dyn FnMut(LineTxn)),
+        F: FnMut(&mut MetaTraffic, &mut dyn FnMut(LineBurst)),
     {
         let mut traffic = MetaTraffic::default();
-        let mut txns = Vec::new();
-        f(&mut traffic, &mut |t| txns.push(t));
-        (txns, traffic)
+        let mut bursts = Vec::new();
+        f(&mut traffic, &mut |b| bursts.push(b));
+        (bursts, traffic)
+    }
+
+    fn lines(bursts: &[LineBurst]) -> u64 {
+        bursts.iter().map(|b| b.lines).sum()
     }
 
     #[test]
     fn fine_mac_is_one_line_per_512_bytes_of_stream() {
         let mut t = FineMacTracker::new();
-        let (txns, traffic) = collect(|traffic, emit| {
+        let (bursts, traffic) = collect(|traffic, emit| {
             // Stream 8 KiB as 16 requests of 512 B.
             for i in 0..16u64 {
-                t.expand(&MemRequest::read(RegionId(0), i * 512, 512), traffic, emit);
+                t.expand_bursts(&MemRequest::read(RegionId(0), i * 512, 512), traffic, emit);
             }
         });
         // 8 KiB data / 512 B per MAC line = 16 lines.
-        assert_eq!(txns.len(), 16);
+        assert_eq!(lines(&bursts), 16);
         assert_eq!(traffic.mac.read_bytes, 16 * 64);
     }
 
     #[test]
     fn fine_mac_coalesces_within_a_line() {
         let mut t = FineMacTracker::new();
-        let (txns, _) = collect(|traffic, emit| {
+        let (bursts, _) = collect(|traffic, emit| {
             // Two consecutive 64 B reads share one MAC line.
-            t.expand(&MemRequest::read(RegionId(0), 0, 64), traffic, emit);
-            t.expand(&MemRequest::read(RegionId(0), 64, 64), traffic, emit);
+            t.expand_bursts(&MemRequest::read(RegionId(0), 0, 64), traffic, emit);
+            t.expand_bursts(&MemRequest::read(RegionId(0), 64, 64), traffic, emit);
         });
-        assert_eq!(txns.len(), 1);
+        assert_eq!(lines(&bursts), 1);
     }
 
     #[test]
     fn coarse_mac_512_needs_one_line_per_4k() {
         let mut t = CoarseMacTracker::new(vec![MacGranularity::Bytes(512)]);
-        let (txns, traffic) = collect(|traffic, emit| {
-            t.expand(&MemRequest::read(RegionId(0), 0, 4096), traffic, emit);
+        let (bursts, traffic) = collect(|traffic, emit| {
+            t.expand_bursts(&MemRequest::read(RegionId(0), 0, 4096), traffic, emit);
         });
         // 4 KiB / 512 B = 8 MAC entries = exactly one 64 B line.
-        assert_eq!(txns.len(), 1);
+        assert_eq!(lines(&bursts), 1);
         assert_eq!(traffic.mac.read_bytes, 64);
         // Overhead ratio = 64 / 4096 ≈ 1.56 %.
     }
@@ -256,37 +177,73 @@ mod tests {
     #[test]
     fn per_request_macs_increment_tile_counter() {
         let mut t = CoarseMacTracker::new(vec![MacGranularity::PerRequest]);
-        let (txns, _) = collect(|traffic, emit| {
+        let (bursts, _) = collect(|traffic, emit| {
             for i in 0..20u64 {
                 // Irregular tile sizes — one MAC each regardless.
-                t.expand(&MemRequest::read(RegionId(0), i * 10_000, 3000 + i * 7), traffic, emit);
+                let req = MemRequest::read(RegionId(0), i * 10_000, 3000 + i * 7);
+                t.expand_bursts(&req, traffic, emit);
             }
         });
         // 20 tiles × 8 B = 160 B of MACs = 3 distinct lines (coalesced).
-        assert_eq!(txns.len(), 3);
+        assert_eq!(lines(&bursts), 3);
     }
 
     #[test]
     fn regions_do_not_coalesce_across_each_other() {
         let mut t =
             CoarseMacTracker::new(vec![MacGranularity::Bytes(512), MacGranularity::Bytes(512)]);
-        let (txns, _) = collect(|traffic, emit| {
-            t.expand(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
-            t.expand(&MemRequest::read(RegionId(1), 0, 512), traffic, emit);
+        let (bursts, _) = collect(|traffic, emit| {
+            t.expand_bursts(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
+            t.expand_bursts(&MemRequest::read(RegionId(1), 0, 512), traffic, emit);
         });
-        assert_eq!(txns.len(), 2);
-        assert_ne!(txns[0].addr, txns[1].addr);
+        assert_eq!(lines(&bursts), 2);
+        assert_ne!(bursts[0].addr, bursts[1].addr);
     }
 
     #[test]
     fn read_then_write_same_block_emits_both() {
         let mut t = CoarseMacTracker::new(vec![MacGranularity::Bytes(512)]);
-        let (txns, traffic) = collect(|traffic, emit| {
-            t.expand(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
-            t.expand(&MemRequest::write(RegionId(0), 0, 512), traffic, emit);
+        let (bursts, traffic) = collect(|traffic, emit| {
+            t.expand_bursts(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
+            t.expand_bursts(&MemRequest::write(RegionId(0), 0, 512), traffic, emit);
         });
-        assert_eq!(txns.len(), 2, "verify-read and update-write both needed");
+        assert_eq!(lines(&bursts), 2, "verify-read and update-write both needed");
         assert_eq!(traffic.mac.read_bytes, 64);
         assert_eq!(traffic.mac.write_bytes, 64);
+    }
+
+    proptest! {
+        /// `admit_run` equals admitting the run's lines one at a time in
+        /// ascending order, each dropped only if it is its region's
+        /// remembered (line, direction) pair: same lines admitted, same
+        /// state after. Runs start within 12 lines of each other, so a run
+        /// often begins on the line the previous one in its region ended
+        /// on.
+        #[test]
+        fn admit_run_equals_admitting_each_line(
+            runs in proptest::collection::vec((0usize..3, 0u64..12, 0u64..5, any::<bool>()), 1..64),
+        ) {
+            let (mut batched, mut by_line) = (Coalescer::default(), Coalescer::default());
+            for (region, first, extra, write) in runs {
+                let dir = if write { Dir::Write } else { Dir::Read };
+                let (first, last) = (first * LINE_BYTES, (first + extra) * LINE_BYTES);
+                let got: Vec<u64> = batched.admit_run(region, first, last, dir).map_or(
+                    Vec::new(),
+                    |b| (0..b.lines).map(|i| b.addr + i * LINE_BYTES).collect(),
+                );
+                if by_line.last.len() <= region {
+                    by_line.last.resize(region + 1, None);
+                }
+                let mut want = Vec::new();
+                for line in (first..=last).step_by(LINE_BYTES as usize) {
+                    if by_line.last[region] != Some((line, dir)) {
+                        by_line.last[region] = Some((line, dir));
+                        want.push(line);
+                    }
+                }
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&batched.last, &by_line.last);
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! coalesced by the streaming access pattern.
 
 use super::macside::{CoarseMacTracker, FineMacTracker};
-use super::{emit_data, emit_data_burst, LineBurst, LineTxn, MetaTraffic, ProtectionEngine};
+use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine};
 use crate::policy::ProtectionConfig;
 use mgx_trace::{MemRequest, RegionMap};
 
@@ -40,14 +40,6 @@ impl MgxEngine {
 }
 
 impl ProtectionEngine for MgxEngine {
-    fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn)) {
-        emit_data(req, &mut self.traffic, emit);
-        match &mut self.mac {
-            MacSide::Fine(t) => t.expand(req, &mut self.traffic, emit),
-            MacSide::Coarse(t) => t.expand(req, &mut self.traffic, emit),
-        }
-    }
-
     fn expand_bursts(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst)) {
         emit_data_burst(req, &mut self.traffic, emit);
         match &mut self.mac {
@@ -56,7 +48,7 @@ impl ProtectionEngine for MgxEngine {
         }
     }
 
-    fn flush(&mut self, _emit: &mut dyn FnMut(LineTxn)) {
+    fn flush(&mut self, _emit: &mut dyn FnMut(LineBurst)) {
         // No cache, nothing to flush.
     }
 
@@ -84,13 +76,15 @@ mod tests {
         let mut e = MgxEngine::coarse(&regions, &ProtectionConfig::default());
         let feat = regions.iter().next().unwrap().0;
         let base = regions.get(feat).base;
-        let mut txns = Vec::new();
+        let mut bursts = Vec::new();
         for i in 0..64u64 {
-            e.expand(&MemRequest::write(feat, base + i * 4096, 4096), &mut |t| txns.push(t));
+            e.expand_bursts(&MemRequest::write(feat, base + i * 4096, 4096), &mut |b| {
+                bursts.push(b)
+            });
         }
         assert_eq!(e.traffic().vn.total(), 0);
         assert_eq!(e.traffic().tree.total(), 0);
-        assert!(txns.iter().all(|t| matches!(t.kind, TxnKind::Data | TxnKind::Mac)));
+        assert!(bursts.iter().all(|b| matches!(b.kind, TxnKind::Data | TxnKind::Mac)));
     }
 
     #[test]
@@ -100,7 +94,7 @@ mod tests {
         let feat = regions.iter().next().unwrap().0;
         let base = regions.get(feat).base;
         for i in 0..256u64 {
-            e.expand(&MemRequest::read(feat, base + i * 4096, 4096), &mut |_| {});
+            e.expand_bursts(&MemRequest::read(feat, base + i * 4096, 4096), &mut |_| {});
         }
         let ov = e.traffic().overhead();
         assert!((0.014..0.02).contains(&ov), "coarse-MAC overhead {ov:.4}");
@@ -113,7 +107,7 @@ mod tests {
         let feat = regions.iter().next().unwrap().0;
         let base = regions.get(feat).base;
         for i in 0..256u64 {
-            e.expand(&MemRequest::read(feat, base + i * 4096, 4096), &mut |_| {});
+            e.expand_bursts(&MemRequest::read(feat, base + i * 4096, 4096), &mut |_| {});
         }
         let ov = e.traffic().overhead();
         assert!((0.12..0.13).contains(&ov), "fine-MAC overhead {ov:.4}");
@@ -128,9 +122,9 @@ mod tests {
         // Random 64 B gathers, far apart: each needs its own MAC line.
         let mut mac_lines = 0;
         for i in 0..32u64 {
-            e.expand(&MemRequest::read(emb, base + i * 8192, 64), &mut |t| {
-                if t.kind == TxnKind::Mac {
-                    mac_lines += 1;
+            e.expand_bursts(&MemRequest::read(emb, base + i * 8192, 64), &mut |b| {
+                if b.kind == TxnKind::Mac {
+                    mac_lines += b.lines;
                 }
             });
         }

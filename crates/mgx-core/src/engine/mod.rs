@@ -1,13 +1,13 @@
 //! Protection engines: per-scheme expansion of application requests into
-//! DRAM line transactions.
+//! DRAM line bursts.
 //!
-//! Every scheme ultimately turns one coarse [`MemRequest`] into a stream of
-//! 64-byte [`LineTxn`]s: the data lines themselves plus whatever metadata
-//! (version numbers, integrity-tree nodes, MACs) the scheme touches, after
-//! its metadata cache where it has one. The per-kind byte counters in
-//! [`MetaTraffic`] regenerate the paper's traffic figures directly; feeding
-//! the emitted transactions to `mgx-dram` regenerates the performance
-//! figures.
+//! Every scheme turns one coarse [`MemRequest`] into a short stream of
+//! [`LineBurst`]s, runs of contiguous 64-byte lines: the data lines
+//! themselves plus whatever metadata (version numbers, integrity-tree
+//! nodes, MACs) the scheme touches, after its metadata cache where it has
+//! one. The per-kind byte counters in [`MetaTraffic`] regenerate the
+//! paper's traffic figures directly; feeding the emitted bursts to
+//! `mgx-dram` regenerates the performance figures.
 
 mod baseline;
 mod macside;
@@ -35,22 +35,11 @@ pub enum TxnKind {
     Mac,
 }
 
-/// One 64-byte DRAM transaction produced by a protection engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineTxn {
-    /// Line-aligned address.
-    pub addr: u64,
-    /// Direction.
-    pub dir: Dir,
-    /// Payload classification (for traffic breakdowns).
-    pub kind: TxnKind,
-}
-
 /// A run of contiguous 64-byte line transactions: `lines` back-to-back
 /// lines starting at `addr`, all in the same direction and of the same
 /// kind.
 ///
-/// This is the batched currency of the hot path. Data-intensive
+/// This is the simulator's one transaction currency. Data-intensive
 /// accelerators issue large streaming requests (the very property MGX
 /// exploits, paper §III-B), so one coarse [`MemRequest`] expands into a
 /// handful of bursts instead of thousands of per-line closure calls; the
@@ -80,18 +69,6 @@ impl LineBurst {
     pub fn end(&self) -> u64 {
         self.addr + self.bytes()
     }
-
-    /// The per-line transactions the burst stands for, in issue order.
-    pub fn iter_lines(&self) -> impl Iterator<Item = LineTxn> + '_ {
-        let (addr, dir, kind) = (self.addr, self.dir, self.kind);
-        (0..self.lines).map(move |i| LineTxn { addr: addr + i * LINE_BYTES, dir, kind })
-    }
-}
-
-impl From<LineTxn> for LineBurst {
-    fn from(t: LineTxn) -> Self {
-        LineBurst { addr: t.addr, lines: 1, dir: t.dir, kind: t.kind }
-    }
 }
 
 /// Byte counters per transaction kind (the paper's Fig 3 breakdown).
@@ -108,24 +85,15 @@ pub struct MetaTraffic {
 }
 
 impl MetaTraffic {
-    /// Records one line transaction.
-    pub fn record(&mut self, txn: &LineTxn) {
-        self.bulk(txn.kind, txn.dir, 1);
-    }
-
     /// Records a whole burst in one counter update (no per-line loop).
     pub fn record_burst(&mut self, burst: &LineBurst) {
-        self.bulk(burst.kind, burst.dir, burst.lines);
-    }
-
-    fn bulk(&mut self, kind: TxnKind, dir: Dir, lines: u64) {
-        let t = match kind {
+        let t = match burst.kind {
             TxnKind::Data => &mut self.data,
             TxnKind::Vn => &mut self.vn,
             TxnKind::Tree => &mut self.tree,
             TxnKind::Mac => &mut self.mac,
         };
-        t.add(dir, lines * LINE_BYTES);
+        t.add(burst.dir, burst.bytes());
     }
 
     /// Total bytes moved, all kinds.
@@ -203,23 +171,13 @@ impl<'a> core::iter::Sum<&'a MetaTraffic> for MetaTraffic {
 /// Engines are stateful (metadata caches, MAC coalescing) and must see the
 /// request stream in execution order.
 pub trait ProtectionEngine {
-    /// Expands `req` into line transactions, in issue order.
-    fn expand(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineTxn));
-
-    /// Expands `req` into contiguous line *bursts*, in issue order — the
-    /// batched hot path.
-    ///
-    /// The flattened burst stream (each burst replaced by its lines in
-    /// ascending order) must be **identical** to what [`expand`] emits for
-    /// the same request history, including all engine-internal state
-    /// transitions — the pipeline relies on this to keep burst-mode
-    /// simulation bit-identical to the per-line reference path.
-    ///
-    /// [`expand`]: ProtectionEngine::expand
+    /// Expands `req` into contiguous, non-empty line bursts, in issue
+    /// order.
     fn expand_bursts(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst));
 
-    /// Flushes residual dirty metadata (end of run) as write transactions.
-    fn flush(&mut self, emit: &mut dyn FnMut(LineTxn));
+    /// Flushes residual dirty metadata (end of run) as write bursts of
+    /// exactly one line each.
+    fn flush(&mut self, emit: &mut dyn FnMut(LineBurst));
 
     /// Cumulative traffic including everything emitted so far.
     fn traffic(&self) -> MetaTraffic;
@@ -286,23 +244,8 @@ pub fn scheme_engine(
     }
 }
 
-/// Emits the data lines of a request and counts them.
-pub(crate) fn emit_data(
-    req: &MemRequest,
-    traffic: &mut MetaTraffic,
-    emit: &mut dyn FnMut(LineTxn),
-) {
-    let first = req.addr / LINE_BYTES;
-    let last = (req.end() - 1) / LINE_BYTES;
-    for line in first..=last {
-        let txn = LineTxn { addr: line * LINE_BYTES, dir: req.dir, kind: TxnKind::Data };
-        traffic.record(&txn);
-        emit(txn);
-    }
-}
-
 /// Emits the data lines of a request as one contiguous burst and counts
-/// them in a single counter update — the batched twin of [`emit_data`].
+/// them in a single counter update.
 pub(crate) fn emit_data_burst(
     req: &MemRequest,
     traffic: &mut MetaTraffic,
@@ -326,22 +269,21 @@ mod tests {
     use mgx_trace::RegionId;
 
     #[test]
-    fn emit_data_splits_into_lines() {
+    fn emit_data_burst_covers_the_request_lines() {
         let mut traffic = MetaTraffic::default();
-        let mut lines = Vec::new();
+        let mut bursts = Vec::new();
         let req = MemRequest::read(RegionId(0), 100, 200); // spans lines 1..=4
-        emit_data(&req, &mut traffic, &mut |t| lines.push(t));
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0].addr, 64);
-        assert_eq!(lines[3].addr, 256);
+        emit_data_burst(&req, &mut traffic, &mut |b| bursts.push(b));
+        assert_eq!(bursts, [LineBurst { addr: 64, lines: 4, dir: Dir::Read, kind: TxnKind::Data }]);
+        assert_eq!(bursts[0].end(), 320);
         assert_eq!(traffic.data.read_bytes, 4 * 64);
     }
 
     #[test]
     fn traffic_overhead_math() {
         let mut t = MetaTraffic::default();
-        t.record(&LineTxn { addr: 0, dir: Dir::Read, kind: TxnKind::Data });
-        t.record(&LineTxn { addr: 0, dir: Dir::Read, kind: TxnKind::Vn });
+        t.record_burst(&LineBurst { addr: 0, lines: 1, dir: Dir::Read, kind: TxnKind::Data });
+        t.record_burst(&LineBurst { addr: 0, lines: 1, dir: Dir::Read, kind: TxnKind::Vn });
         assert!((t.overhead() - 1.0).abs() < 1e-12);
         assert!((t.vn_overhead() - 1.0).abs() < 1e-12);
         assert_eq!(t.mac_overhead(), 0.0);
@@ -373,7 +315,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Every engine preserves the data traffic exactly (metadata only
-        /// ever adds lines) and emits only line-aligned transactions.
+        /// ever adds lines) and emits only non-empty, line-aligned bursts.
         #[test]
         fn engines_conserve_data_traffic(reqs in arb_requests()) {
             let mut regions = RegionMap::new();
@@ -390,80 +332,35 @@ mod proptests {
             for scheme in Scheme::ALL.into_iter().chain([Scheme::SplitCounter]) {
                 let mut engine = scheme_engine(scheme, &regions, &cfg);
                 let mut data_lines = 0u64;
-                let mut aligned = true;
+                let (mut aligned, mut empty) = (true, false);
                 for &(addr, len, write) in &reqs {
                     let req = if write {
                         MemRequest::write(r, base + addr, len as u64)
                     } else {
                         MemRequest::read(r, base + addr, len as u64)
                     };
-                    engine.expand(&req, &mut |t| {
-                        aligned &= t.addr % 64 == 0;
-                        if t.kind == TxnKind::Data {
-                            data_lines += 1;
+                    engine.expand_bursts(&req, &mut |b| {
+                        aligned &= b.addr % 64 == 0;
+                        empty |= b.lines == 0;
+                        if b.kind == TxnKind::Data {
+                            data_lines += b.lines;
                         }
                     });
                 }
                 let mut flushed = Vec::new();
-                engine.flush(&mut |t| flushed.push(t));
-                for t in &flushed {
-                    aligned &= t.addr % 64 == 0;
-                    prop_assert!(t.kind != TxnKind::Data, "flush emits metadata only");
+                engine.flush(&mut |b| flushed.push(b));
+                for b in &flushed {
+                    aligned &= b.addr % 64 == 0;
+                    prop_assert_eq!(b.lines, 1, "flush emits one line per burst");
+                    prop_assert!(b.kind != TxnKind::Data, "flush emits metadata only");
                 }
-                prop_assert!(aligned, "{}: unaligned txn", scheme.label());
+                prop_assert!(aligned, "{}: unaligned burst", scheme.label());
+                prop_assert!(!empty, "{}: empty burst", scheme.label());
                 prop_assert_eq!(
                     data_lines, expected_lines,
                     "{}: data lines must match the request stream", scheme.label()
                 );
                 prop_assert_eq!(engine.traffic().data.total(), expected_lines * 64);
-            }
-        }
-
-        /// The burst hot path is the per-line path, batched: for every
-        /// scheme and any request history, flattening the emitted bursts
-        /// back into lines reproduces `expand`'s transaction stream
-        /// exactly (same order, same addresses, same kinds), and the
-        /// traffic counters agree to the byte. This is the contract the
-        /// pipeline's bit-identity rests on.
-        #[test]
-        fn burst_expansion_flattens_to_per_line(reqs in arb_requests()) {
-            let mut regions = RegionMap::new();
-            // Two regions so both `CoarseMacTracker` regimes are hit:
-            // Feature → Bytes(512) runs, Adjacency → PerRequest MACs.
-            let feat = regions.alloc("buf", 1 << 24, DataClass::Feature);
-            let adj = regions.alloc("adj", 1 << 24, DataClass::Adjacency);
-            let cfg = ProtectionConfig::default();
-            for scheme in Scheme::ALL.into_iter().chain([Scheme::SplitCounter]) {
-                let mut per_line = scheme_engine(scheme, &regions, &cfg);
-                let mut batched = scheme_engine(scheme, &regions, &cfg);
-                for (i, &(addr, len, write)) in reqs.iter().enumerate() {
-                    let r = if i % 3 == 2 { adj } else { feat };
-                    let base = regions.get(r).base;
-                    let req = if write {
-                        MemRequest::write(r, base + addr, len as u64)
-                    } else {
-                        MemRequest::read(r, base + addr, len as u64)
-                    };
-                    let mut scalar = Vec::new();
-                    per_line.expand(&req, &mut |t| scalar.push(t));
-                    let mut bursts = Vec::new();
-                    batched.expand_bursts(&req, &mut |b| bursts.push(b));
-                    for b in &bursts {
-                        prop_assert!(b.lines > 0, "{}: empty burst", scheme.label());
-                    }
-                    let flattened: Vec<LineTxn> =
-                        bursts.iter().flat_map(LineBurst::iter_lines).collect();
-                    prop_assert_eq!(
-                        &flattened, &scalar,
-                        "{}: burst stream diverged from per-line stream", scheme.label()
-                    );
-                    prop_assert_eq!(per_line.traffic(), batched.traffic());
-                }
-                let mut f1 = Vec::new();
-                per_line.flush(&mut |t| f1.push(t));
-                let mut f2 = Vec::new();
-                batched.flush(&mut |t| f2.push(t));
-                prop_assert_eq!(f1, f2, "{}: flush diverged", scheme.label());
             }
         }
 
@@ -482,7 +379,7 @@ mod proptests {
                     } else {
                         MemRequest::read(r, base + addr, len as u64)
                     };
-                    engine.expand(&req, &mut |_| {});
+                    engine.expand_bursts(&req, &mut |_| {});
                 }
                 let t = engine.traffic();
                 match scheme {

@@ -13,9 +13,10 @@
 //!
 //! 2. **A performance model** ([`engine`]): protection engines that expand an
 //!    accelerator's coarse-grained memory requests into the exact 64-byte
-//!    DRAM transactions each scheme performs — data, version numbers, MACs,
-//!    and integrity-tree nodes, after a 32 KB metadata cache where the scheme
-//!    has one. These engines drive every figure of the evaluation.
+//!    DRAM lines each scheme moves — data, version numbers, MACs, and
+//!    integrity-tree nodes, after a 32 KB metadata cache where the scheme
+//!    has one — emitted as bursts of contiguous lines. These engines drive
+//!    every figure of the evaluation.
 //!
 //! The key ideas from the paper mapped to code:
 //!
@@ -41,7 +42,5 @@ pub mod session;
 pub mod vn;
 
 pub use counter::{CounterBlock, StreamTag};
-pub use engine::{
-    scheme_engine, LineBurst, LineTxn, MetaTraffic, ProtectionEngine, Scheme, TxnKind,
-};
+pub use engine::{scheme_engine, LineBurst, MetaTraffic, ProtectionEngine, Scheme, TxnKind};
 pub use policy::{MacGranularity, ProtectionConfig};

@@ -57,20 +57,23 @@ impl MerkleTree {
         assert!(num_leaves > 0, "tree needs at least one leaf");
         assert!(arity >= 2, "arity must be at least 2");
         let mac = CmacAes128::new(mac_key);
-        let mut levels = Vec::new();
-        let mut width = num_leaves;
+        let mut tree = Self { mac, arity, num_leaves, levels: Vec::new(), root: Tag::default() };
+        // Tag the empty leaves, then each level once from the one below:
+        // the same tags as setting every leaf in turn, at one MAC per node.
+        let mut levels: Vec<Vec<Tag>> =
+            vec![(0..num_leaves).map(|i| tree.leaf_tag(i, &[])).collect()];
         loop {
-            levels.push(vec![Tag::default(); width]);
-            if width == 1 {
+            let below = levels.last().expect("tree has levels");
+            if below.len() == 1 {
+                tree.root = tree.node_tag(levels.len(), 0, below);
                 break;
             }
-            width = width.div_ceil(arity);
+            let level = levels.len();
+            let above =
+                below.chunks(arity).enumerate().map(|(i, c)| tree.node_tag(level, i, c)).collect();
+            levels.push(above);
         }
-        let mut tree = Self { mac, arity, num_leaves, levels, root: Tag::default() };
-        // Establish consistent tags for the empty state.
-        for i in 0..num_leaves {
-            tree.set_leaf_tag(i, tree.leaf_tag(i, &[]));
-        }
+        tree.levels = levels;
         tree
     }
 
@@ -265,6 +268,19 @@ mod tests {
             assert!(tree.verify(i, &[i as u8; 4]).is_ok());
         }
         assert!(tree.verify(12, &[0u8; 4]).is_err());
+    }
+
+    #[test]
+    fn new_equals_the_per_leaf_construction() {
+        for (leaves, arity) in [(1, 8), (13, 8), (64, 8), (513, 8), (9, 2)] {
+            let fresh = MerkleTree::new(KEY, leaves, arity);
+            let mut per_leaf = fresh.clone();
+            for i in 0..leaves {
+                per_leaf.update(i, &[]);
+            }
+            assert_eq!(fresh.root(), per_leaf.root(), "{leaves} leaves, arity {arity}");
+            assert_eq!(fresh.levels, per_leaf.levels, "{leaves} leaves, arity {arity}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Provides the paper's benchmark networks — AlexNet, VGG-16, GoogLeNet,
 //! ResNet-50, BERT (Transformer encoder), and DLRM — as operator graphs,
 //! plus the machinery to lower them onto the `mgx-scalesim` systolic-array
-//! model and emit complete inference and training memory traces
-//! ([`trace::build_inference_trace`], [`trace::build_training_trace`]).
+//! model and stream complete inference and training memory traces
+//! ([`trace::stream_inference_trace`], [`trace::stream_training_trace`]).
 //!
 //! The [`pruning`] module implements the static/dynamic pruning formats of
 //! §VII-B (CSR, CSC, run-length compression, dynamic channel gating) used

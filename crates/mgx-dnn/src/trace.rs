@@ -3,13 +3,14 @@
 //! Generation is *streaming-first*: [`stream_inference_trace`] and
 //! [`stream_training_trace`] return lazy [`TraceSource`]s that emit one
 //! op's phases at a time, so a multi-GB model never materializes its whole
-//! request stream. The `build_*` functions are the collected wrappers.
+//! request stream. A caller that needs a materialized [`mgx_trace::Trace`]
+//! calls `.collect_trace()` on the source.
 
 use crate::models::Model;
 use crate::ops::{InputRef, Op, OpKind};
 use mgx_scalesim::{emit_gemm, gemm_cost, ArrayConfig, Dataflow, Gemm, GemmRegions};
 use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, Trace, TraceSource,
+    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
 };
 
 /// Embedding rows are f32 regardless of the MAC datatype.
@@ -512,8 +513,9 @@ pub fn stream_inference_trace(
 }
 
 /// Streams one training iteration (forward + backward, §IV-A), optionally
-/// followed by the SGD weight-update pass — the streaming core behind
-/// [`build_training_trace`] / [`build_training_trace_with_update`].
+/// followed by the SGD weight-update pass (`w += −α·gw`): it reads every
+/// weight and weight-gradient tensor and writes the weights back — one
+/// `VN_W` bump for the whole network (§IV-C).
 pub fn stream_training_trace_with_update(
     model: &Model,
     cfg: &ArrayConfig,
@@ -547,41 +549,17 @@ pub fn stream_training_trace_with_update(
     (regions, phases)
 }
 
-/// Streams one training iteration without the weight-update pass (the
-/// paper's methodology, §VI-A).
+/// Streams one training iteration (forward + backward, §IV-A) of `model`.
+///
+/// Weight updates are *not* emulated, matching the paper's methodology
+/// (§VI-A: "no similar operation is available in SCALE-Sim"). Use
+/// [`stream_training_trace_with_update`] to include them.
 pub fn stream_training_trace(
     model: &Model,
     cfg: &ArrayConfig,
     dataflow: Dataflow,
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
     stream_training_trace_with_update(model, cfg, dataflow, false)
-}
-
-/// Builds the inference trace of `model` on the given accelerator (the
-/// collected form of [`stream_inference_trace`]).
-pub fn build_inference_trace(model: &Model, cfg: &ArrayConfig, dataflow: Dataflow) -> Trace {
-    stream_inference_trace(model, cfg, dataflow).collect_trace()
-}
-
-/// Builds one training iteration (forward + backward, §IV-A) of `model`.
-///
-/// Weight updates are *not* emulated, matching the paper's methodology
-/// (§VI-A: "no similar operation is available in SCALE-Sim"). Use
-/// [`build_training_trace_with_update`] to include them.
-pub fn build_training_trace(model: &Model, cfg: &ArrayConfig, dataflow: Dataflow) -> Trace {
-    stream_training_trace(model, cfg, dataflow).collect_trace()
-}
-
-/// [`build_training_trace`] with an optional SGD weight-update pass
-/// (`w += −α·gw`): reads every weight and weight-gradient tensor, writes
-/// the weights back — one `VN_W` bump for the whole network (§IV-C).
-pub fn build_training_trace_with_update(
-    model: &Model,
-    cfg: &ArrayConfig,
-    dataflow: Dataflow,
-    update_weights: bool,
-) -> Trace {
-    stream_training_trace_with_update(model, cfg, dataflow, update_weights).collect_trace()
 }
 
 #[cfg(test)]
@@ -596,7 +574,8 @@ mod tests {
     #[test]
     fn every_request_stays_inside_its_region() {
         for model in [Model::alexnet(2), Model::resnet50(1), Model::bert_base(1, 64)] {
-            let t = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
+            let t = stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary)
+                .collect_trace();
             for phase in &t.phases {
                 for req in &phase.requests {
                     let r = t.regions.get(req.region);
@@ -617,7 +596,8 @@ mod tests {
     fn inference_reads_each_weight_once() {
         // WS dataflow loads each weight slab exactly once per run.
         let model = Model::alexnet(1);
-        let t = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let t =
+            stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let mut weight_reads = 0u64;
         for phase in &t.phases {
             for req in &phase.requests {
@@ -633,8 +613,10 @@ mod tests {
     #[test]
     fn training_trace_is_heavier_than_inference() {
         let model = Model::alexnet(2);
-        let inf = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
-        let tr = build_training_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let inf =
+            stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
+        let tr =
+            stream_training_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         assert!(
             tr.traffic().total() > 2 * inf.traffic().total(),
             "training {} vs inference {}",
@@ -647,7 +629,8 @@ mod tests {
     #[test]
     fn training_touches_gradient_regions() {
         let model = Model::alexnet(1);
-        let tr = build_training_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let tr =
+            stream_training_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let mut grad_bytes = 0u64;
         for phase in &tr.phases {
             for req in &phase.requests {
@@ -662,9 +645,11 @@ mod tests {
     #[test]
     fn weight_update_adds_three_weight_volumes() {
         let model = Model::alexnet(1);
-        let base = build_training_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let base =
+            stream_training_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let upd =
-            build_training_trace_with_update(&model, &cloud(), Dataflow::WeightStationary, true);
+            stream_training_trace_with_update(&model, &cloud(), Dataflow::WeightStationary, true)
+                .collect_trace();
         let extra = upd.traffic().total() - base.traffic().total();
         let weights = model.weight_elems() * cloud().dtype_bytes;
         assert_eq!(extra, 3 * weights, "read w + read gw + write w");
@@ -673,7 +658,8 @@ mod tests {
     #[test]
     fn dlrm_gathers_from_embedding_regions() {
         let model = Model::dlrm(16);
-        let t = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let t =
+            stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let mut emb_reads = 0u64;
         let mut emb_req_bytes = Vec::new();
         for phase in &t.phases {
@@ -691,7 +677,8 @@ mod tests {
     #[test]
     fn vgg_inference_traffic_is_weight_dominated_at_batch_1() {
         let model = Model::vgg16(1);
-        let t = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let t =
+            stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let weights = model.weight_elems(); // ≈138 MB at 1 B/elem
         assert!(t.traffic().total() > weights);
         assert!(
@@ -704,7 +691,8 @@ mod tests {
     #[test]
     fn phases_have_monotone_nonzero_structure() {
         let model = Model::googlenet(1);
-        let t = build_inference_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let t =
+            stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         assert!(t.phases.len() > 60, "one+ phase per layer, got {}", t.phases.len());
         assert!(t.phases.iter().all(|p| !p.requests.is_empty() || p.compute_cycles > 0));
     }
@@ -714,7 +702,8 @@ mod tests {
     #[test]
     fn streamed_matches_collected_for_training() {
         let model = Model::alexnet(1);
-        let collected = build_training_trace(&model, &cloud(), Dataflow::WeightStationary);
+        let collected =
+            stream_training_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         let (regions, phases) =
             stream_training_trace(&model, &cloud(), Dataflow::WeightStationary).into_stream();
         assert_eq!(regions.len(), collected.regions.len());

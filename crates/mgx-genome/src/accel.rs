@@ -16,9 +16,7 @@
 use crate::dsoft::{dsoft, DsoftParams};
 use crate::index::SeedIndex;
 use crate::sequence::{ErrorProfile, ReadSimulator, Reference};
-use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionMap, Trace, TraceSource,
-};
+use mgx_trace::{DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionMap, TraceSource};
 
 /// GACT array farm configuration (§VII-A: 64 arrays × 64 PEs @ 800 MHz).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,28 +163,10 @@ pub fn stream_gact_trace(
     (regions, phases)
 }
 
-/// Builds the GACT memory trace (the collected form of
-/// [`stream_gact_trace`]).
-///
-/// # Panics
-///
-/// Panics if `scale_divisor == 0` or the scaled reference is shorter than
-/// one read.
-pub fn build_gact_trace(
-    workload: &GenomeWorkload,
-    cfg: &GactAccelConfig,
-    reads: usize,
-    read_len: usize,
-    scale_divisor: usize,
-    seed: u64,
-) -> Trace {
-    stream_gact_trace(workload, cfg, reads, read_len, scale_divisor, seed).collect_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_trace::Dir;
+    use mgx_trace::{Dir, Trace};
 
     fn tiny_trace() -> Trace {
         let w = GenomeWorkload {
@@ -194,7 +174,7 @@ mod tests {
             full_len: 57_227_415,
             profile: ErrorProfile::pacbio(),
         };
-        build_gact_trace(&w, &GactAccelConfig::default(), 6, 1200, 500, 7)
+        stream_gact_trace(&w, &GactAccelConfig::default(), 6, 1200, 500, 7).collect_trace()
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod gact;
 pub mod index;
 pub mod sequence;
 
-pub use accel::{build_gact_trace, GactAccelConfig, GenomeWorkload};
+pub use accel::{stream_gact_trace, GactAccelConfig, GenomeWorkload};
 pub use sequence::{ErrorProfile, ReadSimulator, Reference};

@@ -10,7 +10,7 @@
 
 use crate::csr::Csr;
 use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, Trace, TraceSource,
+    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
 };
 
 /// Graph accelerator parameters (§VI-A: 800 MHz, bandwidth-matched).
@@ -253,12 +253,6 @@ pub fn stream_graph_trace(
     (regions, phases)
 }
 
-/// Builds the memory trace of `sweeps(workload)` SpMV iterations over `g`
-/// (the collected form of [`stream_graph_trace`]).
-pub fn build_graph_trace(g: &Csr, workload: GraphWorkload, cfg: &GraphAccelConfig) -> Trace {
-    stream_graph_trace(g, workload, cfg).collect_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +271,7 @@ mod tests {
     fn adjacency_read_once_per_sweep() {
         let g = graph();
         let cfg = small_cfg();
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 3 }, &cfg);
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 3 }, &cfg).collect_trace();
         let adj_bytes: u64 = t
             .phases
             .iter()
@@ -292,7 +286,7 @@ mod tests {
     fn updated_rank_written_once_per_vertex_per_sweep() {
         let g = graph();
         let cfg = small_cfg();
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 2 }, &cfg);
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 2 }, &cfg).collect_trace();
         let write_bytes: u64 = t
             .phases
             .iter()
@@ -307,7 +301,7 @@ mod tests {
     fn ping_pong_buffers_alternate() {
         let g = graph();
         let cfg = small_cfg();
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 2 }, &cfg);
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 2 }, &cfg).collect_trace();
         // Sweep 0 writes rank1; sweep 1 must read rank1 and write rank0.
         let mut writes_per_sweep: Vec<&str> = Vec::new();
         for p in &t.phases {
@@ -328,7 +322,7 @@ mod tests {
         let g = graph();
         let cfg = small_cfg();
         let dst_blocks = g.n.div_ceil(cfg.dst_block);
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg);
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg).collect_trace();
         let rank_reads: u64 = t
             .phases
             .iter()
@@ -345,15 +339,17 @@ mod tests {
     fn bfs_sweeps_match_levels() {
         let g = graph();
         let cfg = small_cfg();
-        let pr1 = build_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg);
-        let bfs4 = build_graph_trace(&g, GraphWorkload::Bfs { levels: 4 }, &cfg);
+        let pr1 =
+            stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg).collect_trace();
+        let bfs4 = stream_graph_trace(&g, GraphWorkload::Bfs { levels: 4 }, &cfg).collect_trace();
         assert_eq!(bfs4.traffic().total(), 4 * pr1.traffic().total());
     }
 
     #[test]
     fn requests_stay_inside_regions() {
         let g = graph();
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &small_cfg());
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &small_cfg())
+            .collect_trace();
         for p in &t.phases {
             for req in &p.requests {
                 let r = t.regions.get(req.region);
@@ -366,7 +362,7 @@ mod tests {
     fn compute_cycles_track_nnz() {
         let g = graph();
         let cfg = small_cfg();
-        let t = build_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg);
+        let t = stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg).collect_trace();
         let cycles = t.compute_cycles();
         let ideal = g.nnz() as u64 / cfg.lanes;
         assert!(cycles >= ideal, "cycles {cycles} below ideal {ideal}");
@@ -384,9 +380,14 @@ mod sssp_tests {
     fn sssp_gathers_are_fine_grained_and_fewer() {
         let g = RmatGenerator::social(10, 5).generate(10_000);
         let cfg = GraphAccelConfig { dst_block: 256, src_tile: 256, ..GraphAccelConfig::default() };
-        let dense = build_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg);
-        let sparse =
-            build_graph_trace(&g, GraphWorkload::Sssp { sweeps: 1, frontier_per_mille: 200 }, &cfg);
+        let dense =
+            stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg).collect_trace();
+        let sparse = stream_graph_trace(
+            &g,
+            GraphWorkload::Sssp { sweeps: 1, frontier_per_mille: 200 },
+            &cfg,
+        )
+        .collect_trace();
         // The attribute-read side shrinks with the frontier density.
         let attr_reads = |t: &mgx_trace::Trace, class: DataClass| -> u64 {
             t.phases

@@ -28,6 +28,6 @@ pub mod rmat;
 pub mod semiring;
 pub mod spmv;
 
-pub use accel::{build_graph_trace, GraphAccelConfig, GraphWorkload};
+pub use accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
 pub use csr::Csr;
 pub use datasets::Dataset;

@@ -7,7 +7,7 @@
 //! Decoding "succeeds" iff every reference block decrypts and authenticates
 //! — which is exactly what the paper verified in RTL simulation.
 //!
-//! [`build_decode_trace`] additionally emits the memory trace (Fig 19's
+//! [`stream_decode_trace`] additionally streams the memory trace (Fig 19's
 //! pattern) for the performance pipeline.
 
 use crate::dpb::plan_buffers;
@@ -17,7 +17,7 @@ use mgx_core::secure::MgxSecureMemory;
 use mgx_core::vn::UniquenessAuditor;
 use mgx_crypto::TagMismatch;
 use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, Trace, TraceSource,
+    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
 };
 
 /// Decoder geometry.
@@ -206,12 +206,6 @@ pub fn stream_decode_trace(
     (regions, phases)
 }
 
-/// Emits the decoder's DRAM trace for one GOP (the collected form of
-/// [`stream_decode_trace`]).
-pub fn build_decode_trace(gop: &GopStructure, cfg: &DecoderConfig) -> Trace {
-    stream_decode_trace(gop, cfg).collect_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +274,7 @@ mod tests {
     fn trace_writes_each_frame_once() {
         let gop = GopStructure::ibpb(8);
         let cfg = small_cfg();
-        let t = build_decode_trace(&gop, &cfg);
+        let t = stream_decode_trace(&gop, &cfg).collect_trace();
         let writes: u64 = t
             .phases
             .iter()
@@ -295,7 +289,7 @@ mod tests {
     fn trace_b_frames_read_two_references() {
         let gop = GopStructure::ibpb(8);
         let cfg = small_cfg();
-        let t = build_decode_trace(&gop, &cfg);
+        let t = stream_decode_trace(&gop, &cfg).collect_trace();
         // Phase labels carry display numbers; find frame1 (B).
         let b_phase = t.phases.iter().find(|p| p.label() == "frame1").unwrap();
         let frame_reads = b_phase

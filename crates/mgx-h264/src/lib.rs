@@ -24,6 +24,6 @@ pub mod dpb;
 pub mod gop;
 pub mod vn;
 
-pub use decoder::{build_decode_trace, DecodeReport, DecoderConfig, SecureDecoder};
+pub use decoder::{stream_decode_trace, DecodeReport, DecoderConfig, SecureDecoder};
 pub use gop::{FrameType, GopStructure};
 pub use vn::VideoVnState;

@@ -127,15 +127,14 @@ impl Histogram {
 }
 
 /// An immutable point-in-time view of a [`Histogram`], and the unit the
-/// percentile / merge algebra operates on.
+/// percentile queries operate on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts, parallel to [`bounds`].
     pub buckets: Vec<u64>,
     /// Total observations (always `== buckets.iter().sum()`).
     pub count: u64,
-    /// Sum of all recorded values (exact until `u64` overflow; merges
-    /// saturate).
+    /// Sum of all recorded values (exact until `u64` overflow).
     pub sum: u64,
     /// Exact minimum recorded value (`u64::MAX` when empty).
     pub min: u64,
@@ -144,11 +143,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (the identity of [`HistogramSnapshot::merge`]).
-    pub fn empty() -> Self {
-        Self { buckets: vec![0; bounds().len()], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
     /// The exact minimum, if anything was recorded.
     pub fn min_value(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
@@ -185,25 +179,6 @@ impl HistogramSnapshot {
             self.percentile(0.99)?,
             self.percentile(0.999)?,
         ])
-    }
-
-    /// Merges another snapshot into this one. Merging is commutative and
-    /// associative (bucket-wise addition; `sum` saturates), with
-    /// [`HistogramSnapshot::empty`] as identity — so distributed shards
-    /// can be folded in any order (proptested).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a.saturating_add(*b))
-                .collect(),
-            count: self.count.saturating_add(other.count),
-            sum: self.sum.saturating_add(other.sum),
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs — what the
@@ -267,25 +242,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.quantiles(), None);
-        assert_eq!(s, HistogramSnapshot::empty());
-    }
-
-    #[test]
-    fn merge_identity_and_totals() {
-        let h1 = Histogram::new();
-        let h2 = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h1.record(v);
-        }
-        h2.record(1_000);
-        let (a, b) = (h1.snapshot(), h2.snapshot());
-        let m = a.merge(&b);
-        assert_eq!(m.count, 4);
-        assert_eq!(m.sum, 1_060);
-        assert_eq!(m.min_value(), Some(10));
-        assert_eq!(m.max_value(), Some(1_000));
-        assert_eq!(a.merge(&HistogramSnapshot::empty()), a);
-        assert_eq!(m, b.merge(&a), "merge is commutative");
     }
 
     #[test]

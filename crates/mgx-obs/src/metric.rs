@@ -95,12 +95,6 @@ impl<'a> Span<'a> {
         self.hist.record(ns);
         ns
     }
-
-    /// Abandons the span without recording (e.g. the measured operation
-    /// failed and should not pollute the latency distribution).
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for Span<'_> {
@@ -134,7 +128,6 @@ mod tests {
         let h = Histogram::new();
         drop(h.span());
         let ns = h.span().stop();
-        h.span().cancel(); // must NOT record
         let snap = h.snapshot();
         assert_eq!(snap.count, 2);
         assert!(snap.sum >= ns);

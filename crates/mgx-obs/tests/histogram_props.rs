@@ -1,9 +1,8 @@
-//! Property tests for the histogram algebra: bucket monotonicity, the
-//! advertised percentile error bound against exact sorted samples, and
-//! merge associativity/commutativity.
+//! Property tests for the histogram: bucket monotonicity and the
+//! advertised percentile error bound against exact sorted samples.
 
 use mgx_obs::histogram::{bounds, bucket_index};
-use mgx_obs::{Histogram, HistogramSnapshot};
+use mgx_obs::Histogram;
 use proptest::prelude::*;
 
 /// The range the relative error bound is advertised for (below the last
@@ -61,35 +60,5 @@ proptest! {
                 "p({q}) = {reported} exceeds 1.25 x {exact}"
             );
         }
-    }
-
-    /// Merging is associative and commutative with `empty()` as identity,
-    /// so shards can be folded in any order.
-    #[test]
-    fn merge_is_associative_and_commutative(
-        // Bounded so `sum` stays exact (150 x 2^50 < 2^64): merged ==
-        // direct union only holds while nothing overflows or saturates.
-        a in proptest::collection::vec(0..(1u64 << 50), 0..50),
-        b in proptest::collection::vec(0..(1u64 << 50), 0..50),
-        c in proptest::collection::vec(0..(1u64 << 50), 0..50),
-    ) {
-        let snap = |vs: &[u64]| {
-            let h = Histogram::new();
-            for &v in vs {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let (sa, sb, sc) = (snap(&a), snap(&b), snap(&c));
-        prop_assert_eq!(sa.merge(&sb).merge(&sc), sa.merge(&sb.merge(&sc)));
-        prop_assert_eq!(sa.merge(&sb), sb.merge(&sa));
-        prop_assert_eq!(sa.merge(&HistogramSnapshot::empty()), sa.clone());
-        // A merged snapshot answers percentiles like a histogram that saw
-        // the union of the samples.
-        let mut all = a.clone();
-        all.extend(&b);
-        all.extend(&c);
-        let direct = snap(&all);
-        prop_assert_eq!(sa.merge(&sb).merge(&sc), direct);
     }
 }

@@ -18,13 +18,14 @@ use crate::pipeline::{SimConfig, Simulation};
 use crate::report::{Figure, Row};
 use crate::scale::Scale;
 use mgx_core::{MacGranularity, ProtectionConfig, Scheme};
-use mgx_dnn::trace::build_inference_trace;
+use mgx_dnn::trace::stream_inference_trace;
 use mgx_dnn::Model;
 use mgx_scalesim::{ArrayConfig, Dataflow};
-use mgx_trace::Trace;
+use mgx_trace::{Trace, TraceSource};
 
 fn resnet_trace(scale: &Scale, dataflow: Dataflow) -> Trace {
-    build_inference_trace(&Model::resnet50(scale.dnn_batch), &ArrayConfig::cloud(), dataflow)
+    stream_inference_trace(&Model::resnet50(scale.dnn_batch), &ArrayConfig::cloud(), dataflow)
+        .collect_trace()
 }
 
 /// BP overhead vs metadata-cache capacity (8 KB … 1 MB).

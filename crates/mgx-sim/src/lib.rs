@@ -4,11 +4,11 @@
 //! The pipeline chains the workspace: an accelerator model exposes a
 //! [`mgx_trace::TraceSource`] (a lazy phase stream, or a materialized
 //! [`mgx_trace::Trace`]); a [`mgx_core::ProtectionEngine`] expands it into
-//! data + metadata DRAM transactions — batched as contiguous
-//! [`mgx_core::LineBurst`]s on the default [`TxnPath::Burst`] hot path;
-//! a pluggable [`mgx_dram::DramModel`] backend assigns them time (the
-//! default [`DramBackend::ClosedForm`] uses row-streak arithmetic per
-//! burst; [`DramBackend::Queued`] adds FR-FCFS controller queuing); and
+//! contiguous [`mgx_core::LineBurst`]s of data and metadata lines; a
+//! pluggable [`mgx_dram::DramModel`] backend assigns them time, one burst
+//! per call on the default [`TxnPath::Burst`] path (the default
+//! [`DramBackend::ClosedForm`] uses row-streak arithmetic per burst;
+//! [`DramBackend::Queued`] adds FR-FCFS controller queuing); and
 //! the [`pipeline::Simulation`] session builder
 //! folds everything into execution time and traffic per scheme, consuming
 //! one phase at a time so footprint is independent of workload length.

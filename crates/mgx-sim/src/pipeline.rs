@@ -6,14 +6,14 @@
 //! pick a scheme and configuration, and [`Simulation::run`] (or
 //! [`Simulation::run_all`] for the five-scheme sweep) consumes the phase
 //! stream one phase at a time. Peak memory is O(one phase), independent of
-//! workload length: a transaction is handed to the DRAM model the moment
-//! the protection engine expands it (writes are held only until the
+//! workload length: a burst is handed to the DRAM model the moment the
+//! protection engine expands it (writes are held only until the
 //! phase's reads have issued, mirroring a real controller's read-priority
 //! batching).
 
 use mgx_core::{scheme_engine, LineBurst, MetaTraffic, ProtectionConfig, Scheme};
 use mgx_dram::{DramBackend, DramConfig, DramModel, DramStats};
-use mgx_trace::{Phase, RegionMap, TraceSource};
+use mgx_trace::{Phase, RegionMap, TraceSource, LINE_BYTES};
 
 /// How a phase's compute and memory relate in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,24 +30,26 @@ pub enum PhaseMode {
     },
 }
 
-/// Which transaction currency the pipeline hands the DRAM model.
+/// How the pipeline hands the engines' [`LineBurst`]s to the DRAM model.
 ///
-/// Both paths produce **bit-identical** results — `Burst` is the default
-/// and the reason the simulator is fast; `PerLine` is the reference path
-/// kept alive so the equivalence stays checkable (the burst proptest in
-/// `tests/pipeline_shapes.rs` and `tests/path_equivalence.rs` compare the
-/// two down to the `exec_ns` float bits).
+/// Engines emit bursts either way; the two paths differ only at the DRAM
+/// boundary and produce **bit-identical** results. `Burst` is the default
+/// and the reason the simulator is fast; `PerLine` is the scalar DRAM
+/// reference kept alive so the equivalence stays checkable
+/// (`burst_path_matches_per_line_path` in `tests/pipeline_shapes.rs` and
+/// `tests/path_equivalence.rs` compare the two down to the `exec_ns` float
+/// bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxnPath {
-    /// Engines emit contiguous [`LineBurst`]s, serviced by
-    /// `DramModel::access_burst`. On the closed-form backend that is the
-    /// row-streak arithmetic fast path; on the queued backend, run-granular
-    /// queue entries whose streaks retire through the same closed-form
-    /// arithmetic, bit-identical to its per-line service order.
+    /// One `DramModel::access_burst` per burst. On the closed-form backend
+    /// that is the row-streak arithmetic fast path; on the queued backend,
+    /// run-granular queue entries whose streaks retire through the same
+    /// closed-form arithmetic, bit-identical to its per-line service order.
     #[default]
     Burst,
-    /// One virtual callback plus one scalar `DramModel::access` per
-    /// 64-byte line — the original hot loop, retained as the reference.
+    /// One scalar `DramModel::access` per 64-byte line of each burst, in
+    /// ascending address order — the reference both burst implementations
+    /// are checked against.
     PerLine,
 }
 
@@ -62,7 +64,7 @@ pub struct SimConfig {
     pub mode: PhaseMode,
     /// Protection parameters (granularities, protected capacity).
     pub protection: ProtectionConfig,
-    /// Transaction granularity (burst fast path vs per-line reference).
+    /// DRAM call granularity (burst fast path vs per-line reference).
     pub txn_path: TxnPath,
     /// Which [`DramModel`] implementation services the transactions.
     /// [`DramBackend::ClosedForm`] is the default behind every published
@@ -145,10 +147,8 @@ struct SchemeRun {
     /// Per-phase write staging (reused): reads issue the moment the engine
     /// emits them; writes drain after the phase's reads, which is what a
     /// real controller does to amortize bus turnarounds — fine-grained R/W
-    /// interleaving would otherwise pay tWTR/tRTW per line. Staged as
-    /// [`LineBurst`]s: on the burst path a 64 KiB tile stages one element
-    /// instead of a thousand, and the per-line path simply stages 1-line
-    /// bursts (same drain order either way).
+    /// interleaving would otherwise pay tWTR/tRTW per line. A 64 KiB tile
+    /// stages one burst instead of a thousand lines.
     write_buf: Vec<LineBurst>,
 }
 
@@ -187,62 +187,28 @@ impl SchemeRun {
         }
     }
 
-    /// Expands and issues one phase's transactions, returning the cycle
-    /// the last one completes. Reads go to DRAM as the engine emits them;
-    /// writes drain afterwards (see `write_buf`).
-    ///
-    /// The burst path and the per-line path issue the *same* line sequence
-    /// in the same order (a burst stands for its lines in ascending
-    /// address order, and `access_burst` services them bit-identically to
-    /// the scalar loop), so the two paths — and any mix of them across
-    /// phases — produce identical results.
+    /// Expands and issues one phase's bursts, returning the cycle the last
+    /// one completes. Reads go to DRAM as the engine emits them; writes
+    /// drain afterwards (see `write_buf`).
     fn issue_phase(&mut self, start: u64, phase: &Phase, path: TxnPath) -> u64 {
-        match path {
-            TxnPath::Burst => self.issue_burst(start, phase),
-            TxnPath::PerLine => self.issue_per_line(start, phase),
-        }
-    }
-
-    /// The burst hot path.
-    fn issue_burst(&mut self, start: u64, phase: &Phase) -> u64 {
         let mut done = start;
         let Self { engine, dram, write_buf, .. } = self;
         write_buf.clear();
         for req in &phase.requests {
             engine.expand_bursts(req, &mut |burst| {
                 if burst.dir.is_read() {
-                    done = done.max(dram.access_burst(start, burst.addr, burst.lines, burst.dir));
+                    done = done.max(issue(dram.as_mut(), start, burst, path));
                 } else {
                     write_buf.push(burst);
                 }
             });
         }
         for b in write_buf.drain(..) {
-            done = done.max(dram.access_burst(start, b.addr, b.lines, b.dir));
+            done = done.max(issue(dram.as_mut(), start, b, path));
         }
         // Phase boundary: queueing backends service their deferred
         // transactions here (the legal reorder window — every transaction
         // above shared `start`). Immediate backends return 0 (no-op).
-        done.max(dram.drain())
-    }
-
-    /// The scalar reference path.
-    fn issue_per_line(&mut self, start: u64, phase: &Phase) -> u64 {
-        let mut done = start;
-        let Self { engine, dram, write_buf, .. } = self;
-        write_buf.clear();
-        for req in &phase.requests {
-            engine.expand(req, &mut |txn| {
-                if txn.dir.is_read() {
-                    done = done.max(dram.access(start, txn.addr, txn.dir));
-                } else {
-                    write_buf.push(txn.into());
-                }
-            });
-        }
-        for b in write_buf.drain(..) {
-            done = done.max(dram.access(start, b.addr, b.dir));
-        }
         done.max(dram.drain())
     }
 
@@ -285,8 +251,8 @@ impl SchemeRun {
         // Residual dirty metadata drains at the end of the run.
         let mut final_done = end;
         let dram = &mut self.dram;
-        self.engine.flush(&mut |txn| {
-            final_done = final_done.max(dram.access(end, txn.addr, txn.dir));
+        self.engine.flush(&mut |b| {
+            final_done = final_done.max(issue(dram.as_mut(), end, b, cfg.txn_path));
         });
         final_done = final_done.max(dram.drain());
         RunResult {
@@ -296,6 +262,17 @@ impl SchemeRun {
             traffic: self.engine.traffic(),
             dram: self.dram.stats(),
         }
+    }
+}
+
+/// Hands one burst to the DRAM model on `path`, returning the cycle its
+/// last line completes. Every DRAM transaction of a run goes through here.
+fn issue(dram: &mut dyn DramModel, arrival: u64, b: LineBurst, path: TxnPath) -> u64 {
+    match path {
+        TxnPath::Burst => dram.access_burst(arrival, b.addr, b.lines, b.dir),
+        TxnPath::PerLine => (0..b.lines)
+            .map(|i| dram.access(arrival, b.addr + i * LINE_BYTES, b.dir))
+            .fold(arrival, u64::max),
     }
 }
 
@@ -383,6 +360,7 @@ mod tests {
     use super::*;
     use mgx_core::Scheme;
     use mgx_trace::{DataClass, MemRequest, Trace, TraceBuilder};
+    use std::sync::{Arc, Mutex};
 
     /// A streaming workload big enough to exercise the metadata paths:
     /// 64 KiB double-buffered tiles (accelerator-realistic granularity).
@@ -569,6 +547,91 @@ mod tests {
             assert_eq!(b.dram, l.dram, "{:?} DRAM stats diverged", b.scheme);
             assert_eq!(b.exec_ns.to_bits(), l.exec_ns.to_bits());
         }
+    }
+
+    /// One DRAM call as [`Recording`] saw it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Access(u64),
+        Burst { addr: u64, lines: u64 },
+    }
+
+    /// A [`DramModel`] that logs every call and times it on a real
+    /// closed-form model.
+    struct Recording {
+        inner: mgx_dram::DramSim,
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl DramModel for Recording {
+        fn config(&self) -> DramConfig {
+            self.inner.config()
+        }
+        fn stats(&self) -> DramStats {
+            self.inner.stats()
+        }
+        fn decode(&self, addr: u64) -> mgx_dram::Loc {
+            self.inner.decode(addr)
+        }
+        fn access(&mut self, arrival: u64, addr: u64, dir: mgx_trace::Dir) -> u64 {
+            self.calls.lock().expect("unpoisoned").push(Call::Access(addr));
+            self.inner.access(arrival, addr, dir)
+        }
+        fn access_burst(
+            &mut self,
+            arrival: u64,
+            addr: u64,
+            lines: u64,
+            dir: mgx_trace::Dir,
+        ) -> u64 {
+            self.calls.lock().expect("unpoisoned").push(Call::Burst { addr, lines });
+            self.inner.access_burst(arrival, addr, lines, dir)
+        }
+    }
+
+    #[test]
+    fn txn_path_decides_only_the_dram_calls() {
+        // BP over read and write tiles: 1024-line data bursts, 1-line
+        // metadata fills and writebacks, and an end-of-run flush.
+        let trace = stream_trace(1, 50);
+        let run_on = |txn_path| {
+            let cfg = SimConfig { txn_path, ..cfg() };
+            let calls = Arc::new(Mutex::new(Vec::new()));
+            let mut run = SchemeRun::new(Scheme::Baseline, &trace.regions, &cfg);
+            run.dram = Box::new(Recording {
+                inner: mgx_dram::DramSim::new(cfg.dram),
+                calls: calls.clone(),
+            });
+            for phase in &trace.phases {
+                run.step(phase, &cfg);
+            }
+            let result = run.finish(&cfg);
+            let calls = calls.lock().expect("unpoisoned").clone();
+            (result, calls)
+        };
+        let (burst, burst_calls) = run_on(TxnPath::Burst);
+        let (line, line_calls) = run_on(TxnPath::PerLine);
+
+        // Burst: one `access_burst` per burst the engine emits.
+        let mut engine = scheme_engine(Scheme::Baseline, &trace.regions, &cfg().protection);
+        let mut emitted = 0;
+        for req in trace.phases.iter().flat_map(|p| &p.requests) {
+            engine.expand_bursts(req, &mut |_| emitted += 1);
+        }
+        engine.flush(&mut |_| emitted += 1);
+        assert_eq!(burst_calls.len(), emitted);
+        let mut lines = Vec::new();
+        for call in &burst_calls {
+            let Call::Burst { addr, lines: n } = *call else { panic!("Burst made {call:?}") };
+            lines.extend((0..n).map(|i| Call::Access(addr + i * LINE_BYTES)));
+        }
+        assert!(lines.len() > 2 * emitted, "the run must carry multi-line bursts");
+
+        // PerLine: exactly those lines, one scalar `access` each, each
+        // burst's lines in ascending address order, and no `access_burst`.
+        assert!(line_calls == lines, "PerLine did not issue each burst's lines one by one");
+        assert_eq!(burst.dram_cycles, line.dram_cycles);
+        assert_eq!(burst.dram, line.dram);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! a tiny block table of once-published entries. This crate provides the
 //! trace generators: [`trace::stream_prefill_trace`],
 //! [`trace::stream_decode_trace`], and
-//! [`trace::stream_paged_attention_trace`], plus `build_*` collect
-//! wrappers, parameterized by [`TransformerConfig`] shape and
-//! [`InferenceRequest`] batch/prompt/decode knobs.
+//! [`trace::stream_paged_attention_trace`], parameterized by
+//! [`TransformerConfig`] shape and [`InferenceRequest`]
+//! batch/prompt/decode knobs. Each returns a lazy `TraceSource`; call
+//! `.collect_trace()` on it for a materialized `Trace`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +20,4 @@ pub mod model;
 pub mod trace;
 
 pub use model::{InferenceRequest, PagedConfig, TransformerConfig};
-pub use trace::{
-    build_decode_trace, build_paged_attention_trace, build_prefill_trace, stream_decode_trace,
-    stream_paged_attention_trace, stream_prefill_trace,
-};
+pub use trace::{stream_decode_trace, stream_paged_attention_trace, stream_prefill_trace};

@@ -23,13 +23,13 @@
 //! are overwritten in append order, a known-version rewrite the
 //! application can count, not a random update.
 //!
-//! The `build_*` wrappers collect the corresponding stream; the unit and
-//! property tests pin the two bit-identical.
+//! A caller that needs a materialized `Trace` calls `.collect_trace()` on
+//! the stream.
 
 use crate::model::{InferenceRequest, PagedConfig, TransformerConfig};
 use mgx_scalesim::{emit_gemm, ArrayConfig, Dataflow, Gemm, GemmRegions};
 use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, Trace, TraceSource,
+    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
 };
 
 /// Bytes per block-table entry (a physical block index).
@@ -382,37 +382,10 @@ fn decode_stream(
     (regions, phases)
 }
 
-/// [`stream_prefill_trace`], collected.
-pub fn build_prefill_trace(
-    model: &TransformerConfig,
-    req: &InferenceRequest,
-    cfg: &ArrayConfig,
-) -> Trace {
-    stream_prefill_trace(model, req, cfg).collect_trace()
-}
-
-/// [`stream_decode_trace`], collected.
-pub fn build_decode_trace(
-    model: &TransformerConfig,
-    req: &InferenceRequest,
-    cfg: &ArrayConfig,
-) -> Trace {
-    stream_decode_trace(model, req, cfg).collect_trace()
-}
-
-/// [`stream_paged_attention_trace`], collected.
-pub fn build_paged_attention_trace(
-    model: &TransformerConfig,
-    req: &InferenceRequest,
-    paged: &PagedConfig,
-    cfg: &ArrayConfig,
-) -> Trace {
-    stream_paged_attention_trace(model, req, paged, cfg).collect_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_trace::Trace;
 
     fn tiny() -> TransformerConfig {
         TransformerConfig {
@@ -455,13 +428,19 @@ mod tests {
         let (m, cfg) = (tiny(), array());
         let req = InferenceRequest::new(2, 12, 5);
         let paged = PagedConfig { block_tokens: 4 };
-        assert_contained(&build_prefill_trace(&m, &req, &cfg), "prefill");
-        assert_contained(&build_decode_trace(&m, &req, &cfg), "decode");
-        assert_contained(&build_paged_attention_trace(&m, &req, &paged, &cfg), "paged");
+        assert_contained(&stream_prefill_trace(&m, &req, &cfg).collect_trace(), "prefill");
+        assert_contained(&stream_decode_trace(&m, &req, &cfg).collect_trace(), "decode");
+        assert_contained(
+            &stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(),
+            "paged",
+        );
         // Rollover exercised: 12 + 5 tokens > max_context 32? No — force it.
         let long = InferenceRequest::new(1, 30, 10);
-        assert_contained(&build_decode_trace(&m, &long, &cfg), "decode-rollover");
-        assert_contained(&build_paged_attention_trace(&m, &long, &paged, &cfg), "paged-rollover");
+        assert_contained(&stream_decode_trace(&m, &long, &cfg).collect_trace(), "decode-rollover");
+        assert_contained(
+            &stream_paged_attention_trace(&m, &long, &paged, &cfg).collect_trace(),
+            "paged-rollover",
+        );
     }
 
     #[test]
@@ -474,11 +453,11 @@ mod tests {
                 let (regions, phases) = stream_prefill_trace(&m, &req, &cfg).into_stream();
                 Trace { regions, phases: phases.collect() }
             }),
-            (build_decode_trace(&m, &req, &cfg), {
+            (stream_decode_trace(&m, &req, &cfg).collect_trace(), {
                 let (regions, phases) = stream_decode_trace(&m, &req, &cfg).into_stream();
                 Trace { regions, phases: phases.collect() }
             }),
-            (build_paged_attention_trace(&m, &req, &paged, &cfg), {
+            (stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(), {
                 let (regions, phases) =
                     stream_paged_attention_trace(&m, &req, &paged, &cfg).into_stream();
                 Trace { regions, phases: phases.collect() }
@@ -499,7 +478,7 @@ mod tests {
     fn decode_streams_all_weights_once_per_step() {
         let (m, cfg) = (tiny(), array());
         let req = InferenceRequest::new(1, 8, 4);
-        let t = build_decode_trace(&m, &req, &cfg);
+        let t = stream_decode_trace(&m, &req, &cfg).collect_trace();
         let weights = t.regions.iter().find(|(_, r)| r.name == "weights").unwrap().0;
         let read: u64 = t
             .phases
@@ -518,8 +497,8 @@ mod tests {
         m.max_context = 64; // 8 + 4 tokens fit: no rollover
         let req = InferenceRequest::new(2, 8, 4);
         for (label, t) in [
-            ("decode", build_decode_trace(&m, &req, &cfg)),
-            ("paged", build_paged_attention_trace(&m, &req, &paged, &cfg)),
+            ("decode", stream_decode_trace(&m, &req, &cfg).collect_trace()),
+            ("paged", stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace()),
         ] {
             let kv = t.regions.iter().find(|(_, r)| r.name.starts_with("kv")).unwrap().0;
             let writes: Vec<_> = t
@@ -545,7 +524,7 @@ mod tests {
         let (m, cfg) = (tiny(), array()); // max_context 32
         let req = InferenceRequest::new(1, 30, 40); // appends lap the 32-slot ring
         let slot = m.kv_dim() * cfg.dtype_bytes;
-        let t = build_decode_trace(&m, &req, &cfg);
+        let t = stream_decode_trace(&m, &req, &cfg).collect_trace();
         let kv = t.regions.iter().find(|(_, r)| r.name == "kv").unwrap().0;
         // Attention reads stream the ring one slot at a time (newest first),
         // so the cap shows up as the per-phase K+V read volume.
@@ -590,7 +569,8 @@ mod tests {
         // blocks are strided by the batch.
         let first_block = |batch: u64, s: u64| {
             let t =
-                build_paged_attention_trace(&m, &InferenceRequest::new(batch, 5, 2), &paged, &cfg);
+                stream_paged_attention_trace(&m, &InferenceRequest::new(batch, 5, 2), &paged, &cfg)
+                    .collect_trace();
             let kv = t.regions.iter().find(|(_, r)| r.name == "kv-pool").unwrap();
             let base = kv.1.base;
             let writes: Vec<u64> = t
@@ -617,7 +597,7 @@ mod tests {
         let (m, cfg) = (tiny(), array());
         let paged = PagedConfig { block_tokens: 4 };
         let req = InferenceRequest::new(1, 4, 6); // tokens 4..10: boundaries at 4 and 8
-        let t = build_paged_attention_trace(&m, &req, &paged, &cfg);
+        let t = stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace();
         let table = t.regions.iter().find(|(_, r)| r.name == "block-table").unwrap().0;
         let publishes = t
             .phases
@@ -633,12 +613,15 @@ mod tests {
     fn zero_decode_steps_yield_an_empty_trace() {
         let (m, cfg) = (tiny(), array());
         let req = InferenceRequest::new(2, 8, 0);
-        assert_eq!(build_decode_trace(&m, &req, &cfg).phases.len(), 0);
+        assert_eq!(stream_decode_trace(&m, &req, &cfg).collect_trace().phases.len(), 0);
         assert_eq!(
-            build_paged_attention_trace(&m, &req, &PagedConfig::default(), &cfg).phases.len(),
+            stream_paged_attention_trace(&m, &req, &PagedConfig::default(), &cfg)
+                .collect_trace()
+                .phases
+                .len(),
             0
         );
         // Prefill still carries the whole prompt.
-        assert!(!build_prefill_trace(&m, &req, &cfg).phases.is_empty());
+        assert!(!stream_prefill_trace(&m, &req, &cfg).collect_trace().phases.is_empty());
     }
 }

@@ -5,10 +5,11 @@
 //! cargo run --release --example secure_dnn_inference
 //! ```
 
-use mgx::dnn::trace::build_inference_trace;
+use mgx::dnn::trace::stream_inference_trace;
 use mgx::dnn::Model;
 use mgx::scalesim::{ArrayConfig, Dataflow};
 use mgx::sim::{SimConfig, Simulation};
+use mgx::trace::TraceSource;
 
 fn main() {
     let model = Model::resnet50(2);
@@ -19,7 +20,7 @@ fn main() {
     );
 
     let acfg = ArrayConfig::cloud();
-    let trace = build_inference_trace(&model, &acfg, Dataflow::WeightStationary);
+    let trace = stream_inference_trace(&model, &acfg, Dataflow::WeightStationary).collect_trace();
     println!(
         "trace: {} phases, {} requests, {:.1} MiB data traffic\n",
         trace.phases.len(),

@@ -15,11 +15,11 @@ use common::{
     assert_all_paths_bit_identical, assert_paths_bit_identical_with, assert_results_identical,
     config_for, run_all,
 };
-use mgx::dnn::trace::build_inference_trace;
+use mgx::dnn::trace::stream_inference_trace;
 use mgx::dnn::Model;
 use mgx::scalesim::{ArrayConfig, Dataflow};
 use mgx::sim::{DramBackend, PhaseMode, TxnPath};
-use mgx::trace::{DataClass, MemRequest, Trace, TraceBuilder};
+use mgx::trace::{DataClass, MemRequest, Trace, TraceBuilder, TraceSource};
 use proptest::prelude::*;
 
 /// The uniform tile size of the synthetic workloads: small enough that
@@ -152,7 +152,8 @@ fn real_dnn_workload_all_paths_bit_identical() {
     // A real accelerator trace, not a synthetic blueprint: AlexNet through
     // the systolic-array model (batch 1 keeps it fast).
     let model = Model::alexnet(1);
-    let trace = build_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary);
+    let trace = stream_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary)
+        .collect_trace();
     assert_all_paths_bit_identical(&trace, "alexnet");
 }
 

@@ -7,7 +7,7 @@
 //! bit-identical results under every scheme and phase mode.
 
 use mgx::core::Scheme;
-use mgx::dnn::trace::{build_inference_trace, build_training_trace, stream_inference_trace};
+use mgx::dnn::trace::{stream_inference_trace, stream_training_trace};
 use mgx::dnn::Model;
 use mgx::graph::accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
 use mgx::graph::rmat::RmatGenerator;
@@ -44,7 +44,8 @@ fn dnn_inference_headline_shape() {
 #[test]
 fn dnn_training_is_protected_like_inference() {
     let model = Model::alexnet(1);
-    let trace = build_training_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary);
+    let trace = stream_training_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary)
+        .collect_trace();
     let scfg = SimConfig::overlapped(4, 700);
     let e = eval(&trace, &scfg, "AlexNet-Train");
     let traffic = |s: Scheme| e.of(s).total_bytes() as f64 / e.np().total_bytes() as f64;
@@ -109,12 +110,14 @@ fn fig3_builder_collects_bp_rows_across_domains() {
     let scfg = SimConfig::overlapped(4, 700);
     let model = Model::alexnet(1);
     let inf = [eval(
-        build_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary),
+        stream_inference_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary)
+            .collect_trace(),
         &scfg,
         "AlexNet",
     )];
     let train = [eval(
-        build_training_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary),
+        stream_training_trace(&model, &ArrayConfig::cloud(), Dataflow::WeightStationary)
+            .collect_trace(),
         &scfg,
         "AlexNet",
     )];
@@ -195,11 +198,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance property of the burst hot path: for any workload and
-    /// phase mode, simulating with batched
-    /// `LineBurst` transactions (engine `expand_bursts` → DRAM
-    /// `access_burst`, the default) is bit-identical — cycles, traffic
-    /// breakdown, DRAM stats, even the float bits of `exec_ns` — to the
-    /// per-line reference path, under every scheme at once.
+    /// phase mode, handing the engines' `LineBurst`s to DRAM
+    /// `access_burst` (the default) is bit-identical — cycles, traffic
+    /// breakdown, DRAM stats, even the float bits of `exec_ns` — to issuing
+    /// each burst's lines through scalar `access` (the per-line reference),
+    /// under every scheme at once.
     #[test]
     fn burst_path_matches_per_line_path(
         specs in proptest::collection::vec(

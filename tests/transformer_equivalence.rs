@@ -19,11 +19,10 @@ mod common;
 use common::{assert_all_paths_bit_identical, assert_results_identical, config_for};
 use mgx::scalesim::ArrayConfig;
 use mgx::sim::{DramBackend, PhaseMode, Scale, Simulation};
-use mgx::trace::Trace;
+use mgx::trace::{Trace, TraceSource};
 use mgx::transformer::{
-    build_decode_trace, build_paged_attention_trace, build_prefill_trace, stream_decode_trace,
-    stream_paged_attention_trace, stream_prefill_trace, InferenceRequest, PagedConfig,
-    TransformerConfig,
+    stream_decode_trace, stream_paged_attention_trace, stream_prefill_trace, InferenceRequest,
+    PagedConfig, TransformerConfig,
 };
 use mgx_sim::experiments::transformer;
 use proptest::prelude::*;
@@ -78,9 +77,9 @@ proptest! {
         let cfg = array();
         let scfg = config_for(PhaseMode::Overlapped);
         let collected: [Trace; 3] = [
-            build_prefill_trace(&m, &req, &cfg),
-            build_decode_trace(&m, &req, &cfg),
-            build_paged_attention_trace(&m, &req, &paged, &cfg),
+            stream_prefill_trace(&m, &req, &cfg).collect_trace(),
+            stream_decode_trace(&m, &req, &cfg).collect_trace(),
+            stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(),
         ];
         for (i, trace) in collected.iter().enumerate() {
             let reference =
@@ -118,10 +117,12 @@ proptest! {
         let req = InferenceRequest::new(batch, prompt, decode);
         let paged = PagedConfig { block_tokens };
         let cfg = array();
-        assert_all_paths_bit_identical(&build_prefill_trace(&m, &req, &cfg), "prefill");
-        assert_all_paths_bit_identical(&build_decode_trace(&m, &req, &cfg), "decode");
+        let prefill = stream_prefill_trace(&m, &req, &cfg).collect_trace();
+        assert_all_paths_bit_identical(&prefill, "prefill");
+        let decode = stream_decode_trace(&m, &req, &cfg).collect_trace();
+        assert_all_paths_bit_identical(&decode, "decode");
         assert_all_paths_bit_identical(
-            &build_paged_attention_trace(&m, &req, &paged, &cfg),
+            &stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(),
             "paged",
         );
     }
@@ -135,11 +136,14 @@ fn kv_ring_rollover_stays_bit_identical() {
     let m = model(2, 2, 1, 64, true, 8);
     let req = InferenceRequest::new(1, 6, 10);
     let cfg = array();
-    assert_all_paths_bit_identical(&build_decode_trace(&m, &req, &cfg), "rollover");
+    assert_all_paths_bit_identical(
+        &stream_decode_trace(&m, &req, &cfg).collect_trace(),
+        "rollover",
+    );
     // Paged twin, including a block size that does not divide the window.
     let paged = PagedConfig { block_tokens: 3 };
     assert_all_paths_bit_identical(
-        &build_paged_attention_trace(&m, &req, &paged, &cfg),
+        &stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(),
         "rollover-paged",
     );
 }
@@ -155,7 +159,7 @@ fn batch_interleaving_stays_bit_identical() {
     for batch in [1, 3] {
         let req = InferenceRequest::new(batch, 5, 6);
         assert_all_paths_bit_identical(
-            &build_paged_attention_trace(&m, &req, &paged, &cfg),
+            &stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(),
             &format!("batch{batch}"),
         );
     }
@@ -166,8 +170,9 @@ fn zero_decode_steps_yield_empty_decode_traces() {
     let m = model(2, 1, 1, 32, false, 8);
     let req = InferenceRequest::new(2, 4, 0);
     let cfg = array();
-    let decode = build_decode_trace(&m, &req, &cfg);
-    let paged = build_paged_attention_trace(&m, &req, &PagedConfig::default(), &cfg);
+    let decode = stream_decode_trace(&m, &req, &cfg).collect_trace();
+    let paged =
+        stream_paged_attention_trace(&m, &req, &PagedConfig::default(), &cfg).collect_trace();
     assert!(decode.phases.is_empty(), "no decode steps → no phases");
     assert!(paged.phases.is_empty(), "no decode steps → no phases");
     // An empty trace must still sweep cleanly on every path.
