@@ -28,9 +28,9 @@
 
 use super::macside::CoarseMacTracker;
 use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine, TxnKind};
-use crate::layout::{BaselineLayout, MetaKind, ENTRIES_PER_LINE};
+use crate::layout::{BaselineLayout, ENTRIES_PER_LINE};
 use crate::policy::ProtectionConfig;
-use mgx_cache::{AccessKind, CacheConfig, CacheSim};
+use mgx_cache::{CacheConfig, CacheSim};
 use mgx_trace::{Dir, MemRequest, RegionMap, LINE_BYTES};
 use std::collections::HashMap;
 
@@ -112,20 +112,27 @@ impl BaselineEngine {
         self.cache.stats().hit_rate()
     }
 
-    fn kind_of(addr: u64) -> TxnKind {
-        match BaselineLayout::classify(addr) {
-            MetaKind::Vn => TxnKind::Vn,
-            MetaKind::Tree => TxnKind::Tree,
-            MetaKind::MacFine | MetaKind::MacCoarse => TxnKind::Mac,
-            MetaKind::Data => TxnKind::Data,
-        }
-    }
-
     /// Counts and emits one metadata line as a 1-line burst.
     fn record_emit(&mut self, addr: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        let burst = LineBurst { addr, lines: 1, dir, kind: Self::kind_of(addr) };
+        let burst = LineBurst { addr, lines: 1, dir, kind: BaselineLayout::classify(addr) };
         self.traffic.record_burst(&burst);
         emit(burst);
+    }
+
+    /// One cached access to metadata line `line`: a miss fills the line,
+    /// and a dirty victim's writeback runs its cascade. Returns whether
+    /// the access hit. Forced inline: the walk makes one call per metadata
+    /// access.
+    #[inline(always)]
+    fn touch(&mut self, line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) -> bool {
+        let out = self.cache.access(line, dir);
+        if !out.hit {
+            self.record_emit(line, Dir::Read, emit);
+        }
+        if let Some(wb) = out.writeback {
+            self.process_writeback(wb, emit);
+        }
+        out.hit
     }
 
     /// Handles a dirty-line writeback plus the cascading parent updates.
@@ -134,7 +141,9 @@ impl BaselineEngine {
         // dirty line. Each step makes one cache access, which evicts at most
         // one line, so at most one writeback is ever pending. Cascades climb
         // the tree, so depth bounds honest chains; the cap below is a hard
-        // stop against pathological LRU ping-pong.
+        // stop against pathological LRU ping-pong. The parent access is not
+        // a `touch`: that would recurse through the cascade, outside this
+        // budget.
         let mut budget = self.layout.tree_depth() + 4;
         let mut pending = Some(wb);
         while let Some(addr) = pending.take() {
@@ -144,13 +153,13 @@ impl BaselineEngine {
             }
             budget -= 1;
             let parent = match BaselineLayout::classify(addr) {
-                MetaKind::Vn => Some(self.layout.vn_parent(addr)),
-                MetaKind::Tree => self.layout.tree_parent_of(addr),
+                TxnKind::Vn => Some(self.layout.vn_parent(addr)),
+                TxnKind::Tree => self.layout.tree_parent_of(addr),
                 _ => None,
             };
             if let Some(p) = parent {
-                let out = self.cache.access(p, AccessKind::Write);
-                if out.fill {
+                let out = self.cache.access(p, Dir::Write);
+                if !out.hit {
                     self.record_emit(p, Dir::Read, emit);
                 }
                 pending = out.writeback;
@@ -158,36 +167,14 @@ impl BaselineEngine {
         }
     }
 
-    /// One cached metadata access with tree walk on VN misses.
-    fn vn_access(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        let kind = match dir {
-            Dir::Read => AccessKind::Read,
-            Dir::Write => AccessKind::Write,
-        };
-        let vn_line = self.layout.vn_line_of(data_line >> self.vn_shift);
-        let out = self.cache.access(vn_line, kind);
-        if out.fill {
-            self.record_emit(vn_line, Dir::Read, emit);
-        }
-        if let Some(wb) = out.writeback {
-            self.process_writeback(wb, emit);
-        }
-        if out.hit {
+    /// One cached access to VN line `vn_line`, with a tree walk on a miss.
+    fn vn_access(&mut self, vn_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
+        if self.touch(vn_line, dir, emit) {
             return;
         }
         // Verify the freshly fetched VN line: climb until a cached node.
         let mut node = self.layout.vn_parent(vn_line);
-        loop {
-            let o = self.cache.access(node, kind);
-            if o.fill {
-                self.record_emit(node, Dir::Read, emit);
-            }
-            if let Some(wb) = o.writeback {
-                self.process_writeback(wb, emit);
-            }
-            if o.hit {
-                break;
-            }
+        while !self.touch(node, dir, emit) {
             match self.layout.tree_parent_of(node) {
                 Some(p) => node = p,
                 None => break, // verified against the on-chip root
@@ -229,22 +216,18 @@ impl BaselineEngine {
     /// cascade evicted one of them, and the next line runs scalar too.
     fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
         let fine_mac = matches!(self.mac, MacMode::FineCached);
-        let kind = match dir {
-            Dir::Read => AccessKind::Read,
-            Dir::Write => AccessKind::Write,
-        };
         let mut line = from;
         while line <= to {
             let addr = line * LINE_BYTES;
-            self.vn_access(addr, dir, emit);
-            if fine_mac {
-                self.mac_access_cached(addr, dir, emit);
-            }
-            let group_last = (line | (ENTRIES_PER_LINE - 1)).min(to);
             let meta =
                 [self.layout.vn_line_of(addr >> self.vn_shift), self.layout.mac_fine_line_of(addr)];
+            self.vn_access(meta[0], dir, emit);
+            if fine_mac {
+                self.touch(meta[1], dir, emit);
+            }
+            let group_last = (line | (ENTRIES_PER_LINE - 1)).min(to);
             let meta = if fine_mac { &meta[..] } else { &meta[..1] };
-            line = if self.cache.repeat_hits(meta, kind, group_last - line) {
+            line = if self.cache.repeat_hits(meta, dir, group_last - line) {
                 group_last + 1
             } else {
                 line + 1
@@ -281,21 +264,6 @@ impl BaselineEngine {
             }
         }
     }
-
-    fn mac_access_cached(&mut self, data_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        let kind = match dir {
-            Dir::Read => AccessKind::Read,
-            Dir::Write => AccessKind::Write,
-        };
-        let mac_line = self.layout.mac_fine_line_of(data_line);
-        let out = self.cache.access(mac_line, kind);
-        if out.fill {
-            self.record_emit(mac_line, Dir::Read, emit);
-        }
-        if let Some(wb) = out.writeback {
-            self.process_writeback(wb, emit);
-        }
-    }
 }
 
 impl ProtectionEngine for BaselineEngine {
@@ -327,6 +295,7 @@ impl ProtectionEngine for BaselineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::MAC_COARSE_BASE;
     use mgx_trace::{DataClass, RegionMap};
 
     fn regions() -> RegionMap {
@@ -433,9 +402,7 @@ mod tests {
     /// Keeps the VN, tree and fine-MAC bursts: what the cached walk
     /// emits, as opposed to data and coarse MACs, which follow the request.
     fn meta_only(b: LineBurst, out: &mut Vec<LineBurst>) {
-        if !matches!(BaselineLayout::classify(b.addr), MetaKind::MacCoarse)
-            && b.kind != TxnKind::Data
-        {
+        if b.addr < MAC_COARSE_BASE && b.kind != TxnKind::Data {
             out.push(b);
         }
     }
@@ -445,7 +412,7 @@ mod tests {
     fn reencrypted_lines(e: &mut BaselineEngine, req: &MemRequest) -> (u64, u64) {
         let (mut reads, mut writes) = (0, 0);
         e.expand_bursts(req, &mut |b| {
-            if b.kind == TxnKind::Vn && BaselineLayout::classify(b.addr) == MetaKind::Data {
+            if b.kind == TxnKind::Vn && BaselineLayout::classify(b.addr) == TxnKind::Data {
                 match b.dir {
                     Dir::Read => reads += b.lines,
                     Dir::Write => writes += b.lines,
@@ -553,7 +520,7 @@ mod tests {
             if name == "split_counter" {
                 assert!(
                     a.iter().any(|b| b.kind == TxnKind::Vn
-                        && BaselineLayout::classify(b.addr) == MetaKind::Data),
+                        && BaselineLayout::classify(b.addr) == TxnKind::Data),
                     "the stream must trip a minor overflow"
                 );
             }

@@ -15,6 +15,7 @@
 //! | `MAC_FINE_BASE`  | per-64 B-line MACs, 8 B each                        |
 //! | `MAC_COARSE_BASE`| per-region coarse MAC arrays (8 B per block)        |
 
+use crate::engine::TxnKind;
 use mgx_trace::{RegionId, LINE_BYTES};
 
 /// Bytes of metadata (VN or MAC entry) per protected unit.
@@ -175,35 +176,19 @@ impl BaselineLayout {
         Some(TREE_BASE + (self.level_offsets[level + 1] + idx / self.arity) * LINE_BYTES)
     }
 
-    /// Classifies a metadata address back into its kind (for stats).
-    pub fn classify(addr: u64) -> MetaKind {
-        if addr >= MAC_COARSE_BASE {
-            MetaKind::MacCoarse
-        } else if addr >= MAC_FINE_BASE {
-            MetaKind::MacFine
+    /// What `addr` holds, per the fixed carve-out map: both MAC tables
+    /// are [`TxnKind::Mac`].
+    pub fn classify(addr: u64) -> TxnKind {
+        if addr >= MAC_FINE_BASE {
+            TxnKind::Mac
         } else if addr >= TREE_BASE {
-            MetaKind::Tree
+            TxnKind::Tree
         } else if addr >= VN_BASE {
-            MetaKind::Vn
+            TxnKind::Vn
         } else {
-            MetaKind::Data
+            TxnKind::Data
         }
     }
-}
-
-/// What a given address holds, per the fixed carve-out map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaKind {
-    /// Application data.
-    Data,
-    /// Baseline version-number table.
-    Vn,
-    /// Integrity-tree node.
-    Tree,
-    /// Fine-grained MAC table.
-    MacFine,
-    /// Coarse per-region MAC array.
-    MacCoarse,
 }
 
 /// Address of coarse MAC entry `block_idx` of `region`.
@@ -279,14 +264,14 @@ mod tests {
 
     #[test]
     fn classify_partitions_address_space() {
-        assert_eq!(BaselineLayout::classify(0x1000), MetaKind::Data);
-        assert_eq!(BaselineLayout::classify(VN_BASE + 8), MetaKind::Vn);
-        assert_eq!(BaselineLayout::classify(TREE_BASE), MetaKind::Tree);
-        assert_eq!(BaselineLayout::classify(MAC_FINE_BASE + 64), MetaKind::MacFine);
-        assert_eq!(
-            BaselineLayout::classify(mac_coarse_entry(RegionId(3), 10)),
-            MetaKind::MacCoarse
-        );
+        assert_eq!(BaselineLayout::classify(0x1000), TxnKind::Data);
+        assert_eq!(BaselineLayout::classify(VN_BASE - 64), TxnKind::Data);
+        assert_eq!(BaselineLayout::classify(VN_BASE + 8), TxnKind::Vn);
+        assert_eq!(BaselineLayout::classify(TREE_BASE - 64), TxnKind::Vn);
+        assert_eq!(BaselineLayout::classify(TREE_BASE), TxnKind::Tree);
+        assert_eq!(BaselineLayout::classify(MAC_FINE_BASE - 64), TxnKind::Tree);
+        assert_eq!(BaselineLayout::classify(MAC_FINE_BASE + 64), TxnKind::Mac);
+        assert_eq!(BaselineLayout::classify(mac_coarse_entry(RegionId(3), 10)), TxnKind::Mac);
     }
 
     #[test]

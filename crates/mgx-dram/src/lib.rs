@@ -151,9 +151,8 @@ struct Bank {
     ready_pre: u64,
 }
 
-/// The last four ACT timestamps on a rank — all tFAW ever needs — in a
-/// fixed four-slot ring. Replacing the former `VecDeque<u64>` kills a heap
-/// structure (and its push/pop bookkeeping) on the hot path.
+/// The last four ACT timestamps on a rank — all tRRD and tFAW ever need —
+/// in a fixed four-slot ring, so the hot path keeps no heap structure.
 #[derive(Debug, Clone, Copy, Default)]
 struct ActWindow {
     acts: [u64; 4],
@@ -164,6 +163,11 @@ struct ActWindow {
 }
 
 impl ActWindow {
+    /// The most recent ACT, if any.
+    fn last(&self) -> Option<u64> {
+        (self.len > 0).then(|| self.acts[(self.head as usize + 3) & 3])
+    }
+
     /// The fourth-most-recent ACT, once four have been recorded.
     fn fourth_last(&self) -> Option<u64> {
         (self.len == 4).then(|| self.acts[self.head as usize])
@@ -179,17 +183,10 @@ impl ActWindow {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Rank {
-    banks: Vec<Bank>,
-    /// Timestamps of the last four ACT commands (for tFAW).
-    recent_acts: ActWindow,
-    last_act: Option<u64>,
-}
-
+/// A channel's shared data bus and refresh schedule; its banks and ACT
+/// windows live in [`DramSim`]'s flat arrays.
 #[derive(Debug, Clone, Default)]
 struct Channel {
-    ranks: Vec<Rank>,
     /// Cycle the shared data bus becomes free.
     bus_free: u64,
     last_dir: Option<Dir>,
@@ -296,6 +293,13 @@ fn fold_row(row: u64) -> u64 {
 pub struct DramSim {
     cfg: DramConfig,
     channels: Vec<Channel>,
+    /// Every bank of every rank and channel, channel-major: see
+    /// [`DramSim::bank_index`]. The queued backend's FR-FCFS scan reads
+    /// the open rows here.
+    banks: Vec<Bank>,
+    /// The ACT window (for tRRD and tFAW) of every rank, channel-major:
+    /// rank `r` of channel `c` is `c × ranks_per_channel + r`.
+    acts: Vec<ActWindow>,
     stats: DramStats,
     shifts: Option<DecodeShifts>,
 }
@@ -303,19 +307,16 @@ pub struct DramSim {
 impl DramSim {
     /// Builds a simulator in the all-idle state at cycle 0.
     pub fn new(cfg: DramConfig) -> Self {
-        let channels = (0..cfg.channels)
-            .map(|_| Channel {
-                ranks: (0..cfg.ranks_per_channel)
-                    .map(|_| Rank {
-                        banks: vec![Bank::default(); cfg.banks_per_rank],
-                        ..Rank::default()
-                    })
-                    .collect(),
-                next_refresh: cfg.t_refi,
-                ..Channel::default()
-            })
-            .collect();
-        Self { shifts: DecodeShifts::build(&cfg), cfg, channels, stats: DramStats::default() }
+        let ranks = cfg.channels * cfg.ranks_per_channel;
+        let channel = Channel { next_refresh: cfg.t_refi, ..Channel::default() };
+        Self {
+            shifts: DecodeShifts::build(&cfg),
+            cfg,
+            channels: vec![channel; cfg.channels],
+            banks: vec![Bank::default(); ranks * cfg.banks_per_rank],
+            acts: vec![ActWindow::default(); ranks],
+            stats: DramStats::default(),
+        }
     }
 
     /// The configuration in use.
@@ -370,6 +371,11 @@ impl DramSim {
         Loc { channel, rank, bank, row }
     }
 
+    /// Index of `loc`'s bank in the flat, channel-major bank array.
+    fn bank_index(&self, loc: &Loc) -> usize {
+        (loc.channel * self.cfg.ranks_per_channel + loc.rank) * self.cfg.banks_per_rank + loc.bank
+    }
+
     /// Services one 64-byte transaction that becomes ready at cycle
     /// `arrival`, returning its completion cycle (last data beat on the
     /// bus).
@@ -379,6 +385,7 @@ impl DramSim {
     pub fn access(&mut self, arrival: u64, addr: u64, dir: Dir) -> u64 {
         let loc = self.decode(addr);
         let cfg = self.cfg;
+        let b = self.bank_index(&loc);
         let ch = &mut self.channels[loc.channel];
 
         // Periodic refresh: any transaction arriving past the refresh point
@@ -393,11 +400,11 @@ impl DramSim {
             let intervals = (horizon - ch.next_refresh) / cfg.t_refi + 1;
             let last_start = ch.next_refresh + (intervals - 1) * cfg.t_refi;
             let refresh_floor = last_start + cfg.t_rfc;
-            for rank in &mut ch.ranks {
-                for bank in &mut rank.banks {
-                    bank.open_row = None;
-                    bank.ready_act = bank.ready_act.max(refresh_floor);
-                }
+            let per_channel = cfg.ranks_per_channel * cfg.banks_per_rank;
+            let first = loc.channel * per_channel;
+            for bank in &mut self.banks[first..first + per_channel] {
+                bank.open_row = None;
+                bank.ready_act = bank.ready_act.max(refresh_floor);
             }
             ch.next_refresh = last_start + cfg.t_refi;
             self.stats.refreshes += intervals;
@@ -406,8 +413,7 @@ impl DramSim {
             arrival
         };
 
-        let rank = &mut ch.ranks[loc.rank];
-        let bank = &mut rank.banks[loc.bank];
+        let bank = &mut self.banks[b];
 
         // 1. Row management.
         let mut cas_earliest = match bank.open_row {
@@ -427,14 +433,14 @@ impl DramSim {
                     act_at = act_at.max(pre_at + cfg.t_rp);
                 }
                 // Inter-ACT constraints on the rank.
-                if let Some(last) = rank.last_act {
+                let acts = &mut self.acts[loc.channel * cfg.ranks_per_channel + loc.rank];
+                if let Some(last) = acts.last() {
                     act_at = act_at.max(last + cfg.t_rrd);
                 }
-                if let Some(fourth_last) = rank.recent_acts.fourth_last() {
+                if let Some(fourth_last) = acts.fourth_last() {
                     act_at = act_at.max(fourth_last + cfg.t_faw);
                 }
-                rank.recent_acts.record(act_at);
-                rank.last_act = Some(act_at);
+                acts.record(act_at);
                 bank.open_row = Some(loc.row);
                 bank.ready_pre = act_at + cfg.t_ras;
                 bank.ready_cas = 0;
@@ -460,8 +466,6 @@ impl DramSim {
         // 3. Commit state updates.
         ch.bus_free = data_start + cfg.t_bl;
         ch.last_dir = Some(dir);
-        let rank = &mut ch.ranks[loc.rank];
-        let bank = &mut rank.banks[loc.bank];
         bank.ready_cas = cas_at + cfg.t_ccd;
         match dir {
             Dir::Read => {
@@ -584,12 +588,11 @@ impl DramSim {
                 if ds0 + cfg.t_bl >= nr { 0 } else { (nr - 1 - cfg.t_bl - ds0) / step.max(1) + 1 };
             let h = hits.min(safe);
             if h > 0 {
-                let loc = self.decode(line_addr);
+                let b = self.bank_index(&self.decode(line_addr));
                 let last_ds = ds0 + h * step;
                 let last_cas = last_ds - cas_to_data;
-                let ch = &mut self.channels[chan];
-                ch.bus_free = last_ds + cfg.t_bl;
-                let bank = &mut ch.ranks[loc.rank].banks[loc.bank];
+                self.channels[chan].bus_free = last_ds + cfg.t_bl;
+                let bank = &mut self.banks[b];
                 bank.ready_cas = last_cas + cfg.t_ccd;
                 match dir {
                     Dir::Read => {
@@ -613,29 +616,14 @@ impl DramSim {
         }
         done
     }
-
-    /// The row currently open in the bank `loc` names, if any — the
-    /// readiness predicate the FR-FCFS scheduler in
-    /// [`QueuedDramSim`] scans with.
-    pub(crate) fn open_row_at(&self, loc: &Loc) -> Option<u64> {
-        self.channels[loc.channel].ranks[loc.rank].banks[loc.bank].open_row
-    }
 }
 
 /// The closed-form simulator is the default [`DramModel`]: every method
 /// delegates to the inherent implementation, `access_burst` to the
 /// bit-identical row-streak fast path.
 impl DramModel for DramSim {
-    fn config(&self) -> DramConfig {
-        DramSim::config(self)
-    }
-
     fn stats(&self) -> DramStats {
         DramSim::stats(self)
-    }
-
-    fn decode(&self, addr: u64) -> Loc {
-        DramSim::decode(self, addr)
     }
 
     fn access(&mut self, arrival: u64, addr: u64, dir: Dir) -> u64 {
@@ -856,6 +844,85 @@ mod tests {
         assert_eq!(sim.stats().row_hits, 0);
     }
 
+    /// DDR4-2400 with `ranks` ranks on each of `channels` channels.
+    fn ranked(channels: usize, ranks: usize) -> DramConfig {
+        DramConfig { ranks_per_channel: ranks, ..DramConfig::ddr4_2400(channels) }
+    }
+
+    /// The address of `loc`'s first column: the inverse of
+    /// [`DramSim::decode`] on a power-of-two configuration.
+    fn addr_of(sim: &DramSim, loc: Loc) -> u64 {
+        let cfg = sim.config();
+        let banks = cfg.banks_per_rank as u64;
+        let bank_field = (loc.bank as u64 ^ fold_row(loc.row)) & (banks - 1);
+        let rank_row = loc.row * cfg.ranks_per_channel as u64 + loc.rank as u64;
+        let line = (rank_row * banks + bank_field) * cfg.lines_per_row() * cfg.channels as u64
+            + loc.channel as u64;
+        let addr = line * LINE_BYTES;
+        assert_eq!(sim.decode(addr), loc, "addr_of must invert decode");
+        addr
+    }
+
+    #[test]
+    fn ranks_do_not_share_banks() {
+        // The same bank number and row on two ranks are two banks: each
+        // access opens its own row, and neither hits the other's.
+        let mut sim = DramSim::new(ranked(1, 2));
+        for rank in 0..2 {
+            let addr = addr_of(&sim, Loc { channel: 0, rank, bank: 3, row: 5 });
+            sim.access(0, addr, Dir::Read);
+        }
+        assert_eq!(sim.stats().row_opens, 2);
+        assert_eq!(sim.stats().row_hits, 0);
+    }
+
+    #[test]
+    fn ranks_keep_separate_activate_windows() {
+        // Eight ACTs to eight banks at cycle 0. On one rank, tRRD and then
+        // tFAW pace them: ACTs at 0, 6, 12, 18, 26, 32, 38, 44, so the last
+        // read ends at 44 + tRCD + CL + tBL = 82. Alternating two ranks
+        // gives each rank four ACTs at 0, 6, 12, 18, and the shared data
+        // bus (one tBL per read after the first ends at 38) binds instead:
+        // 38 + 7 × 4 = 66.
+        let last_done = |alternate: bool| {
+            let mut sim = DramSim::new(ranked(1, 2));
+            let mut done = 0;
+            for bank in 0..8 {
+                let rank = if alternate { bank % 2 } else { 0 };
+                let addr = addr_of(&sim, Loc { channel: 0, rank, bank, row: 0 });
+                done = done.max(sim.access(0, addr, Dir::Read));
+            }
+            assert_eq!(sim.stats().row_opens, 8);
+            done
+        };
+        assert_eq!(last_done(false), 82);
+        assert_eq!(last_done(true), 66);
+    }
+
+    #[test]
+    fn refresh_closes_every_rank_of_its_channel_only() {
+        let mut sim = DramSim::new(ranked(2, 2));
+        let cfg = sim.config();
+        let addrs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .map(|(channel, rank)| addr_of(&sim, Loc { channel, rank, bank: 3, row: 5 }));
+        for addr in addrs {
+            sim.access(0, addr, Dir::Read);
+        }
+        assert_eq!(sim.stats().row_opens, 4, "four distinct banks");
+        // Channel 0's accesses arrive past tREFI and refresh it: both of
+        // its ranks lost their rows. Channel 1 has not reached its refresh
+        // point, so both of its rows are still open.
+        for addr in &addrs[..2] {
+            sim.access(cfg.t_refi, *addr, Dir::Read);
+        }
+        for addr in &addrs[2..] {
+            sim.access(100, *addr, Dir::Read);
+        }
+        let stats = sim.stats();
+        assert_eq!(stats.refreshes, 1);
+        assert_eq!((stats.row_opens, stats.row_hits, stats.row_conflicts), (6, 2, 0));
+    }
+
     #[test]
     fn burst_matches_scalar_on_long_stream_with_refreshes() {
         // 8 MiB in one go: crosses many rows, all 16 banks repeatedly, and
@@ -991,8 +1058,10 @@ mod proptests {
             ops in proptest::collection::vec(
                 (any::<u32>(), 1u64..160, any::<bool>(), 0u64..20_000), 1..40),
             channels in 1usize..5,
+            rank_log in 0u32..3,
         ) {
-            let cfg = DramConfig::ddr4_2400(channels);
+            let cfg =
+                DramConfig { ranks_per_channel: 1 << rank_log, ..DramConfig::ddr4_2400(channels) };
             let mut burst = DramSim::new(cfg);
             let mut scalar = DramSim::new(cfg);
             let mut arrival = 0u64;

@@ -9,16 +9,14 @@
 //!
 //! # Contract
 //!
-//! * **Required** (`access`, `access_burst`, `decode`, `stats`, …): every
-//!   backend must service single line transactions and bursts of
-//!   consecutive lines, and expose the shared address mapping. A burst is
-//!   bit-identical to one `access` per line, only faster:
-//!   [`DramSim`](crate::DramSim) uses closed-form row-streak arithmetic,
-//!   [`QueuedDramSim`](crate::QueuedDramSim) a run-granular service loop
-//!   built on top of it. The decode bit-layout is part of the contract —
-//!   the cross-validation proptests in `tests/backend_crossval.rs` hold
-//!   every backend to the same address→(channel, rank, bank, row) layout,
-//!   so a misaligned mapping cannot ship silently.
+//! * **Required** (`access`, `access_burst`, `stats`): every backend must
+//!   service single line transactions and bursts of consecutive lines,
+//!   and report its statistics. A burst is bit-identical to one `access`
+//!   per line, only faster: [`DramSim`](crate::DramSim) uses closed-form
+//!   row-streak arithmetic, [`QueuedDramSim`](crate::QueuedDramSim) a
+//!   run-granular service loop built on top of it. The queued backend
+//!   times every line on a wrapped `DramSim`, so both share one address
+//!   mapping ([`DramSim::decode`](crate::DramSim::decode)) by construction.
 //! * **Deferred service** (`drain`): a queueing backend may postpone
 //!   servicing to reorder transactions. The pipeline calls `drain` at
 //!   every phase boundary (the legal reorder window — all of a phase's
@@ -26,7 +24,7 @@
 //!   completion into the phase's finish time. Immediate-service backends
 //!   keep the default (`0`, a no-op under `max`).
 
-use crate::{DramConfig, DramStats, Loc};
+use crate::{DramConfig, DramStats};
 use mgx_trace::Dir;
 
 /// A DRAM timing backend the simulation pipeline can drive.
@@ -37,16 +35,8 @@ use mgx_trace::Dir;
 /// See the [module docs](self) for the contract every implementation must
 /// honor.
 pub trait DramModel: Send {
-    /// The configuration in use.
-    fn config(&self) -> DramConfig;
-
     /// Cumulative statistics over everything serviced so far.
     fn stats(&self) -> DramStats;
-
-    /// Maps a byte address to its channel/rank/bank/row. All backends on
-    /// one [`DramConfig`] must produce the identical bit-layout (enforced
-    /// by the decode cross-validation proptest).
-    fn decode(&self, addr: u64) -> Loc;
 
     /// Services (or enqueues — see [`DramModel::drain`]) one 64-byte
     /// transaction that becomes ready at cycle `arrival`, returning a
@@ -132,11 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn build_produces_the_matching_config() {
+    fn build_produces_an_idle_model() {
         for b in DramBackend::ALL {
-            let cfg = DramConfig::ddr4_2400(2);
-            let mut model = b.build(cfg);
-            assert_eq!(model.config(), cfg);
+            let mut model = b.build(DramConfig::ddr4_2400(2));
             assert_eq!(model.stats(), DramStats::default());
             assert_eq!(model.drain(), 0, "a fresh model has nothing to drain");
         }

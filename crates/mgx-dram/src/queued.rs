@@ -24,11 +24,13 @@
 //! count, cached head decode) instead of one entry per 64-byte line, and
 //! the service loop retires whole **row streaks** through the closed-form
 //! [`DramSim::access_burst`] arithmetic (`burst_on_channel`) instead of a
-//! scalar [`DramSim::access`] per line. Both the pick and the service are
-//! still *defined* by the per-line reference discipline — pick the first
-//! queued line whose bank holds its row open, else the queue front — and
-//! the batched loop reproduces that discipline **bit-identically by
-//! construction**:
+//! scalar [`DramSim::access`] per line. The pick reads each candidate's
+//! open row straight from the wrapped simulator's flat bank array, through
+//! the bank index the fragment caches, so the queue keeps no copy of bank
+//! state. Both the pick and the service are still *defined* by the
+//! per-line reference discipline — pick the first queued line whose bank
+//! holds its row open, else the queue front — and the batched loop
+//! reproduces that discipline **bit-identically by construction**:
 //!
 //! * *streaks service atomically under the per-line pick.* Once a line of
 //!   a row streak is serviced, its successors hit the row it (re)opened
@@ -85,7 +87,7 @@
 //! EXPERIMENTS.md).
 
 use crate::model::DramModel;
-use crate::{DramConfig, DramSim, DramStats, Loc};
+use crate::{DramConfig, DramSim, DramStats};
 use mgx_trace::{Dir, LINE_BYTES};
 use std::collections::VecDeque;
 
@@ -95,9 +97,6 @@ use std::collections::VecDeque;
 /// under the 512-line bank-revisit distance of the address mapping).
 pub const QUEUE_DEPTH: usize = 32;
 
-/// Sentinel for "no row open" in the per-channel open-row index.
-const NO_ROW: u64 = u64::MAX;
-
 /// One queued *run fragment*: `lines` consecutive channel-local lines
 /// (global addresses step by `channels × 64` bytes) sharing one arrival
 /// and direction. `access_burst` appends one fragment per per-channel
@@ -106,9 +105,9 @@ const NO_ROW: u64 = u64::MAX;
 /// line age: fragments never reorder, and a fragment's lines are
 /// contiguous in the per-line reference queue.
 ///
-/// The head line's decode is cached (`head_flat`, `head_row`) so the
-/// FR-FCFS scan reads the open-row index directly instead of re-deriving
-/// `(rank, bank, row)` per pick.
+/// The head line's decode is cached (`head_bank`, `head_row`) so the
+/// FR-FCFS scan reads the wrapped simulator's bank directly instead of
+/// re-decoding the head per pick.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     /// Run id (per channel, monotone): identifies the fragments of the
@@ -121,8 +120,9 @@ struct Pending {
     local_line: u64,
     lines: u64,
     dir: Dir,
-    /// Cached head decode: `rank × banks_per_rank + bank`.
-    head_flat: u32,
+    /// Cached head decode: the index of its bank in [`DramSim`]'s flat
+    /// bank array.
+    head_bank: u32,
     /// Cached head decode: row.
     head_row: u64,
 }
@@ -138,13 +138,6 @@ pub struct QueuedDramSim {
     queues: Vec<VecDeque<Pending>>,
     /// Per-channel queued-line counts (fragments hold many lines).
     lines_queued: Vec<u64>,
-    /// Per-channel open-row index, `rank × banks + bank` flat, `NO_ROW`
-    /// when closed — mirrors the wrapped simulator's bank state so the
-    /// FR-FCFS scan is one slice read per streak instead of a traversal
-    /// into the bank tree per queued entry. Maintained incrementally by
-    /// the service loop (a streak leaves its own row open; a refresh
-    /// closes a whole channel and triggers a rebuild).
-    open_rows: Vec<Vec<u64>>,
     /// Per-channel run-id counters (see [`Pending::run`]).
     next_run: Vec<u64>,
     depth: usize,
@@ -163,12 +156,10 @@ impl QueuedDramSim {
     /// cross-validation tests use this to cover both the overflow and
     /// the pure-drain service paths.
     pub fn with_queue_depth(cfg: DramConfig, depth: usize) -> Self {
-        let flat_banks = cfg.ranks_per_channel * cfg.banks_per_rank;
         Self {
             sim: DramSim::new(cfg),
             queues: (0..cfg.channels).map(|_| VecDeque::new()).collect(),
             lines_queued: vec![0; cfg.channels],
-            open_rows: vec![vec![NO_ROW; flat_banks]; cfg.channels],
             next_run: vec![0; cfg.channels],
             depth: depth.max(1),
             window_done: 0,
@@ -186,20 +177,7 @@ impl QueuedDramSim {
     fn decode_local(&self, ch: usize, local: u64) -> (u32, u64) {
         let channels = self.sim.config().channels as u64;
         let loc = self.sim.decode((local * channels + ch as u64) * LINE_BYTES);
-        ((loc.rank * self.sim.config().banks_per_rank + loc.bank) as u32, loc.row)
-    }
-
-    /// Rebuilds channel `ch`'s open-row index from the wrapped
-    /// simulator's live bank state (after a refresh closed the channel).
-    fn rebuild_open_rows(&mut self, ch: usize) {
-        let cfg = self.sim.config();
-        for rank in 0..cfg.ranks_per_channel {
-            for bank in 0..cfg.banks_per_rank {
-                let loc = Loc { channel: ch, rank, bank, row: 0 };
-                self.open_rows[ch][rank * cfg.banks_per_rank + bank] =
-                    self.sim.open_row_at(&loc).unwrap_or(NO_ROW);
-            }
-        }
+        (self.sim.bank_index(&loc) as u32, loc.row)
     }
 
     /// The FR-FCFS pick over channel `ch`: the position and line offset
@@ -213,7 +191,7 @@ impl QueuedDramSim {
     /// services already consumed.
     fn pick(&self, ch: usize, vis_run: u64, vis_end: u64) -> Option<(usize, u64)> {
         let lpr = self.sim.config().row_bytes / LINE_BYTES;
-        let open = &self.open_rows[ch];
+        let banks = &self.sim.banks;
         for (idx, frag) in self.queues[ch].iter().enumerate() {
             let visible = if frag.run == vis_run {
                 frag.lines.min(vis_end.saturating_sub(frag.local_line))
@@ -222,20 +200,20 @@ impl QueuedDramSim {
             };
             // First streak: cached head decode. Later streaks start at
             // row boundaries of the channel-local line space.
-            let (mut flat, mut row) = (frag.head_flat, frag.head_row);
+            let (mut bank, mut row) = (frag.head_bank, frag.head_row);
             let mut off = 0u64;
             loop {
                 if off >= visible {
                     break;
                 }
-                if open[flat as usize] == row {
+                if banks[bank as usize].open_row == Some(row) {
                     return Some((idx, off));
                 }
                 off += lpr - (frag.local_line + off) % lpr;
                 if off >= visible {
                     break;
                 }
-                (flat, row) = self.decode_local(ch, frag.local_line + off);
+                (bank, row) = self.decode_local(ch, frag.local_line + off);
             }
         }
         None
@@ -256,7 +234,6 @@ impl QueuedDramSim {
 
         // The closed-form service — bit-identical to `h` scalar
         // `access` calls at `frag.arrival` by the burst-path proof.
-        let refreshes_before = self.sim.stats().refreshes;
         let done = self.sim.burst_on_channel(
             frag.arrival,
             start_local * channels + ch as u64,
@@ -264,15 +241,6 @@ impl QueuedDramSim {
             frag.dir,
         );
         self.window_done = self.window_done.max(done);
-
-        // Open-row index upkeep: the streak leaves its own row open; a
-        // refresh inside the service closed everything else too.
-        if self.sim.stats().refreshes != refreshes_before {
-            self.rebuild_open_rows(ch);
-        } else {
-            let (flat, row) = self.decode_local(ch, start_local);
-            self.open_rows[ch][flat as usize] = row;
-        }
 
         // Fragment surgery: shrink from the head, or split around a
         // mid-fragment streak (both halves keep the run id and their
@@ -284,21 +252,21 @@ impl QueuedDramSim {
                 self.queues[ch].remove(idx);
             } else {
                 let local = frag.local_line + h;
-                let (head_flat, head_row) = self.decode_local(ch, local);
+                let (head_bank, head_row) = self.decode_local(ch, local);
                 let f = &mut self.queues[ch][idx];
                 f.local_line = local;
                 f.lines = tail_lines;
-                f.head_flat = head_flat;
+                f.head_bank = head_bank;
                 f.head_row = head_row;
             }
         } else {
             self.queues[ch][idx].lines = k;
             if tail_lines > 0 {
                 let local = start_local + h;
-                let (head_flat, head_row) = self.decode_local(ch, local);
+                let (head_bank, head_row) = self.decode_local(ch, local);
                 self.queues[ch].insert(
                     idx + 1,
-                    Pending { local_line: local, lines: tail_lines, head_flat, head_row, ..frag },
+                    Pending { local_line: local, lines: tail_lines, head_bank, head_row, ..frag },
                 );
             }
         }
@@ -313,14 +281,14 @@ impl QueuedDramSim {
         debug_assert!(n0 <= self.depth as u64, "queue must be within depth between pushes");
         let run = self.next_run[ch];
         self.next_run[ch] += 1;
-        let (head_flat, head_row) = self.decode_local(ch, local_line);
+        let (head_bank, head_row) = self.decode_local(ch, local_line);
         self.queues[ch].push_back(Pending {
             run,
             arrival,
             local_line,
             lines: count,
             dir,
-            head_flat,
+            head_bank,
             head_row,
         });
         self.lines_queued[ch] = n0 + count;
@@ -339,19 +307,11 @@ impl QueuedDramSim {
 }
 
 impl DramModel for QueuedDramSim {
-    fn config(&self) -> DramConfig {
-        self.sim.config()
-    }
-
     /// Statistics over *serviced* transactions; entries still queued are
     /// not counted until an overflow or [`DramModel::drain`] services
     /// them (the pipeline reads stats only after the final drain).
     fn stats(&self) -> DramStats {
         self.sim.stats()
-    }
-
-    fn decode(&self, addr: u64) -> Loc {
-        self.sim.decode(addr)
     }
 
     /// Enqueues the transaction as a 1-line run; if the channel queue is

@@ -1,63 +1,35 @@
 //! Cross-validation gates between the DRAM backends.
 //!
-//! The classic failure mode when integrating a second memory simulator is
-//! a *silently* different address mapping — both backends run, both
-//! produce plausible numbers, and every bank-locality conclusion drawn
-//! from one is wrong for the other. These proptests are the gate ROADMAP
-//! item 5 mandates:
+//! The queued backend times every line on a wrapped `DramSim`, so both
+//! backends share one address mapping by construction; what differs is
+//! the order lines are serviced in. These proptests pin it:
 //!
-//! 1. every backend decodes the identical address→(channel, rank, bank,
-//!    row) bit-layout on shared `DramConfig`s, power-of-two or not;
-//! 2. closed-form and queued timing agree **exactly** in the two regimes
+//! 1. closed-form and queued timing agree **exactly** in the two regimes
 //!    where FR-FCFS provably degenerates to FIFO — single transactions
 //!    and contiguous ascending single-direction streams — completions and
 //!    statistics both;
-//! 3. outside those regimes the divergence is in the *documented
+//! 2. outside those regimes the divergence is in the *documented
 //!    direction*: FR-FCFS converts interleaved row conflicts into hits
-//!    and never finishes later than the in-order model on such windows.
+//!    and never finishes later than the in-order model on such windows;
+//! 3. the queued backend's run-granular burst service is bit-identical to
+//!    queueing the same lines one by one.
+//!
+//! Gates 1 and 3 draw 1, 2 or 4 ranks per channel, so the flat bank state
+//! both backends read is exercised across ranks as well as channels.
 
 use mgx_dram::{DramBackend, DramConfig, DramModel, DramSim, QueuedDramSim};
 use mgx_trace::{Dir, LINE_BYTES};
 use proptest::prelude::*;
 
+/// DDR4-2400 with `channels` channels of `1 << rank_log` ranks each.
+fn ranked(channels: usize, rank_log: u32) -> DramConfig {
+    DramConfig { ranks_per_channel: 1 << rank_log, ..DramConfig::ddr4_2400(channels) }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Gate 1: identical decode bit-layouts across every backend, over
-    /// power-of-two topologies (shift/mask fast path) and ragged ones
-    /// (division fallback) alike.
-    #[test]
-    fn backends_decode_identical_bit_layouts(
-        channels in 1usize..6,
-        banks in 2usize..20,
-        ranks in 1usize..4,
-        row_log in 9u32..13,
-        addrs in proptest::collection::vec(any::<u64>(), 1..64),
-    ) {
-        let cfg = DramConfig {
-            channels,
-            banks_per_rank: banks,
-            ranks_per_channel: ranks,
-            row_bytes: 1 << row_log,
-            ..DramConfig::ddr4_2400(1)
-        };
-        let models: Vec<Box<dyn DramModel>> =
-            DramBackend::ALL.iter().map(|b| b.build(cfg)).collect();
-        let reference = DramSim::new(cfg);
-        for addr in addrs {
-            let addr = addr & !(LINE_BYTES - 1);
-            let want = reference.decode(addr);
-            for (model, backend) in models.iter().zip(DramBackend::ALL) {
-                let got = model.decode(addr);
-                prop_assert_eq!(
-                    got, want,
-                    "backend {} decodes {:#x} differently", backend.name(), addr
-                );
-            }
-        }
-    }
-
-    /// Gate 2a: on single transactions (drain after every access) the
+    /// Gate 1a: on single transactions (drain after every access) the
     /// queued backend is bit-identical to the closed form — same
     /// completions, same statistics — over random addresses, directions,
     /// arrival gaps, and queue depths.
@@ -66,9 +38,10 @@ proptest! {
         ops in proptest::collection::vec(
             (any::<u32>(), any::<bool>(), 0u64..20_000), 1..80),
         channels in 1usize..5,
+        rank_log in 0u32..3,
         depth in 1usize..64,
     ) {
-        let cfg = DramConfig::ddr4_2400(channels);
+        let cfg = ranked(channels, rank_log);
         let mut closed = DramSim::new(cfg);
         let mut queued = QueuedDramSim::with_queue_depth(cfg, depth);
         let mut arrival = 0u64;
@@ -84,7 +57,7 @@ proptest! {
         }
     }
 
-    /// Gate 2b: on contiguous ascending single-direction streams the
+    /// Gate 1b: on contiguous ascending single-direction streams the
     /// FR-FCFS pick is always the queue front (no younger entry can hit a
     /// row whose older lines are still queued), so the queued backend is
     /// bit-identical to `DramSim::access_burst` — which is itself proven
@@ -96,9 +69,10 @@ proptest! {
         bursts in proptest::collection::vec(
             (0u64..64, 1u64..400, any::<bool>(), 0u64..10_000), 1..12),
         channels in 1usize..5,
+        rank_log in 0u32..3,
         depth in 1usize..64,
     ) {
-        let cfg = DramConfig::ddr4_2400(channels);
+        let cfg = ranked(channels, rank_log);
         let mut closed = DramSim::new(cfg);
         let mut queued = QueuedDramSim::with_queue_depth(cfg, depth);
         let mut cursor = 0u64; // line index; only ever moves forward
@@ -120,7 +94,7 @@ proptest! {
         }
     }
 
-    /// Gate 4: the run-granular burst service loop in the queued backend
+    /// Gate 3: the run-granular burst service loop in the queued backend
     /// is bit-identical to the per-line reference discipline — `lines`
     /// scalar `access` calls on an identically-configured twin — over
     /// random run placements (revisits, overlaps, row interleaves),
@@ -134,10 +108,11 @@ proptest! {
         ops in proptest::collection::vec(
             ((0u64..2_048, 1u64..200), (any::<bool>(), 0u64..10_000), any::<bool>()), 1..24),
         channels in 1usize..4,
+        rank_log in 0u32..3,
         depth_idx in 0usize..3,
     ) {
         let depth = [1usize, 4, 32][depth_idx];
-        let cfg = DramConfig::ddr4_2400(channels);
+        let cfg = ranked(channels, rank_log);
         let mut by_burst = QueuedDramSim::with_queue_depth(cfg, depth);
         let mut by_line = QueuedDramSim::with_queue_depth(cfg, depth);
         let mut arrival = 0u64;
@@ -161,7 +136,7 @@ proptest! {
         prop_assert_eq!(by_burst.stats(), by_line.stats(), "final stats diverged");
     }
 
-    /// Gate 3: on interleaved row-conflict windows the backends *must*
+    /// Gate 2: on interleaved row-conflict windows the backends *must*
     /// diverge, and only in the documented direction — FR-FCFS batches
     /// the interleave into row hits and never finishes later.
     #[test]

@@ -2,7 +2,7 @@
 //! and trace emission.
 
 use crate::{ArrayConfig, Dataflow};
-use mgx_trace::{DataClass, LazyPhases, MemRequest, PhaseSink, RegionId, RegionMap, TraceSource};
+use mgx_trace::{MemRequest, PhaseSink, RegionId};
 
 /// A dense matrix multiplication `C[m×n] = A[m×k] × B[k×n]`.
 ///
@@ -153,11 +153,9 @@ fn chunk(bytes: u64, parts: u64, i: u64) -> (u64, u64) {
 }
 
 /// The precomputed per-fold emission state of one GEMM: everything needed
-/// to emit any `(row_fold, col_fold)` phase independently, so collected
-/// ([`emit_gemm`]) and streamed ([`stream_gemm_trace`]) generation share
-/// one code path.
+/// to emit any `(row_fold, col_fold)` phase independently.
 #[derive(Debug, Clone, Copy)]
-pub struct FoldEmitter {
+struct FoldEmitter {
     g: Gemm,
     cfg: ArrayConfig,
     regions: GemmRegions,
@@ -172,7 +170,7 @@ pub struct FoldEmitter {
 impl FoldEmitter {
     /// Computes the fold structure for one GEMM (see [`gemm_cost`] for the
     /// `ifmap_unique_bytes` override).
-    pub fn new(
+    fn new(
         g: &Gemm,
         cfg: &ArrayConfig,
         dataflow: Dataflow,
@@ -198,15 +196,10 @@ impl FoldEmitter {
         }
     }
 
-    /// The cost model's verdict for this GEMM.
-    pub fn cost(&self) -> GemmCost {
-        self.cost
-    }
-
     /// Emits the phase of fold `(r, c)`. Fold phases are unnamed: a large
     /// GEMM produces thousands of them and the label was never read
     /// outside debug output, so they skip the per-phase label allocation.
-    pub fn emit_fold(&self, sink: &mut impl PhaseSink, r: u64, c: u64) {
+    fn emit_fold(&self, sink: &mut impl PhaseSink, r: u64, c: u64) {
         let (rf, cf) = (self.cost.row_folds, self.cost.col_folds);
         let folds = rf * cf;
         let (ifr, ifb) = (self.regions.ifmap.0, self.regions.ifmap.1);
@@ -274,70 +267,10 @@ pub fn emit_gemm(
     emitter.cost
 }
 
-/// A standalone streaming GEMM workload: allocates its own operand regions
-/// and yields one phase per fold, lazily.
-///
-/// This is the smallest end-to-end [`TraceSource`]: a single layer's worth
-/// of region setup and an iterator the simulator can drain in O(one phase)
-/// memory however many folds the tiling produces.
-pub fn stream_gemm_trace(
-    g: &Gemm,
-    cfg: &ArrayConfig,
-    dataflow: Dataflow,
-) -> impl TraceSource<Phases = impl Iterator<Item = mgx_trace::Phase>> {
-    let mut regions = RegionMap::new();
-    let i = regions.alloc("ifmap", (g.m * g.k * cfg.dtype_bytes).max(64), DataClass::Feature);
-    let f = regions.alloc("filter", (g.k * g.n * cfg.dtype_bytes).max(64), DataClass::Weight);
-    let o = regions.alloc("ofmap", (g.m * g.n * cfg.acc_bytes).max(64), DataClass::Feature);
-    let gr = GemmRegions {
-        ifmap: (i, regions.get(i).base),
-        ifmap_payload: g.m * g.k * cfg.dtype_bytes,
-        filter: (f, regions.get(f).base),
-        ofmap: (o, regions.get(o).base),
-    };
-    let emitter = FoldEmitter::new(g, cfg, dataflow, &gr, None);
-    let (rf, cf) = (emitter.cost.row_folds, emitter.cost.col_folds);
-    let mut fold = 0u64;
-    let phases = LazyPhases::new(move |buf| {
-        if fold >= rf * cf {
-            return false;
-        }
-        // Same order as `emit_gemm`: column-major over (r, c).
-        emitter.emit_fold(buf, fold % rf, fold / rf);
-        fold += 1;
-        fold < rf * cf
-    });
-    (regions, phases)
-}
-
-/// Emits a single streaming phase (pooling, normalization, element-wise
-/// ops): reads, writes, and a compute estimate of one element per lane per
-/// cycle with `lanes` = array rows.
-pub fn emit_stream_phase(
-    sink: &mut impl PhaseSink,
-    label: &str,
-    cfg: &ArrayConfig,
-    reads: &[(RegionId, u64, u64)],
-    writes: &[(RegionId, u64, u64)],
-) {
-    let elems: u64 = reads.iter().map(|r| r.2).sum::<u64>() / cfg.dtype_bytes.max(1);
-    sink.begin_phase(label, elems.div_ceil(cfg.rows));
-    for &(region, addr, bytes) in reads {
-        if bytes > 0 {
-            sink.push(MemRequest::read(region, addr, bytes));
-        }
-    }
-    for &(region, addr, bytes) in writes {
-        if bytes > 0 {
-            sink.push(MemRequest::write(region, addr, bytes));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_trace::{Dir, TraceBuilder};
+    use mgx_trace::{DataClass, TraceBuilder};
 
     fn small_cfg() -> ArrayConfig {
         ArrayConfig {
@@ -481,38 +414,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn streamed_gemm_matches_emitted_gemm() {
-        let cfg = small_cfg();
-        for g in [Gemm { m: 4096, k: 64, n: 16 }, Gemm { m: 1024, k: 64, n: 64 }] {
-            let streamed = stream_gemm_trace(&g, &cfg, Dataflow::WeightStationary).collect_trace();
-            let mut b = TraceBuilder::new();
-            let regions = build_regions(&mut b, &g, &cfg);
-            emit_gemm(&mut b, &g, &cfg, Dataflow::WeightStationary, &regions, None);
-            let emitted = b.finish();
-            assert_eq!(streamed.phases.len(), emitted.phases.len());
-            for (i, (s, e)) in streamed.phases.iter().zip(&emitted.phases).enumerate() {
-                assert_eq!(s.label, e.label);
-                assert_eq!(s.compute_cycles, e.compute_cycles);
-                assert_eq!(s.requests, e.requests, "fold {i} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn stream_phase_emits_reads_and_writes() {
-        let cfg = small_cfg();
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("in", 4096, DataClass::Feature);
-        let w = b.regions_mut().alloc("out", 4096, DataClass::Feature);
-        let (rb, wb) = (b.regions().get(r).base, b.regions().get(w).base);
-        emit_stream_phase(&mut b, "pool", &cfg, &[(r, rb, 4096)], &[(w, wb, 1024)]);
-        let t = b.finish();
-        assert_eq!(t.phases.len(), 1);
-        assert_eq!(t.traffic().read_bytes, 4096);
-        assert_eq!(t.traffic().write_bytes, 1024);
-        assert_eq!(t.phases[0].requests[0].dir, Dir::Read);
     }
 }

@@ -20,7 +20,4 @@ mod config;
 mod gemm;
 
 pub use config::{ArrayConfig, Dataflow};
-pub use gemm::{
-    emit_gemm, emit_stream_phase, gemm_cost, stream_gemm_trace, FoldEmitter, Gemm, GemmCost,
-    GemmRegions,
-};
+pub use gemm::{emit_gemm, gemm_cost, Gemm, GemmCost, GemmRegions};

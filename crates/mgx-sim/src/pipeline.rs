@@ -564,14 +564,8 @@ mod tests {
     }
 
     impl DramModel for Recording {
-        fn config(&self) -> DramConfig {
-            self.inner.config()
-        }
         fn stats(&self) -> DramStats {
             self.inner.stats()
-        }
-        fn decode(&self, addr: u64) -> mgx_dram::Loc {
-            self.inner.decode(addr)
         }
         fn access(&mut self, arrival: u64, addr: u64, dir: mgx_trace::Dir) -> u64 {
             self.calls.lock().expect("unpoisoned").push(Call::Access(addr));
