@@ -372,77 +372,6 @@ impl Model {
         1
     }
 
-    /// MobileNet-v1 (224×224×3): depthwise-separable blocks — the modern
-    /// mobile architecture the paper cites \[21\]. An extension beyond the
-    /// paper's six benchmarks, exercising the depthwise operator.
-    pub fn mobilenet_v1(batch: u64) -> Model {
-        let mut ops = Vec::new();
-        let mut hw = 112u64;
-        ops.push(Op::new(
-            "conv1",
-            OpKind::Conv(ConvSpec {
-                c_in: 3,
-                h: 224,
-                w: 224,
-                k: 32,
-                r: 3,
-                s: 3,
-                stride: 2,
-                pad: 1,
-            }),
-        ));
-        // (c_in, c_out, stride) per depthwise-separable block.
-        let blocks: [(u64, u64, u64); 13] = [
-            (32, 64, 1),
-            (64, 128, 2),
-            (128, 128, 1),
-            (128, 256, 2),
-            (256, 256, 1),
-            (256, 512, 2),
-            (512, 512, 1),
-            (512, 512, 1),
-            (512, 512, 1),
-            (512, 512, 1),
-            (512, 512, 1),
-            (512, 1024, 2),
-            (1024, 1024, 1),
-        ];
-        for (i, &(c_in, c_out, stride)) in blocks.iter().enumerate() {
-            ops.push(Op::new(
-                format!("dw{}", i + 1),
-                OpKind::Depthwise(ConvSpec {
-                    c_in,
-                    h: hw,
-                    w: hw,
-                    k: c_in,
-                    r: 3,
-                    s: 3,
-                    stride,
-                    pad: 1,
-                }),
-            ));
-            if stride == 2 {
-                hw /= 2;
-            }
-            ops.push(Op::new(
-                format!("pw{}", i + 1),
-                OpKind::Conv(ConvSpec {
-                    c_in,
-                    h: hw,
-                    w: hw,
-                    k: c_out,
-                    r: 1,
-                    s: 1,
-                    stride: 1,
-                    pad: 0,
-                }),
-            ));
-        }
-        ops.push(Op::new("avgpool", OpKind::Stream { in_elems: 1024 * 7 * 7, out_elems: 1024 }));
-        ops.push(Op::new("fc", OpKind::Dense { c_in: 1024, c_out: 1000 }));
-        Model { name: "MobileNet", ops, batch }
-    }
-
     /// DLRM-style recommendation model: bottom MLP, 26 embedding tables,
     /// feature interaction, top MLP.
     pub fn dlrm(batch: u64) -> Model {
@@ -546,19 +475,6 @@ mod tests {
                 check(extra);
             }
         }
-    }
-
-    #[test]
-    fn mobilenet_parameters_and_macs() {
-        let m = Model::mobilenet_v1(1);
-        let p = m.weight_elems();
-        // ~4.2 M parameters.
-        assert!((3_500_000..4_800_000).contains(&p), "MobileNet params {p}");
-        let macs = m.macs_per_sample();
-        // ~0.57 G MACs.
-        assert!((450_000_000..650_000_000).contains(&macs), "MobileNet MACs {macs}");
-        // Depthwise layers contribute <5% of MACs but exist.
-        assert!(m.ops.iter().any(|o| matches!(o.kind, OpKind::Depthwise(_))));
     }
 
     #[test]

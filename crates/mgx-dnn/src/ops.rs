@@ -71,10 +71,6 @@ pub enum InputRef {
 pub enum OpKind {
     /// Convolution (lowered to GEMM).
     Conv(ConvSpec),
-    /// Depthwise convolution (MobileNet-style): each input channel is
-    /// filtered independently (`k == c_in`), i.e. `c_in` tiny GEMMs with a
-    /// reduction of only `r × s` — famously low systolic-array utilization.
-    Depthwise(ConvSpec),
     /// Fully connected layer: `c_in → c_out` per sample.
     Dense {
         /// Input features.
@@ -149,7 +145,7 @@ impl Op {
     /// Output elements per sample.
     pub fn out_elems(&self) -> u64 {
         match self.kind {
-            OpKind::Conv(c) | OpKind::Depthwise(c) => c.out_elems(),
+            OpKind::Conv(c) => c.out_elems(),
             OpKind::Dense { c_out, .. } => c_out,
             OpKind::BatchedMatmul { b, m, n, .. } => b * m * n,
             OpKind::Stream { out_elems, .. } => out_elems,
@@ -162,8 +158,6 @@ impl Op {
     pub fn weight_elems(&self) -> u64 {
         match self.kind {
             OpKind::Conv(c) => c.weight_elems(),
-            // One r×s filter per channel.
-            OpKind::Depthwise(c) => c.c_in * c.r * c.s,
             OpKind::Dense { c_in, c_out } => c_in * c_out,
             _ => 0,
         }
@@ -173,7 +167,6 @@ impl Op {
     pub fn macs(&self) -> u64 {
         match self.kind {
             OpKind::Conv(c) => c.to_gemm(1).macs(),
-            OpKind::Depthwise(c) => c.c_in * c.out_h() * c.out_w() * c.r * c.s,
             OpKind::Dense { c_in, c_out } => c_in * c_out,
             OpKind::BatchedMatmul { b, m, k, n } => b * m * k * n,
             _ => 0,

@@ -16,7 +16,7 @@
 use crate::dsoft::{dsoft, DsoftParams};
 use crate::index::SeedIndex;
 use crate::sequence::{ErrorProfile, ReadSimulator, Reference};
-use mgx_trace::{DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionMap, TraceSource};
+use mgx_trace::{DataClass, MemRequest, Phase, RegionMap, Trace, TraceSource};
 
 /// GACT array farm configuration (§VII-A: 64 arrays × 64 PEs @ 800 MHz).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,34 +131,28 @@ pub fn stream_gact_trace(
     let tile = cfg.tile as u64;
     let mut tb_off = 0u64;
     let mut q_off = 0u64;
-    let mut r = 0usize;
-    let phases = LazyPhases::new(move |buf| {
-        if r >= reads {
-            return false;
-        }
+    let phases = (0..reads).flat_map(move |_| {
         let read = sim.sample(&reference);
-        let candidates = dsoft(&index, &read.seq, &params);
-        let chosen: Vec<u32> = candidates.iter().take(2).map(|c| c.ref_pos).collect();
         let tiles_per_read = (read.seq.len() as u64).div_ceil(tile);
-        for cand in chosen {
+        let mut step = Trace::default();
+        for cand in dsoft(&index, &read.seq, &params).iter().take(2) {
             for t in 0..tiles_per_read {
-                let ref_pos = (cand as u64 + t * tile).min(ref_len as u64 - tile);
+                let ref_pos = (cand.ref_pos as u64 + t * tile).min(ref_len as u64 - tile);
                 // One phase per GACT tile — unnamed: a chromosome-scale
                 // run emits millions of these and the label is never read.
-                buf.begin_unnamed_phase(cfg.tile_cycles());
-                buf.push(MemRequest::read(
+                step.begin_unnamed_phase(cfg.tile_cycles());
+                step.push(MemRequest::read(
                     ref_region,
                     ref_base + ref_pos * cfg.ref_entry_bytes,
                     tile * cfg.ref_entry_bytes,
                 ));
-                buf.push(MemRequest::read(query_region, q_base + q_off + t * tile, tile));
-                buf.push(MemRequest::write(tb_region, tb_base + tb_off, cfg.traceback_bytes()));
+                step.push(MemRequest::read(query_region, q_base + q_off + t * tile, tile));
+                step.push(MemRequest::write(tb_region, tb_base + tb_off, cfg.traceback_bytes()));
                 tb_off += cfg.traceback_bytes();
             }
         }
         q_off += tiles_per_read * tile;
-        r += 1;
-        r < reads
+        step.phases
     });
     (regions, phases)
 }
@@ -166,7 +160,7 @@ pub fn stream_gact_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_trace::{Dir, Trace};
+    use mgx_trace::Dir;
 
     fn tiny_trace() -> Trace {
         let w = GenomeWorkload {

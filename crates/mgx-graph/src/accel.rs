@@ -9,9 +9,7 @@
 //! ([`mgx_trace::DataClass::Adjacency`] → `MacGranularity::PerRequest`).
 
 use crate::csr::Csr;
-use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
-};
+use mgx_trace::{DataClass, MemRequest, Phase, RegionId, RegionMap, Trace, TraceSource};
 
 /// Graph accelerator parameters (§VI-A: 800 MHz, bandwidth-matched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,34 +47,22 @@ pub enum GraphWorkload {
         /// reported level count for a real graph).
         levels: usize,
     },
-    /// SSSP over the SpMSpV engine (§V-B): only active frontier entries of
-    /// the attribute vector are read, *randomly* — so that vector keeps a
-    /// fine-grained MAC under MGX while everything else stays coarse.
-    Sssp {
-        /// Relaxation sweeps.
-        sweeps: usize,
-        /// Fraction of edges touched per sweep (frontier density), in
-        /// thousandths (e.g. 300 = 30 %).
-        frontier_per_mille: u32,
-    },
 }
 
 impl GraphWorkload {
-    /// Number of SpMV/SpMSpV sweeps this workload performs.
+    /// Number of SpMV sweeps this workload performs.
     pub fn sweeps(&self) -> usize {
         match *self {
             GraphWorkload::PageRank { iters } => iters,
             GraphWorkload::Bfs { levels } => levels,
-            GraphWorkload::Sssp { sweeps, .. } => sweeps,
         }
     }
 
-    /// Figure label prefix (`PR` / `BFS` / `SSSP`).
+    /// Figure label prefix (`PR` / `BFS`).
     pub fn label(&self) -> &'static str {
         match self {
             GraphWorkload::PageRank { .. } => "PR",
             GraphWorkload::Bfs { .. } => "BFS",
-            GraphWorkload::Sssp { .. } => "SSSP",
         }
     }
 }
@@ -99,10 +85,8 @@ fn tile_histogram(g: &Csr, cfg: &GraphAccelConfig) -> (usize, usize, Vec<u64>) {
 /// Everything one tile phase needs, precomputed so the schedule can stream
 /// without holding the graph.
 struct TileSchedule {
-    workload: GraphWorkload,
     cfg: GraphAccelConfig,
     n: usize,
-    dst_blocks: usize,
     src_tiles: usize,
     tile_nnz: Vec<u64>,
     adj: RegionId,
@@ -114,14 +98,7 @@ struct TileSchedule {
 impl TileSchedule {
     /// Emits the phase of tile `(sweep, db, st)`. `adj_off` is the running
     /// offset into the pre-tiled adjacency stream, advanced per tile.
-    fn emit_tile(
-        &self,
-        sink: &mut impl PhaseSink,
-        sweep: usize,
-        db: usize,
-        st: usize,
-        adj_off: &mut u64,
-    ) {
+    fn emit_tile(&self, out: &mut Trace, sweep: usize, db: usize, st: usize, adj_off: &mut u64) {
         let cfg = &self.cfg;
         let (read_base, write_base) = if sweep.is_multiple_of(2) {
             (self.bases.1, self.bases.2)
@@ -140,53 +117,20 @@ impl TileSchedule {
         let st_hi = ((st + 1) * cfg.src_tile).min(self.n);
         // One phase per (sweep, dst-block, src-tile) — unnamed: these are
         // the bulk of a graph trace and the label is never read.
-        sink.begin_unnamed_phase(nnz.div_ceil(cfg.lanes));
-        if let GraphWorkload::Sssp { frontier_per_mille, .. } = self.workload {
-            // SpMSpV: a fraction of the tile's edges are active; the
-            // adjacency slice still streams (it is pre-tiled), but
-            // source attributes are gathered randomly in 64 B units.
-            let active = nnz * frontier_per_mille as u64 / 1000;
-            if nnz > 0 {
-                sink.push(MemRequest::read(
-                    self.adj,
-                    self.bases.0 + *adj_off,
-                    nnz * cfg.entry_bytes,
-                ));
-                *adj_off += nnz * cfg.entry_bytes;
-            }
-            let seg_bytes = ((st_hi - st_lo) as u64) * cfg.entry_bytes;
-            let gathers = (active * cfg.entry_bytes).div_ceil(64).min(seg_bytes / 64 + 1);
-            let mut h = (db as u64) << 32 | st as u64 | (sweep as u64) << 48;
-            for _ in 0..gathers {
-                h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let off = (h % seg_bytes.max(64)) & !63;
-                sink.push(MemRequest::read(
-                    read_region,
-                    read_base
-                        + (st_lo as u64) * cfg.entry_bytes
-                        + off.min(seg_bytes.saturating_sub(64)),
-                    64,
-                ));
-            }
-        } else {
-            if nnz > 0 {
-                sink.push(MemRequest::read(
-                    self.adj,
-                    self.bases.0 + *adj_off,
-                    nnz * cfg.entry_bytes,
-                ));
-                *adj_off += nnz * cfg.entry_bytes;
-            }
-            // Source-attribute segment for this tile.
-            sink.push(MemRequest::read(
-                read_region,
-                read_base + (st_lo as u64) * cfg.entry_bytes,
-                ((st_hi - st_lo) as u64) * cfg.entry_bytes,
-            ));
+        out.begin_unnamed_phase(nnz.div_ceil(cfg.lanes));
+        if nnz > 0 {
+            out.push(MemRequest::read(self.adj, self.bases.0 + *adj_off, nnz * cfg.entry_bytes));
+            *adj_off += nnz * cfg.entry_bytes;
         }
+        // Source-attribute segment for this tile.
+        out.push(MemRequest::read(
+            read_region,
+            read_base + (st_lo as u64) * cfg.entry_bytes,
+            ((st_hi - st_lo) as u64) * cfg.entry_bytes,
+        ));
         if st == self.src_tiles - 1 {
             // Result block written once, after its last tile.
-            sink.push(MemRequest::write(
+            out.push(MemRequest::write(
                 write_region,
                 write_base + (db_lo as u64) * cfg.entry_bytes,
                 ((db_hi - db_lo) as u64) * cfg.entry_bytes,
@@ -209,46 +153,27 @@ pub fn stream_graph_trace(
     let adj_bytes = (g.nnz() as u64 * cfg.entry_bytes).max(64);
     let vec_bytes = (g.n as u64 * cfg.entry_bytes).max(64);
     let adj = regions.alloc("adjacency", adj_bytes, DataClass::Adjacency);
-    // Ping-pong attribute buffers: read one, write the other, swap. Under
-    // SpMSpV the *read* side is gathered randomly, which demands
-    // fine-grained MACs (§V-B) — the Embedding class carries that policy.
-    let sparse_reads = matches!(workload, GraphWorkload::Sssp { .. });
-    let attr_class = if sparse_reads { DataClass::Embedding } else { DataClass::VertexAttr };
+    // Ping-pong attribute buffers: read one, write the other, swap.
     let rank = [
-        regions.alloc("rank0", vec_bytes, attr_class),
-        regions.alloc("rank1", vec_bytes, attr_class),
+        regions.alloc("rank0", vec_bytes, DataClass::VertexAttr),
+        regions.alloc("rank1", vec_bytes, DataClass::VertexAttr),
     ];
     let bases = (regions.get(adj).base, regions.get(rank[0]).base, regions.get(rank[1]).base);
-    let schedule = TileSchedule {
-        workload,
-        cfg: *cfg,
-        n: g.n,
-        dst_blocks,
-        src_tiles,
-        tile_nnz,
-        adj,
-        rank,
-        bases,
-    };
+    let schedule = TileSchedule { cfg: *cfg, n: g.n, src_tiles, tile_nnz, adj, rank, bases };
 
     // Tile schedule order: (sweep, db, st), adjacency streamed in order
     // within each sweep.
-    let total = workload.sweeps() * dst_blocks * src_tiles;
-    let mut tile = 0usize;
+    let per_sweep = dst_blocks * src_tiles;
     let mut adj_off = 0u64;
-    let phases = LazyPhases::new(move |buf| {
-        if tile >= total {
-            return false;
-        }
-        let per_sweep = schedule.dst_blocks * schedule.src_tiles;
+    let phases = (0..workload.sweeps() * per_sweep).flat_map(move |tile| {
         let (sweep, rest) = (tile / per_sweep, tile % per_sweep);
-        let (db, st) = (rest / schedule.src_tiles, rest % schedule.src_tiles);
+        let (db, st) = (rest / src_tiles, rest % src_tiles);
         if rest == 0 {
             adj_off = 0; // each sweep restarts the adjacency stream
         }
-        schedule.emit_tile(buf, sweep, db, st, &mut adj_off);
-        tile += 1;
-        tile < total
+        let mut step = Trace::default();
+        schedule.emit_tile(&mut step, sweep, db, st, &mut adj_off);
+        step.phases
     });
     (regions, phases)
 }
@@ -367,53 +292,5 @@ mod tests {
         let ideal = g.nnz() as u64 / cfg.lanes;
         assert!(cycles >= ideal, "cycles {cycles} below ideal {ideal}");
         assert!(cycles < 3 * ideal, "per-tile rounding should not triple cycles");
-    }
-}
-
-#[cfg(test)]
-mod sssp_tests {
-    use super::*;
-    use crate::rmat::RmatGenerator;
-    use mgx_trace::DataClass;
-
-    #[test]
-    fn sssp_gathers_are_fine_grained_and_fewer() {
-        let g = RmatGenerator::social(10, 5).generate(10_000);
-        let cfg = GraphAccelConfig { dst_block: 256, src_tile: 256, ..GraphAccelConfig::default() };
-        let dense =
-            stream_graph_trace(&g, GraphWorkload::PageRank { iters: 1 }, &cfg).collect_trace();
-        let sparse = stream_graph_trace(
-            &g,
-            GraphWorkload::Sssp { sweeps: 1, frontier_per_mille: 200 },
-            &cfg,
-        )
-        .collect_trace();
-        // The attribute-read side shrinks with the frontier density.
-        let attr_reads = |t: &mgx_trace::Trace, class: DataClass| -> u64 {
-            t.phases
-                .iter()
-                .flat_map(|p| &p.requests)
-                .filter(|r| r.dir.is_read() && t.regions.get(r.region).class == class)
-                .map(|r| r.bytes)
-                .sum()
-        };
-        let dense_reads = attr_reads(&dense, DataClass::VertexAttr);
-        let sparse_reads = attr_reads(&sparse, DataClass::Embedding);
-        assert!(sparse_reads < dense_reads, "{sparse_reads} vs {dense_reads}");
-        // All sparse gathers are 64 B (fine-grained MAC units).
-        for p in &sparse.phases {
-            for r in &p.requests {
-                if sparse.regions.get(r.region).class == DataClass::Embedding && r.dir.is_read() {
-                    assert_eq!(r.bytes, 64);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sssp_label_and_sweeps() {
-        let w = GraphWorkload::Sssp { sweeps: 5, frontier_per_mille: 100 };
-        assert_eq!(w.label(), "SSSP");
-        assert_eq!(w.sweeps(), 5);
     }
 }

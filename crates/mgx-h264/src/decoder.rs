@@ -16,9 +16,7 @@ use crate::vn::VideoVnState;
 use mgx_core::secure::MgxSecureMemory;
 use mgx_core::vn::UniquenessAuditor;
 use mgx_crypto::TagMismatch;
-use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
-};
+use mgx_trace::{DataClass, MemRequest, Phase, RegionId, RegionMap, Trace, TraceSource};
 
 /// Decoder geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,26 +180,20 @@ pub fn stream_decode_trace(
     let base_of: Vec<u64> = frames.iter().map(|&r| regions.get(r).base).collect();
     let bs_base = regions.get(bitstream).base;
 
-    let decode_order = gop.decode_order();
-    let mut step = 0usize;
-    let phases = LazyPhases::new(move |buf| {
-        if step >= decode_order.len() {
-            return false;
-        }
-        let display = decode_order[step];
+    let phases = gop.decode_order().into_iter().enumerate().flat_map(move |(i, display)| {
+        let mut step = Trace::default();
         // Decode throughput ~1 px/cycle-ish: frame_bytes cycles per frame.
-        buf.begin_phase(format!("frame{display}"), cfg.frame_bytes);
+        step.begin_phase(format!("frame{display}"), cfg.frame_bytes);
         let chunk = cfg.frame_bytes / cfg.compression;
-        buf.push(MemRequest::read(bitstream, bs_base + step as u64 * chunk, chunk.max(64)));
+        step.push(MemRequest::read(bitstream, bs_base + i as u64 * chunk, chunk.max(64)));
         for r in gop.references(display) {
             let rb = plan.assignment[r];
             // Motion compensation reads the reference once on average.
-            buf.push(MemRequest::read(frames[rb], base_of[rb], cfg.frame_bytes));
+            step.push(MemRequest::read(frames[rb], base_of[rb], cfg.frame_bytes));
         }
         let wb = plan.assignment[display];
-        buf.push(MemRequest::write(frames[wb], base_of[wb], cfg.frame_bytes));
-        step += 1;
-        step < decode_order.len()
+        step.push(MemRequest::write(frames[wb], base_of[wb], cfg.frame_bytes));
+        step.phases
     });
     (regions, phases)
 }

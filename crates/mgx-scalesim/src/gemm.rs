@@ -2,7 +2,7 @@
 //! and trace emission.
 
 use crate::{ArrayConfig, Dataflow};
-use mgx_trace::{MemRequest, PhaseSink, RegionId};
+use mgx_trace::{MemRequest, RegionId, Trace};
 
 /// A dense matrix multiplication `C[m×n] = A[m×k] × B[k×n]`.
 ///
@@ -199,17 +199,17 @@ impl FoldEmitter {
     /// Emits the phase of fold `(r, c)`. Fold phases are unnamed: a large
     /// GEMM produces thousands of them and the label was never read
     /// outside debug output, so they skip the per-phase label allocation.
-    fn emit_fold(&self, sink: &mut impl PhaseSink, r: u64, c: u64) {
+    fn emit_fold(&self, out: &mut Trace, r: u64, c: u64) {
         let (rf, cf) = (self.cost.row_folds, self.cost.col_folds);
         let folds = rf * cf;
         let (ifr, ifb) = (self.regions.ifmap.0, self.regions.ifmap.1);
         let (flr, flb) = (self.regions.filter.0, self.regions.filter.1);
         let (ofr, ofb) = (self.regions.ofmap.0, self.regions.ofmap.1);
-        sink.begin_unnamed_phase(self.cycles_per_fold);
+        out.begin_unnamed_phase(self.cycles_per_fold);
         // Weights: each fold loads its own slab exactly once.
         let (w_off, w_len) = chunk(self.cost.filter_read_bytes, folds, c * rf + r);
         if w_len > 0 {
-            sink.push(MemRequest::read(flr, flb + w_off, w_len));
+            out.push(MemRequest::read(flr, flb + w_off, w_len));
         }
         // Inputs: the row-fold slice of A streams in; re-read per
         // column fold only if A does not fit on-chip.
@@ -218,7 +218,7 @@ impl FoldEmitter {
             let mut off = i_off % self.ifmap_wrap;
             while i_len > 0 {
                 let take = i_len.min(self.ifmap_wrap - off);
-                sink.push(MemRequest::read(ifr, ifb + off, take));
+                out.push(MemRequest::read(ifr, ifb + off, take));
                 i_len -= take;
                 off = 0;
             }
@@ -228,29 +228,29 @@ impl FoldEmitter {
         if self.spilling {
             let (p_off, p_len) = chunk(self.g.m * self.g.n * self.cfg.acc_bytes, cf, c);
             if r > 0 && p_len > 0 {
-                sink.push(MemRequest::read(ofr, ofb + p_off, p_len));
+                out.push(MemRequest::read(ofr, ofb + p_off, p_len));
             }
             if r < rf - 1 {
                 if p_len > 0 {
-                    sink.push(MemRequest::write(ofr, ofb + p_off, p_len));
+                    out.push(MemRequest::write(ofr, ofb + p_off, p_len));
                 }
             } else if o_len > 0 {
-                sink.push(MemRequest::write(ofr, ofb + o_off, o_len));
+                out.push(MemRequest::write(ofr, ofb + o_off, o_len));
             }
         } else if r == rf - 1 && o_len > 0 {
-            sink.push(MemRequest::write(ofr, ofb + o_off, o_len));
+            out.push(MemRequest::write(ofr, ofb + o_off, o_len));
         }
     }
 }
 
-/// Emits the fold-by-fold phases of one GEMM into a sink.
+/// Emits the fold-by-fold phases of one GEMM into `out`.
 ///
 /// Each `(row_fold, col_fold)` pair becomes one double-buffered phase whose
 /// requests walk the operand regions exactly as the cost model accounts
 /// them. Returns the cost for the caller's bookkeeping (e.g. VN audit of
 /// `writes_per_output`).
 pub fn emit_gemm(
-    sink: &mut impl PhaseSink,
+    out: &mut Trace,
     g: &Gemm,
     cfg: &ArrayConfig,
     dataflow: Dataflow,
@@ -261,7 +261,7 @@ pub fn emit_gemm(
     let (rf, cf) = (emitter.cost.row_folds, emitter.cost.col_folds);
     for c in 0..cf {
         for r in 0..rf {
-            emitter.emit_fold(sink, r, c);
+            emitter.emit_fold(out, r, c);
         }
     }
     emitter.cost
@@ -270,7 +270,7 @@ pub fn emit_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_trace::{DataClass, TraceBuilder};
+    use mgx_trace::DataClass;
 
     fn small_cfg() -> ArrayConfig {
         ArrayConfig {
@@ -347,14 +347,12 @@ mod tests {
         assert!(c.utilization <= 1.0 && t.utilization > 0.0);
     }
 
-    fn build_regions(b: &mut TraceBuilder, g: &Gemm, cfg: &ArrayConfig) -> GemmRegions {
-        let i = b.regions_mut().alloc("ifmap", g.m * g.k * cfg.dtype_bytes, DataClass::Feature);
-        let f = b.regions_mut().alloc("filter", g.k * g.n * cfg.dtype_bytes, DataClass::Weight);
-        let o = b.regions_mut().alloc("ofmap", g.m * g.n * cfg.acc_bytes, DataClass::Feature);
-        let (ib, fb, ob) = {
-            let r = b.regions();
-            (r.get(i).base, r.get(f).base, r.get(o).base)
-        };
+    fn build_regions(t: &mut Trace, g: &Gemm, cfg: &ArrayConfig) -> GemmRegions {
+        let r = &mut t.regions;
+        let i = r.alloc("ifmap", g.m * g.k * cfg.dtype_bytes, DataClass::Feature);
+        let f = r.alloc("filter", g.k * g.n * cfg.dtype_bytes, DataClass::Weight);
+        let o = r.alloc("ofmap", g.m * g.n * cfg.acc_bytes, DataClass::Feature);
+        let (ib, fb, ob) = (r.get(i).base, r.get(f).base, r.get(o).base);
         GemmRegions {
             ifmap: (i, ib),
             ifmap_payload: g.m * g.k * cfg.dtype_bytes,
@@ -372,10 +370,9 @@ mod tests {
             Gemm { m: 1024, k: 64, n: 64 },
             Gemm { m: 7, k: 5, n: 3 },
         ] {
-            let mut b = TraceBuilder::new();
-            let regions = build_regions(&mut b, &g, &cfg);
-            let cost = emit_gemm(&mut b, &g, &cfg, Dataflow::WeightStationary, &regions, None);
-            let trace = b.finish();
+            let mut trace = Trace::default();
+            let regions = build_regions(&mut trace, &g, &cfg);
+            let cost = emit_gemm(&mut trace, &g, &cfg, Dataflow::WeightStationary, &regions, None);
             let t = trace.traffic();
             assert_eq!(
                 t.read_bytes,
@@ -400,10 +397,9 @@ mod tests {
     fn emitted_requests_stay_inside_regions() {
         let cfg = small_cfg();
         let g = Gemm { m: 4096, k: 64, n: 16 };
-        let mut b = TraceBuilder::new();
-        let regions = build_regions(&mut b, &g, &cfg);
-        emit_gemm(&mut b, &g, &cfg, Dataflow::WeightStationary, &regions, None);
-        let trace = b.finish();
+        let mut trace = Trace::default();
+        let regions = build_regions(&mut trace, &g, &cfg);
+        emit_gemm(&mut trace, &g, &cfg, Dataflow::WeightStationary, &regions, None);
         for phase in &trace.phases {
             for req in &phase.requests {
                 let region = trace.regions.get(req.region);

@@ -281,13 +281,12 @@ fn issue(dram: &mut dyn DramModel, arrival: u64, b: LineBurst, path: TxnPath) ->
 /// ```
 /// use mgx_core::Scheme;
 /// use mgx_sim::{SimConfig, Simulation};
-/// use mgx_trace::{DataClass, MemRequest, TraceBuilder};
+/// use mgx_trace::{DataClass, MemRequest, Trace};
 ///
-/// let mut b = TraceBuilder::new();
-/// let r = b.regions_mut().alloc("buf", 1 << 20, DataClass::Feature);
-/// b.begin_phase("p0", 1000);
-/// b.push(MemRequest::read(r, 0, 4096));
-/// let trace = b.finish();
+/// let mut trace = Trace::default();
+/// let r = trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
+/// trace.begin_phase("p0", 1000);
+/// trace.push(MemRequest::read(r, 0, 4096));
 ///
 /// // One scheme…
 /// let mgx = Simulation::over(&trace).scheme(Scheme::Mgx).run();
@@ -359,26 +358,26 @@ impl<S: TraceSource> Simulation<S> {
 mod tests {
     use super::*;
     use mgx_core::Scheme;
-    use mgx_trace::{DataClass, MemRequest, Trace, TraceBuilder};
+    use mgx_trace::{DataClass, MemRequest, Trace};
     use std::sync::{Arc, Mutex};
 
     /// A streaming workload big enough to exercise the metadata paths:
     /// 64 KiB double-buffered tiles (accelerator-realistic granularity).
     fn stream_trace(mib: u64, write_fraction_pct: u64) -> Trace {
         const TILE: u64 = 64 << 10;
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("buf", mib << 20, DataClass::Feature);
-        let base = b.regions().get(r).base;
+        let mut trace = Trace::default();
+        let r = trace.regions.alloc("buf", mib << 20, DataClass::Feature);
+        let base = trace.regions.get(r).base;
         for i in 0..(mib << 20) / TILE {
-            b.begin_unnamed_phase(0); // pure streaming: memory-bound
+            trace.begin_unnamed_phase(0); // pure streaming: memory-bound
             let addr = base + i * TILE;
             if i % 4 < write_fraction_pct / 25 {
-                b.push(MemRequest::write(r, addr, TILE));
+                trace.push(MemRequest::write(r, addr, TILE));
             } else {
-                b.push(MemRequest::read(r, addr, TILE));
+                trace.push(MemRequest::read(r, addr, TILE));
             }
         }
-        b.finish()
+        trace
     }
 
     fn cfg() -> SimConfig {
@@ -427,14 +426,13 @@ mod tests {
     #[test]
     fn compute_bound_traces_hide_all_protection() {
         // Huge compute per phase: even BP's metadata fits under the compute.
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("buf", 1 << 20, DataClass::Feature);
-        let base = b.regions().get(r).base;
+        let mut trace = Trace::default();
+        let r = trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
+        let base = trace.regions.get(r).base;
         for i in 0..64u64 {
-            b.begin_unnamed_phase(1_000_000);
-            b.push(MemRequest::read(r, base + i * 4096, 4096));
+            trace.begin_unnamed_phase(1_000_000);
+            trace.push(MemRequest::read(r, base + i * 4096, 4096));
         }
-        let trace = b.finish();
         let results = Simulation::over(&trace).config(cfg()).run_all();
         let np = results[0].dram_cycles;
         let bp = results[1].dram_cycles;
@@ -443,12 +441,11 @@ mod tests {
 
     #[test]
     fn serial_mode_sums_fetch_and_compute() {
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("buf", 1 << 20, DataClass::Reference);
-        let base = b.regions().get(r).base;
-        b.begin_phase("tile", 7000); // 7000 accel cycles @700MHz = 12000 DRAM cycles
-        b.push(MemRequest::read(r, base, 4096));
-        let trace = b.finish();
+        let mut trace = Trace::default();
+        let r = trace.regions.alloc("buf", 1 << 20, DataClass::Reference);
+        let base = trace.regions.get(r).base;
+        trace.begin_phase("tile", 7000); // 7000 accel cycles @700MHz = 12000 DRAM cycles
+        trace.push(MemRequest::read(r, base, 4096));
         let overlapped = Simulation::over(&trace)
             .config(SimConfig { mode: PhaseMode::Overlapped, ..cfg() })
             .run();
@@ -460,14 +457,13 @@ mod tests {
 
     #[test]
     fn serial_units_scale_throughput() {
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("buf", 16 << 20, DataClass::Reference);
-        let base = b.regions().get(r).base;
+        let mut trace = Trace::default();
+        let r = trace.regions.alloc("buf", 16 << 20, DataClass::Reference);
+        let base = trace.regions.get(r).base;
         for i in 0..256u64 {
-            b.begin_unnamed_phase(20_000);
-            b.push(MemRequest::read(r, base + i * 4096, 4096));
+            trace.begin_unnamed_phase(20_000);
+            trace.push(MemRequest::read(r, base + i * 4096, 4096));
         }
-        let trace = b.finish();
         let one = Simulation::over(&trace)
             .config(SimConfig { mode: PhaseMode::Serial { units: 1 }, ..cfg() })
             .run();
@@ -506,12 +502,11 @@ mod tests {
         // 1 accel cycle @700 MHz = 12/7 DRAM cycles @1200 MHz: flooring per
         // phase would count 1 cycle per phase (7000 total) instead of the
         // exact 12000 — the long-stream drift this regression pins down.
-        let mut b = TraceBuilder::new();
-        b.regions_mut().alloc("buf", 1 << 20, DataClass::Feature);
+        let mut trace = Trace::default();
+        trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
         for _ in 0..7000u64 {
-            b.begin_unnamed_phase(1); // odd cycle count on purpose
+            trace.begin_unnamed_phase(1); // odd cycle count on purpose
         }
-        let trace = b.finish();
         let r = Simulation::over(&trace).config(cfg()).run();
         assert_eq!(r.dram_cycles, 12_000, "7000 × 12/7 must be exact, not floored per phase");
     }
@@ -520,12 +515,11 @@ mod tests {
     fn fractional_carry_is_per_scheme_and_exact_in_serial_mode() {
         // Serial mode converts compute through the same carry; the total
         // on a single unit is the exact sum, not the per-phase floor sum.
-        let mut b = TraceBuilder::new();
-        b.regions_mut().alloc("buf", 1 << 20, DataClass::Feature);
+        let mut trace = Trace::default();
+        trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
         for _ in 0..700u64 {
-            b.begin_unnamed_phase(3); // 3 × 1200/700 = 36/7 per phase
+            trace.begin_unnamed_phase(3); // 3 × 1200/700 = 36/7 per phase
         }
-        let trace = b.finish();
         let serial = Simulation::over(&trace)
             .config(SimConfig { mode: PhaseMode::Serial { units: 1 }, ..cfg() })
             .run();

@@ -11,6 +11,11 @@
 //! dictates memory footprint. A fully materialized [`Trace`] is the
 //! collected special case ([`TraceSource::collect_trace`]).
 //!
+//! [`Trace`] is also the one phase writer: emitters open a phase with
+//! [`Trace::begin_phase`] and append requests with [`Trace::push`]. A
+//! `stream_*` generator is a plain iterator over its workload's steps that
+//! writes each step into a fresh `Trace` and yields that step's phases.
+//!
 //! Requests reference [`Region`]s — named address ranges with a
 //! [`DataClass`] (features, weights, adjacency, …). The data class is what
 //! lets MGX pick the right on-chip version-number stream and MAC
@@ -26,45 +31,11 @@ mod trace;
 
 pub use region::{DataClass, Region, RegionId, RegionMap};
 pub use request::{Dir, MemRequest};
-pub use source::{LazyPhases, PhaseBuf, PhaseSink, TraceSource};
-pub use trace::{Phase, Trace, TraceBuilder, Traffic};
+pub use source::TraceSource;
+pub use trace::{Phase, Trace, Traffic};
 
 /// Size of one DRAM transaction / cache line in bytes.
 ///
 /// Both the baseline protection scheme and DDR4 bursts operate on 64-byte
 /// lines; every request is ultimately decomposed into these.
 pub const LINE_BYTES: u64 = 64;
-
-/// Rounds `bytes` up to whole 64-byte lines.
-#[inline]
-pub fn lines_for(bytes: u64) -> u64 {
-    bytes.div_ceil(LINE_BYTES)
-}
-
-/// Returns the 64-byte-aligned line address containing `addr`.
-#[inline]
-pub fn line_of(addr: u64) -> u64 {
-    addr & !(LINE_BYTES - 1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lines_for_rounds_up() {
-        assert_eq!(lines_for(0), 0);
-        assert_eq!(lines_for(1), 1);
-        assert_eq!(lines_for(64), 1);
-        assert_eq!(lines_for(65), 2);
-        assert_eq!(lines_for(4096), 64);
-    }
-
-    #[test]
-    fn line_of_masks_low_bits() {
-        assert_eq!(line_of(0), 0);
-        assert_eq!(line_of(63), 0);
-        assert_eq!(line_of(64), 64);
-        assert_eq!(line_of(0x12345), 0x12340);
-    }
-}

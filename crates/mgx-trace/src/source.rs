@@ -13,35 +13,34 @@
 //! * a materialized [`Trace`] (or `&Trace`), for small workloads and tests;
 //! * any `(RegionMap, impl IntoIterator<Item = Phase>)` pair — e.g. a
 //!   [`std::iter::from_fn`] closure generating phases on the fly;
-//! * the workload crates' `stream_*` constructors, which drive their
-//!   emission logic step by step through [`LazyPhases`].
+//! * the workload crates' `stream_*` constructors, each a region map
+//!   paired with a plain iterator over the workload's steps (one layer,
+//!   one tile, one read): every step writes its phases into a fresh
+//!   [`Trace`] and the iterator yields them before it emits the next step.
 //!
 //! [`TraceSource::collect_trace`] recovers the materialized special case.
 //!
 //! # Example
 //!
 //! ```
-//! use mgx_trace::{DataClass, MemRequest, Phase, RegionMap, TraceSource};
+//! use mgx_trace::{DataClass, MemRequest, RegionMap, Trace, TraceSource};
 //!
 //! let mut regions = RegionMap::new();
 //! let r = regions.alloc("stream", 1 << 30, DataClass::Feature);
 //! let base = regions.get(r).base;
-//! let mut i = 0u64;
-//! let phases = std::iter::from_fn(move || {
-//!     (i < 4).then(|| {
-//!         let mut p = Phase::new(format!("tile{i}"), 1000);
-//!         p.requests.push(MemRequest::read(r, base + i * 4096, 4096));
-//!         i += 1;
-//!         p
-//!     })
+//! // One step per tile; each step writes its phases into a fresh `Trace`.
+//! let phases = (0..4u64).flat_map(move |i| {
+//!     let mut step = Trace::default();
+//!     step.begin_unnamed_phase(1000);
+//!     step.push(MemRequest::read(r, base + i * 4096, 4096));
+//!     step.phases
 //! });
 //! let trace = (regions, phases).collect_trace();
 //! assert_eq!(trace.phases.len(), 4);
 //! assert_eq!(trace.traffic().read_bytes, 4 * 4096);
 //! ```
 
-use crate::{MemRequest, Phase, RegionMap, Trace};
-use std::collections::VecDeque;
+use crate::{Phase, RegionMap, Trace};
 
 /// A workload the simulator can consume phase by phase.
 ///
@@ -101,147 +100,20 @@ impl<I: IntoIterator<Item = Phase>> TraceSource for (RegionMap, I) {
     }
 }
 
-/// Somewhere phases can be emitted incrementally.
-///
-/// The accelerator models' emission helpers (`emit_gemm`, per-op lowering,
-/// …) are generic over this trait, so the same code path fills a
-/// [`crate::TraceBuilder`] when collecting and a [`PhaseBuf`] when
-/// streaming.
-pub trait PhaseSink {
-    /// Starts a new phase, sealing the previous one.
-    fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64);
-
-    /// Starts a new *unlabeled* phase, sealing the previous one.
-    ///
-    /// Hot generators emit one phase per tile; an unlabeled phase carries
-    /// no heap-allocated label (`Phase::label` is `None`), so per-tile
-    /// emission stays allocation-free. Use [`PhaseSink::begin_phase`] only
-    /// where the label is worth reading back (per-op / per-frame phases).
-    fn begin_unnamed_phase(&mut self, compute_cycles: u64);
-
-    /// Adds a request to the current phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase has been started, and (in debug builds) if the
-    /// request is zero-sized.
-    fn push(&mut self, req: MemRequest);
-
-    /// Adds extra compute cycles to the current phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase has been started.
-    fn add_compute(&mut self, cycles: u64);
-}
-
-/// A plain phase buffer: the [`PhaseSink`] used by streaming generators to
-/// stage one step's phases (one op, one tile row, one read) before they are
-/// handed to the simulator and dropped.
-#[derive(Debug, Default)]
-pub struct PhaseBuf {
-    phases: Vec<Phase>,
-    current: Option<Phase>,
-}
-
-impl PhaseBuf {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seals the current phase and returns everything buffered.
-    pub fn finish(mut self) -> Vec<Phase> {
-        if let Some(p) = self.current.take() {
-            self.phases.push(p);
-        }
-        self.phases
-    }
-}
-
-impl PhaseSink for PhaseBuf {
-    fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64) {
-        if let Some(p) = self.current.take() {
-            self.phases.push(p);
-        }
-        self.current = Some(Phase::new(label, compute_cycles));
-    }
-
-    fn begin_unnamed_phase(&mut self, compute_cycles: u64) {
-        if let Some(p) = self.current.take() {
-            self.phases.push(p);
-        }
-        self.current = Some(Phase::unnamed(compute_cycles));
-    }
-
-    fn push(&mut self, req: MemRequest) {
-        debug_assert!(req.bytes > 0, "zero-byte request pushed: {req:?}");
-        self.current.as_mut().expect("begin_phase must be called before push").requests.push(req);
-    }
-
-    fn add_compute(&mut self, cycles: u64) {
-        self.current
-            .as_mut()
-            .expect("begin_phase must be called before add_compute")
-            .compute_cycles += cycles;
-    }
-}
-
-/// A lazy phase iterator driven by a step function.
-///
-/// Each call to the step function emits the phases of one workload step
-/// (one layer, one tile, one read) into a fresh [`PhaseBuf`] and returns
-/// `true` while more steps remain. The iterator drains each step's phases
-/// before requesting the next, so peak memory is one step's worth of
-/// phases — constant in the workload length.
-///
-/// This is how the workload crates express streaming generation on stable
-/// Rust (no coroutines): the emission logic stays ordinary imperative code
-/// over a [`PhaseSink`]; only the outermost loop is inverted.
-#[derive(Debug)]
-pub struct LazyPhases<F> {
-    step: F,
-    queue: VecDeque<Phase>,
-    done: bool,
-}
-
-impl<F: FnMut(&mut PhaseBuf) -> bool> LazyPhases<F> {
-    /// Creates a stream from a step function. `step` is called with an
-    /// empty buffer each time the previous step's phases are exhausted;
-    /// it returns `false` once the workload is fully emitted (any phases
-    /// it buffered on that final call are still yielded).
-    pub fn new(step: F) -> Self {
-        Self { step, queue: VecDeque::new(), done: false }
-    }
-}
-
-impl<F: FnMut(&mut PhaseBuf) -> bool> Iterator for LazyPhases<F> {
-    type Item = Phase;
-
-    fn next(&mut self) -> Option<Phase> {
-        while self.queue.is_empty() && !self.done {
-            let mut buf = PhaseBuf::new();
-            self.done = !(self.step)(&mut buf);
-            self.queue.extend(buf.finish());
-        }
-        self.queue.pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataClass, Dir, TraceBuilder};
+    use crate::{DataClass, MemRequest};
 
     fn two_phase_trace() -> Trace {
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("r", 1 << 20, DataClass::Feature);
-        let base = b.regions().get(r).base;
-        b.begin_phase("p0", 10);
-        b.push(MemRequest::read(r, base, 4096));
-        b.begin_phase("p1", 20);
-        b.push(MemRequest::write(r, base, 64));
-        b.finish()
+        let mut t = Trace::default();
+        let r = t.regions.alloc("r", 1 << 20, DataClass::Feature);
+        let base = t.regions.get(r).base;
+        t.begin_phase("p0", 10);
+        t.push(MemRequest::read(r, base, 4096));
+        t.begin_phase("p1", 20);
+        t.push(MemRequest::write(r, base, 64));
+        t
     }
 
     #[test]
@@ -282,50 +154,5 @@ mod tests {
         let trace = (regions, gen).collect_trace();
         assert_eq!(trace.phases.len(), 3);
         assert_eq!(trace.traffic(), crate::Traffic { read_bytes: 3 * 64, write_bytes: 0 });
-    }
-
-    #[test]
-    fn lazy_phases_drains_steps_in_order() {
-        let mut step = 0;
-        let stream = LazyPhases::new(move |buf: &mut PhaseBuf| {
-            step += 1;
-            // Step 2 emits nothing (e.g. an op with no DRAM activity).
-            if step != 2 {
-                buf.begin_phase(format!("s{step}a"), 1);
-                buf.begin_phase(format!("s{step}b"), 2);
-            }
-            step < 4
-        });
-        let labels: Vec<String> = stream.map(|p| p.label().to_string()).collect();
-        assert_eq!(labels, vec!["s1a", "s1b", "s3a", "s3b", "s4a", "s4b"]);
-    }
-
-    #[test]
-    fn phase_buf_seals_like_the_builder() {
-        let mut buf = PhaseBuf::new();
-        buf.begin_phase("a", 1);
-        buf.push(MemRequest { addr: 0, bytes: 64, dir: Dir::Read, region: crate::RegionId(0) });
-        buf.add_compute(9);
-        buf.begin_phase("b", 2);
-        let phases = buf.finish();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].compute_cycles, 10);
-        assert_eq!(phases[1].requests.len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "begin_phase")]
-    fn phase_buf_push_without_phase_panics() {
-        let mut buf = PhaseBuf::new();
-        buf.push(MemRequest { addr: 0, bytes: 64, dir: Dir::Read, region: crate::RegionId(0) });
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "zero-byte request")]
-    fn phase_buf_rejects_zero_byte_requests() {
-        let mut buf = PhaseBuf::new();
-        buf.begin_phase("p", 0);
-        buf.push(MemRequest { addr: 0, bytes: 0, dir: Dir::Read, region: crate::RegionId(0) });
     }
 }

@@ -1,6 +1,6 @@
 //! Phases and whole-application traces.
 
-use crate::{Dir, MemRequest, PhaseSink, RegionMap};
+use crate::{Dir, MemRequest, RegionMap};
 
 /// Byte counters split by direction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,28 +39,6 @@ impl core::ops::Add for Traffic {
 impl core::ops::AddAssign for Traffic {
     fn add_assign(&mut self, rhs: Traffic) {
         *self = *self + rhs;
-    }
-}
-
-/// Component-wise difference — turns two cumulative readings into the
-/// delta between them.
-///
-/// # Panics
-///
-/// Panics in debug builds if `rhs` exceeds `self` in any component (a
-/// cumulative counter can only grow, so a larger subtrahend means the
-/// readings were taken out of order).
-impl core::ops::Sub for Traffic {
-    type Output = Traffic;
-    fn sub(self, rhs: Traffic) -> Traffic {
-        debug_assert!(
-            self.read_bytes >= rhs.read_bytes && self.write_bytes >= rhs.write_bytes,
-            "traffic delta would underflow: {self:?} - {rhs:?}"
-        );
-        Traffic {
-            read_bytes: self.read_bytes - rhs.read_bytes,
-            write_bytes: self.write_bytes - rhs.write_bytes,
-        }
     }
 }
 
@@ -124,6 +102,25 @@ impl Phase {
 }
 
 /// A complete application run: region declarations plus ordered phases.
+///
+/// `Trace` is also the one phase writer: every generator emits through
+/// [`Trace::begin_phase`] (or [`Trace::begin_unnamed_phase`]), which opens
+/// a phase, and [`Trace::push`], which appends a request to the last one.
+/// A streaming generator writes each step into a fresh `Trace` and yields
+/// its `phases`.
+///
+/// # Example
+///
+/// ```
+/// use mgx_trace::{DataClass, MemRequest, Trace};
+///
+/// let mut t = Trace::default();
+/// let w = t.regions.alloc("weights", 1 << 20, DataClass::Weight);
+/// t.begin_phase("layer0", 10_000);
+/// t.push(MemRequest::read(w, 0, 4096));
+/// assert_eq!(t.phases.len(), 1);
+/// assert_eq!(t.traffic().read_bytes, 4096);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Region declarations referenced by the phases' requests.
@@ -133,6 +130,32 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Opens a new labelled phase; later requests append to it.
+    pub fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64) {
+        self.phases.push(Phase::new(label, compute_cycles));
+    }
+
+    /// Opens a new unlabelled phase. Hot generators emit one per tile, and
+    /// an unlabelled phase carries no heap-allocated label, so per-tile
+    /// emission stays allocation-free. Use [`Trace::begin_phase`] only
+    /// where the label is worth reading back (per-op or per-frame phases).
+    pub fn begin_unnamed_phase(&mut self, compute_cycles: u64) {
+        self.phases.push(Phase::unnamed(compute_cycles));
+    }
+
+    /// Appends a request to the last phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no phase has been opened, and (in debug builds) if the
+    /// request is zero-sized: `bytes == 0` would make the engines' line
+    /// arithmetic (`end() - 1`) underflow, so such requests must never
+    /// enter a trace — emitters skip empty transfers instead.
+    pub fn push(&mut self, req: MemRequest) {
+        debug_assert!(req.bytes > 0, "zero-byte request pushed: {req:?}");
+        self.phases.last_mut().expect("begin_phase must be called before push").requests.push(req);
+    }
+
     /// Total raw data traffic across all phases.
     pub fn traffic(&self) -> Traffic {
         self.phases.iter().map(Phase::traffic).sum()
@@ -146,113 +169,6 @@ impl Trace {
     /// Total number of requests.
     pub fn request_count(&self) -> usize {
         self.phases.iter().map(|p| p.requests.len()).sum()
-    }
-}
-
-/// Incremental construction of a [`Trace`].
-///
-/// # Example
-///
-/// ```
-/// use mgx_trace::{DataClass, MemRequest, TraceBuilder};
-///
-/// let mut b = TraceBuilder::new();
-/// let w = b.regions_mut().alloc("weights", 1 << 20, DataClass::Weight);
-/// b.begin_phase("layer0", 10_000);
-/// b.push(MemRequest::read(w, 0, 4096));
-/// let trace = b.finish();
-/// assert_eq!(trace.phases.len(), 1);
-/// assert_eq!(trace.traffic().read_bytes, 4096);
-/// ```
-#[derive(Debug, Default)]
-pub struct TraceBuilder {
-    trace: Trace,
-    current: Option<Phase>,
-}
-
-impl TraceBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mutable access to the region map (declare tensors/buffers here).
-    pub fn regions_mut(&mut self) -> &mut RegionMap {
-        &mut self.trace.regions
-    }
-
-    /// Read access to the region map.
-    pub fn regions(&self) -> &RegionMap {
-        &self.trace.regions
-    }
-
-    /// Starts a new phase, sealing the previous one.
-    pub fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64) {
-        self.seal();
-        self.current = Some(Phase::new(label, compute_cycles));
-    }
-
-    /// Starts a new unlabeled phase, sealing the previous one.
-    pub fn begin_unnamed_phase(&mut self, compute_cycles: u64) {
-        self.seal();
-        self.current = Some(Phase::unnamed(compute_cycles));
-    }
-
-    /// Adds a request to the current phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase has been started, and (in debug builds) if the
-    /// request is zero-sized: `bytes == 0` would make the engines' line
-    /// arithmetic (`end() - 1`) underflow, so such requests must never
-    /// enter a trace — emitters skip empty transfers instead.
-    pub fn push(&mut self, req: MemRequest) {
-        debug_assert!(req.bytes > 0, "zero-byte request pushed: {req:?}");
-        self.current.as_mut().expect("begin_phase must be called before push").requests.push(req);
-    }
-
-    /// Adds extra compute cycles to the current phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase has been started.
-    pub fn add_compute(&mut self, cycles: u64) {
-        self.current
-            .as_mut()
-            .expect("begin_phase must be called before add_compute")
-            .compute_cycles += cycles;
-    }
-
-    fn seal(&mut self) {
-        if let Some(p) = self.current.take() {
-            self.trace.phases.push(p);
-        }
-    }
-
-    /// Seals the current phase and returns the finished trace.
-    pub fn finish(mut self) -> Trace {
-        self.seal();
-        self.trace
-    }
-}
-
-/// The builder is a [`PhaseSink`], so streaming emitters also fill
-/// materialized traces.
-impl PhaseSink for TraceBuilder {
-    fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64) {
-        TraceBuilder::begin_phase(self, label, compute_cycles);
-    }
-
-    fn begin_unnamed_phase(&mut self, compute_cycles: u64) {
-        TraceBuilder::begin_unnamed_phase(self, compute_cycles);
-    }
-
-    fn push(&mut self, req: MemRequest) {
-        TraceBuilder::push(self, req);
-    }
-
-    fn add_compute(&mut self, cycles: u64) {
-        TraceBuilder::add_compute(self, cycles);
     }
 }
 
@@ -278,16 +194,16 @@ mod tests {
 
     #[test]
     fn builder_seals_phases_in_order() {
-        let mut b = TraceBuilder::new();
-        b.regions_mut().alloc("r", 4096, DataClass::Other);
-        b.begin_phase("p0", 10);
-        b.push(req(Dir::Read, 64));
-        b.begin_phase("p1", 20);
-        b.push(req(Dir::Write, 128));
-        b.push(req(Dir::Read, 64));
-        let t = b.finish();
+        let mut t = Trace::default();
+        t.regions.alloc("r", 4096, DataClass::Other);
+        t.begin_phase("p0", 10);
+        t.push(req(Dir::Read, 64));
+        t.begin_phase("p1", 20);
+        t.push(req(Dir::Write, 128));
+        t.push(req(Dir::Read, 64));
         assert_eq!(t.phases.len(), 2);
         assert_eq!(t.phases[0].label(), "p0");
+        assert_eq!(t.phases[0].requests.len(), 1);
         assert_eq!(t.phases[1].requests.len(), 2);
         assert_eq!(t.compute_cycles(), 30);
         assert_eq!(t.traffic(), Traffic { read_bytes: 128, write_bytes: 128 });
@@ -296,11 +212,10 @@ mod tests {
 
     #[test]
     fn unnamed_phases_carry_no_label() {
-        let mut b = TraceBuilder::new();
-        b.regions_mut().alloc("r", 4096, DataClass::Other);
-        b.begin_unnamed_phase(7);
-        b.push(req(Dir::Read, 64));
-        let t = b.finish();
+        let mut t = Trace::default();
+        t.regions.alloc("r", 4096, DataClass::Other);
+        t.begin_unnamed_phase(7);
+        t.push(req(Dir::Read, 64));
         assert_eq!(t.phases[0].label, None);
         assert_eq!(t.phases[0].label(), "");
         assert_eq!(t.phases[0].compute_cycles, 7);
@@ -310,8 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "begin_phase")]
     fn push_without_phase_panics() {
-        let mut b = TraceBuilder::new();
-        b.push(req(Dir::Read, 64));
+        Trace::default().push(req(Dir::Read, 64));
     }
 
     /// Regression: zero-byte requests used to be accepted silently, then
@@ -320,21 +234,14 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "zero-byte request")]
     fn push_rejects_zero_byte_requests() {
-        let mut b = TraceBuilder::new();
-        b.begin_phase("p", 0);
-        b.push(req(Dir::Read, 0));
-    }
-
-    #[test]
-    fn traffic_sub_is_componentwise() {
-        let a = Traffic { read_bytes: 100, write_bytes: 40 };
-        let b = Traffic { read_bytes: 60, write_bytes: 40 };
-        assert_eq!(a - b, Traffic { read_bytes: 40, write_bytes: 0 });
+        let mut t = Trace::default();
+        t.begin_phase("p", 0);
+        t.push(req(Dir::Read, 0));
     }
 
     #[test]
     fn empty_trace_is_zero() {
-        let t = TraceBuilder::new().finish();
+        let t = Trace::default();
         assert_eq!(t.traffic().total(), 0);
         assert_eq!(t.compute_cycles(), 0);
     }

@@ -28,9 +28,7 @@
 
 use crate::model::{InferenceRequest, PagedConfig, TransformerConfig};
 use mgx_scalesim::{emit_gemm, ArrayConfig, Dataflow, Gemm, GemmRegions};
-use mgx_trace::{
-    DataClass, LazyPhases, MemRequest, Phase, PhaseSink, RegionId, RegionMap, TraceSource,
-};
+use mgx_trace::{DataClass, MemRequest, Phase, RegionId, RegionMap, Trace, TraceSource};
 
 /// Bytes per block-table entry (a physical block index).
 const TABLE_ENTRY_BYTES: u64 = 4;
@@ -60,9 +58,8 @@ struct PagedLayout {
     table: (RegionId, u64),
 }
 
-/// Precomputed lowering state shared by the collected and streamed
-/// generators — one `emit_step` call is one layer of one prefill/decode
-/// step, so both sides are the same code path by construction.
+/// Precomputed lowering state shared by the three generators — one
+/// `emit_step` call is one layer of one prefill/decode step.
 struct Lowering {
     m: TransformerConfig,
     req: InferenceRequest,
@@ -165,62 +162,55 @@ impl Lowering {
 
     /// One layer of one step: the context already holds `ctx_prev` tokens
     /// per sequence and this step appends `self.new_tokens` more.
-    fn emit_step(&self, sink: &mut impl PhaseSink, l: u64, ctx_prev: u64) {
+    fn emit_step(&self, out: &mut Trace, l: u64, ctx_prev: u64) {
         let (m, cfg) = (&self.m, &self.cfg);
         let (d, dt, rows) = (m.d_model, cfg.dtype_bytes, self.rows);
         let hin = self.hid[(l % 2) as usize];
         let hout = self.hid[((l + 1) % 2) as usize];
         if l == 0 {
             // Token embedding lookup for the step's fresh tokens.
-            sink.begin_phase("embed", (rows * d).div_ceil(cfg.rows).max(1));
-            sink.push(MemRequest::write(self.act.0, hin, rows * d * dt));
+            out.begin_phase("embed", (rows * d).div_ceil(cfg.rows).max(1));
+            out.push(MemRequest::write(self.act.0, hin, rows * d * dt));
         }
         let wb = self.weights.1 + l * self.layer_w_bytes;
         let w = weight_offsets(m, dt);
         let qkv = Gemm { m: rows, k: d, n: d + 2 * m.kv_dim() };
-        self.gemm(sink, qkv, hin, wb + w.qkv, self.qkv_out);
-        self.emit_kv_append(sink, l, ctx_prev);
-        self.emit_attention(sink, l, ctx_prev);
+        self.gemm(out, qkv, hin, wb + w.qkv, self.qkv_out);
+        self.emit_kv_append(out, l, ctx_prev);
+        self.emit_attention(out, l, ctx_prev);
         let proj = Gemm { m: rows, k: d, n: d };
-        self.gemm(sink, proj, self.attn_out, wb + w.o, hout);
+        self.gemm(out, proj, self.attn_out, wb + w.o, hout);
         let up = Gemm { m: rows, k: d, n: m.d_ff };
         let down = Gemm { m: rows, k: m.d_ff, n: d };
         if m.gated_ffn {
-            self.gemm(sink, up, hout, wb + w.ffn[0], self.ffn_buf[0]);
-            self.gemm(sink, up, hout, wb + w.ffn[1], self.ffn_buf[1]);
-            self.gemm(sink, down, self.ffn_buf[0], wb + w.ffn[2], hout);
+            self.gemm(out, up, hout, wb + w.ffn[0], self.ffn_buf[0]);
+            self.gemm(out, up, hout, wb + w.ffn[1], self.ffn_buf[1]);
+            self.gemm(out, down, self.ffn_buf[0], wb + w.ffn[2], hout);
         } else {
-            self.gemm(sink, up, hout, wb + w.ffn[0], self.ffn_buf[0]);
-            self.gemm(sink, down, self.ffn_buf[0], wb + w.ffn[1], hout);
+            self.gemm(out, up, hout, wb + w.ffn[0], self.ffn_buf[0]);
+            self.gemm(out, down, self.ffn_buf[0], wb + w.ffn[1], hout);
         }
     }
 
-    fn gemm(
-        &self,
-        sink: &mut impl PhaseSink,
-        g: Gemm,
-        ifmap_addr: u64,
-        filter_addr: u64,
-        ofmap_addr: u64,
-    ) {
+    fn gemm(&self, out: &mut Trace, g: Gemm, ifmap_addr: u64, filter_addr: u64, ofmap_addr: u64) {
         let gr = GemmRegions {
             ifmap: (self.act.0, ifmap_addr),
             ifmap_payload: g.m * g.k * self.cfg.dtype_bytes,
             filter: (self.weights.0, filter_addr),
             ofmap: (self.act.0, ofmap_addr),
         };
-        emit_gemm(sink, &g, &self.cfg, Dataflow::WeightStationary, &gr, None);
+        emit_gemm(out, &g, &self.cfg, Dataflow::WeightStationary, &gr, None);
     }
 
     /// Appends the step's K/V vectors. Contiguous: per-sequence rings,
     /// ≤ 2 writes per half on wrap. Paged: per-block interior writes plus
     /// a 4-byte table publish whenever a fresh block is opened.
-    fn emit_kv_append(&self, sink: &mut impl PhaseSink, l: u64, ctx_prev: u64) {
+    fn emit_kv_append(&self, out: &mut Trace, l: u64, ctx_prev: u64) {
         let (m, cfg) = (&self.m, &self.cfg);
         let slot = m.kv_dim() * cfg.dtype_bytes;
         let (new, win) = (self.new_tokens, self.window);
         let cycles = (self.req.batch * new * 2 * m.kv_dim()).div_ceil(cfg.rows).max(1);
-        sink.begin_phase(format!("l{l}.kv"), cycles);
+        out.begin_phase(format!("l{l}.kv"), cycles);
         // Only the trailing `keep` tokens survive if a single step exceeds
         // the window (a prefill longer than the sliding window).
         let keep = new.min(win);
@@ -231,9 +221,9 @@ impl Lowering {
                 for s in 0..self.req.batch {
                     for half in 0..2 {
                         let base = self.kv_base(l, s, half);
-                        sink.push(MemRequest::write(self.kv.0, base + start * slot, first * slot));
+                        out.push(MemRequest::write(self.kv.0, base + start * slot, first * slot));
                         if keep > first {
-                            sink.push(MemRequest::write(self.kv.0, base, (keep - first) * slot));
+                            out.push(MemRequest::write(self.kv.0, base, (keep - first) * slot));
                         }
                     }
                 }
@@ -248,8 +238,8 @@ impl Lowering {
                         let base = self.block_base(p, l, s, lb % p.window_blocks);
                         let off = (t - lb * p.block_tokens) * slot;
                         let len = (end - t) * slot;
-                        sink.push(MemRequest::write(self.kv.0, base + off, len));
-                        sink.push(MemRequest::write(
+                        out.push(MemRequest::write(self.kv.0, base + off, len));
+                        out.push(MemRequest::write(
                             self.kv.0,
                             base + p.block_tokens * slot + off,
                             len,
@@ -258,7 +248,7 @@ impl Lowering {
                             // Fresh logical block: publish its table entry.
                             let e = p.table.1
                                 + (s * p.window_blocks + lb % p.window_blocks) * TABLE_ENTRY_BYTES;
-                            sink.push(MemRequest::write(p.table.0, e, TABLE_ENTRY_BYTES));
+                            out.push(MemRequest::write(p.table.0, e, TABLE_ENTRY_BYTES));
                         }
                         t = end;
                     }
@@ -270,7 +260,7 @@ impl Lowering {
     /// Attention over the cached context: reads the step's queries, every
     /// valid K/V range (whole rings, or table-indexed blocks), writes the
     /// attended output.
-    fn emit_attention(&self, sink: &mut impl PhaseSink, l: u64, ctx_prev: u64) {
+    fn emit_attention(&self, out: &mut Trace, l: u64, ctx_prev: u64) {
         let (m, cfg) = (&self.m, &self.cfg);
         let (d, dt) = (m.d_model, cfg.dtype_bytes);
         let slot = m.kv_dim() * dt;
@@ -278,8 +268,8 @@ impl Lowering {
         // QKᵀ plus attention·V: 2 MACs per (query token, context slot,
         // d_model) triple, spread over the whole array.
         let cycles = (2 * self.rows * ctx_now * d).div_ceil(cfg.pe_count()).max(1);
-        sink.begin_phase(format!("l{l}.attn"), cycles);
-        sink.push(MemRequest::read(self.act.0, self.qkv_out, self.rows * d * dt));
+        out.begin_phase(format!("l{l}.attn"), cycles);
+        out.push(MemRequest::read(self.act.0, self.qkv_out, self.rows * d * dt));
         // K/V streams newest-to-oldest. The online softmax does not depend
         // on read order, so any order is a faithful kernel; this one is kept
         // because the pinned result bytes (`llm-time` in
@@ -291,7 +281,7 @@ impl Lowering {
                     for half in 0..2 {
                         let base = self.kv_base(l, s, half);
                         for t in (0..ctx_now).rev() {
-                            sink.push(MemRequest::read(self.kv.0, base + t * slot, slot));
+                            out.push(MemRequest::read(self.kv.0, base + t * slot, slot));
                         }
                     }
                 }
@@ -301,16 +291,16 @@ impl Lowering {
                 let half = p.block_tokens * slot;
                 for s in 0..self.req.batch {
                     let te = p.table.1 + s * p.window_blocks * TABLE_ENTRY_BYTES;
-                    sink.push(MemRequest::read(p.table.0, te, valid * TABLE_ENTRY_BYTES));
+                    out.push(MemRequest::read(p.table.0, te, valid * TABLE_ENTRY_BYTES));
                     for rb in (0..valid).rev() {
                         let base = self.block_base(p, l, s, rb);
-                        sink.push(MemRequest::read(self.kv.0, base + half, half));
-                        sink.push(MemRequest::read(self.kv.0, base, half));
+                        out.push(MemRequest::read(self.kv.0, base + half, half));
+                        out.push(MemRequest::read(self.kv.0, base, half));
                     }
                 }
             }
         }
-        sink.push(MemRequest::write(self.act.0, self.attn_out, self.rows * d * dt));
+        out.push(MemRequest::write(self.act.0, self.attn_out, self.rows * d * dt));
     }
 }
 
@@ -323,15 +313,10 @@ pub fn stream_prefill_trace(
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
     let mut regions = RegionMap::new();
     let lw = Lowering::new(model, req, cfg, None, req.prompt_len, &mut regions);
-    let layers = lw.m.layers;
-    let mut l = 0u64;
-    let phases = LazyPhases::new(move |buf| {
-        if l >= layers {
-            return false;
-        }
-        lw.emit_step(buf, l, 0);
-        l += 1;
-        l < layers
+    let phases = (0..lw.m.layers).flat_map(move |l| {
+        let mut step = Trace::default();
+        lw.emit_step(&mut step, l, 0);
+        step.phases
     });
     (regions, phases)
 }
@@ -367,17 +352,11 @@ fn decode_stream(
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
     let mut regions = RegionMap::new();
     let lw = Lowering::new(model, req, cfg, paged, 1, &mut regions);
-    let layers = lw.m.layers;
-    let prompt = req.prompt_len;
-    let total = req.decode_steps * layers;
-    let mut i = 0u64;
-    let phases = LazyPhases::new(move |buf| {
-        if i >= total {
-            return false;
-        }
-        lw.emit_step(buf, i % layers, prompt + i / layers);
-        i += 1;
-        i < total
+    let (layers, prompt) = (lw.m.layers, req.prompt_len);
+    let phases = (0..req.decode_steps * layers).flat_map(move |i| {
+        let mut step = Trace::default();
+        lw.emit_step(&mut step, i % layers, prompt + i / layers);
+        step.phases
     });
     (regions, phases)
 }
@@ -385,7 +364,6 @@ fn decode_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_trace::Trace;
 
     fn tiny() -> TransformerConfig {
         TransformerConfig {
@@ -441,37 +419,6 @@ mod tests {
             &stream_paged_attention_trace(&m, &long, &paged, &cfg).collect_trace(),
             "paged-rollover",
         );
-    }
-
-    #[test]
-    fn streamed_matches_collected_for_every_generator() {
-        let (m, cfg) = (tiny(), array());
-        let req = InferenceRequest::new(2, 10, 3);
-        let paged = PagedConfig { block_tokens: 4 };
-        let pairs: [(Trace, Trace); 3] = [
-            (stream_prefill_trace(&m, &req, &cfg).collect_trace(), {
-                let (regions, phases) = stream_prefill_trace(&m, &req, &cfg).into_stream();
-                Trace { regions, phases: phases.collect() }
-            }),
-            (stream_decode_trace(&m, &req, &cfg).collect_trace(), {
-                let (regions, phases) = stream_decode_trace(&m, &req, &cfg).into_stream();
-                Trace { regions, phases: phases.collect() }
-            }),
-            (stream_paged_attention_trace(&m, &req, &paged, &cfg).collect_trace(), {
-                let (regions, phases) =
-                    stream_paged_attention_trace(&m, &req, &paged, &cfg).into_stream();
-                Trace { regions, phases: phases.collect() }
-            }),
-        ];
-        for (collected, streamed) in &pairs {
-            assert_eq!(collected.phases.len(), streamed.phases.len());
-            for (c, s) in collected.phases.iter().zip(&streamed.phases) {
-                assert_eq!(c.label, s.label);
-                assert_eq!(c.compute_cycles, s.compute_cycles);
-                assert_eq!(c.requests, s.requests);
-            }
-            assert_eq!(collected.regions.footprint(), streamed.regions.footprint());
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mgx::dnn::trace::stream_inference_trace;
 use mgx::dnn::Model;
 use mgx::scalesim::{ArrayConfig, Dataflow};
 use mgx::sim::{DramBackend, PhaseMode, TxnPath};
-use mgx::trace::{DataClass, MemRequest, Trace, TraceBuilder, TraceSource};
+use mgx::trace::{DataClass, MemRequest, Trace, TraceSource};
 use proptest::prelude::*;
 
 /// The uniform tile size of the synthetic workloads: small enough that
@@ -31,56 +31,56 @@ const TILE: u64 = 16 << 10;
 /// output tile, so the same lines are read and rewritten phase after
 /// phase.
 fn ping_pong_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("buf", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("buf", 4 * TILE, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     for i in 0..phases {
-        b.begin_unnamed_phase(500);
-        b.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
-        b.push(MemRequest::write(r, base + 2 * TILE, TILE));
+        trace.begin_unnamed_phase(500);
+        trace.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
+        trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
     }
-    b.finish()
+    trace
 }
 
 /// A decoder-style ring of four frame slots: each phase reads half-tile
 /// reference blocks from the two previous frames and writes the next frame.
 fn frame_ring_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("frames", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("frames", 4 * TILE, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     let slot = |i: u64| base + (i % 4) * TILE;
     for i in 0..phases {
-        b.begin_unnamed_phase(800);
-        b.push(MemRequest::read(r, slot(i + 2), TILE / 2));
-        b.push(MemRequest::read(r, slot(i + 3), TILE / 2));
-        b.push(MemRequest::write(r, slot(i), TILE));
+        trace.begin_unnamed_phase(800);
+        trace.push(MemRequest::read(r, slot(i + 2), TILE / 2));
+        trace.push(MemRequest::read(r, slot(i + 3), TILE / 2));
+        trace.push(MemRequest::write(r, slot(i), TILE));
     }
-    b.finish()
+    trace
 }
 
 /// A monotonic stream: every phase touches fresh addresses.
 fn stream_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("stream", phases * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("stream", phases * TILE, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     for i in 0..phases {
-        b.begin_unnamed_phase(200);
+        trace.begin_unnamed_phase(200);
         if i % 4 == 0 {
-            b.push(MemRequest::write(r, base + i * TILE, TILE));
+            trace.push(MemRequest::write(r, base + i * TILE, TILE));
         } else {
-            b.push(MemRequest::read(r, base + i * TILE, TILE));
+            trace.push(MemRequest::read(r, base + i * TILE, TILE));
         }
     }
-    b.finish()
+    trace
 }
 
 /// Interleaves a ping-pong phase with non-uniform odd phases — four
 /// distinct shapes (odd sizes, unaligned offsets, differing compute)
 /// cycling between the uniform passes.
 fn interleaved_trace(phases: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("mix", 64 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("mix", 64 * TILE, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     let odd: [(u64, u64, u64); 4] = [
         (16 * TILE, 3 * TILE / 2 + 64, 150),
         (20 * TILE + 4096, 5 * TILE / 4, 900),
@@ -89,31 +89,31 @@ fn interleaved_trace(phases: u64) -> Trace {
     ];
     for i in 0..phases {
         if i % 2 == 0 {
-            b.begin_unnamed_phase(500);
-            b.push(MemRequest::read(r, base + (i % 4) / 2 * TILE, TILE));
-            b.push(MemRequest::write(r, base + 2 * TILE, TILE));
+            trace.begin_unnamed_phase(500);
+            trace.push(MemRequest::read(r, base + (i % 4) / 2 * TILE, TILE));
+            trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
         } else {
             let (off, bytes, compute) = odd[((i / 2) % 4) as usize];
-            b.begin_unnamed_phase(compute);
-            b.push(MemRequest::read(r, base + off, bytes));
+            trace.begin_unnamed_phase(compute);
+            trace.push(MemRequest::read(r, base + off, bytes));
         }
     }
-    b.finish()
+    trace
 }
 
 /// Ping-pong phases separated by huge compute gaps, shifting each phase's
 /// start relative to the refresh schedule so refresh windows land at
 /// varying offsets inside the phases' bursts.
 fn refresh_gap_trace(phases: u64, gap_cycles: u64) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("gap", 4 * TILE, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("gap", 4 * TILE, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     for i in 0..phases {
-        b.begin_unnamed_phase(if i % 2 == 0 { gap_cycles } else { 500 });
-        b.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
-        b.push(MemRequest::write(r, base + 2 * TILE, TILE));
+        trace.begin_unnamed_phase(if i % 2 == 0 { gap_cycles } else { 500 });
+        trace.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
+        trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
     }
-    b.finish()
+    trace
 }
 
 #[test]
@@ -172,33 +172,33 @@ enum Inject {
 /// far past any engine's metadata cache — so the next recurring phase
 /// starts from a cold cache.
 fn inject_trace(specs: &[Inject]) -> Trace {
-    let mut b = TraceBuilder::new();
-    let r = b.regions_mut().alloc("adv", 8 << 20, DataClass::Feature);
-    let base = b.regions().get(r).base;
+    let mut trace = Trace::default();
+    let r = trace.regions.alloc("adv", 8 << 20, DataClass::Feature);
+    let base = trace.regions.get(r).base;
     let mut recur = 0u64;
     for &spec in specs {
         match spec {
             Inject::Recur => {
-                b.begin_unnamed_phase(500);
-                b.push(MemRequest::read(r, base + (recur % 2) * TILE, TILE));
-                b.push(MemRequest::write(r, base + 2 * TILE, TILE));
+                trace.begin_unnamed_phase(500);
+                trace.push(MemRequest::read(r, base + (recur % 2) * TILE, TILE));
+                trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
                 recur += 1;
             }
             Inject::Gap { cycles } => {
-                b.begin_unnamed_phase(cycles);
-                b.push(MemRequest::read(r, base, 64));
+                trace.begin_unnamed_phase(cycles);
+                trace.push(MemRequest::read(r, base, 64));
             }
             Inject::Odd { offset, bytes } => {
-                b.begin_unnamed_phase(300);
-                b.push(MemRequest::read(r, base + 4 * TILE + (offset & !63), bytes));
+                trace.begin_unnamed_phase(300);
+                trace.push(MemRequest::read(r, base + 4 * TILE + (offset & !63), bytes));
             }
             Inject::Thrash => {
-                b.begin_unnamed_phase(1000);
-                b.push(MemRequest::read(r, base + (4 << 20), 2 << 20));
+                trace.begin_unnamed_phase(1000);
+                trace.push(MemRequest::read(r, base + (4 << 20), 2 << 20));
             }
         }
     }
-    b.finish()
+    trace
 }
 
 proptest! {

@@ -9,6 +9,7 @@
 use mgx::core::Scheme;
 use mgx::dnn::trace::{stream_inference_trace, stream_training_trace};
 use mgx::dnn::Model;
+use mgx::genome::{stream_gact_trace, ErrorProfile, GactAccelConfig, GenomeWorkload};
 use mgx::graph::accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
 use mgx::graph::rmat::RmatGenerator;
 use mgx::h264::decoder::{stream_decode_trace, DecoderConfig};
@@ -18,8 +19,14 @@ use mgx::serve::json::Json;
 use mgx::sim::job::Suite;
 use mgx::sim::{PhaseMode, Scale, SimConfig, Simulation, TxnPath};
 use mgx::trace::{DataClass, MemRequest, Phase, RegionMap, Trace, TraceSource};
+use mgx::transformer::{
+    stream_decode_trace as stream_llm_decode_trace, stream_paged_attention_trace, InferenceRequest,
+    PagedConfig, TransformerConfig,
+};
 use mgx_sim::experiments::{self, Evaluated};
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 fn eval(source: impl TraceSource, scfg: &SimConfig, name: &str) -> Evaluated {
     Evaluated::new(name, "Cloud", Simulation::over(source).config(scfg.clone()).run_all())
@@ -140,6 +147,66 @@ fn fig3_builder_collects_bp_rows_across_domains() {
     assert!(rows.iter().all(|r| field(r, "mac_ov").as_f64() > Some(0.0)));
     assert_eq!(field(&rows[0], "workload").as_str(), Some("AlexNet-Inf"));
     assert_eq!(field(&rows[1], "workload").as_str(), Some("AlexNet-Train"));
+}
+
+/// Every `stream_*` generator must emit one step at a time: each stream
+/// below is far too long to build whole (2^40 iterations, reads or decode
+/// steps), so its first phase arrives only if the generator is lazy. Each
+/// pull runs on its own thread under a deadline, so a generator that builds
+/// its stream up front fails this test instead of hanging the suite.
+#[test]
+fn stream_generators_stay_lazy() {
+    type Pull = Box<dyn FnOnce() -> Option<Phase> + Send>;
+    const HUGE: u64 = 1 << 40;
+    let g = RmatGenerator::social(10, 5).generate(10_000);
+    let llm = |paged: bool| -> Pull {
+        Box::new(move || {
+            let (m, cfg) = (TransformerConfig::gpt_small(), ArrayConfig::cloud());
+            let req = InferenceRequest::new(1, 8, HUGE);
+            if paged {
+                let paged = PagedConfig::default();
+                stream_paged_attention_trace(&m, &req, &paged, &cfg).into_stream().1.next()
+            } else {
+                stream_llm_decode_trace(&m, &req, &cfg).into_stream().1.next()
+            }
+        })
+    };
+    let pulls: [(&str, Pull); 4] = [
+        (
+            "PageRank",
+            Box::new(move || {
+                let w = GraphWorkload::PageRank { iters: HUGE as usize };
+                stream_graph_trace(&g, w, &GraphAccelConfig::default()).into_stream().1.next()
+            }),
+        ),
+        (
+            "GACT",
+            Box::new(|| {
+                let w = GenomeWorkload {
+                    chromosome: "chrY",
+                    full_len: 57_227_415,
+                    profile: ErrorProfile::pacbio(),
+                };
+                let cfg = GactAccelConfig::default();
+                stream_gact_trace(&w, &cfg, HUGE as usize, 1200, 500, 7).into_stream().1.next()
+            }),
+        ),
+        ("decode", llm(false)),
+        ("paged decode", llm(true)),
+    ];
+    for (name, pull) in pulls {
+        let (tx, rx) = mpsc::channel();
+        let puller = std::thread::spawn(move || {
+            let _ = tx.send(pull());
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(first) => assert!(first.is_some(), "{name}: the stream is empty"),
+            // A puller still running at the deadline is left detached.
+            Err(RecvTimeoutError::Timeout) => panic!("{name}: no first phase within 30 s"),
+            Err(RecvTimeoutError::Disconnected) => {}
+        }
+        puller.join().unwrap_or_else(|_| panic!("{name}: the generator panicked"));
+    }
 }
 
 /// A workload-stream blueprint the proptest can both lazily generate from

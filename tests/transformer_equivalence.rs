@@ -62,8 +62,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A generator-backed source must simulate bit-identically to its
-    /// collected twin — the streaming path through `LazyPhases` is how the
-    /// experiments evaluate these workloads.
+    /// collected twin — the experiments evaluate these workloads by
+    /// pulling the generators' step iterators one phase at a time.
     #[test]
     fn streamed_simulates_identically_to_collected(
         shape in (head_pairs(), 1u64..3, 17u64..160, (any::<bool>(), 4u64..24)),
