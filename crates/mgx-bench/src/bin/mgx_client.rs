@@ -29,60 +29,49 @@
 
 use mgx_bench::take_flag;
 use mgx_core::Scheme;
-use mgx_serve::codec::evaluated_from_json;
-use mgx_serve::json::Json;
+use mgx_serve::codec::{evaluated_from_json, spec_from_wire};
+use mgx_serve::json::{self, Json};
 use mgx_serve::Client;
 use mgx_sim::experiments::{entry, Source, FIGURES};
-use mgx_sim::job::{scheme_from_label, JobSpec, Suite};
-use mgx_sim::{DramBackend, Scale};
+use mgx_sim::job::{JobSpec, Suite};
 
 fn die(msg: &str) -> ! {
     eprintln!("mgx-client: {msg}");
     std::process::exit(1);
 }
 
-/// Builds a spec from the CLI flags. `default_suite` is set by commands
-/// that imply the suite themselves (`render`); everything else requires
-/// `--suite` (or `--spec-json`).
+/// Builds a spec from the CLI flags. The flags become the spec object the
+/// server parses, so [`spec_from_wire`] checks each flag exactly as the
+/// server checks that field. `default_suite` is set by commands that imply
+/// the suite themselves (`render`); everything else requires `--suite` (or
+/// `--spec-json`).
 fn spec_from_flags(args: &mut Vec<String>, default_suite: Option<Suite>) -> JobSpec {
-    if let Some(raw) = take_flag(args, "--spec-json", "J") {
-        let v = Json::parse(&raw).unwrap_or_else(|e| die(&format!("--spec-json: {e}")));
-        return mgx_serve::codec::spec_from_wire(&v)
-            .unwrap_or_else(|e| die(&format!("--spec-json: {e}")));
-    }
-    let suite = match take_flag(args, "--suite", "S") {
-        Some(name) => {
-            Suite::from_name(&name).unwrap_or_else(|| die(&format!("unknown suite `{name}`")))
+    let v = match take_flag(args, "--spec-json", "J") {
+        Some(raw) => Json::parse(&raw).unwrap_or_else(|e| die(&format!("--spec-json: {e}"))),
+        None => {
+            let mut flag = |name, metavar| take_flag(args, name, metavar);
+            let (suite, scale, schemes, threads, backend) = (
+                flag("--suite", "S"),
+                flag("--scale", "S"),
+                flag("--schemes", "A,B"),
+                flag("--threads", "N"),
+                flag("--dram-model", "M"),
+            );
+            let suite = suite
+                .or_else(|| default_suite.map(|s| s.name().into()))
+                .unwrap_or_else(|| die("need --suite (or --spec-json)"));
+            let mut fields = vec![("suite", json::str(suite))];
+            fields.extend(scale.map(|s| ("scale", json::str(s))));
+            fields.extend(schemes.map(|list| {
+                let labels = list.split(',').filter(|s| !s.is_empty()).map(json::str).collect();
+                ("schemes", Json::Arr(labels))
+            }));
+            fields.extend(threads.map(|n| ("threads", Json::Num(n))));
+            fields.extend(backend.map(|m| ("backend", json::str(m))));
+            json::obj(fields)
         }
-        None => default_suite.unwrap_or_else(|| die("need --suite (or --spec-json)")),
     };
-    let scale = match take_flag(args, "--scale", "S").as_deref() {
-        None | Some("quick") => Scale::quick(),
-        Some("standard") => Scale::standard(),
-        Some(other) => die(&format!("unknown scale `{other}` (quick|standard)")),
-    };
-    let schemes: Vec<Scheme> = match take_flag(args, "--schemes", "A,B") {
-        None => Vec::new(),
-        Some(list) => list
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|label| {
-                scheme_from_label(label)
-                    .unwrap_or_else(|| die(&format!("unknown scheme `{label}`")))
-            })
-            .collect(),
-    };
-    let threads = take_flag(args, "--threads", "N")
-        .map(|t| t.parse().unwrap_or_else(|_| die("--threads takes an integer")))
-        .unwrap_or(1);
-    let backend = match take_flag(args, "--dram-model", "M") {
-        None => DramBackend::ClosedForm,
-        Some(name) => DramBackend::from_name(&name).unwrap_or_else(|| {
-            let known: Vec<&str> = DramBackend::ALL.iter().map(|b| b.name()).collect();
-            die(&format!("unknown dram model `{name}` ({})", known.join("|")))
-        }),
-    };
-    JobSpec { suite, scale, schemes, threads, backend }.canonicalize()
+    spec_from_wire(&v).unwrap_or_else(|e| die(&e))
 }
 
 fn connect(addr: &str) -> Client {

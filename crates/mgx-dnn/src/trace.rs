@@ -190,11 +190,11 @@ impl Lowering {
                 );
             }
             OpKind::Embedding { tables, rows_per_table, dim, lookups } => {
-                out.begin_phase(op.name.clone(), batch * tables * lookups);
+                out.begin_phase(batch * tables * lookups);
                 let row_bytes = dim * EMB_ELEM_BYTES;
                 let mut rng = 0x9e3779b97f4a7c15u64 ^ (i as u64);
-                for s in 0..batch {
-                    for (t, table) in plan.tables.iter().enumerate() {
+                for _ in 0..batch {
+                    for table in &plan.tables {
                         for _ in 0..lookups {
                             rng = rng
                                 .wrapping_mul(6364136223846793005)
@@ -205,7 +205,6 @@ impl Lowering {
                                 table.base + row * row_bytes,
                                 row_bytes,
                             ));
-                            let _ = (s, t);
                         }
                     }
                 }
@@ -256,7 +255,7 @@ impl Lowering {
     /// The loss layer writes the seed gradient.
     fn emit_loss(&self, plan: &BackwardPlan, out: &mut Trace) {
         let last = self.model.ops.len() - 1;
-        out.begin_phase("loss", 1000);
+        out.begin_phase(1000);
         out.push(MemRequest::write(
             plan.grads[last].region,
             plan.grads[last].base,
@@ -394,8 +393,7 @@ fn in_elems_per_sample(op: &Op, tokens: u64) -> u64 {
 /// Emits a multi-phase chunked transfer: `cycles` of compute split over
 /// enough phases that each moves at most ~1 MiB, with reads/writes divided
 /// proportionally. Used for streaming ops and backward GEMMs where
-/// fold-exact phasing adds nothing. Chunk phases are unnamed — they are
-/// the bulk of a training trace and their labels were never read.
+/// fold-exact phasing adds nothing.
 fn emit_chunked(out: &mut Trace, cycles: u64, reads: &[(Tensor, u64)], writes: &[(Tensor, u64)]) {
     let total: u64 = reads.iter().chain(writes).map(|(_, n)| *n).sum();
     let phases = total.div_ceil(1 << 20).clamp(1, 64);
@@ -406,7 +404,7 @@ fn emit_chunked(out: &mut Trace, cycles: u64, reads: &[(Tensor, u64)], writes: &
         (off, len)
     };
     for p in 0..phases {
-        out.begin_unnamed_phase(cycles / phases);
+        out.begin_phase(cycles / phases);
         for &(t, bytes) in reads {
             let (off, len) = slice(bytes.min(t.bytes), p);
             if len > 0 {

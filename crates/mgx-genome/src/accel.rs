@@ -138,9 +138,8 @@ pub fn stream_gact_trace(
         for cand in dsoft(&index, &read.seq, &params).iter().take(2) {
             for t in 0..tiles_per_read {
                 let ref_pos = (cand.ref_pos as u64 + t * tile).min(ref_len as u64 - tile);
-                // One phase per GACT tile — unnamed: a chromosome-scale
-                // run emits millions of these and the label is never read.
-                step.begin_unnamed_phase(cfg.tile_cycles());
+                // One phase per GACT tile.
+                step.begin_phase(cfg.tile_cycles());
                 step.push(MemRequest::read(
                     ref_region,
                     ref_base + ref_pos * cfg.ref_entry_bytes,

@@ -115,9 +115,8 @@ impl TileSchedule {
         let nnz = self.tile_nnz[db * self.src_tiles + st];
         let st_lo = st * cfg.src_tile;
         let st_hi = ((st + 1) * cfg.src_tile).min(self.n);
-        // One phase per (sweep, dst-block, src-tile) — unnamed: these are
-        // the bulk of a graph trace and the label is never read.
-        out.begin_unnamed_phase(nnz.div_ceil(cfg.lanes));
+        // One phase per (sweep, dst-block, src-tile).
+        out.begin_phase(nnz.div_ceil(cfg.lanes));
         if nnz > 0 {
             out.push(MemRequest::read(self.adj, self.bases.0 + *adj_off, nnz * cfg.entry_bytes));
             *adj_off += nnz * cfg.entry_bytes;

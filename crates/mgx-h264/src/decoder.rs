@@ -183,7 +183,7 @@ pub fn stream_decode_trace(
     let phases = gop.decode_order().into_iter().enumerate().flat_map(move |(i, display)| {
         let mut step = Trace::default();
         // Decode throughput ~1 px/cycle-ish: frame_bytes cycles per frame.
-        step.begin_phase(format!("frame{display}"), cfg.frame_bytes);
+        step.begin_phase(cfg.frame_bytes);
         let chunk = cfg.frame_bytes / cfg.compression;
         step.push(MemRequest::read(bitstream, bs_base + i as u64 * chunk, chunk.max(64)));
         for r in gop.references(display) {
@@ -282,8 +282,9 @@ mod tests {
         let gop = GopStructure::ibpb(8);
         let cfg = small_cfg();
         let t = stream_decode_trace(&gop, &cfg).collect_trace();
-        // Phase labels carry display numbers; find frame1 (B).
-        let b_phase = t.phases.iter().find(|p| p.label() == "frame1").unwrap();
+        // One phase per frame in decode order; find frame 1 (B).
+        let pos = gop.decode_order().iter().position(|&f| f == 1).unwrap();
+        let b_phase = &t.phases[pos];
         let frame_reads = b_phase
             .requests
             .iter()

@@ -152,97 +152,6 @@ fn chunk(bytes: u64, parts: u64, i: u64) -> (u64, u64) {
     (off, len)
 }
 
-/// The precomputed per-fold emission state of one GEMM: everything needed
-/// to emit any `(row_fold, col_fold)` phase independently.
-#[derive(Debug, Clone, Copy)]
-struct FoldEmitter {
-    g: Gemm,
-    cfg: ArrayConfig,
-    regions: GemmRegions,
-    cost: GemmCost,
-    cycles_per_fold: u64,
-    ifmap_total: u64,
-    ifmap_cached: bool,
-    ifmap_wrap: u64,
-    spilling: bool,
-}
-
-impl FoldEmitter {
-    /// Computes the fold structure for one GEMM (see [`gemm_cost`] for the
-    /// `ifmap_unique_bytes` override).
-    fn new(
-        g: &Gemm,
-        cfg: &ArrayConfig,
-        dataflow: Dataflow,
-        regions: &GemmRegions,
-        ifmap_unique_bytes: Option<u64>,
-    ) -> Self {
-        let cost = gemm_cost(g, cfg, dataflow, ifmap_unique_bytes);
-        let folds = cost.row_folds * cost.col_folds;
-        let ifmap_total = ifmap_unique_bytes.unwrap_or(g.m * g.k * cfg.dtype_bytes);
-        Self {
-            g: *g,
-            cfg: *cfg,
-            regions: *regions,
-            cost,
-            cycles_per_fold: cost.compute_cycles / folds,
-            ifmap_total,
-            ifmap_cached: cost.ifmap_read_bytes <= ifmap_total,
-            // The streamed volume may exceed the tensor itself (im2col
-            // re-reads); addresses wrap inside the tensor so re-reads
-            // revisit the same lines.
-            ifmap_wrap: regions.ifmap_payload.max(1),
-            spilling: cost.writes_per_output > 1,
-        }
-    }
-
-    /// Emits the phase of fold `(r, c)`. Fold phases are unnamed: a large
-    /// GEMM produces thousands of them and the label was never read
-    /// outside debug output, so they skip the per-phase label allocation.
-    fn emit_fold(&self, out: &mut Trace, r: u64, c: u64) {
-        let (rf, cf) = (self.cost.row_folds, self.cost.col_folds);
-        let folds = rf * cf;
-        let (ifr, ifb) = (self.regions.ifmap.0, self.regions.ifmap.1);
-        let (flr, flb) = (self.regions.filter.0, self.regions.filter.1);
-        let (ofr, ofb) = (self.regions.ofmap.0, self.regions.ofmap.1);
-        out.begin_unnamed_phase(self.cycles_per_fold);
-        // Weights: each fold loads its own slab exactly once.
-        let (w_off, w_len) = chunk(self.cost.filter_read_bytes, folds, c * rf + r);
-        if w_len > 0 {
-            out.push(MemRequest::read(flr, flb + w_off, w_len));
-        }
-        // Inputs: the row-fold slice of A streams in; re-read per
-        // column fold only if A does not fit on-chip.
-        if c == 0 || !self.ifmap_cached {
-            let (i_off, mut i_len) = chunk(self.ifmap_total, rf, r);
-            let mut off = i_off % self.ifmap_wrap;
-            while i_len > 0 {
-                let take = i_len.min(self.ifmap_wrap - off);
-                out.push(MemRequest::read(ifr, ifb + off, take));
-                i_len -= take;
-                off = 0;
-            }
-        }
-        // Outputs / partial sums for this column stripe.
-        let (o_off, o_len) = chunk(self.cost.ofmap_write_bytes, cf, c);
-        if self.spilling {
-            let (p_off, p_len) = chunk(self.g.m * self.g.n * self.cfg.acc_bytes, cf, c);
-            if r > 0 && p_len > 0 {
-                out.push(MemRequest::read(ofr, ofb + p_off, p_len));
-            }
-            if r < rf - 1 {
-                if p_len > 0 {
-                    out.push(MemRequest::write(ofr, ofb + p_off, p_len));
-                }
-            } else if o_len > 0 {
-                out.push(MemRequest::write(ofr, ofb + o_off, o_len));
-            }
-        } else if r == rf - 1 && o_len > 0 {
-            out.push(MemRequest::write(ofr, ofb + o_off, o_len));
-        }
-    }
-}
-
 /// Emits the fold-by-fold phases of one GEMM into `out`.
 ///
 /// Each `(row_fold, col_fold)` pair becomes one double-buffered phase whose
@@ -257,14 +166,60 @@ pub fn emit_gemm(
     regions: &GemmRegions,
     ifmap_unique_bytes: Option<u64>,
 ) -> GemmCost {
-    let emitter = FoldEmitter::new(g, cfg, dataflow, regions, ifmap_unique_bytes);
-    let (rf, cf) = (emitter.cost.row_folds, emitter.cost.col_folds);
+    let cost = gemm_cost(g, cfg, dataflow, ifmap_unique_bytes);
+    let (rf, cf) = (cost.row_folds, cost.col_folds);
+    let folds = rf * cf;
+    let cycles_per_fold = cost.compute_cycles / folds;
+    let (ifr, ifb) = regions.ifmap;
+    let (flr, flb) = regions.filter;
+    let (ofr, ofb) = regions.ofmap;
+    let ifmap_total = ifmap_unique_bytes.unwrap_or(g.m * g.k * cfg.dtype_bytes);
+    let ifmap_cached = cost.ifmap_read_bytes <= ifmap_total;
+    // The streamed volume may exceed the tensor itself (im2col re-reads);
+    // addresses wrap inside the tensor so re-reads revisit the same lines.
+    let ifmap_wrap = regions.ifmap_payload.max(1);
+    let spilling = cost.writes_per_output > 1;
+    let partial_bytes = g.m * g.n * cfg.acc_bytes;
     for c in 0..cf {
         for r in 0..rf {
-            emitter.emit_fold(out, r, c);
+            out.begin_phase(cycles_per_fold);
+            // Weights: each fold loads its own slab exactly once.
+            let (w_off, w_len) = chunk(cost.filter_read_bytes, folds, c * rf + r);
+            if w_len > 0 {
+                out.push(MemRequest::read(flr, flb + w_off, w_len));
+            }
+            // Inputs: the row-fold slice of A streams in; re-read per
+            // column fold only if A does not fit on-chip.
+            if c == 0 || !ifmap_cached {
+                let (i_off, mut i_len) = chunk(ifmap_total, rf, r);
+                let mut off = i_off % ifmap_wrap;
+                while i_len > 0 {
+                    let take = i_len.min(ifmap_wrap - off);
+                    out.push(MemRequest::read(ifr, ifb + off, take));
+                    i_len -= take;
+                    off = 0;
+                }
+            }
+            // Outputs / partial sums for this column stripe.
+            let (o_off, o_len) = chunk(cost.ofmap_write_bytes, cf, c);
+            if spilling {
+                let (p_off, p_len) = chunk(partial_bytes, cf, c);
+                if r > 0 && p_len > 0 {
+                    out.push(MemRequest::read(ofr, ofb + p_off, p_len));
+                }
+                if r < rf - 1 {
+                    if p_len > 0 {
+                        out.push(MemRequest::write(ofr, ofb + p_off, p_len));
+                    }
+                } else if o_len > 0 {
+                    out.push(MemRequest::write(ofr, ofb + o_off, o_len));
+                }
+            } else if r == rf - 1 && o_len > 0 {
+                out.push(MemRequest::write(ofr, ofb + o_off, o_len));
+            }
         }
     }
-    emitter.cost
+    cost
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! The canonical *serializers* live in [`mgx_sim::job`] (they are pure
 //! `format!` and the simulator side must not depend on this crate); the
 //! *parsers* live here because only the service stack carries the JSON
-//! reader. Parsing is strict: unknown suites, unknown scheme labels, and
-//! zero scale knobs are rejected with a human-readable reason that the
-//! server forwards verbatim to the client.
+//! reader. Parsing is strict: unknown spec fields, suites, scheme labels
+//! and scale knobs, and zero scale knobs, are rejected with a
+//! human-readable reason that the server forwards verbatim to the client.
 
 use crate::json::Json;
 use mgx_core::{MetaTraffic, Scheme};
@@ -30,16 +30,26 @@ pub fn spec_to_wire(spec: &JobSpec) -> String {
     )
 }
 
+/// The fields a spec object may carry.
+const SPEC_FIELDS: [&str; 5] = ["suite", "scale", "schemes", "threads", "backend"];
+
 /// Parses and validates a spec object.
 ///
-/// `scale` accepts the preset names `"quick"` / `"standard"` or an object
-/// with any subset of the eight knobs (missing knobs default to
-/// [`Scale::quick`], so a tiny request stays tiny by default). `schemes`
+/// Any field other than `suite`, `scale`, `schemes`, `threads` and
+/// `backend` is an error. `scale` accepts the preset names `"quick"` /
+/// `"standard"` or an object with any subset of the eight knobs of
+/// [`Scale::knobs`] (missing knobs default to [`Scale::quick`], so a tiny
+/// request stays tiny by default; any other key is an error). `schemes`
 /// is optional (absent/empty = all five); `threads` is optional
 /// (default 1); `backend` is optional (default `"closed-form"` — the
 /// digest-relevant DRAM timing backend, see
 /// [`mgx_sim::DramBackend`](mgx_dram::DramBackend)).
 pub fn spec_from_wire(v: &Json) -> Result<JobSpec, String> {
+    if let Json::Obj(fields) = v {
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !SPEC_FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown spec field `{key}` (known: {})", SPEC_FIELDS.join(", ")));
+        }
+    }
     let suite_name = v.get("suite").and_then(Json::as_str).ok_or("spec needs a `suite` string")?;
     let suite = Suite::from_name(suite_name).ok_or_else(|| {
         let known: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
@@ -89,40 +99,23 @@ fn scale_from_wire(v: &Json) -> Result<Scale, String> {
             "standard" => Ok(Scale::standard()),
             other => Err(format!("unknown scale preset `{other}` (quick|standard)")),
         },
-        Json::Obj(_) => {
+        Json::Obj(fields) => {
             let mut s = Scale::quick();
-            let knob = |key: &str| -> Result<Option<u64>, String> {
-                match v.get(key) {
-                    None => Ok(None),
-                    Some(n) => n
-                        .as_u64()
-                        .map(Some)
-                        .ok_or_else(|| format!("scale knob `{key}` must be an integer")),
+            for (key, _) in fields {
+                // `get` reads the first occurrence of a repeated key. The
+                // key is checked before its value, so a misspelt knob is
+                // reported as unknown whatever value it carries.
+                let n = v.get(key).and_then(Json::as_u64);
+                if !s.set(key, n.unwrap_or(0)) {
+                    let known: Vec<&str> = s.knobs().iter().map(|&(name, _)| name).collect();
+                    return Err(format!(
+                        "unknown scale knob `{key}` (known: {})",
+                        known.join(", ")
+                    ));
                 }
-            };
-            if let Some(n) = knob("dnn_batch")? {
-                s.dnn_batch = n;
-            }
-            if let Some(n) = knob("bert_seq")? {
-                s.bert_seq = n;
-            }
-            if let Some(n) = knob("graph_divisor")? {
-                s.graph_divisor = n;
-            }
-            if let Some(n) = knob("pr_iters")? {
-                s.pr_iters = n as usize;
-            }
-            if let Some(n) = knob("genome_reads")? {
-                s.genome_reads = n as usize;
-            }
-            if let Some(n) = knob("genome_read_len")? {
-                s.genome_read_len = n as usize;
-            }
-            if let Some(n) = knob("genome_divisor")? {
-                s.genome_divisor = n as usize;
-            }
-            if let Some(n) = knob("video_frames")? {
-                s.video_frames = n as usize;
+                if n.is_none() {
+                    return Err(format!("scale knob `{key}` must be an integer"));
+                }
             }
             Ok(s)
         }
@@ -251,6 +244,11 @@ mod tests {
             (r#"{"suite":"video","scale":"slow"}"#, "preset"),
             (r#"{"suite":"video","scale":{"video_frames":0}}"#, "video_frames"),
             (r#"{"suite":"video","threads":-1}"#, "threads"),
+            (r#"{"suite":"video","backned":"queued"}"#, "unknown spec field `backned`"),
+            (
+                r#"{"suite":"video","scale":{"video_framse":2}}"#,
+                "unknown scale knob `video_framse`",
+            ),
         ] {
             let err = spec_from_wire(&Json::parse(src).unwrap()).unwrap_err();
             assert!(err.contains(needle), "`{src}` → `{err}` should mention `{needle}`");

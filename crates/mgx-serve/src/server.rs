@@ -576,6 +576,7 @@ mod tests {
             ("{\"op\":\"teleport\"}", "unknown op"),
             ("{\"op\":\"submit\"}", "needs a `spec`"),
             ("{\"op\":\"submit\",\"spec\":{\"suite\":\"nope\"}}", "unknown suite"),
+            ("{\"op\":\"run\",\"spec\":{\"suite\":\"video\",\"x\":1}}", "unknown spec field"),
             ("{\"op\":\"fetch\",\"job\":\"zz\"}", "not a 16-hex"),
             ("{\"op\":\"fetch\",\"job\":\"00000000000000aa\"}", "unknown job"),
         ] {

@@ -122,20 +122,8 @@ impl JobSpec {
     /// (any zero scale knob would divide by zero or generate an empty
     /// workload). Returns a human-readable reason.
     pub fn validate(&self) -> Result<(), String> {
-        let s = &self.scale;
-        for (name, v) in [
-            ("dnn_batch", s.dnn_batch),
-            ("bert_seq", s.bert_seq),
-            ("graph_divisor", s.graph_divisor),
-            ("pr_iters", s.pr_iters as u64),
-            ("genome_reads", s.genome_reads as u64),
-            ("genome_read_len", s.genome_read_len as u64),
-            ("genome_divisor", s.genome_divisor as u64),
-            ("video_frames", s.video_frames as u64),
-        ] {
-            if v == 0 {
-                return Err(format!("scale knob `{name}` must be >= 1"));
-            }
+        if let Some((name, _)) = self.scale.knobs().into_iter().find(|&(_, v)| v == 0) {
+            return Err(format!("scale knob `{name}` must be >= 1"));
         }
         if self.threads > 1024 {
             return Err("threads must be <= 1024".into());
@@ -286,18 +274,8 @@ impl JobSpec {
 
 /// Canonical JSON for the scale knobs, fields in declaration order.
 pub fn scale_json(s: &Scale) -> String {
-    format!(
-        "{{\"dnn_batch\":{},\"bert_seq\":{},\"graph_divisor\":{},\"pr_iters\":{},\
-         \"genome_reads\":{},\"genome_read_len\":{},\"genome_divisor\":{},\"video_frames\":{}}}",
-        s.dnn_batch,
-        s.bert_seq,
-        s.graph_divisor,
-        s.pr_iters,
-        s.genome_reads,
-        s.genome_read_len,
-        s.genome_divisor,
-        s.video_frames
-    )
+    let knobs: Vec<String> = s.knobs().iter().map(|(name, v)| format!("\"{name}\":{v}")).collect();
+    format!("{{{}}}", knobs.join(","))
 }
 
 fn traffic_json(t: &mgx_trace::Traffic) -> String {
@@ -429,6 +407,21 @@ mod tests {
             JobSpec { suite: Suite::Genome, ..tiny_video_spec() }.digest(),
             spec.digest(),
             "suite is part of the identity"
+        );
+    }
+
+    #[test]
+    fn canonical_json_is_pinned() {
+        // Store keys hash this string: any byte it moves orphans every
+        // stored result.
+        let spec =
+            JobSpec::suite_sweep(Suite::DnnInference, Scale::quick(), 1, DramBackend::ClosedForm);
+        assert_eq!(
+            spec.canonical_json(),
+            "{\"suite\":\"dnn-inference\",\"scale\":{\"dnn_batch\":2,\"bert_seq\":64,\
+             \"graph_divisor\":96,\"pr_iters\":2,\"genome_reads\":10,\"genome_read_len\":1280,\
+             \"genome_divisor\":2000,\"video_frames\":16},\
+             \"schemes\":[\"NP\",\"BP\",\"MGX\",\"MGX_VN\",\"MGX_MAC\"],\"backend\":\"closed-form\"}"
         );
     }
 

@@ -285,7 +285,7 @@ fn issue(dram: &mut dyn DramModel, arrival: u64, b: LineBurst, path: TxnPath) ->
 ///
 /// let mut trace = Trace::default();
 /// let r = trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
-/// trace.begin_phase("p0", 1000);
+/// trace.begin_phase(1000);
 /// trace.push(MemRequest::read(r, 0, 4096));
 ///
 /// // One scheme…
@@ -369,7 +369,7 @@ mod tests {
         let r = trace.regions.alloc("buf", mib << 20, DataClass::Feature);
         let base = trace.regions.get(r).base;
         for i in 0..(mib << 20) / TILE {
-            trace.begin_unnamed_phase(0); // pure streaming: memory-bound
+            trace.begin_phase(0); // pure streaming: memory-bound
             let addr = base + i * TILE;
             if i % 4 < write_fraction_pct / 25 {
                 trace.push(MemRequest::write(r, addr, TILE));
@@ -430,7 +430,7 @@ mod tests {
         let r = trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
         let base = trace.regions.get(r).base;
         for i in 0..64u64 {
-            trace.begin_unnamed_phase(1_000_000);
+            trace.begin_phase(1_000_000);
             trace.push(MemRequest::read(r, base + i * 4096, 4096));
         }
         let results = Simulation::over(&trace).config(cfg()).run_all();
@@ -444,7 +444,7 @@ mod tests {
         let mut trace = Trace::default();
         let r = trace.regions.alloc("buf", 1 << 20, DataClass::Reference);
         let base = trace.regions.get(r).base;
-        trace.begin_phase("tile", 7000); // 7000 accel cycles @700MHz = 12000 DRAM cycles
+        trace.begin_phase(7000); // 7000 accel cycles @700MHz = 12000 DRAM cycles
         trace.push(MemRequest::read(r, base, 4096));
         let overlapped = Simulation::over(&trace)
             .config(SimConfig { mode: PhaseMode::Overlapped, ..cfg() })
@@ -461,7 +461,7 @@ mod tests {
         let r = trace.regions.alloc("buf", 16 << 20, DataClass::Reference);
         let base = trace.regions.get(r).base;
         for i in 0..256u64 {
-            trace.begin_unnamed_phase(20_000);
+            trace.begin_phase(20_000);
             trace.push(MemRequest::read(r, base + i * 4096, 4096));
         }
         let one = Simulation::over(&trace)
@@ -505,7 +505,7 @@ mod tests {
         let mut trace = Trace::default();
         trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
         for _ in 0..7000u64 {
-            trace.begin_unnamed_phase(1); // odd cycle count on purpose
+            trace.begin_phase(1); // odd cycle count on purpose
         }
         let r = Simulation::over(&trace).config(cfg()).run();
         assert_eq!(r.dram_cycles, 12_000, "7000 × 12/7 must be exact, not floored per phase");
@@ -518,7 +518,7 @@ mod tests {
         let mut trace = Trace::default();
         trace.regions.alloc("buf", 1 << 20, DataClass::Feature);
         for _ in 0..700u64 {
-            trace.begin_unnamed_phase(3); // 3 × 1200/700 = 36/7 per phase
+            trace.begin_phase(3); // 3 × 1200/700 = 36/7 per phase
         }
         let serial = Simulation::over(&trace)
             .config(SimConfig { mode: PhaseMode::Serial { units: 1 }, ..cfg() })
@@ -656,7 +656,7 @@ mod tests {
         let mut i = 0u64;
         let phases = std::iter::from_fn(move || {
             (i < (1 << 20) / TILE).then(|| {
-                let mut p = mgx_trace::Phase::unnamed(0);
+                let mut p = mgx_trace::Phase::new(0);
                 p.requests.push(MemRequest::read(r, base + i * TILE, TILE));
                 i += 1;
                 p

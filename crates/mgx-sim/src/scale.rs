@@ -55,6 +55,38 @@ impl Scale {
             video_frames: 32,
         }
     }
+
+    /// Every knob as `(name, value)`, in declaration order: the one list
+    /// the wire format, the validator and the parser share.
+    pub fn knobs(&self) -> [(&'static str, u64); 8] {
+        [
+            ("dnn_batch", self.dnn_batch),
+            ("bert_seq", self.bert_seq),
+            ("graph_divisor", self.graph_divisor),
+            ("pr_iters", self.pr_iters as u64),
+            ("genome_reads", self.genome_reads as u64),
+            ("genome_read_len", self.genome_read_len as u64),
+            ("genome_divisor", self.genome_divisor as u64),
+            ("video_frames", self.video_frames as u64),
+        ]
+    }
+
+    /// Sets the knob called `name` (see [`Scale::knobs`]) to `value`;
+    /// `false` if no knob has that name.
+    pub fn set(&mut self, name: &str, value: u64) -> bool {
+        match name {
+            "dnn_batch" => self.dnn_batch = value,
+            "bert_seq" => self.bert_seq = value,
+            "graph_divisor" => self.graph_divisor = value,
+            "pr_iters" => self.pr_iters = value as usize,
+            "genome_reads" => self.genome_reads = value as usize,
+            "genome_read_len" => self.genome_read_len = value as usize,
+            "genome_divisor" => self.genome_divisor = value as usize,
+            "video_frames" => self.video_frames = value as usize,
+            _ => return false,
+        }
+        true
+    }
 }
 
 impl Default for Scale {
@@ -75,5 +107,16 @@ mod tests {
         assert!(q.graph_divisor >= s.graph_divisor);
         assert!(q.genome_reads <= s.genome_reads);
         assert_eq!(Scale::default(), s);
+    }
+
+    #[test]
+    fn every_knob_can_be_set_by_name() {
+        let mut s = Scale::standard();
+        for (name, value) in Scale::quick().knobs() {
+            assert!(s.set(name, value), "{name}");
+        }
+        assert_eq!(s, Scale::quick());
+        assert!(!s.set("video_framse", 2));
+        assert_eq!(s, Scale::quick());
     }
 }

@@ -35,17 +35,6 @@ pub enum DataClass {
     Other,
 }
 
-impl DataClass {
-    /// `true` if the accelerator never writes this region during a kernel
-    /// (so one constant VN covers all reads).
-    pub fn read_only_during_kernel(self) -> bool {
-        matches!(
-            self,
-            DataClass::Adjacency | DataClass::Reference | DataClass::Query | DataClass::Bitstream
-        )
-    }
-}
-
 /// Identifier of a region inside a [`RegionMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub u32);
@@ -67,11 +56,6 @@ impl Region {
     /// End address (exclusive).
     pub fn end(&self) -> u64 {
         self.base + self.bytes
-    }
-
-    /// `true` if `addr` falls inside the region.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.end()
     }
 }
 
@@ -113,20 +97,8 @@ impl RegionMap {
     pub fn alloc(&mut self, name: impl Into<String>, bytes: u64, class: DataClass) -> RegionId {
         let base = self.next_base.next_multiple_of(REGION_ALIGN);
         self.next_base = base + bytes;
-        self.push(Region { name: name.into(), base, bytes, class })
-    }
-
-    /// Adds a region at an explicit address (used by models that manage
-    /// their own layout, e.g. ping-pong feature buffers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region overlaps the allocator watermark direction is
-    /// not checked — callers placing explicit regions own their layout.
-    pub fn push(&mut self, region: Region) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
-        self.next_base = self.next_base.max(region.end());
-        self.regions.push(region);
+        self.regions.push(Region { name: name.into(), base, bytes, class });
         id
     }
 
@@ -149,19 +121,9 @@ impl RegionMap {
         self.regions.is_empty()
     }
 
-    /// Total bytes spanned (high watermark of the allocator).
-    pub fn footprint(&self) -> u64 {
-        self.next_base
-    }
-
     /// Iterates over `(id, region)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RegionId, &Region)> {
         self.regions.iter().enumerate().map(|(i, r)| (RegionId(i as u32), r))
-    }
-
-    /// Finds the region containing `addr`, if any.
-    pub fn find(&self, addr: u64) -> Option<RegionId> {
-        self.iter().find(|(_, r)| r.contains(addr)).map(|(id, _)| id)
     }
 }
 
@@ -178,31 +140,5 @@ mod tests {
         assert_eq!(ra.base % 4096, 0);
         assert_eq!(rb.base % 4096, 0);
         assert!(ra.end() <= rb.base, "regions must not overlap");
-    }
-
-    #[test]
-    fn find_locates_containing_region() {
-        let mut m = RegionMap::new();
-        let a = m.alloc("a", 4096, DataClass::Feature);
-        let b = m.alloc("b", 4096, DataClass::Weight);
-        assert_eq!(m.find(m.get(a).base + 10), Some(a));
-        assert_eq!(m.find(m.get(b).base), Some(b));
-        assert_eq!(m.find(m.footprint() + 4096), None);
-    }
-
-    #[test]
-    fn read_only_classes() {
-        assert!(DataClass::Adjacency.read_only_during_kernel());
-        assert!(DataClass::Reference.read_only_during_kernel());
-        assert!(!DataClass::Feature.read_only_during_kernel());
-        assert!(!DataClass::Frame.read_only_during_kernel());
-    }
-
-    #[test]
-    fn footprint_tracks_high_watermark() {
-        let mut m = RegionMap::new();
-        assert_eq!(m.footprint(), 0);
-        m.alloc("a", 10_000, DataClass::Other);
-        assert!(m.footprint() >= 10_000);
     }
 }

@@ -31,7 +31,7 @@
 //! // One step per tile; each step writes its phases into a fresh `Trace`.
 //! let phases = (0..4u64).flat_map(move |i| {
 //!     let mut step = Trace::default();
-//!     step.begin_unnamed_phase(1000);
+//!     step.begin_phase(1000);
 //!     step.push(MemRequest::read(r, base + i * 4096, 4096));
 //!     step.phases
 //! });
@@ -109,9 +109,9 @@ mod tests {
         let mut t = Trace::default();
         let r = t.regions.alloc("r", 1 << 20, DataClass::Feature);
         let base = t.regions.get(r).base;
-        t.begin_phase("p0", 10);
+        t.begin_phase(10);
         t.push(MemRequest::read(r, base, 4096));
-        t.begin_phase("p1", 20);
+        t.begin_phase(20);
         t.push(MemRequest::write(r, base, 64));
         t
     }
@@ -123,8 +123,8 @@ mod tests {
         assert_eq!(collected.phases.len(), t.phases.len());
         let (regions, phases) = t.clone().into_stream();
         assert_eq!(regions.len(), 1);
-        let labels: Vec<String> = phases.map(|p| p.label().to_string()).collect();
-        assert_eq!(labels, vec!["p0", "p1"]);
+        let cycles: Vec<u64> = phases.map(|p| p.compute_cycles).collect();
+        assert_eq!(cycles, vec![10, 20]);
     }
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
         let mut i = 0u64;
         let gen = std::iter::from_fn(move || {
             (i < 3).then(|| {
-                let mut p = Phase::new(format!("g{i}"), 5);
+                let mut p = Phase::new(5);
                 p.requests.push(MemRequest::read(r, base + i * 64, 64));
                 i += 1;
                 p

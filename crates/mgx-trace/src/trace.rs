@@ -63,11 +63,6 @@ impl<'a> core::iter::Sum<&'a Traffic> for Traffic {
 /// the slower side dominates).
 #[derive(Debug, Clone, Default)]
 pub struct Phase {
-    /// Optional label for diagnostics (layer name, tile id, …). `None` for
-    /// the bulk tile phases the hot generators emit: the label is only
-    /// ever read by debug/figure output, and a million-phase stream must
-    /// not pay a heap allocation per phase just to carry `"p{i}"`.
-    pub label: Option<Box<str>>,
     /// Compute cycles at the *accelerator* clock.
     pub compute_cycles: u64,
     /// Ordered data movements issued during the phase.
@@ -75,20 +70,9 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// Creates an empty named phase.
-    pub fn new(label: impl Into<String>, compute_cycles: u64) -> Self {
-        Self { label: Some(label.into().into_boxed_str()), compute_cycles, requests: Vec::new() }
-    }
-
-    /// Creates an empty unlabeled phase — the allocation-free constructor
-    /// for per-tile phases in streaming generators.
-    pub fn unnamed(compute_cycles: u64) -> Self {
-        Self { label: None, compute_cycles, requests: Vec::new() }
-    }
-
-    /// The label for display, empty if the phase is unnamed.
-    pub fn label(&self) -> &str {
-        self.label.as_deref().unwrap_or("")
+    /// Creates an empty phase of `compute_cycles`.
+    pub fn new(compute_cycles: u64) -> Self {
+        Self { compute_cycles, requests: Vec::new() }
     }
 
     /// Raw data traffic of this phase (no protection metadata).
@@ -104,8 +88,8 @@ impl Phase {
 /// A complete application run: region declarations plus ordered phases.
 ///
 /// `Trace` is also the one phase writer: every generator emits through
-/// [`Trace::begin_phase`] (or [`Trace::begin_unnamed_phase`]), which opens
-/// a phase, and [`Trace::push`], which appends a request to the last one.
+/// [`Trace::begin_phase`], which opens a phase, and [`Trace::push`], which
+/// appends a request to the last one.
 /// A streaming generator writes each step into a fresh `Trace` and yields
 /// its `phases`.
 ///
@@ -116,7 +100,7 @@ impl Phase {
 ///
 /// let mut t = Trace::default();
 /// let w = t.regions.alloc("weights", 1 << 20, DataClass::Weight);
-/// t.begin_phase("layer0", 10_000);
+/// t.begin_phase(10_000);
 /// t.push(MemRequest::read(w, 0, 4096));
 /// assert_eq!(t.phases.len(), 1);
 /// assert_eq!(t.traffic().read_bytes, 4096);
@@ -130,17 +114,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Opens a new labelled phase; later requests append to it.
-    pub fn begin_phase(&mut self, label: impl Into<String>, compute_cycles: u64) {
-        self.phases.push(Phase::new(label, compute_cycles));
-    }
-
-    /// Opens a new unlabelled phase. Hot generators emit one per tile, and
-    /// an unlabelled phase carries no heap-allocated label, so per-tile
-    /// emission stays allocation-free. Use [`Trace::begin_phase`] only
-    /// where the label is worth reading back (per-op or per-frame phases).
-    pub fn begin_unnamed_phase(&mut self, compute_cycles: u64) {
-        self.phases.push(Phase::unnamed(compute_cycles));
+    /// Opens a new phase of `compute_cycles`; later requests append to it.
+    pub fn begin_phase(&mut self, compute_cycles: u64) {
+        self.phases.push(Phase::new(compute_cycles));
     }
 
     /// Appends a request to the last phase.
@@ -196,30 +172,18 @@ mod tests {
     fn builder_seals_phases_in_order() {
         let mut t = Trace::default();
         t.regions.alloc("r", 4096, DataClass::Other);
-        t.begin_phase("p0", 10);
+        t.begin_phase(10);
         t.push(req(Dir::Read, 64));
-        t.begin_phase("p1", 20);
+        t.begin_phase(20);
         t.push(req(Dir::Write, 128));
         t.push(req(Dir::Read, 64));
         assert_eq!(t.phases.len(), 2);
-        assert_eq!(t.phases[0].label(), "p0");
+        assert_eq!(t.phases[0].compute_cycles, 10);
         assert_eq!(t.phases[0].requests.len(), 1);
         assert_eq!(t.phases[1].requests.len(), 2);
         assert_eq!(t.compute_cycles(), 30);
         assert_eq!(t.traffic(), Traffic { read_bytes: 128, write_bytes: 128 });
         assert_eq!(t.request_count(), 3);
-    }
-
-    #[test]
-    fn unnamed_phases_carry_no_label() {
-        let mut t = Trace::default();
-        t.regions.alloc("r", 4096, DataClass::Other);
-        t.begin_unnamed_phase(7);
-        t.push(req(Dir::Read, 64));
-        assert_eq!(t.phases[0].label, None);
-        assert_eq!(t.phases[0].label(), "");
-        assert_eq!(t.phases[0].compute_cycles, 7);
-        assert_eq!(Phase::unnamed(3).compute_cycles, 3);
     }
 
     #[test]
@@ -235,7 +199,7 @@ mod tests {
     #[should_panic(expected = "zero-byte request")]
     fn push_rejects_zero_byte_requests() {
         let mut t = Trace::default();
-        t.begin_phase("p", 0);
+        t.begin_phase(0);
         t.push(req(Dir::Read, 0));
     }
 

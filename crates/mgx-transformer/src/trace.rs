@@ -169,7 +169,7 @@ impl Lowering {
         let hout = self.hid[((l + 1) % 2) as usize];
         if l == 0 {
             // Token embedding lookup for the step's fresh tokens.
-            out.begin_phase("embed", (rows * d).div_ceil(cfg.rows).max(1));
+            out.begin_phase((rows * d).div_ceil(cfg.rows).max(1));
             out.push(MemRequest::write(self.act.0, hin, rows * d * dt));
         }
         let wb = self.weights.1 + l * self.layer_w_bytes;
@@ -210,7 +210,7 @@ impl Lowering {
         let slot = m.kv_dim() * cfg.dtype_bytes;
         let (new, win) = (self.new_tokens, self.window);
         let cycles = (self.req.batch * new * 2 * m.kv_dim()).div_ceil(cfg.rows).max(1);
-        out.begin_phase(format!("l{l}.kv"), cycles);
+        out.begin_phase(cycles);
         // Only the trailing `keep` tokens survive if a single step exceeds
         // the window (a prefill longer than the sliding window).
         let keep = new.min(win);
@@ -268,7 +268,7 @@ impl Lowering {
         // QKᵀ plus attention·V: 2 MACs per (query token, context slot,
         // d_model) triple, spread over the whole array.
         let cycles = (2 * self.rows * ctx_now * d).div_ceil(cfg.pe_count()).max(1);
-        out.begin_phase(format!("l{l}.attn"), cycles);
+        out.begin_phase(cycles);
         out.push(MemRequest::read(self.act.0, self.qkv_out, self.rows * d * dt));
         // K/V streams newest-to-oldest. The online softmax does not depend
         // on read order, so any order is a faithful kernel; this one is kept

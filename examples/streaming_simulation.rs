@@ -31,7 +31,7 @@ fn tile_stream() -> (RegionMap, impl Iterator<Item = Phase>) {
     let mut i = 0u64;
     let stream = std::iter::from_fn(move || {
         (i < phases).then(|| {
-            let mut p = Phase::unnamed(0); // no per-tile label allocation
+            let mut p = Phase::new(0); // memory-bound: no compute to overlap
             for k in 0..3 {
                 p.requests.push(MemRequest::read(r, rb + ((3 * i + k) % slots) * TILE, TILE));
             }

@@ -35,7 +35,7 @@ fn ping_pong_trace(phases: u64) -> Trace {
     let r = trace.regions.alloc("buf", 4 * TILE, DataClass::Feature);
     let base = trace.regions.get(r).base;
     for i in 0..phases {
-        trace.begin_unnamed_phase(500);
+        trace.begin_phase(500);
         trace.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
         trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
     }
@@ -50,7 +50,7 @@ fn frame_ring_trace(phases: u64) -> Trace {
     let base = trace.regions.get(r).base;
     let slot = |i: u64| base + (i % 4) * TILE;
     for i in 0..phases {
-        trace.begin_unnamed_phase(800);
+        trace.begin_phase(800);
         trace.push(MemRequest::read(r, slot(i + 2), TILE / 2));
         trace.push(MemRequest::read(r, slot(i + 3), TILE / 2));
         trace.push(MemRequest::write(r, slot(i), TILE));
@@ -64,7 +64,7 @@ fn stream_trace(phases: u64) -> Trace {
     let r = trace.regions.alloc("stream", phases * TILE, DataClass::Feature);
     let base = trace.regions.get(r).base;
     for i in 0..phases {
-        trace.begin_unnamed_phase(200);
+        trace.begin_phase(200);
         if i % 4 == 0 {
             trace.push(MemRequest::write(r, base + i * TILE, TILE));
         } else {
@@ -89,12 +89,12 @@ fn interleaved_trace(phases: u64) -> Trace {
     ];
     for i in 0..phases {
         if i % 2 == 0 {
-            trace.begin_unnamed_phase(500);
+            trace.begin_phase(500);
             trace.push(MemRequest::read(r, base + (i % 4) / 2 * TILE, TILE));
             trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
         } else {
             let (off, bytes, compute) = odd[((i / 2) % 4) as usize];
-            trace.begin_unnamed_phase(compute);
+            trace.begin_phase(compute);
             trace.push(MemRequest::read(r, base + off, bytes));
         }
     }
@@ -109,7 +109,7 @@ fn refresh_gap_trace(phases: u64, gap_cycles: u64) -> Trace {
     let r = trace.regions.alloc("gap", 4 * TILE, DataClass::Feature);
     let base = trace.regions.get(r).base;
     for i in 0..phases {
-        trace.begin_unnamed_phase(if i % 2 == 0 { gap_cycles } else { 500 });
+        trace.begin_phase(if i % 2 == 0 { gap_cycles } else { 500 });
         trace.push(MemRequest::read(r, base + (i % 2) * TILE, TILE));
         trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
     }
@@ -179,21 +179,21 @@ fn inject_trace(specs: &[Inject]) -> Trace {
     for &spec in specs {
         match spec {
             Inject::Recur => {
-                trace.begin_unnamed_phase(500);
+                trace.begin_phase(500);
                 trace.push(MemRequest::read(r, base + (recur % 2) * TILE, TILE));
                 trace.push(MemRequest::write(r, base + 2 * TILE, TILE));
                 recur += 1;
             }
             Inject::Gap { cycles } => {
-                trace.begin_unnamed_phase(cycles);
+                trace.begin_phase(cycles);
                 trace.push(MemRequest::read(r, base, 64));
             }
             Inject::Odd { offset, bytes } => {
-                trace.begin_unnamed_phase(300);
+                trace.begin_phase(300);
                 trace.push(MemRequest::read(r, base + 4 * TILE + (offset & !63), bytes));
             }
             Inject::Thrash => {
-                trace.begin_unnamed_phase(1000);
+                trace.begin_phase(1000);
                 trace.push(MemRequest::read(r, base + (4 << 20), 2 << 20));
             }
         }

@@ -233,7 +233,7 @@ fn spec_regions() -> (RegionMap, Vec<(mgx::trace::RegionId, u64, u64)>) {
 }
 
 fn spec_phase(meta: &[(mgx::trace::RegionId, u64, u64)], spec: &PhaseSpec) -> Phase {
-    let mut p = Phase::unnamed(spec.0);
+    let mut p = Phase::new(spec.0);
     for &(region_idx, tile, write) in &spec.1 {
         let (id, base, bytes) = meta[region_idx % meta.len()];
         // Derive an in-bounds, nonzero request from the raw tile value.
