@@ -161,25 +161,36 @@ pub fn all(scale: &Scale, threads: usize) -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// Runs one ablation at batch 1 over ResNet traces shared by every
+    /// test here, so the two traces are built once per test binary.
+    fn run(id: &str) -> Figure {
+        static TRACES: OnceLock<[Trace; 2]> = OnceLock::new();
+        let traces =
+            TRACES.get_or_init(|| resnet_traces(&Scale { dnn_batch: 1, ..Scale::quick() }));
+        simulate(ABLATIONS.iter().find(|a| a.id == id).unwrap(), traces)
+    }
 
     #[test]
-    fn ablations_support_the_paper_claims() {
-        let traces = resnet_traces(&Scale { dnn_batch: 1, ..Scale::quick() });
-        let run = |id| simulate(ABLATIONS.iter().find(|a| a.id == id).unwrap(), &traces);
-
+    fn cache_sweep_small_caches_hurt() {
         let fig = run("ablation-cache");
         assert_eq!(fig.rows.len(), 6);
         let first = fig.rows.first().unwrap().normalized_time; // 8 KB
         let last = fig.rows.last().unwrap().normalized_time; // 1 MB
-                                                             // The paper's claim: bigger caches barely help until they capture
-                                                             // cross-layer reuse — so 1 MB must not be dramatically better, and
-                                                             // can never be worse than 8 KB.
+
+        // The paper's claim: bigger caches barely help until they capture
+        // cross-layer reuse — so 1 MB must not be dramatically better, and
+        // can never be worse than 8 KB.
         assert!(last <= first + 1e-9, "bigger cache can't hurt: {first:.3} → {last:.3}");
         assert!(
             last > 1.0 + (first - 1.0) * 0.3,
             "even 1 MB keeps most of the overhead ({first:.3} → {last:.3})"
         );
+    }
 
+    #[test]
+    fn granularity_sweep_is_monotone_in_traffic() {
         let fig = run("ablation-granularity");
         let traffic: Vec<f64> = fig.rows.iter().map(|r| r.traffic_increase).collect();
         for w in traffic.windows(2) {
@@ -193,7 +204,10 @@ mod tests {
         assert!(at_512 < 1.02, "512 B total overhead {at_512:.4} under 2%");
         assert!(at_512 - asymptote < 0.017, "512 B near the knee: {at_512:.4} vs {asymptote:.4}");
         assert!(at_64 > 1.10, "64 B MACs are expensive: {at_64:.4}");
+    }
 
+    #[test]
+    fn split_counter_sits_between_mgx_and_mee() {
         let fig = run("ablation-vn-scheme");
         assert_eq!(fig.rows.len(), 3);
         assert_eq!(fig.rows[2].scheme.label(), "BP_SC");
@@ -202,7 +216,10 @@ mod tests {
         let sc = fig.rows[2].traffic_increase;
         assert!(mgx < sc, "MGX {mgx:.3} must beat split counters {sc:.3}");
         assert!(sc < mee, "split counters {sc:.3} must beat MEE {mee:.3}");
+    }
 
+    #[test]
+    fn dataflow_changes_protection_cost() {
         let fig = run("ablation-dataflow");
         assert_eq!(fig.rows.len(), 4);
         // MGX stays near zero under both dataflows.
