@@ -21,13 +21,14 @@
 //!   --schemes A,B    subset of NP,BP,MGX,MGX_VN,MGX_MAC (default all)
 //!   --threads N      sweep fan-out on the server (default 1)
 //!   --dram-model M   closed-form|queued DRAM timing backend (default closed-form)
-//!   --spec-json J    raw spec object (overrides the flags above)
+//!   --spec-json J    raw spec object (instead of the flags above)
 //! ```
 //!
-//! A valued flag without its value exits 2 with a `--flag METAVAR` hint
-//! before any connection opens; every later error exits 1.
+//! A valued flag without its value, an argument the command does not take,
+//! and `--spec-json` beside another spec flag each exit 2 before any
+//! connection opens; every later error exits 1.
 
-use mgx_bench::take_flag;
+use mgx_bench::{take_flag, usage_error};
 use mgx_core::Scheme;
 use mgx_serve::codec::{evaluated_from_json, spec_from_wire};
 use mgx_serve::json::{self, Json};
@@ -44,19 +45,27 @@ fn die(msg: &str) -> ! {
 /// server parses, so [`spec_from_wire`] checks each flag exactly as the
 /// server checks that field. `default_suite` is set by commands that imply
 /// the suite themselves (`render`); everything else requires `--suite` (or
-/// `--spec-json`).
+/// `--spec-json`, which no other spec flag may join).
 fn spec_from_flags(args: &mut Vec<String>, default_suite: Option<Suite>) -> JobSpec {
-    let v = match take_flag(args, "--spec-json", "J") {
+    let raw = take_flag(args, "--spec-json", "J");
+    let flags = [
+        ("--suite", "S"),
+        ("--scale", "S"),
+        ("--schemes", "A,B"),
+        ("--threads", "N"),
+        ("--dram-model", "M"),
+    ]
+    .map(|(name, metavar)| take_flag(args, name, metavar));
+    if raw.is_some() && flags.iter().any(Option::is_some) {
+        usage_error(
+            "`--spec-json` cannot be combined with --suite, --scale, --schemes, --threads \
+             or --dram-model",
+        );
+    }
+    let v = match raw {
         Some(raw) => Json::parse(&raw).unwrap_or_else(|e| die(&format!("--spec-json: {e}"))),
         None => {
-            let mut flag = |name, metavar| take_flag(args, name, metavar);
-            let (suite, scale, schemes, threads, backend) = (
-                flag("--suite", "S"),
-                flag("--scale", "S"),
-                flag("--schemes", "A,B"),
-                flag("--threads", "N"),
-                flag("--dram-model", "M"),
-            );
+            let [suite, scale, schemes, threads, backend] = flags;
             let suite = suite
                 .or_else(|| default_suite.map(|s| s.name().into()))
                 .unwrap_or_else(|| die("need --suite (or --spec-json)"));
@@ -74,7 +83,12 @@ fn spec_from_flags(args: &mut Vec<String>, default_suite: Option<Suite>) -> JobS
     spec_from_wire(&v).unwrap_or_else(|e| die(&e))
 }
 
-fn connect(addr: &str) -> Client {
+/// Connects once the command has taken its flags and arguments, so
+/// anything `leftover` is a usage error before a connection opens.
+fn connect(addr: &str, leftover: &[String]) -> Client {
+    if let Some(arg) = leftover.first() {
+        usage_error(&format!("unknown flag `{arg}`"));
+    }
     Client::connect_str(addr).unwrap_or_else(|e| die(&format!("connect {addr}: {e}")))
 }
 
@@ -90,19 +104,19 @@ fn main() {
     match command.as_str() {
         "submit" => {
             let spec = spec_from_flags(&mut args, None);
-            let reply = connect(&addr).submit(&spec).unwrap_or_else(|e| die(&e.to_string()));
+            let reply = connect(&addr, &args).submit(&spec).unwrap_or_else(|e| die(&e.to_string()));
             println!("{}", reply.render());
         }
         "poll" | "fetch" => {
             let job = if args.is_empty() { die("need a JOB id") } else { args.remove(0) };
-            let mut c = connect(&addr);
+            let mut c = connect(&addr, &args);
             let out =
                 if command == "poll" { c.poll(&job).map(|v| v.render()) } else { c.fetch(&job) };
             println!("{}", out.unwrap_or_else(|e| die(&e.to_string())));
         }
         "run" => {
             let spec = spec_from_flags(&mut args, None);
-            let doc = connect(&addr).run(&spec).unwrap_or_else(|e| die(&e.to_string()));
+            let doc = connect(&addr, &args).run(&spec).unwrap_or_else(|e| die(&e.to_string()));
             println!("{doc}");
         }
         "render" => {
@@ -126,7 +140,7 @@ fn main() {
             // is overridden so the document reloads as `Evaluated`s.
             let mut spec = spec_from_flags(&mut args, Some(suite));
             spec = JobSpec { suite, schemes: Scheme::ALL.to_vec(), ..spec };
-            let doc = connect(&addr).run(&spec).unwrap_or_else(|e| die(&e.to_string()));
+            let doc = connect(&addr, &args).run(&spec).unwrap_or_else(|e| die(&e.to_string()));
             if doc.contains("\"ok\":false") {
                 die(&format!("server error: {doc}"));
             }
@@ -135,7 +149,7 @@ fn main() {
         }
         "metrics" => {
             let format = take_flag(&mut args, "--format", "FORMAT");
-            let mut c = connect(&addr);
+            let mut c = connect(&addr, &args);
             match format.as_deref() {
                 None | Some("json") => {
                     let reply = c.metrics().unwrap_or_else(|e| die(&e.to_string()));
@@ -149,7 +163,7 @@ fn main() {
             }
         }
         "suites" | "shutdown" => {
-            let mut c = connect(&addr);
+            let mut c = connect(&addr, &args);
             let reply = match command.as_str() {
                 "shutdown" => c.shutdown(),
                 _ => c

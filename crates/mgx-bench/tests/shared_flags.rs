@@ -1,7 +1,9 @@
 //! The `serve` and `mgx-client` binaries parse valued flags with the same
 //! parser as `figures`: `--flag=VALUE` is accepted, and a flag without its
 //! value exits 2 with a `--flag METAVAR` hint before anything runs (for
-//! `mgx-client`, before any connection opens).
+//! `mgx-client`, before any connection opens). An unknown flag exits 2 the
+//! same way, as does `mgx-client`'s `--spec-json` beside another spec flag,
+//! which it would otherwise drop.
 
 use std::process::{Command, Output};
 
@@ -21,6 +23,24 @@ fn serve_and_mgx_client_parse_valued_flags_like_figures() {
             client,
             &["--addr", "127.0.0.1:1", "run", "--suite", "video", "--threads="],
             "`--threads` needs a value: --threads N",
+        ),
+        (
+            client,
+            &["--addr", "127.0.0.1:1", "run", "--suite", "video", "--bogus", "1"],
+            "unknown flag `--bogus`",
+        ),
+        (
+            client,
+            &[
+                "--addr",
+                "127.0.0.1:1",
+                "run",
+                "--spec-json",
+                r#"{"suite":"video"}"#,
+                "--suite",
+                "nope",
+            ],
+            "`--spec-json` cannot be combined with --suite",
         ),
     ] {
         let out = run(bin, args);

@@ -26,16 +26,16 @@
 //! cost: when a write overflows a minor, the major bumps and **every** line
 //! of the 4 KB group is re-encrypted (read + write of the whole group).
 
-use super::macside::CoarseMacTracker;
+use super::macside::MacStream;
 use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine, TxnKind};
-use crate::layout::{BaselineLayout, ENTRIES_PER_LINE};
+use crate::layout::{self, BaselineLayout, ENTRIES_PER_LINE};
 use crate::policy::ProtectionConfig;
 use mgx_cache::{CacheConfig, CacheSim};
 use mgx_trace::{Dir, MemRequest, RegionMap, LINE_BYTES};
 use std::collections::HashMap;
 
 /// A split-counter VN line covers 8× the data of an MEE one, so data
-/// addresses are shifted right by this before the layout's VN math.
+/// addresses are shifted right by this before the VN table's address math.
 const SC_VN_SHIFT: u32 = 3;
 
 /// Data lines covered by one split-counter VN line (one minor each).
@@ -44,14 +44,6 @@ const SC_LINES: u64 = ENTRIES_PER_LINE << SC_VN_SHIFT;
 /// The write that brings a 7-bit minor counter to this value overflows it.
 const MINOR_LIMIT: u8 = 127;
 
-#[derive(Debug, Clone)]
-enum MacMode {
-    /// Per-64 B MACs through the metadata cache (true baseline).
-    FineCached,
-    /// Application-granularity MACs, uncached (MGX_MAC ablation).
-    Coarse(CoarseMacTracker),
-}
-
 /// Minor counters per 4 KB group: engine-internal state standing in for
 /// the values the hardware reads out of a cached split-counter VN line.
 type Minors = HashMap<u64, [u8; SC_LINES as usize]>;
@@ -59,12 +51,15 @@ type Minors = HashMap<u64, [u8; SC_LINES as usize]>;
 /// The baseline / MGX_MAC / split-counter traffic model.
 #[derive(Debug, Clone)]
 pub struct BaselineEngine {
-    layout: BaselineLayout,
-    /// Right shift applied to a data address before `layout.vn_line_of`:
+    /// The integrity tree over the VN lines.
+    tree: BaselineLayout,
+    /// Right shift applied to a data address before [`layout::vn_line_of`]:
     /// 0 for MEE VN lines, [`SC_VN_SHIFT`] for split counters.
     vn_shift: u32,
     cache: CacheSim,
-    mac: MacMode,
+    /// Uncached coarse MACs (MGX_MAC); `None` sends per-64 B MACs through
+    /// the metadata cache.
+    mac: Option<MacStream>,
     /// `Some` only under split counters.
     minors: Option<Minors>,
     traffic: MetaTraffic,
@@ -73,29 +68,29 @@ pub struct BaselineEngine {
 impl BaselineEngine {
     /// The true baseline: fine MACs, cached metadata.
     pub fn fine_mac(config: &ProtectionConfig) -> Self {
-        Self::build(config, MacMode::FineCached, None)
+        Self::build(config, None, None)
     }
 
     /// The MGX_MAC ablation: off-chip VNs + tree, but coarse uncached MACs.
     pub fn coarse_mac(regions: &RegionMap, config: &ProtectionConfig) -> Self {
-        Self::build(config, MacMode::Coarse(CoarseMacTracker::new(config.resolve(regions))), None)
+        Self::build(config, Some(MacStream::coarse(config.resolve(regions))), None)
     }
 
     /// The split-counter baseline: fine cached MACs, and VN lines of one
     /// major plus 64 minor counters, each covering 4 KB of data.
     pub fn split_counter(config: &ProtectionConfig) -> Self {
-        Self::build(config, MacMode::FineCached, Some(Minors::new()))
+        Self::build(config, None, Some(Minors::new()))
     }
 
-    fn build(config: &ProtectionConfig, mac: MacMode, minors: Option<Minors>) -> Self {
+    fn build(config: &ProtectionConfig, mac: Option<MacStream>, minors: Option<Minors>) -> Self {
         let (protected_bytes, vn_shift) = match minors {
             None => (config.protected_bytes, 0),
-            // One tree leaf per split-counter line: the layout spans an 8×
-            // smaller space so its tree covers exactly those lines.
+            // One tree leaf per split-counter line: the tree spans an 8×
+            // smaller space so it covers exactly those lines.
             Some(_) => ((config.protected_bytes >> SC_VN_SHIFT).max(1 << 20), SC_VN_SHIFT),
         };
         Self {
-            layout: BaselineLayout::new(protected_bytes, config.tree_arity),
+            tree: BaselineLayout::new(protected_bytes, config.tree_arity),
             vn_shift,
             cache: CacheSim::new(CacheConfig {
                 capacity_bytes: config.metadata_cache_bytes,
@@ -114,7 +109,7 @@ impl BaselineEngine {
 
     /// Counts and emits one metadata line as a 1-line burst.
     fn record_emit(&mut self, addr: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        let burst = LineBurst { addr, lines: 1, dir, kind: BaselineLayout::classify(addr) };
+        let burst = LineBurst { addr, lines: 1, dir, kind: layout::classify(addr) };
         self.traffic.record_burst(&burst);
         emit(burst);
     }
@@ -144,7 +139,7 @@ impl BaselineEngine {
         // stop against pathological LRU ping-pong. The parent access is not
         // a `touch`: that would recurse through the cascade, outside this
         // budget.
-        let mut budget = self.layout.tree_depth() + 4;
+        let mut budget = self.tree.tree_depth() + 4;
         let mut pending = Some(wb);
         while let Some(addr) = pending.take() {
             self.record_emit(addr, Dir::Write, emit);
@@ -152,9 +147,9 @@ impl BaselineEngine {
                 break;
             }
             budget -= 1;
-            let parent = match BaselineLayout::classify(addr) {
-                TxnKind::Vn => Some(self.layout.vn_parent(addr)),
-                TxnKind::Tree => self.layout.tree_parent_of(addr),
+            let parent = match layout::classify(addr) {
+                TxnKind::Vn => Some(self.tree.vn_parent(addr)),
+                TxnKind::Tree => self.tree.tree_parent_of(addr),
                 _ => None,
             };
             if let Some(p) = parent {
@@ -173,9 +168,9 @@ impl BaselineEngine {
             return;
         }
         // Verify the freshly fetched VN line: climb until a cached node.
-        let mut node = self.layout.vn_parent(vn_line);
+        let mut node = self.tree.vn_parent(vn_line);
         while !self.touch(node, dir, emit) {
-            match self.layout.tree_parent_of(node) {
+            match self.tree.tree_parent_of(node) {
                 Some(p) => node = p,
                 None => break, // verified against the on-chip root
             }
@@ -215,12 +210,11 @@ impl BaselineEngine {
     /// applies them in closed form. Otherwise the line's own fills and
     /// cascade evicted one of them, and the next line runs scalar too.
     fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        let fine_mac = matches!(self.mac, MacMode::FineCached);
+        let fine_mac = self.mac.is_none();
         let mut line = from;
         while line <= to {
             let addr = line * LINE_BYTES;
-            let meta =
-                [self.layout.vn_line_of(addr >> self.vn_shift), self.layout.mac_fine_line_of(addr)];
+            let meta = [layout::vn_line_of(addr >> self.vn_shift), layout::mac_fine_line_of(addr)];
             self.vn_access(meta[0], dir, emit);
             if fine_mac {
                 self.touch(meta[1], dir, emit);
@@ -274,10 +268,8 @@ impl ProtectionEngine for BaselineEngine {
         // order.
         emit_data_burst(req, &mut self.traffic, emit);
         self.cached_meta_walk(req, emit);
-        if let MacMode::Coarse(tracker) = &mut self.mac {
-            let mut traffic = self.traffic;
-            tracker.expand_bursts(req, &mut traffic, emit);
-            self.traffic = traffic;
+        if let Some(mac) = &mut self.mac {
+            mac.expand_bursts(req, &mut self.traffic, emit);
         }
     }
 
@@ -412,7 +404,7 @@ mod tests {
     fn reencrypted_lines(e: &mut BaselineEngine, req: &MemRequest) -> (u64, u64) {
         let (mut reads, mut writes) = (0, 0);
         e.expand_bursts(req, &mut |b| {
-            if b.kind == TxnKind::Vn && BaselineLayout::classify(b.addr) == TxnKind::Data {
+            if b.kind == TxnKind::Vn && layout::classify(b.addr) == TxnKind::Data {
                 match b.dir {
                     Dir::Read => reads += b.lines,
                     Dir::Write => writes += b.lines,
@@ -502,8 +494,8 @@ mod tests {
                 for line in first..=(req.end() - 1) / 64 {
                     let one = MemRequest { addr: line * 64, bytes: 64, ..req };
                     let own = [
-                        by_line.layout.vn_line_of(one.addr >> by_line.vn_shift),
-                        by_line.layout.mac_fine_line_of(one.addr),
+                        layout::vn_line_of(one.addr >> by_line.vn_shift),
+                        layout::mac_fine_line_of(one.addr),
                     ];
                     by_line.expand_bursts(&one, &mut |burst| {
                         let mid_group = line != first && line % ENTRIES_PER_LINE != 0;
@@ -519,8 +511,8 @@ mod tests {
             assert!(refills > 0, "{name}: no group fell back to the scalar walk");
             if name == "split_counter" {
                 assert!(
-                    a.iter().any(|b| b.kind == TxnKind::Vn
-                        && BaselineLayout::classify(b.addr) == TxnKind::Data),
+                    a.iter()
+                        .any(|b| b.kind == TxnKind::Vn && layout::classify(b.addr) == TxnKind::Data),
                     "the stream must trip a minor overflow"
                 );
             }
@@ -561,13 +553,13 @@ mod tests {
         for i in 1..16u64 {
             sc.expand_bursts(&MemRequest::read(region, i << 18, 64), &mut |b| bursts.push(b));
         }
-        let vn_line = sc.layout.vn_line_of(0);
+        let vn_line = layout::vn_line_of(0);
         let wb = bursts
             .iter()
             .position(|b| b.addr == vn_line && b.dir == Dir::Write)
             .expect("the dirty VN line is evicted");
         let parent = LineBurst {
-            addr: sc.layout.vn_parent(vn_line),
+            addr: sc.tree.vn_parent(vn_line),
             lines: 1,
             dir: Dir::Read,
             kind: TxnKind::Tree,

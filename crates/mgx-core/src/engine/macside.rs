@@ -1,23 +1,81 @@
-//! Uncached MAC-traffic trackers shared by the MGX engines.
+//! The uncached MAC stream of MGX, MGX_VN and MGX_MAC.
 //!
 //! MGX keeps no metadata cache (paper §VI-A); instead MAC fetches are
 //! coalesced within the streaming access pattern: consecutive blocks'
 //! MAC entries pack eight to a 64-byte line, so a stream touches each MAC
-//! line once. The trackers below reproduce exactly that behaviour by
-//! remembering the last MAC line touched per region and direction.
+//! line once. The stream reproduces exactly that behaviour by remembering
+//! the last MAC line touched per region and direction.
+//!
+//! Per-64 B MACs (MGX_VN) live in the global fine table from
+//! [`MAC_FINE_BASE`](crate::layout::MAC_FINE_BASE). Application-granularity
+//! MACs (MGX and MGX_MAC) live in per-region coarse arrays from
+//! [`MAC_COARSE_BASE`](crate::layout::MAC_COARSE_BASE), 64 B-granularity
+//! regions included.
 
 use super::{LineBurst, MetaTraffic, TxnKind};
-use crate::layout::{self, BaselineLayout};
+use crate::layout;
 use crate::policy::MacGranularity;
 use mgx_trace::{Dir, MemRequest, LINE_BYTES};
 
-/// Dedupe state: last MAC line emitted per (region, direction).
+/// Uncached MACs: a request's MAC lines go out as one burst, less a first
+/// line that repeats its region's last (line, direction).
 #[derive(Debug, Clone, Default)]
-struct Coalescer {
+pub(crate) struct MacStream {
+    /// Per-region granularity in the coarse arrays; `None` puts one MAC
+    /// per 64 B line in the fine table.
+    coarse: Option<Vec<MacGranularity>>,
+    /// Last MAC line emitted per region, with its direction.
     last: Vec<Option<(u64, Dir)>>,
+    /// Per-region running tile index for [`MacGranularity::PerRequest`].
+    tiles: Vec<u64>,
 }
 
-impl Coalescer {
+impl MacStream {
+    /// Per-64 B MACs in the fine table (the MGX_VN ablation).
+    pub(crate) fn fine() -> Self {
+        Self::default()
+    }
+
+    /// MACs at each region's `granularity`, in per-region coarse arrays
+    /// (full MGX and the MGX_MAC ablation).
+    pub(crate) fn coarse(granularity: Vec<MacGranularity>) -> Self {
+        Self { tiles: vec![0; granularity.len()], coarse: Some(granularity), last: Vec::new() }
+    }
+
+    /// Counts and emits the MAC lines of `req` that coalescing keeps.
+    pub(crate) fn expand_bursts(
+        &mut self,
+        req: &MemRequest,
+        traffic: &mut MetaTraffic,
+        emit: &mut dyn FnMut(LineBurst),
+    ) {
+        let (first, last) = self.lines_of(req);
+        if let Some(burst) = self.admit_run(req.region.0 as usize, first, last, req.dir) {
+            traffic.record_burst(&burst);
+            emit(burst);
+        }
+    }
+
+    /// The first and last MAC line covering `req`. The lines between are
+    /// contiguous; [`MacGranularity::PerRequest`] touches exactly one.
+    fn lines_of(&mut self, req: &MemRequest) -> (u64, u64) {
+        let Some(granularity) = &self.coarse else {
+            return (layout::mac_fine_line_of(req.addr), layout::mac_fine_line_of(req.end() - 1));
+        };
+        let region = req.region.0 as usize;
+        match granularity.get(region).copied().unwrap_or(MacGranularity::COARSE) {
+            MacGranularity::Bytes(g) => (
+                layout::mac_coarse_line(req.region, req.addr / g),
+                layout::mac_coarse_line(req.region, (req.end() - 1) / g),
+            ),
+            MacGranularity::PerRequest => {
+                let line = layout::mac_coarse_line(req.region, self.tiles[region]);
+                self.tiles[region] += 1;
+                (line, line)
+            }
+        }
+    }
+
     /// Admits the contiguous run of MAC lines `first..=last`, returning the
     /// MAC burst actually admitted (`None` if the run collapses entirely).
     ///
@@ -38,82 +96,6 @@ impl Coalescer {
         self.last[region] = Some((last, dir));
         let lines = (last - start) / LINE_BYTES + 1;
         Some(LineBurst { addr: start, lines, dir, kind: TxnKind::Mac })
-    }
-}
-
-/// Per-64 B-block MACs without a cache (the MGX_VN ablation).
-#[derive(Debug, Clone)]
-pub(crate) struct FineMacTracker {
-    layout: BaselineLayout,
-    coalescer: Coalescer,
-}
-
-impl FineMacTracker {
-    pub(crate) fn new() -> Self {
-        // The layout only supplies MAC address math here; tree parameters
-        // are irrelevant, so any capacity works.
-        Self { layout: BaselineLayout::new(16 << 30, 8), coalescer: Coalescer::default() }
-    }
-
-    /// The request's MAC lines form one contiguous run, emitted as a
-    /// single burst.
-    pub(crate) fn expand_bursts(
-        &mut self,
-        req: &MemRequest,
-        traffic: &mut MetaTraffic,
-        emit: &mut dyn FnMut(LineBurst),
-    ) {
-        let first = self.layout.mac_fine_line_of(req.addr);
-        let last = self.layout.mac_fine_line_of(req.end() - 1);
-        if let Some(burst) = self.coalescer.admit_run(req.region.0 as usize, first, last, req.dir) {
-            traffic.record_burst(&burst);
-            emit(burst);
-        }
-    }
-}
-
-/// Application-granularity MACs without a cache (full MGX).
-#[derive(Debug, Clone)]
-pub(crate) struct CoarseMacTracker {
-    granularity: Vec<MacGranularity>,
-    coalescer: Coalescer,
-    /// Per-region running tile index for [`MacGranularity::PerRequest`].
-    tile_count: Vec<u64>,
-}
-
-impl CoarseMacTracker {
-    pub(crate) fn new(granularity: Vec<MacGranularity>) -> Self {
-        let n = granularity.len();
-        Self { granularity, coalescer: Coalescer::default(), tile_count: vec![0; n] }
-    }
-
-    /// The covering MAC lines of a coarse-granularity request are
-    /// contiguous, so they go out as one burst
-    /// ([`MacGranularity::PerRequest`] touches exactly one line).
-    pub(crate) fn expand_bursts(
-        &mut self,
-        req: &MemRequest,
-        traffic: &mut MetaTraffic,
-        emit: &mut dyn FnMut(LineBurst),
-    ) {
-        let region = req.region.0 as usize;
-        let gran = self.granularity.get(region).copied().unwrap_or(MacGranularity::COARSE);
-        let (first, last) = match gran {
-            MacGranularity::Bytes(g) => (
-                layout::mac_coarse_line(req.region, req.addr / g),
-                layout::mac_coarse_line(req.region, (req.end() - 1) / g),
-            ),
-            MacGranularity::PerRequest => {
-                let idx = self.tile_count[region];
-                self.tile_count[region] += 1;
-                let line = layout::mac_coarse_line(req.region, idx);
-                (line, line)
-            }
-        };
-        if let Some(burst) = self.coalescer.admit_run(region, first, last, req.dir) {
-            traffic.record_burst(&burst);
-            emit(burst);
-        }
     }
 }
 
@@ -139,7 +121,7 @@ mod tests {
 
     #[test]
     fn fine_mac_is_one_line_per_512_bytes_of_stream() {
-        let mut t = FineMacTracker::new();
+        let mut t = MacStream::fine();
         let (bursts, traffic) = collect(|traffic, emit| {
             // Stream 8 KiB as 16 requests of 512 B.
             for i in 0..16u64 {
@@ -153,7 +135,7 @@ mod tests {
 
     #[test]
     fn fine_mac_coalesces_within_a_line() {
-        let mut t = FineMacTracker::new();
+        let mut t = MacStream::fine();
         let (bursts, _) = collect(|traffic, emit| {
             // Two consecutive 64 B reads share one MAC line.
             t.expand_bursts(&MemRequest::read(RegionId(0), 0, 64), traffic, emit);
@@ -164,7 +146,7 @@ mod tests {
 
     #[test]
     fn coarse_mac_512_needs_one_line_per_4k() {
-        let mut t = CoarseMacTracker::new(vec![MacGranularity::Bytes(512)]);
+        let mut t = MacStream::coarse(vec![MacGranularity::Bytes(512)]);
         let (bursts, traffic) = collect(|traffic, emit| {
             t.expand_bursts(&MemRequest::read(RegionId(0), 0, 4096), traffic, emit);
         });
@@ -176,7 +158,7 @@ mod tests {
 
     #[test]
     fn per_request_macs_increment_tile_counter() {
-        let mut t = CoarseMacTracker::new(vec![MacGranularity::PerRequest]);
+        let mut t = MacStream::coarse(vec![MacGranularity::PerRequest]);
         let (bursts, _) = collect(|traffic, emit| {
             for i in 0..20u64 {
                 // Irregular tile sizes — one MAC each regardless.
@@ -190,8 +172,7 @@ mod tests {
 
     #[test]
     fn regions_do_not_coalesce_across_each_other() {
-        let mut t =
-            CoarseMacTracker::new(vec![MacGranularity::Bytes(512), MacGranularity::Bytes(512)]);
+        let mut t = MacStream::coarse(vec![MacGranularity::Bytes(512); 2]);
         let (bursts, _) = collect(|traffic, emit| {
             t.expand_bursts(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
             t.expand_bursts(&MemRequest::read(RegionId(1), 0, 512), traffic, emit);
@@ -202,7 +183,7 @@ mod tests {
 
     #[test]
     fn read_then_write_same_block_emits_both() {
-        let mut t = CoarseMacTracker::new(vec![MacGranularity::Bytes(512)]);
+        let mut t = MacStream::coarse(vec![MacGranularity::Bytes(512)]);
         let (bursts, traffic) = collect(|traffic, emit| {
             t.expand_bursts(&MemRequest::read(RegionId(0), 0, 512), traffic, emit);
             t.expand_bursts(&MemRequest::write(RegionId(0), 0, 512), traffic, emit);
@@ -223,7 +204,7 @@ mod tests {
         fn admit_run_equals_admitting_each_line(
             runs in proptest::collection::vec((0usize..3, 0u64..12, 0u64..5, any::<bool>()), 1..64),
         ) {
-            let (mut batched, mut by_line) = (Coalescer::default(), Coalescer::default());
+            let (mut batched, mut by_line) = (MacStream::fine(), MacStream::fine());
             for (region, first, extra, write) in runs {
                 let dir = if write { Dir::Write } else { Dir::Read };
                 let (first, last) = (first * LINE_BYTES, (first + extra) * LINE_BYTES);

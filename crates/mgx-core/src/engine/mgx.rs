@@ -1,50 +1,48 @@
-//! The MGX protection engine (paper §III-C).
+//! The engine of every scheme that keeps its VNs on chip (paper §III-C).
 //!
 //! Version numbers are generated on-chip from kernel state, so the engine
 //! emits **zero** VN or tree traffic — that entire metadata class
 //! disappears. Only MACs remain, at application granularity (full MGX) or at
 //! line granularity (the MGX_VN ablation), fetched uncached but naturally
-//! coalesced by the streaming access pattern.
+//! coalesced by the streaming access pattern. Without MACs it is the
+//! no-protection baseline (NP), which moves the data lines alone.
 
-use super::macside::{CoarseMacTracker, FineMacTracker};
+use super::macside::MacStream;
 use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine};
 use crate::policy::ProtectionConfig;
 use mgx_trace::{MemRequest, RegionMap};
 
-#[derive(Debug, Clone)]
-enum MacSide {
-    Fine(FineMacTracker),
-    Coarse(CoarseMacTracker),
-}
-
-/// MGX traffic model: no VN traffic, configurable MAC granularity.
+/// Traffic model with no VN traffic: NP, MGX and MGX_VN.
 #[derive(Debug, Clone)]
 pub struct MgxEngine {
-    mac: MacSide,
+    /// `None` under NP, which moves no metadata at all.
+    mac: Option<MacStream>,
     traffic: MetaTraffic,
 }
 
 impl MgxEngine {
+    /// No protection (NP, the normalization baseline): the data lines
+    /// only.
+    pub fn unprotected() -> Self {
+        Self { mac: None, traffic: MetaTraffic::default() }
+    }
+
     /// Full MGX: per-region application-granularity MACs.
     pub fn coarse(regions: &RegionMap, config: &ProtectionConfig) -> Self {
-        Self {
-            mac: MacSide::Coarse(CoarseMacTracker::new(config.resolve(regions))),
-            traffic: MetaTraffic::default(),
-        }
+        Self { mac: Some(MacStream::coarse(config.resolve(regions))), ..Self::unprotected() }
     }
 
     /// MGX_VN ablation: on-chip VNs but per-64 B MACs.
     pub fn fine() -> Self {
-        Self { mac: MacSide::Fine(FineMacTracker::new()), traffic: MetaTraffic::default() }
+        Self { mac: Some(MacStream::fine()), ..Self::unprotected() }
     }
 }
 
 impl ProtectionEngine for MgxEngine {
     fn expand_bursts(&mut self, req: &MemRequest, emit: &mut dyn FnMut(LineBurst)) {
         emit_data_burst(req, &mut self.traffic, emit);
-        match &mut self.mac {
-            MacSide::Fine(t) => t.expand_bursts(req, &mut self.traffic, emit),
-            MacSide::Coarse(t) => t.expand_bursts(req, &mut self.traffic, emit),
+        if let Some(mac) = &mut self.mac {
+            mac.expand_bursts(req, &mut self.traffic, emit);
         }
     }
 
@@ -61,13 +59,24 @@ impl ProtectionEngine for MgxEngine {
 mod tests {
     use super::*;
     use crate::engine::TxnKind;
-    use mgx_trace::{DataClass, MemRequest, RegionMap};
+    use mgx_trace::{DataClass, MemRequest, RegionId, RegionMap};
 
     fn regions() -> RegionMap {
         let mut m = RegionMap::new();
         m.alloc("features", 1 << 20, DataClass::Feature);
         m.alloc("embedding", 1 << 20, DataClass::Embedding);
         m
+    }
+
+    #[test]
+    fn no_metadata_is_emitted() {
+        let mut e = MgxEngine::unprotected();
+        let mut bursts = Vec::new();
+        e.expand_bursts(&MemRequest::write(RegionId(0), 0, 4096), &mut |b| bursts.push(b));
+        assert_eq!(bursts.iter().map(|b| b.lines).sum::<u64>(), 64);
+        assert!(bursts.iter().all(|b| b.kind == TxnKind::Data));
+        assert_eq!(e.traffic().meta_bytes(), 0);
+        assert!((e.traffic().overhead()).abs() < 1e-12);
     }
 
     #[test]

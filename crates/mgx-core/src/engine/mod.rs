@@ -8,15 +8,20 @@
 //! one. The per-kind byte counters in [`MetaTraffic`] regenerate the
 //! paper's traffic figures directly; feeding the emitted bursts to
 //! `mgx-dram` regenerates the performance figures.
+//!
+//! The engines split along the paper's VN axis. [`MgxEngine`] keeps VNs
+//! on chip and moves no VN or tree line: it is NP without MACs, MGX with
+//! coarse ones and MGX_VN with per-64 B ones. [`BaselineEngine`] keeps VNs
+//! off chip behind the cached tree walk: it is BP with per-64 B MACs in
+//! the same cache, MGX_MAC with coarse uncached ones, and BP_SC. Both
+//! engines share one uncached MAC stream.
 
 mod baseline;
 mod macside;
 mod mgx;
-mod noprot;
 
 pub use baseline::BaselineEngine;
 pub use mgx::MgxEngine;
-pub use noprot::NoProtection;
 
 use crate::policy::ProtectionConfig;
 use mgx_trace::{Dir, MemRequest, RegionMap, Traffic, LINE_BYTES};
@@ -148,21 +153,9 @@ impl core::ops::Add for MetaTraffic {
     }
 }
 
-impl core::ops::AddAssign for MetaTraffic {
-    fn add_assign(&mut self, rhs: MetaTraffic) {
-        *self = *self + rhs;
-    }
-}
-
 impl core::iter::Sum for MetaTraffic {
     fn sum<I: Iterator<Item = MetaTraffic>>(iter: I) -> MetaTraffic {
         iter.fold(MetaTraffic::default(), |a, b| a + b)
-    }
-}
-
-impl<'a> core::iter::Sum<&'a MetaTraffic> for MetaTraffic {
-    fn sum<I: Iterator<Item = &'a MetaTraffic>>(iter: I) -> MetaTraffic {
-        iter.copied().sum()
     }
 }
 
@@ -235,7 +228,7 @@ pub fn scheme_engine(
     config: &ProtectionConfig,
 ) -> Box<dyn ProtectionEngine> {
     match scheme {
-        Scheme::NoProtection => Box::new(NoProtection::new()),
+        Scheme::NoProtection => Box::new(MgxEngine::unprotected()),
         Scheme::Baseline => Box::new(BaselineEngine::fine_mac(config)),
         Scheme::Mgx => Box::new(MgxEngine::coarse(regions, config)),
         Scheme::MgxVn => Box::new(MgxEngine::fine()),
@@ -288,6 +281,72 @@ mod tests {
         assert!((t.vn_overhead() - 1.0).abs() < 1e-12);
         assert_eq!(t.mac_overhead(), 0.0);
         assert_eq!(t.meta_bytes(), 64);
+    }
+
+    /// Pins where each uncached MAC stream puts its lines: MGX_VN in the
+    /// global fine table, MGX and MGX_MAC in per-region coarse arrays, the
+    /// embedding region's 64 B MACs included. No request here coalesces
+    /// with the one before, so its MAC lines are all those covering it.
+    #[test]
+    fn uncached_mac_streams_keep_their_address_tables() {
+        use crate::layout::{self, MAC_COARSE_BASE, MAC_COARSE_REGION_STRIDE, MAC_FINE_BASE};
+        use mgx_trace::DataClass;
+
+        let mut regions = RegionMap::new();
+        let feat = regions.alloc("features", 1 << 20, DataClass::Feature);
+        let emb = regions.alloc("embedding", 1 << 20, DataClass::Embedding);
+        let (f, e) = (regions.get(feat).base, regions.get(emb).base);
+        let reqs = (0..64).flat_map(|i| {
+            [
+                MemRequest::read(feat, f + i * 4096, 4096),
+                MemRequest::write(feat, f + i * 4096, 4096),
+                MemRequest::read(emb, e + i * 8192, 64),
+            ]
+        });
+        let lines = |first: u64, last: u64| (first..=last).step_by(64).collect::<Vec<u64>>();
+        let cfg = ProtectionConfig::default();
+        for scheme in [Scheme::NoProtection, Scheme::MgxVn, Scheme::Mgx, Scheme::MgxMac] {
+            let mut engine = scheme_engine(scheme, &regions, &cfg);
+            for r in reqs.clone() {
+                let mut bursts = Vec::new();
+                engine.expand_bursts(&r, &mut |b| bursts.push(b));
+                let got: Vec<u64> = bursts
+                    .iter()
+                    .filter(|b| b.kind == TxnKind::Mac)
+                    .flat_map(|b| lines(b.addr, b.end() - 64))
+                    .collect();
+                // The MAC lines covering the request, and their table.
+                let (want, table) = match scheme {
+                    Scheme::NoProtection => {
+                        assert!(bursts.iter().all(|b| b.kind == TxnKind::Data), "NP: {bursts:?}");
+                        (Vec::new(), 0..0)
+                    }
+                    Scheme::MgxVn => (
+                        lines(
+                            layout::mac_fine_line_of(r.addr),
+                            layout::mac_fine_line_of(r.end() - 1),
+                        ),
+                        MAC_FINE_BASE..MAC_COARSE_BASE,
+                    ),
+                    _ => {
+                        let g = if r.region == emb { 64 } else { 512 };
+                        let array = MAC_COARSE_BASE + r.region.0 as u64 * MAC_COARSE_REGION_STRIDE;
+                        (
+                            lines(
+                                layout::mac_coarse_line(r.region, r.addr / g),
+                                layout::mac_coarse_line(r.region, (r.end() - 1) / g),
+                            ),
+                            array..array + MAC_COARSE_REGION_STRIDE,
+                        )
+                    }
+                };
+                assert_eq!(got, want, "{scheme}: MAC lines of {r:?}");
+                assert!(
+                    got.iter().all(|a| table.contains(a)),
+                    "{scheme}: {got:x?} not in {table:x?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! functional secure memories and the traffic-expansion engines agree on
 //! exactly which extra DRAM lines each scheme touches.
 //!
+//! The VN and MAC tables are fixed arrays, so their maps are free functions
+//! ([`vn_line_of`], [`mac_fine_line_of`], [`mac_coarse_line`], ...), as is
+//! [`classify`]. Only the integrity tree depends on the protected capacity
+//! and the arity: [`BaselineLayout`] is that tree.
+//!
 //! Layout (fixed carve-outs well above the 16 GB protected data region):
 //!
 //! | range base       | contents                                            |
@@ -40,7 +45,46 @@ pub const MAC_COARSE_BASE: u64 = 1 << 43;
 /// far more than any region needs).
 pub const MAC_COARSE_REGION_STRIDE: u64 = 1 << 32;
 
-/// Baseline-scheme address math over a fixed protected capacity.
+/// Index of the VN line covering `data_addr`.
+pub fn vn_line_index(data_addr: u64) -> u64 {
+    (data_addr / LINE_BYTES) / ENTRIES_PER_LINE
+}
+
+/// Address of the VN line covering `data_addr`.
+pub fn vn_line_of(data_addr: u64) -> u64 {
+    VN_BASE + vn_line_index(data_addr) * LINE_BYTES
+}
+
+/// Address of the VN *entry* for a data line (8 B granularity).
+pub fn vn_entry_of(data_addr: u64) -> u64 {
+    VN_BASE + (data_addr / LINE_BYTES) * ENTRY_BYTES
+}
+
+/// Address of the fine-grained MAC line covering `data_addr`.
+pub fn mac_fine_line_of(data_addr: u64) -> u64 {
+    mac_fine_entry_of(data_addr) & !(LINE_BYTES - 1)
+}
+
+/// Address of the fine-grained MAC *entry* for a data line.
+pub fn mac_fine_entry_of(data_addr: u64) -> u64 {
+    MAC_FINE_BASE + (data_addr / LINE_BYTES) * ENTRY_BYTES
+}
+
+/// What `addr` holds, per the fixed carve-out map: both MAC tables are
+/// [`TxnKind::Mac`].
+pub fn classify(addr: u64) -> TxnKind {
+    if addr >= MAC_FINE_BASE {
+        TxnKind::Mac
+    } else if addr >= TREE_BASE {
+        TxnKind::Tree
+    } else if addr >= VN_BASE {
+        TxnKind::Vn
+    } else {
+        TxnKind::Data
+    }
+}
+
+/// The integrity tree over the VN table of a fixed protected capacity.
 ///
 /// The tree is 8-ary over VN *lines* (one leaf per 64 B VN line, each
 /// covering 512 B of data), as in Intel's MEE (paper §VI-A).
@@ -48,12 +92,15 @@ pub const MAC_COARSE_REGION_STRIDE: u64 = 1 << 32;
 /// # Example
 ///
 /// ```
-/// use mgx_core::layout::BaselineLayout;
+/// use mgx_core::layout::{vn_line_of, BaselineLayout};
 ///
-/// let l = BaselineLayout::new(16 << 30, 8);
 /// // 8 VNs per VN line → two data lines 64 B apart share a VN line.
-/// assert_eq!(l.vn_line_of(0), l.vn_line_of(7 * 64));
-/// assert_ne!(l.vn_line_of(0), l.vn_line_of(8 * 64));
+/// assert_eq!(vn_line_of(0), vn_line_of(7 * 64));
+/// assert_ne!(vn_line_of(0), vn_line_of(8 * 64));
+/// // 8 VN lines per tree node → their 4 KB of data shares a parent.
+/// let tree = BaselineLayout::new(16 << 30, 8);
+/// assert_eq!(tree.vn_parent(vn_line_of(0)), tree.vn_parent(vn_line_of(7 * 512)));
+/// assert_ne!(tree.vn_parent(vn_line_of(0)), tree.vn_parent(vn_line_of(8 * 512)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BaselineLayout {
@@ -104,31 +151,6 @@ impl BaselineLayout {
         self.level_widths.len()
     }
 
-    /// Index of the VN line covering `data_addr`.
-    pub fn vn_line_index(&self, data_addr: u64) -> u64 {
-        (data_addr / LINE_BYTES) / ENTRIES_PER_LINE
-    }
-
-    /// Address of the VN line covering `data_addr`.
-    pub fn vn_line_of(&self, data_addr: u64) -> u64 {
-        VN_BASE + self.vn_line_index(data_addr) * LINE_BYTES
-    }
-
-    /// Address of the VN *entry* for a data line (8 B granularity).
-    pub fn vn_entry_of(&self, data_addr: u64) -> u64 {
-        VN_BASE + (data_addr / LINE_BYTES) * ENTRY_BYTES
-    }
-
-    /// Address of the fine-grained MAC line covering `data_addr`.
-    pub fn mac_fine_line_of(&self, data_addr: u64) -> u64 {
-        MAC_FINE_BASE + ((data_addr / LINE_BYTES) * ENTRY_BYTES / LINE_BYTES) * LINE_BYTES
-    }
-
-    /// Address of the fine-grained MAC *entry* for a data line.
-    pub fn mac_fine_entry_of(&self, data_addr: u64) -> u64 {
-        MAC_FINE_BASE + (data_addr / LINE_BYTES) * ENTRY_BYTES
-    }
-
     /// The chain of tree-node line addresses from the node covering
     /// `vn_line_index` up to (and including) the node directly under the
     /// root, lowest level first.
@@ -175,20 +197,6 @@ impl BaselineLayout {
         let idx = off - self.level_offsets[level];
         Some(TREE_BASE + (self.level_offsets[level + 1] + idx / self.arity) * LINE_BYTES)
     }
-
-    /// What `addr` holds, per the fixed carve-out map: both MAC tables
-    /// are [`TxnKind::Mac`].
-    pub fn classify(addr: u64) -> TxnKind {
-        if addr >= MAC_FINE_BASE {
-            TxnKind::Mac
-        } else if addr >= TREE_BASE {
-            TxnKind::Tree
-        } else if addr >= VN_BASE {
-            TxnKind::Vn
-        } else {
-            TxnKind::Data
-        }
-    }
 }
 
 /// Address of coarse MAC entry `block_idx` of `region`.
@@ -217,12 +225,11 @@ mod tests {
 
     #[test]
     fn vn_line_covers_512_bytes_of_data() {
-        let l = BaselineLayout::new(1 << 30, 8);
-        let base = l.vn_line_of(0);
+        let base = vn_line_of(0);
         for i in 0..8 {
-            assert_eq!(l.vn_line_of(i * 64), base);
+            assert_eq!(vn_line_of(i * 64), base);
         }
-        assert_eq!(l.vn_line_of(512), base + 64);
+        assert_eq!(vn_line_of(512), base + 64);
     }
 
     #[test]
@@ -239,14 +246,14 @@ mod tests {
     #[test]
     fn tree_path_climbs_to_single_node() {
         let l = BaselineLayout::new(1 << 30, 8);
-        let path = l.tree_path(l.vn_line_index(0x12345040));
+        let path = l.tree_path(vn_line_index(0x12345040));
         assert_eq!(path.len(), l.tree_depth());
         // Monotone addresses: each level lives after the previous one.
         for w in path.windows(2) {
             assert!(w[1] > w[0]);
         }
         // The final node is the unique top node.
-        let other = l.tree_path(l.vn_line_index(0));
+        let other = l.tree_path(vn_line_index(0));
         assert_eq!(path.last(), other.last());
     }
 
@@ -264,14 +271,14 @@ mod tests {
 
     #[test]
     fn classify_partitions_address_space() {
-        assert_eq!(BaselineLayout::classify(0x1000), TxnKind::Data);
-        assert_eq!(BaselineLayout::classify(VN_BASE - 64), TxnKind::Data);
-        assert_eq!(BaselineLayout::classify(VN_BASE + 8), TxnKind::Vn);
-        assert_eq!(BaselineLayout::classify(TREE_BASE - 64), TxnKind::Vn);
-        assert_eq!(BaselineLayout::classify(TREE_BASE), TxnKind::Tree);
-        assert_eq!(BaselineLayout::classify(MAC_FINE_BASE - 64), TxnKind::Tree);
-        assert_eq!(BaselineLayout::classify(MAC_FINE_BASE + 64), TxnKind::Mac);
-        assert_eq!(BaselineLayout::classify(mac_coarse_entry(RegionId(3), 10)), TxnKind::Mac);
+        assert_eq!(classify(0x1000), TxnKind::Data);
+        assert_eq!(classify(VN_BASE - 64), TxnKind::Data);
+        assert_eq!(classify(VN_BASE + 8), TxnKind::Vn);
+        assert_eq!(classify(TREE_BASE - 64), TxnKind::Vn);
+        assert_eq!(classify(TREE_BASE), TxnKind::Tree);
+        assert_eq!(classify(MAC_FINE_BASE - 64), TxnKind::Tree);
+        assert_eq!(classify(MAC_FINE_BASE + 64), TxnKind::Mac);
+        assert_eq!(classify(mac_coarse_entry(RegionId(3), 10)), TxnKind::Mac);
     }
 
     #[test]
@@ -286,8 +293,8 @@ mod tests {
     fn parent_chain_matches_tree_path() {
         let l = BaselineLayout::new(1 << 30, 8);
         let data_addr = 0x2345_6780u64;
-        let vn_line = l.vn_line_of(data_addr);
-        let path = l.tree_path(l.vn_line_index(data_addr));
+        let vn_line = vn_line_of(data_addr);
+        let path = l.tree_path(vn_line_index(data_addr));
         // Walk parents and compare against the path.
         let mut chain = vec![l.vn_parent(vn_line)];
         while let Some(p) = l.tree_parent_of(*chain.last().unwrap()) {
@@ -298,8 +305,7 @@ mod tests {
 
     #[test]
     fn mac_fine_packs_eight_per_line() {
-        let l = BaselineLayout::new(1 << 30, 8);
-        assert_eq!(l.mac_fine_line_of(0), l.mac_fine_line_of(7 * 64));
-        assert_ne!(l.mac_fine_line_of(0), l.mac_fine_line_of(8 * 64));
+        assert_eq!(mac_fine_line_of(0), mac_fine_line_of(7 * 64));
+        assert_ne!(mac_fine_line_of(0), mac_fine_line_of(8 * 64));
     }
 }

@@ -16,7 +16,10 @@
 //!    DRAM lines each scheme moves — data, version numbers, MACs, and
 //!    integrity-tree nodes, after a 32 KB metadata cache where the scheme
 //!    has one — emitted as bursts of contiguous lines. These engines drive
-//!    every figure of the evaluation.
+//!    every figure of the evaluation. They split along the paper's VN
+//!    axis: [`engine::MgxEngine`] keeps VNs on chip (NP, MGX, MGX_VN) and
+//!    [`engine::BaselineEngine`] keeps them off chip behind the cached
+//!    tree walk (BP, MGX_MAC).
 //!
 //! The key ideas from the paper mapped to code:
 //!
@@ -25,8 +28,9 @@
 //! * Counter construction `addr ‖ tag ‖ VN` (Fig 6) — [`counter`].
 //! * Application-granularity MACs (§III-C) — [`policy::MacGranularity`] and
 //!   per-[`mgx_trace::DataClass`] defaults in [`policy::ProtectionConfig`].
-//! * Baseline Intel-MEE-like scheme (§III-A, §VI-A) — [`engine::BaselineEngine`] with
-//!   address math in [`layout`].
+//! * Baseline Intel-MEE-like scheme (§III-A, §VI-A) — [`engine::BaselineEngine`],
+//!   with the VN and MAC tables' address maps as free functions in
+//!   [`layout`] and the integrity tree as [`layout::BaselineLayout`].
 //! * Session setup, key exchange, and remote attestation (§II, Fig 1) —
 //!   [`session`].
 

@@ -1,6 +1,6 @@
 //! The conventional (baseline) functional secure memory.
 
-use crate::layout::BaselineLayout;
+use crate::layout::{mac_fine_entry_of, vn_entry_of, vn_line_index, vn_line_of};
 use mgx_crypto::aes::Aes128;
 use mgx_crypto::ctr::xor_keystream;
 use mgx_crypto::mac::{GmacTagger, Mac};
@@ -38,7 +38,6 @@ pub struct BaselineSecureMemory {
     mac: GmacTagger,
     mem: UntrustedMemory,
     tree: MerkleTree,
-    layout: BaselineLayout,
     capacity: u64,
 }
 
@@ -53,14 +52,12 @@ impl BaselineSecureMemory {
             capacity > 0 && capacity.is_multiple_of(LINE_BYTES),
             "capacity must be in whole lines"
         );
-        let layout = BaselineLayout::new(capacity, 8);
         let vn_lines = (capacity / LINE_BYTES).div_ceil(8) as usize;
         Self {
             enc: Aes128::new(enc_key),
             mac: GmacTagger::new(mac_key),
             mem: UntrustedMemory::new(),
             tree: MerkleTree::new(mac_key, vn_lines, 8),
-            layout,
             capacity,
         }
     }
@@ -99,14 +96,14 @@ impl BaselineSecureMemory {
     pub fn write(&mut self, addr: u64, data: &[u8; 64]) {
         self.check_addr(addr);
         // 1. Bump the VN entry.
-        let vn_entry = self.layout.vn_entry_of(addr);
+        let vn_entry = vn_entry_of(addr);
         let mut vn_bytes = [0u8; 8];
         self.mem.read(vn_entry, &mut vn_bytes);
         let vn = u64::from_be_bytes(vn_bytes) + 1;
         self.mem.write(vn_entry, &vn.to_be_bytes());
         // 2. Re-authenticate the covering VN line in the tree.
-        let vn_line = self.layout.vn_line_of(addr);
-        let leaf_idx = self.layout.vn_line_index(addr) as usize;
+        let vn_line = vn_line_of(addr);
+        let leaf_idx = vn_line_index(addr) as usize;
         let leaf = self.vn_line_bytes(vn_line);
         self.tree.update(leaf_idx, &leaf);
         // 3. Encrypt and MAC the data line.
@@ -114,7 +111,7 @@ impl BaselineSecureMemory {
         xor_keystream(&self.enc, addr, vn, &mut ct);
         let tag = self.mac.tag(&ct, addr, vn).truncated64();
         self.mem.write(addr, &ct);
-        self.mem.write(self.layout.mac_fine_entry_of(addr), &tag.to_be_bytes());
+        self.mem.write(mac_fine_entry_of(addr), &tag.to_be_bytes());
     }
 
     /// Reads one 64-byte line, verifying the VN through the tree and the
@@ -131,18 +128,18 @@ impl BaselineSecureMemory {
     pub fn read(&self, addr: u64) -> Result<[u8; 64], TagMismatch> {
         self.check_addr(addr);
         // 1. Fetch the VN and verify its line against the on-chip root.
-        let vn_line = self.layout.vn_line_of(addr);
-        let leaf_idx = self.layout.vn_line_index(addr) as usize;
+        let vn_line = vn_line_of(addr);
+        let leaf_idx = vn_line_index(addr) as usize;
         let leaf = self.vn_line_bytes(vn_line);
         self.tree.verify(leaf_idx, &leaf)?;
         let mut vn_bytes = [0u8; 8];
-        self.mem.read(self.layout.vn_entry_of(addr), &mut vn_bytes);
+        self.mem.read(vn_entry_of(addr), &mut vn_bytes);
         let vn = u64::from_be_bytes(vn_bytes);
         // 2. Fetch and verify the data line.
         let mut ct = [0u8; 64];
         self.mem.read(addr, &mut ct);
         let mut stored = [0u8; 8];
-        self.mem.read(self.layout.mac_fine_entry_of(addr), &mut stored);
+        self.mem.read(mac_fine_entry_of(addr), &mut stored);
         if self.mac.tag(&ct, addr, vn).truncated64() != u64::from_be_bytes(stored) {
             return Err(TagMismatch);
         }

@@ -27,20 +27,6 @@ use mgx_trace::RegionId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// A source of version numbers addressed by (region, block index).
-///
-/// This is the generic interface the secure-memory wrapper consumes; the
-/// domain-specific states below are usually driven directly by kernel code
-/// instead (they know the schedule, not block indices).
-pub trait VersionSource {
-    /// VN to use when *reading* the block (must equal the VN of its last
-    /// write).
-    fn read_vn(&self, region: RegionId, block: u64) -> u64;
-
-    /// VN to use when *writing* the block (must be fresh for this address).
-    fn write_vn(&mut self, region: RegionId, block: u64) -> u64;
-}
-
 /// General on-chip VN table: one counter per (region, block).
 ///
 /// Mirrors the paper's observation that "if needed, the control processor
@@ -66,14 +52,14 @@ impl TableVersionSource {
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
-}
 
-impl VersionSource for TableVersionSource {
-    fn read_vn(&self, region: RegionId, block: u64) -> u64 {
+    /// VN to use when *reading* the block (the VN of its last write).
+    pub fn read_vn(&self, region: RegionId, block: u64) -> u64 {
         self.table.get(&(region, block)).copied().unwrap_or(0)
     }
 
-    fn write_vn(&mut self, region: RegionId, block: u64) -> u64 {
+    /// VN to use when *writing* the block (fresh for this address).
+    pub fn write_vn(&mut self, region: RegionId, block: u64) -> u64 {
         match self.table.entry((region, block)) {
             Entry::Occupied(mut e) => {
                 *e.get_mut() += 1;

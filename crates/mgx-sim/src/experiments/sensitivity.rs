@@ -33,6 +33,16 @@ struct Variant {
     cfg: SimConfig,
 }
 
+impl Variant {
+    /// Everything the variant's NP reference depends on: its trace and
+    /// every part of its configuration except `protection`, which the NP
+    /// engine never reads.
+    fn np_setup(&self) -> impl PartialEq {
+        let c = &self.cfg;
+        (self.dataflow, c.dram, c.accel_freq_mhz, c.mode, c.txn_path, c.dram_backend)
+    }
+}
+
 /// One ablation study: the schemes it compares and the variants it sweeps.
 struct Ablation {
     id: &'static str,
@@ -133,18 +143,24 @@ fn resnet_traces(scale: &Scale) -> [Trace; 2] {
 }
 
 /// Runs one ablation: per variant an NP reference, then one normalized
-/// row per compared scheme.
+/// row per compared scheme. A variant whose NP setup equals the previous
+/// variant's reuses that NP run.
 fn simulate(ablation: &Ablation, [ws, os]: &[Trace; 2]) -> Figure {
     let mut rows = Vec::new();
+    let mut np = None;
     for v in (ablation.variants)() {
         let trace = match v.dataflow {
             Dataflow::WeightStationary => ws,
             Dataflow::OutputStationary => os,
         };
-        let np = Simulation::over(trace).config(v.cfg.clone()).run();
+        let setup = v.np_setup();
+        if np.as_ref().is_none_or(|(prev, _)| *prev != setup) {
+            np = Some((setup, Simulation::over(trace).config(v.cfg.clone()).run()));
+        }
+        let (_, np) = np.as_ref().expect("an NP run of this setup");
         for &scheme in ablation.schemes {
             let r = Simulation::over(trace).config(v.cfg.clone()).scheme(scheme).run();
-            rows.push(Row::normalized(v.row.clone(), "Cloud".into(), &np, &r));
+            rows.push(Row::normalized(v.row.clone(), "Cloud".into(), np, &r));
         }
     }
     Figure { id: ablation.id, title: ablation.title.into(), rows }
@@ -170,6 +186,18 @@ mod tests {
         let traces =
             TRACES.get_or_init(|| resnet_traces(&Scale { dnn_batch: 1, ..Scale::quick() }));
         simulate(ABLATIONS.iter().find(|a| a.id == id).unwrap(), traces)
+    }
+
+    #[test]
+    fn variants_differing_only_in_protection_share_an_np_run() {
+        let runs = |a: &Ablation| {
+            let variants = (a.variants)();
+            1 + variants.windows(2).filter(|w| w[0].np_setup() != w[1].np_setup()).count()
+        };
+        let per_ablation: Vec<usize> = ABLATIONS.iter().map(runs).collect();
+        // cache, granularity and arity vary only `protection`; channels
+        // and dataflow vary the NP setup itself.
+        assert_eq!(per_ablation, [1, 1, 1, 4, 2, 1]);
     }
 
     #[test]

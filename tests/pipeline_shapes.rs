@@ -217,7 +217,7 @@ fn spec_regions() -> (RegionMap, Vec<(mgx::trace::RegionId, u64, u64)>) {
     let mut regions = RegionMap::new();
     // One region per MAC-granularity regime: coarse Bytes(512) (feat/wgt),
     // fine Bytes(64) (emb), and PerRequest (adj) — so every equivalence
-    // property below exercises every `CoarseMacTracker` branch.
+    // property below exercises every branch of the coarse MAC stream.
     let specs = [
         ("feat", 4 << 20, DataClass::Feature),
         ("wgt", 2 << 20, DataClass::Weight),

@@ -4,7 +4,7 @@
 
 use mgx::core::counter::{CounterBlock, StreamTag, VN_MAX};
 use mgx::core::secure::{BaselineSecureMemory, MgxSecureMemory};
-use mgx::core::vn::{DnnVnState, TableVersionSource, UniquenessAuditor, VersionSource};
+use mgx::core::vn::{DnnVnState, TableVersionSource, UniquenessAuditor};
 use mgx::trace::RegionId;
 use proptest::prelude::*;
 
