@@ -12,8 +12,9 @@
 //! machine-readable JSON, one object per line, for downstream plotting.
 //! Every id comes from `mgx_sim::experiments::FIGURES`; each suite an
 //! id needs is simulated once and shared by every id that reads it.
-//! `--threads N` fans the independent workloads of each suite across `N`
-//! pool workers (`0` = one per core); results are byte-identical to the
+//! `--threads N` fans each suite's independent jobs, one per (workload,
+//! scheme) or per graph and genome dataset, across `N` pool workers
+//! (`0` = one per core); results are byte-identical to the
 //! serial run, only wall-clock changes. `--store DIR` routes every suite
 //! sweep through the same content-addressed result store the `serve`
 //! daemon uses: a repeated figure run (same scale, same simulator build)

@@ -200,12 +200,23 @@ impl CacheSim {
     /// Every access of those passes is a hit, and a hit evicts nothing, so
     /// their whole effect is: the clock and the hit count advance by
     /// `rounds × lines.len()`, each line's LRU stamp becomes that of its
-    /// access in the last pass, and a write dirties every line. Returns
-    /// `false` and changes nothing if any line is absent; the caller then
-    /// runs the scalar loop, whose first access misses.
+    /// access in the last pass, and a write dirties every line. Each
+    /// line's set is scanned once: the ways found there are restamped.
+    /// Returns `false` and changes nothing if any line is absent; the
+    /// caller then runs the scalar loop, whose first access misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines` holds more than four lines (the metadata walk
+    /// passes one or two).
     pub fn repeat_hits(&mut self, lines: &[u64], dir: Dir, rounds: u64) -> bool {
-        if !lines.iter().all(|&addr| self.probe(addr)) {
-            return false;
+        let mut ways = [0; 4];
+        assert!(lines.len() <= ways.len(), "repeat_hits takes at most 4 lines");
+        for (way, &addr) in ways.iter_mut().zip(lines) {
+            match self.way_of(addr) {
+                Some(w) => *way = w,
+                None => return false,
+            }
         }
         let width = lines.len() as u64;
         let total = rounds * width;
@@ -214,8 +225,7 @@ impl CacheSim {
         }
         // The last pass touches `lines[i]` at clock `last_pass + i + 1`.
         let last_pass = self.clock + total - width;
-        for (i, &addr) in lines.iter().enumerate() {
-            let way = self.way_of(addr).expect("every line was probed resident");
+        for (i, &way) in ways[..lines.len()].iter().enumerate() {
             let line = &mut self.lines[way];
             line.last_use = last_pass + i as u64 + 1;
             line.dirty |= dir == Dir::Write;

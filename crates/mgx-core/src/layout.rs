@@ -151,20 +151,6 @@ impl BaselineLayout {
         self.level_widths.len()
     }
 
-    /// The chain of tree-node line addresses from the node covering
-    /// `vn_line_index` up to (and including) the node directly under the
-    /// root, lowest level first.
-    pub fn tree_path(&self, vn_line_index: u64) -> Vec<u64> {
-        let mut path = Vec::with_capacity(self.level_widths.len());
-        let mut idx = vn_line_index / self.arity;
-        for (level, &width) in self.level_widths.iter().enumerate() {
-            debug_assert!(idx < width, "tree index out of range");
-            path.push(TREE_BASE + (self.level_offsets[level] + idx) * LINE_BYTES);
-            idx /= self.arity;
-        }
-        path
-    }
-
     /// Parent tree-node line of a VN line address.
     ///
     /// # Panics
@@ -243,30 +229,65 @@ mod tests {
         assert_eq!(l16.tree_depth(), 9);
     }
 
+    /// Line address of node `idx` of `level` in the 1 GiB, 8-ary tree,
+    /// written out by hand: level `k` starts after the widths of levels
+    /// `0..k` (256 Ki, 32 Ki, 4 Ki, 512, 64, 8, 1 nodes) plus a
+    /// `13 × j` stagger for every level `j <= k`.
+    fn node_1g(level: usize, idx: u64) -> u64 {
+        const K: u64 = 1024;
+        const OFFSETS: [u64; 7] = [
+            0,
+            256 * K + 13,
+            (256 + 32) * K + 13 * 3,
+            (256 + 32 + 4) * K + 13 * 6,
+            (256 + 32 + 4) * K + 512 + 13 * 10,
+            (256 + 32 + 4) * K + 512 + 64 + 13 * 15,
+            (256 + 32 + 4) * K + 512 + 64 + 8 + 13 * 21,
+        ];
+        TREE_BASE + (OFFSETS[level] + idx) * LINE_BYTES
+    }
+
+    /// The tree nodes above `data_addr`'s VN line, lowest first, as
+    /// `vn_parent` and `tree_parent_of` climb them.
+    fn climb(l: &BaselineLayout, data_addr: u64) -> Vec<u64> {
+        let mut chain = vec![l.vn_parent(vn_line_of(data_addr))];
+        while let Some(p) = l.tree_parent_of(*chain.last().unwrap()) {
+            chain.push(p);
+        }
+        chain
+    }
+
     #[test]
     fn tree_path_climbs_to_single_node() {
         let l = BaselineLayout::new(1 << 30, 8);
-        let path = l.tree_path(vn_line_index(0x12345040));
+        // Data line 0x12345040 / 64 sits under VN line 596_520, whose
+        // ancestors are its index divided by 8 once per level.
+        let path = climb(&l, 0x1234_5040);
+        let want: Vec<u64> = [74_565, 9_320, 1_165, 145, 18, 2, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(level, idx)| node_1g(level, idx))
+            .collect();
+        assert_eq!(path, want);
         assert_eq!(path.len(), l.tree_depth());
-        // Monotone addresses: each level lives after the previous one.
-        for w in path.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        // The final node is the unique top node.
-        let other = l.tree_path(vn_line_index(0));
-        assert_eq!(path.last(), other.last());
+        // Every climb ends at the one node under the root.
+        assert_eq!(climb(&l, 0).last(), Some(&node_1g(6, 0)));
     }
 
     #[test]
     fn siblings_share_a_parent() {
         let l = BaselineLayout::new(1 << 30, 8);
-        // VN lines 0..8 share their level-0 parent.
-        let p0 = l.tree_path(0);
-        let p7 = l.tree_path(7);
-        let p8 = l.tree_path(8);
-        assert_eq!(p0[0], p7[0]);
-        assert_ne!(p0[0], p8[0]);
-        assert_eq!(p0[1], p8[1], "grandparent shared across 64 VN lines");
+        let vn_line = |idx: u64| VN_BASE + idx * LINE_BYTES;
+        // VN lines 0..8 share their level-0 parent; line 8 starts the next.
+        assert_eq!(l.vn_parent(vn_line(0)), node_1g(0, 0));
+        assert_eq!(l.vn_parent(vn_line(7)), node_1g(0, 0));
+        assert_eq!(l.vn_parent(vn_line(8)), node_1g(0, 1));
+        // The grandparent is shared across 64 VN lines.
+        assert_eq!(l.tree_parent_of(node_1g(0, 0)), Some(node_1g(1, 0)));
+        assert_eq!(l.tree_parent_of(node_1g(0, 1)), Some(node_1g(1, 0)));
+        assert_eq!(l.tree_parent_of(node_1g(0, 8)), Some(node_1g(1, 1)));
+        // The node under the root has no parent in DRAM.
+        assert_eq!(l.tree_parent_of(node_1g(6, 0)), None);
     }
 
     #[test]
@@ -292,15 +313,13 @@ mod tests {
     #[test]
     fn parent_chain_matches_tree_path() {
         let l = BaselineLayout::new(1 << 30, 8);
-        let data_addr = 0x2345_6780u64;
-        let vn_line = vn_line_of(data_addr);
-        let path = l.tree_path(vn_line_index(data_addr));
-        // Walk parents and compare against the path.
-        let mut chain = vec![l.vn_parent(vn_line)];
-        while let Some(p) = l.tree_parent_of(*chain.last().unwrap()) {
-            chain.push(p);
-        }
-        assert_eq!(chain, path);
+        // Data address 0x2345_6780 sits under VN line 1_155_763.
+        let want: Vec<u64> = [144_470, 18_058, 2_257, 282, 35, 4, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(level, idx)| node_1g(level, idx))
+            .collect();
+        assert_eq!(climb(&l, 0x2345_6780), want);
     }
 
     #[test]

@@ -2,18 +2,33 @@
 //!
 //! Generation is *streaming-first*: [`stream_inference_trace`] and
 //! [`stream_training_trace`] return lazy [`TraceSource`]s that emit one
-//! op's phases at a time, so a multi-GB model never materializes its whole
-//! request stream. A caller that needs a materialized [`mgx_trace::Trace`]
-//! calls `.collect_trace()` on the source.
+//! step at a time. A forward step holds at most 64 phases: a chunk of a
+//! GEMM op's folds, or one chunked transfer of any other op; a backward
+//! step is one op's dX and dW transfers, at most 128 phases. So neither a
+//! multi-GB model nor one layer's hundred thousand folds (VGG's `fc6` on
+//! the Edge array) is ever resident whole. A caller that needs a
+//! materialized [`mgx_trace::Trace`] calls `.collect_trace()` on the
+//! source.
 
 use crate::models::Model;
 use crate::ops::{InputRef, Op, OpKind};
 use mgx_scalesim::{emit_gemm, gemm_cost, ArrayConfig, Dataflow, Gemm, GemmRegions};
 use mgx_trace::{DataClass, MemRequest, Phase, RegionId, RegionMap, Trace, TraceSource};
-use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Embedding rows are f32 regardless of the MAC datatype.
 const EMB_ELEM_BYTES: u64 = 4;
+
+/// How many GEMM folds one forward step holds, so a layer's folds are
+/// never resident all at once. It bounds memory only: the folds are the
+/// same whatever the chunk, so changing it moves no simulated result.
+const STEP_PHASES: u64 = 64;
+
+/// The most phases [`emit_chunked`] splits one transfer into. Unlike
+/// [`STEP_PHASES`] this sets simulated fidelity: the phase count decides
+/// how a transfer's compute overlaps its DMA, so changing it changes
+/// simulated results.
+const TRANSFER_PHASES: u64 = 64;
 
 #[derive(Debug, Clone, Copy)]
 struct Tensor {
@@ -115,48 +130,64 @@ impl Lowering {
         }
     }
 
-    /// Emits the forward phases of op `i`.
-    fn emit_forward_op(&self, i: usize, out: &mut Trace) {
+    /// The GEMM forward op `i` lowers to, with its operand placement and
+    /// unique A bytes, or `None` if it is not a convolution or dense layer.
+    fn forward_gemm(&self, i: usize) -> Option<(Gemm, GemmRegions, Option<u64>)> {
+        let dt = self.cfg.dtype_bytes;
+        let batch = self.model.batch;
+        let op = &self.model.ops[i];
+        let input = self.tensor_of(op.input, i);
+        let (g, ifmap_payload, unique) = match op.kind {
+            OpKind::Conv(c) => {
+                let unique = batch * c.in_elems() * dt;
+                (c.to_gemm(batch), unique, Some(unique))
+            }
+            OpKind::Dense { c_in, c_out } => {
+                (Gemm { m: batch * self.tokens, k: c_in, n: c_out }, input.bytes, None)
+            }
+            _ => return None,
+        };
+        let plan = &self.plans[i];
+        let w = plan.weights.expect("GEMM ops have weights");
+        let regions = GemmRegions {
+            ifmap: (input.region, input.base),
+            ifmap_payload,
+            filter: (w.region, w.base),
+            ofmap: (plan.out.region, plan.out.base),
+        };
+        Some((g, regions, unique))
+    }
+
+    /// The forward steps: `(op, folds)`, a GEMM op's folds
+    /// [`STEP_PHASES`] at a time, and every other op in one step.
+    fn forward_steps(&self) -> impl Iterator<Item = (usize, Range<u64>)> {
+        let folds: Vec<u64> = (0..self.model.ops.len())
+            .map(|i| {
+                self.forward_gemm(i).map_or(1, |(g, _, unique)| {
+                    gemm_cost(&g, &self.cfg, self.dataflow, unique).folds()
+                })
+            })
+            .collect();
+        folds.into_iter().enumerate().flat_map(|(op, folds)| {
+            (0..folds.div_ceil(STEP_PHASES))
+                .map(move |chunk| (op, chunk * STEP_PHASES..(chunk + 1) * STEP_PHASES))
+        })
+    }
+
+    /// Emits the forward phases of op `i`: folds `folds` of a GEMM op, or
+    /// the whole of any other op.
+    fn emit_forward_op(&self, i: usize, folds: Range<u64>, out: &mut Trace) {
+        if let Some((g, regions, unique)) = self.forward_gemm(i) {
+            emit_gemm(out, &g, &self.cfg, self.dataflow, &regions, unique, folds);
+            return;
+        }
         let dt = self.cfg.dtype_bytes;
         let batch = self.model.batch;
         let op = &self.model.ops[i];
         let input = self.tensor_of(op.input, i);
         let plan = &self.plans[i];
         match op.kind {
-            OpKind::Conv(c) => {
-                let w = plan.weights.expect("conv has weights");
-                let g = c.to_gemm(batch);
-                emit_gemm(
-                    out,
-                    &g,
-                    &self.cfg,
-                    self.dataflow,
-                    &GemmRegions {
-                        ifmap: (input.region, input.base),
-                        ifmap_payload: batch * c.in_elems() * dt,
-                        filter: (w.region, w.base),
-                        ofmap: (plan.out.region, plan.out.base),
-                    },
-                    Some(batch * c.in_elems() * dt),
-                );
-            }
-            OpKind::Dense { c_in, c_out } => {
-                let w = plan.weights.expect("dense has weights");
-                let g = Gemm { m: batch * self.tokens, k: c_in, n: c_out };
-                emit_gemm(
-                    out,
-                    &g,
-                    &self.cfg,
-                    self.dataflow,
-                    &GemmRegions {
-                        ifmap: (input.region, input.base),
-                        ifmap_payload: input.bytes,
-                        filter: (w.region, w.base),
-                        ofmap: (plan.out.region, plan.out.base),
-                    },
-                    None,
-                );
-            }
+            OpKind::Conv(_) | OpKind::Dense { .. } => unreachable!("GEMM ops are emitted above"),
             OpKind::BatchedMatmul { b: heads, m, k, n } => {
                 let per = gemm_cost(&Gemm { m, k, n }, &self.cfg, self.dataflow, None);
                 let count = batch * heads;
@@ -396,7 +427,7 @@ fn in_elems_per_sample(op: &Op, tokens: u64) -> u64 {
 /// fold-exact phasing adds nothing.
 fn emit_chunked(out: &mut Trace, cycles: u64, reads: &[(Tensor, u64)], writes: &[(Tensor, u64)]) {
     let total: u64 = reads.iter().chain(writes).map(|(_, n)| *n).sum();
-    let phases = total.div_ceil(1 << 20).clamp(1, 64);
+    let phases = total.div_ceil(1 << 20).clamp(1, TRANSFER_PHASES);
     let slice = |bytes: u64, p: u64| {
         let per = bytes / phases;
         let off = per * p;
@@ -420,24 +451,68 @@ fn emit_chunked(out: &mut Trace, cycles: u64, reads: &[(Tensor, u64)], writes: &
     }
 }
 
-/// Streams the inference phases of `model` on the given accelerator: one
-/// op's phases are resident at a time, however deep the network.
+/// The inference stream's steps, each a fresh [`Trace`] of one chunk of
+/// a GEMM op's folds or one whole other op, with the regions they address.
+fn inference_steps(
+    model: &Model,
+    cfg: &ArrayConfig,
+    dataflow: Dataflow,
+) -> (RegionMap, impl Iterator<Item = Trace>) {
+    let mut regions = RegionMap::new();
+    let lowering = Lowering::new(model, cfg, dataflow, &mut regions);
+    let steps = lowering.forward_steps().map(move |(op, folds)| {
+        let mut step = Trace::default();
+        lowering.emit_forward_op(op, folds, &mut step);
+        step
+    });
+    (regions, steps)
+}
+
+/// The training stream's steps, like [`inference_steps`]: the forward
+/// steps, the loss seed, then one step per backward op, last op first.
+fn training_steps(
+    model: &Model,
+    cfg: &ArrayConfig,
+    dataflow: Dataflow,
+) -> (RegionMap, impl Iterator<Item = Trace>) {
+    /// Which part of the iteration a step lowers.
+    enum Step {
+        Forward(usize, Range<u64>),
+        Loss,
+        Backward(usize),
+    }
+    let mut regions = RegionMap::new();
+    let lowering = Lowering::new(model, cfg, dataflow, &mut regions);
+    let plan = lowering.plan_backward(&mut regions);
+    let forward = lowering.forward_steps().map(|(op, folds)| Step::Forward(op, folds));
+    let backward = (0..lowering.model.ops.len()).rev().map(Step::Backward);
+    let steps = forward.chain([Step::Loss]).chain(backward).map(move |s| {
+        let mut step = Trace::default();
+        match s {
+            Step::Forward(op, folds) => lowering.emit_forward_op(op, folds, &mut step),
+            Step::Loss => lowering.emit_loss(&plan, &mut step),
+            Step::Backward(op) => lowering.emit_backward_op(&plan, op, &mut step),
+        }
+        step
+    });
+    (regions, steps)
+}
+
+/// Streams the inference phases of `model` on the given accelerator. A
+/// step of at most 64 phases is resident at a time (a chunk of one GEMM's
+/// folds), however deep the network and however many folds a layer has.
 pub fn stream_inference_trace(
     model: &Model,
     cfg: &ArrayConfig,
     dataflow: Dataflow,
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
-    let mut regions = RegionMap::new();
-    let lowering = Lowering::new(model, cfg, dataflow, &mut regions);
-    let phases = (0..lowering.model.ops.len()).flat_map(move |op| {
-        let mut step = Trace::default();
-        lowering.emit_forward_op(op, &mut step);
-        step.phases
-    });
-    (regions, phases)
+    let (regions, steps) = inference_steps(model, cfg, dataflow);
+    (regions, steps.flat_map(|step| step.phases))
 }
 
-/// Streams one training iteration (forward + backward, §IV-A) of `model`.
+/// Streams one training iteration (forward + backward, §IV-A) of `model`,
+/// one step at a time: a forward step of at most 64 phases, or one
+/// backward op of at most 128.
 ///
 /// Weight updates are *not* emulated, matching the paper's methodology
 /// (§VI-A: "no similar operation is available in SCALE-Sim").
@@ -446,21 +521,8 @@ pub fn stream_training_trace(
     cfg: &ArrayConfig,
     dataflow: Dataflow,
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
-    let mut regions = RegionMap::new();
-    let lowering = Lowering::new(model, cfg, dataflow, &mut regions);
-    let plan = lowering.plan_backward(&mut regions);
-    let n = lowering.model.ops.len();
-    // Steps: forward ops 0..n, the loss seed, then backward ops n-1..0.
-    let phases = (0..=2 * n).flat_map(move |i| {
-        let mut step = Trace::default();
-        match i.cmp(&n) {
-            Ordering::Less => lowering.emit_forward_op(i, &mut step),
-            Ordering::Equal => lowering.emit_loss(&plan, &mut step),
-            Ordering::Greater => lowering.emit_backward_op(&plan, 2 * n - i, &mut step),
-        }
-        step.phases
-    });
-    (regions, phases)
+    let (regions, steps) = training_steps(model, cfg, dataflow);
+    (regions, steps.flat_map(|step| step.phases))
 }
 
 #[cfg(test)]
@@ -583,5 +645,59 @@ mod tests {
             stream_inference_trace(&model, &cloud(), Dataflow::WeightStationary).collect_trace();
         assert!(t.phases.len() > 60, "one+ phase per layer, got {}", t.phases.len());
         assert!(t.phases.iter().all(|p| !p.requests.is_empty() || p.compute_cycles > 0));
+    }
+
+    /// VGG's `fc6` on the Edge array lowers to 100,352 folds. Stepped by
+    /// chunks of folds, no forward step of the inference or training
+    /// stream holds more than [`STEP_PHASES`] phases (or one chunked
+    /// transfer's [`TRANSFER_PHASES`]), no backward step more than two
+    /// chunked transfers, and the steps concatenate to every op emitted
+    /// whole, in stream order.
+    #[test]
+    fn no_step_holds_more_than_one_chunk_of_phases() {
+        let (model, edge, ws) = (Model::vgg16(2), ArrayConfig::edge(), Dataflow::WeightStationary);
+        let mut regions = RegionMap::new();
+        let lowering = Lowering::new(&model, &edge, ws, &mut regions);
+        let forward_steps = lowering.forward_steps().count();
+        for training in [false, true] {
+            let steps: Box<dyn Iterator<Item = Trace>> = if training {
+                Box::new(training_steps(&model, &edge, ws).1)
+            } else {
+                Box::new(inference_steps(&model, &edge, ws).1)
+            };
+            let mut streamed = steps.enumerate().flat_map(|(k, step)| {
+                let phases = step.phases.len() as u64;
+                let bound = if k < forward_steps {
+                    STEP_PHASES.max(TRANSFER_PHASES)
+                } else {
+                    2 * TRANSFER_PHASES
+                };
+                assert!(phases <= bound, "step {k} holds {phases} phases");
+                step.phases
+            });
+            let mut expect = |whole: Trace, what: String| {
+                for (k, phase) in whole.phases.into_iter().enumerate() {
+                    assert_eq!(streamed.next().as_ref(), Some(&phase), "{what}, phase {k}");
+                }
+            };
+            let ops = lowering.model.ops.len();
+            for op in 0..ops {
+                let mut whole = Trace::default();
+                lowering.emit_forward_op(op, 0..u64::MAX, &mut whole);
+                expect(whole, format!("forward op {op}"));
+            }
+            if training {
+                let plan = lowering.plan_backward(&mut regions.clone());
+                let mut whole = Trace::default();
+                lowering.emit_loss(&plan, &mut whole);
+                expect(whole, "loss".into());
+                for op in (0..ops).rev() {
+                    let mut whole = Trace::default();
+                    lowering.emit_backward_op(&plan, op, &mut whole);
+                    expect(whole, format!("backward op {op}"));
+                }
+            }
+            assert!(streamed.next().is_none(), "the stream outruns its ops");
+        }
     }
 }

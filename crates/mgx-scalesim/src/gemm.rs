@@ -3,6 +3,7 @@
 
 use crate::{ArrayConfig, Dataflow};
 use mgx_trace::{MemRequest, RegionId, Trace};
+use std::ops::Range;
 
 /// A dense matrix multiplication `C[m×n] = A[m×k] × B[k×n]`.
 ///
@@ -66,6 +67,11 @@ pub struct GemmCost {
 }
 
 impl GemmCost {
+    /// Folds of the GEMM: one phase each when emitted.
+    pub fn folds(&self) -> u64 {
+        self.row_folds * self.col_folds
+    }
+
     /// Total DRAM bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.ifmap_read_bytes
@@ -152,11 +158,15 @@ fn chunk(bytes: u64, parts: u64, i: u64) -> (u64, u64) {
     (off, len)
 }
 
-/// Emits the fold-by-fold phases of one GEMM into `out`.
+/// Emits the phases of folds `folds` of one GEMM into `out`.
 ///
 /// Each `(row_fold, col_fold)` pair becomes one double-buffered phase whose
 /// requests walk the operand regions exactly as the cost model accounts
-/// them. Returns the cost for the caller's bookkeeping (e.g. VN audit of
+/// them. Folds are numbered column-fold-major (`col × row_folds + row`),
+/// the order a whole GEMM is emitted in, so emitting contiguous ranges one
+/// after another equals emitting them at once. A range past the last fold
+/// is clipped, so `0..u64::MAX` emits the whole GEMM. Returns the cost of
+/// the whole GEMM for the caller's bookkeeping (e.g. VN audit of
 /// `writes_per_output`).
 pub fn emit_gemm(
     out: &mut Trace,
@@ -165,11 +175,11 @@ pub fn emit_gemm(
     dataflow: Dataflow,
     regions: &GemmRegions,
     ifmap_unique_bytes: Option<u64>,
+    folds: Range<u64>,
 ) -> GemmCost {
     let cost = gemm_cost(g, cfg, dataflow, ifmap_unique_bytes);
     let (rf, cf) = (cost.row_folds, cost.col_folds);
-    let folds = rf * cf;
-    let cycles_per_fold = cost.compute_cycles / folds;
+    let cycles_per_fold = cost.compute_cycles / cost.folds();
     let (ifr, ifb) = regions.ifmap;
     let (flr, flb) = regions.filter;
     let (ofr, ofb) = regions.ofmap;
@@ -180,43 +190,42 @@ pub fn emit_gemm(
     let ifmap_wrap = regions.ifmap_payload.max(1);
     let spilling = cost.writes_per_output > 1;
     let partial_bytes = g.m * g.n * cfg.acc_bytes;
-    for c in 0..cf {
-        for r in 0..rf {
-            out.begin_phase(cycles_per_fold);
-            // Weights: each fold loads its own slab exactly once.
-            let (w_off, w_len) = chunk(cost.filter_read_bytes, folds, c * rf + r);
-            if w_len > 0 {
-                out.push(MemRequest::read(flr, flb + w_off, w_len));
+    for fold in folds.start..folds.end.min(cost.folds()) {
+        let (c, r) = (fold / rf, fold % rf);
+        out.begin_phase(cycles_per_fold);
+        // Weights: each fold loads its own slab exactly once.
+        let (w_off, w_len) = chunk(cost.filter_read_bytes, cost.folds(), fold);
+        if w_len > 0 {
+            out.push(MemRequest::read(flr, flb + w_off, w_len));
+        }
+        // Inputs: the row-fold slice of A streams in; re-read per
+        // column fold only if A does not fit on-chip.
+        if c == 0 || !ifmap_cached {
+            let (i_off, mut i_len) = chunk(ifmap_total, rf, r);
+            let mut off = i_off % ifmap_wrap;
+            while i_len > 0 {
+                let take = i_len.min(ifmap_wrap - off);
+                out.push(MemRequest::read(ifr, ifb + off, take));
+                i_len -= take;
+                off = 0;
             }
-            // Inputs: the row-fold slice of A streams in; re-read per
-            // column fold only if A does not fit on-chip.
-            if c == 0 || !ifmap_cached {
-                let (i_off, mut i_len) = chunk(ifmap_total, rf, r);
-                let mut off = i_off % ifmap_wrap;
-                while i_len > 0 {
-                    let take = i_len.min(ifmap_wrap - off);
-                    out.push(MemRequest::read(ifr, ifb + off, take));
-                    i_len -= take;
-                    off = 0;
-                }
+        }
+        // Outputs / partial sums for this column stripe.
+        let (o_off, o_len) = chunk(cost.ofmap_write_bytes, cf, c);
+        if spilling {
+            let (p_off, p_len) = chunk(partial_bytes, cf, c);
+            if r > 0 && p_len > 0 {
+                out.push(MemRequest::read(ofr, ofb + p_off, p_len));
             }
-            // Outputs / partial sums for this column stripe.
-            let (o_off, o_len) = chunk(cost.ofmap_write_bytes, cf, c);
-            if spilling {
-                let (p_off, p_len) = chunk(partial_bytes, cf, c);
-                if r > 0 && p_len > 0 {
-                    out.push(MemRequest::read(ofr, ofb + p_off, p_len));
+            if r < rf - 1 {
+                if p_len > 0 {
+                    out.push(MemRequest::write(ofr, ofb + p_off, p_len));
                 }
-                if r < rf - 1 {
-                    if p_len > 0 {
-                        out.push(MemRequest::write(ofr, ofb + p_off, p_len));
-                    }
-                } else if o_len > 0 {
-                    out.push(MemRequest::write(ofr, ofb + o_off, o_len));
-                }
-            } else if r == rf - 1 && o_len > 0 {
+            } else if o_len > 0 {
                 out.push(MemRequest::write(ofr, ofb + o_off, o_len));
             }
+        } else if r == rf - 1 && o_len > 0 {
+            out.push(MemRequest::write(ofr, ofb + o_off, o_len));
         }
     }
     cost
@@ -226,6 +235,7 @@ pub fn emit_gemm(
 mod tests {
     use super::*;
     use mgx_trace::DataClass;
+    use proptest::prelude::*;
 
     fn small_cfg() -> ArrayConfig {
         ArrayConfig {
@@ -327,7 +337,15 @@ mod tests {
         ] {
             let mut trace = Trace::default();
             let regions = build_regions(&mut trace, &g, &cfg);
-            let cost = emit_gemm(&mut trace, &g, &cfg, Dataflow::WeightStationary, &regions, None);
+            let cost = emit_gemm(
+                &mut trace,
+                &g,
+                &cfg,
+                Dataflow::WeightStationary,
+                &regions,
+                None,
+                0..u64::MAX,
+            );
             let t = trace.traffic();
             assert_eq!(
                 t.read_bytes,
@@ -354,7 +372,7 @@ mod tests {
         let g = Gemm { m: 4096, k: 64, n: 16 };
         let mut trace = Trace::default();
         let regions = build_regions(&mut trace, &g, &cfg);
-        emit_gemm(&mut trace, &g, &cfg, Dataflow::WeightStationary, &regions, None);
+        emit_gemm(&mut trace, &g, &cfg, Dataflow::WeightStationary, &regions, None, 0..u64::MAX);
         for phase in &trace.phases {
             for req in &phase.requests {
                 let region = trace.regions.get(req.region);
@@ -364,6 +382,46 @@ mod tests {
                     region.name
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Emitting a GEMM's folds over contiguous ranges, one range after
+        /// another, emits exactly the phases of the whole GEMM. The last
+        /// range runs to `u64::MAX`, so the clipping of a range past the
+        /// last fold is exercised too. Up to 3000 rows keep partial-sum spills
+        /// (past 256 rows) and A re-reads (past 16 KiB) in play.
+        #[test]
+        fn fold_ranges_concatenate_to_the_whole_gemm(
+            m in 1u64..3000,
+            k in 1u64..100,
+            n in 1u64..100,
+            output_stationary in any::<bool>(),
+            cuts in proptest::collection::vec(0u64..1 << 20, 0..6),
+        ) {
+            let cfg = small_cfg();
+            let g = Gemm { m, k, n };
+            let dataflow = if output_stationary {
+                Dataflow::OutputStationary
+            } else {
+                Dataflow::WeightStationary
+            };
+            let mut whole = Trace::default();
+            let regions = build_regions(&mut whole, &g, &cfg);
+            let cost = emit_gemm(&mut whole, &g, &cfg, dataflow, &regions, None, 0..u64::MAX);
+            let mut starts: Vec<u64> = cuts.iter().map(|c| c % (cost.folds() + 1)).collect();
+            starts.push(0);
+            starts.sort_unstable();
+            starts.dedup();
+            let mut pieces = Trace::default();
+            for (i, &start) in starts.iter().enumerate() {
+                let end = starts.get(i + 1).copied().unwrap_or(u64::MAX);
+                emit_gemm(&mut pieces, &g, &cfg, dataflow, &regions, None, start..end);
+            }
+            prop_assert_eq!(whole.phases.len() as u64, cost.folds());
+            prop_assert_eq!(pieces.phases, whole.phases);
         }
     }
 }

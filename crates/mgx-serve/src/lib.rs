@@ -13,7 +13,7 @@
 //!    specs against the experiment registry;
 //! 2. a **scheduler** ([`scheduler`]): a bounded queue with backpressure
 //!    feeding a worker pool, each job running the exact
-//!    [`JobSpec::execute`] sweep (which fans workloads over
+//!    [`JobSpec::execute`] sweep (which fans its jobs over
 //!    [`mgx_sim::parallel::map`]), with single-flight deduplication so
 //!    concurrent identical requests simulate once;
 //! 3. a **content-addressed result store** ([`store`]): results keyed by

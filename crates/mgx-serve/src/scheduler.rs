@@ -7,7 +7,7 @@
 //!   a slow `submit` instead of an unbounded server-side buffer.
 //! * **Worker pool**: `workers` threads pop digests and run
 //!   [`JobSpec::execute`] — the exact experiment-registry sweep, which
-//!   internally fans its workloads over [`mgx_sim::parallel::map`]
+//!   internally fans its jobs over [`mgx_sim::parallel::map`]
 //!   according to the job's `threads` knob. Results are bit-identical to a
 //!   direct call by construction (no simulator state is shared).
 //! * **Single flight**: a digest that is already queued or running is never

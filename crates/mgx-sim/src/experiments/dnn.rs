@@ -8,6 +8,7 @@ use mgx_dnn::trace::{stream_inference_trace, stream_training_trace};
 use mgx_dnn::Model;
 use mgx_dram::DramBackend;
 use mgx_scalesim::{ArrayConfig, Dataflow};
+use mgx_trace::TraceSource;
 
 /// The two accelerator setups of §VI-A.
 pub fn setups() -> Vec<(&'static str, ArrayConfig, SimConfig)> {
@@ -17,42 +18,37 @@ pub fn setups() -> Vec<(&'static str, ArrayConfig, SimConfig)> {
     ]
 }
 
-/// Sweeps every (model, setup) pair under all schemes on `backend`.
-fn sweep(
+/// Sweeps every (model, setup) pair under all schemes on `backend`, as
+/// (workload, scheme) jobs of `experiments::sweep` on `threads` pool
+/// workers. Phases stream straight from `stream`'s lowering into the
+/// engine; the trace is never materialized.
+fn sweep<S: TraceSource>(
     models: Vec<Model>,
-    training: bool,
     threads: usize,
     backend: DramBackend,
+    stream: impl Fn(&Model, &ArrayConfig, Dataflow) -> S + Sync,
 ) -> Vec<Evaluated> {
-    // Each (model, setup) sweep is independent: fan them across the pool.
-    // Within a worker the five schemes stream down a single pass, so the
-    // pool parallelism multiplies, not divides, the sweep concurrency.
-    let jobs: Vec<(Model, &'static str, ArrayConfig, SimConfig)> = models
+    let workloads: Vec<(Model, &'static str, ArrayConfig, SimConfig)> = models
         .into_iter()
         .flat_map(|m| {
-            setups().into_iter().map(move |(name, acfg, scfg)| (m.clone(), name, acfg, scfg))
+            setups().into_iter().map(move |(name, acfg, scfg)| {
+                (m.clone(), name, acfg, SimConfig { dram_backend: backend, ..scfg })
+            })
         })
         .collect();
-    crate::parallel::map(threads, jobs, |(model, name, acfg, scfg)| {
-        // Phases stream straight from the lowering into the five
-        // engines — the trace is never materialized.
-        let scfg = SimConfig { dram_backend: backend, ..scfg };
-        let results = if training {
-            Simulation::over(stream_training_trace(&model, &acfg, Dataflow::WeightStationary))
-                .config(scfg)
-                .run_all()
-        } else {
-            Simulation::over(stream_inference_trace(&model, &acfg, Dataflow::WeightStationary))
-                .config(scfg)
-                .run_all()
-        };
-        Evaluated::new(model.name, name, results)
-    })
+    super::sweep(
+        threads,
+        workloads,
+        |(model, _, acfg, scfg)| {
+            Simulation::over(stream(model, acfg, Dataflow::WeightStationary)).config(scfg.clone())
+        },
+        |(model, setup, ..), results| Evaluated::new(model.name, setup, results),
+    )
 }
 
 /// Simulates the inference suite (VGG, AlexNet, GoogLeNet, ResNet, BERT,
-/// DLRM) on Cloud and Edge under all schemes on `backend`, with the
-/// workloads fanned across `threads` pool workers (`0` = all cores).
+/// DLRM) on Cloud and Edge under all schemes on `backend`, on `threads`
+/// pool workers (`0` = all cores), each claiming (workload, scheme) jobs.
 /// Output is identical to the sequential run.
 pub fn evaluate_inference(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let models = vec![
@@ -63,7 +59,7 @@ pub fn evaluate_inference(scale: &Scale, threads: usize, backend: DramBackend) -
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
         Model::dlrm(scale.dnn_batch * 16),
     ];
-    sweep(models, false, threads, backend)
+    sweep(models, threads, backend, stream_inference_trace)
 }
 
 /// Simulates the training suite (no DLRM, as in the paper) like
@@ -76,7 +72,7 @@ pub fn evaluate_training(scale: &Scale, threads: usize, backend: DramBackend) ->
         Model::resnet50(scale.dnn_batch),
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
     ];
-    sweep(models, true, threads, backend)
+    sweep(models, threads, backend, stream_training_trace)
 }
 
 #[cfg(test)]

@@ -16,8 +16,11 @@ pub fn setup(accel: &GactAccelConfig) -> SimConfig {
 }
 
 /// Simulates the nine Fig 16 workloads under all schemes on `backend`,
-/// fanned across `threads` pool workers (`0` = all cores). Output is
-/// identical to the sequential run.
+/// fanned across `threads` pool workers (`0` = all cores), each workload
+/// in one five-scheme pass. Unlike the suites on `experiments::sweep`, a
+/// workload is not split into per-scheme jobs: its GACT reference and
+/// reads dominate at quick scale, and each scheme job would rebuild them.
+/// Output is identical to the sequential run.
 pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let accel = GactAccelConfig::default();
     let scfg = SimConfig { dram_backend: backend, ..setup(&accel) };

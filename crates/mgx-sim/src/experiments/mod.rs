@@ -3,7 +3,9 @@
 //!
 //! Workloads are simulated once across all five schemes
 //! ([`Evaluated`]) and the figures slice those results, so regenerating
-//! Fig 12 and Fig 13 costs one simulation pass, not two.
+//! Fig 12 and Fig 13 costs one simulation pass, not two. The DNN,
+//! transformer and video suites run through one `sweep`; graph and
+//! genome fan out one job per dataset themselves.
 
 pub mod dnn;
 pub mod genome;
@@ -13,10 +15,12 @@ pub mod transformer;
 pub mod video;
 
 use crate::job::Suite;
-use crate::pipeline::RunResult;
+use crate::parallel;
+use crate::pipeline::{RunResult, Simulation};
 use crate::report::{esc, render, render_json, Figure, Row};
 use crate::scale::Scale;
 use mgx_core::{MetaTraffic, Scheme};
+use mgx_trace::TraceSource;
 
 /// One workload simulated under every scheme (in [`Scheme::ALL`] order).
 #[derive(Debug, Clone)]
@@ -91,6 +95,46 @@ impl Evaluated {
             })
             .collect()
     }
+}
+
+/// The order [`sweep`] claims one workload's scheme jobs in: BP and
+/// MGX_MAC first, because their cached metadata walk makes them the
+/// costly runs (one BP run of VGG/Edge costs about 27 MGX runs).
+const CLAIM_ORDER: [Scheme; 5] =
+    [Scheme::Baseline, Scheme::MgxMac, Scheme::NoProtection, Scheme::Mgx, Scheme::MgxVn];
+
+/// Simulates every workload under all five schemes: one [`Evaluated`] per
+/// workload, in input order, each built by `evaluated` from its results in
+/// [`Scheme::ALL`] order. `simulation` sets up one workload's run: its
+/// trace source and configuration.
+///
+/// [`parallel::map`] claims (workload, scheme) jobs, workload-major with
+/// [`CLAIM_ORDER`] inside each workload, so one large workload's schemes
+/// run side by side instead of bounding the sweep's wall time; at one
+/// thread the same jobs run in that order. Each job regenerates its
+/// workload's trace, and the per-scheme runs are bit-identical to one
+/// [`Simulation::run_all`] pass, because no scheme's state is shared with
+/// another's.
+pub(crate) fn sweep<W, S>(
+    threads: usize,
+    workloads: Vec<W>,
+    simulation: impl Fn(&W) -> Simulation<S> + Sync,
+    evaluated: impl Fn(W, Vec<RunResult>) -> Evaluated,
+) -> Vec<Evaluated>
+where
+    W: Sync,
+    S: TraceSource,
+{
+    let jobs = (0..workloads.len()).flat_map(|w| CLAIM_ORDER.map(|s| (w, s))).collect();
+    let runs = parallel::map(threads, jobs, |(w, s)| simulation(&workloads[w]).scheme(s).run());
+    let results = runs.chunks(CLAIM_ORDER.len()).map(|claimed| {
+        Scheme::ALL
+            .iter()
+            .map(|&s| claimed.iter().find(|r| r.scheme == s).expect("every scheme ran"))
+            .cloned()
+            .collect()
+    });
+    workloads.into_iter().zip(results).map(|(w, results)| evaluated(w, results)).collect()
 }
 
 fn collect_rows(evals: &[Evaluated], schemes: &[Scheme]) -> Vec<Row> {
@@ -488,6 +532,64 @@ mod tests {
             results: vec![result(Scheme::NoProtection, 100), result(Scheme::Mgx, 120)],
         };
         assert_eq!(e.total_traffic().total_bytes(), 220);
+    }
+
+    /// A synthetic workload of `tiles` 64 KiB tiles over a 4 MiB region,
+    /// hopping by a prime stride, every third tile a write.
+    fn hopping_tiles(tiles: u64) -> mgx_trace::Trace {
+        const TILE: u64 = 64 << 10;
+        let mut trace = mgx_trace::Trace::default();
+        let r = trace.regions.alloc("buf", 64 * TILE, mgx_trace::DataClass::Feature);
+        let base = trace.regions.get(r).base;
+        for i in 0..tiles {
+            trace.begin_phase(1000 * (i % 5));
+            let addr = base + i * 37 % 64 * TILE;
+            trace.push(if i % 3 == 2 {
+                mgx_trace::MemRequest::write(r, addr, TILE)
+            } else {
+                mgx_trace::MemRequest::read(r, addr, TILE)
+            });
+        }
+        trace
+    }
+
+    /// Eight workloads, one about ten times the size of each other one,
+    /// swept at 1, 2 and 5 threads, which claim (workload, scheme) jobs in
+    /// different interleavings: each must return the labels, order and
+    /// results of one `run_all` pass per workload, in `Scheme::ALL` order.
+    #[test]
+    fn sweep_is_identical_at_every_thread_count() {
+        let tiles = [6, 5, 60, 7, 6, 5, 8, 6];
+        let workloads: Vec<(String, u64)> =
+            tiles.iter().enumerate().map(|(i, &t)| (format!("w{i}"), t)).collect();
+        let simulation = |tiles| {
+            Simulation::over(hopping_tiles(tiles)).config(crate::SimConfig::overlapped(1, 900))
+        };
+        let expect: Vec<Evaluated> = workloads
+            .iter()
+            .map(|(name, tiles)| Evaluated::new(name, "cfg", simulation(*tiles).run_all()))
+            .collect();
+        for threads in [1, 2, 5] {
+            let got = sweep(
+                threads,
+                workloads.clone(),
+                |&(_, tiles)| simulation(tiles),
+                |(name, _), results| Evaluated::new(name, "cfg", results),
+            );
+            assert_eq!(got.len(), expect.len());
+            for (e, g) in expect.iter().zip(&got) {
+                assert_eq!((&g.workload, &g.config), (&e.workload, &e.config));
+                let schemes: Vec<Scheme> = g.results.iter().map(|r| r.scheme).collect();
+                assert_eq!(schemes, Scheme::ALL, "{} at {threads} threads", g.workload);
+                for (a, b) in e.results.iter().zip(&g.results) {
+                    let at = format!("{} {} at {threads} threads", g.workload, b.scheme.label());
+                    assert_eq!(a.dram_cycles, b.dram_cycles, "{at}");
+                    assert_eq!(a.exec_ns.to_bits(), b.exec_ns.to_bits(), "{at}");
+                    assert_eq!(a.traffic, b.traffic, "{at}");
+                    assert_eq!(a.dram, b.dram, "{at}");
+                }
+            }
+        }
     }
 
     fn stub(scheme: Scheme) -> RunResult {

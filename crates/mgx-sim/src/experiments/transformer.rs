@@ -12,6 +12,7 @@ use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
 use mgx_dram::DramBackend;
 use mgx_scalesim::ArrayConfig;
+use mgx_trace::{Phase, RegionMap, TraceSource};
 use mgx_transformer::trace::{
     stream_decode_trace, stream_paged_attention_trace, stream_prefill_trace,
 };
@@ -45,31 +46,39 @@ fn models() -> [TransformerConfig; 2] {
 }
 
 /// Simulates prefill, decode, and paged decode for both named shapes under
-/// all schemes on `backend`, with the six (model × stage) workloads fanned
-/// across `threads` pool workers (`0` = all cores). Output order and bits
-/// are identical to the sequential run.
+/// all schemes on `backend`, as ((model × stage), scheme) jobs of
+/// `experiments::sweep` on `threads` pool workers (`0` = all cores).
+/// Output order and bits are identical to the sequential run.
 pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let req = request(scale);
     let paged = PagedConfig::default();
     let acfg = array();
     let scfg = SimConfig { dram_backend: backend, ..setup() };
-    let jobs: Vec<(TransformerConfig, &'static str)> =
+    let workloads: Vec<(TransformerConfig, &'static str)> =
         models().iter().flat_map(|&m| STAGES.map(|s| (m, s))).collect();
-    crate::parallel::map(threads, jobs, move |(m, stage)| {
-        let cfg = scfg.clone();
-        let results = match stage {
-            "Prefill" => {
-                Simulation::over(stream_prefill_trace(&m, &req, &acfg)).config(cfg).run_all()
-            }
-            "Decode" => {
-                Simulation::over(stream_decode_trace(&m, &req, &acfg)).config(cfg).run_all()
-            }
-            _ => Simulation::over(stream_paged_attention_trace(&m, &req, &paged, &acfg))
-                .config(cfg)
-                .run_all(),
-        };
-        Evaluated::new(m.name, stage, results)
-    })
+    super::sweep(
+        threads,
+        workloads,
+        |(m, stage)| {
+            // The three stages stream different generator types; boxing
+            // the phase iterator gives the sweep one source type.
+            let (regions, phases) = match *stage {
+                "Prefill" => boxed(stream_prefill_trace(m, &req, &acfg)),
+                "Decode" => boxed(stream_decode_trace(m, &req, &acfg)),
+                _ => boxed(stream_paged_attention_trace(m, &req, &paged, &acfg)),
+            };
+            Simulation::over((regions, phases)).config(scfg.clone())
+        },
+        |(m, stage), results| Evaluated::new(m.name, stage, results),
+    )
+}
+
+/// Splits `source`, boxing its phase iterator.
+fn boxed(
+    source: impl TraceSource<Phases = impl Iterator<Item = Phase> + 'static>,
+) -> (RegionMap, Box<dyn Iterator<Item = Phase>>) {
+    let (regions, phases) = source.into_stream();
+    (regions, Box::new(phases))
 }
 
 #[cfg(test)]

@@ -16,14 +16,21 @@ pub fn setup() -> SimConfig {
     SimConfig::overlapped(1, 500)
 }
 
-/// Simulates an IBPB GOP decode under all schemes on `backend`. There is
-/// a single decode workload, so the pool has nothing to fan out and
-/// `_threads` is accepted only to keep every suite's signature the same.
-pub fn evaluate(scale: &Scale, _threads: usize, backend: DramBackend) -> Vec<Evaluated> {
-    let gop = GopStructure::ibpb(scale.video_frames);
-    let src = stream_decode_trace(&gop, &DecoderConfig::default());
+/// Simulates an IBPB GOP decode under all schemes on `backend`: the five
+/// schemes are `experiments::sweep` jobs on `threads` pool workers (`0` =
+/// all cores), each regenerating the decode trace. Output is identical to
+/// the sequential run.
+pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
     let cfg = SimConfig { dram_backend: backend, ..setup() };
-    vec![Evaluated::new("H.264-IBPB", String::new(), Simulation::over(src).config(cfg).run_all())]
+    super::sweep(
+        threads,
+        vec![GopStructure::ibpb(scale.video_frames)],
+        |gop| {
+            Simulation::over(stream_decode_trace(gop, &DecoderConfig::default()))
+                .config(cfg.clone())
+        },
+        |_, results| Evaluated::new("H.264-IBPB", String::new(), results),
+    )
 }
 
 #[cfg(test)]

@@ -100,10 +100,10 @@ pub struct JobSpec {
     pub scale: Scale,
     /// Schemes to include in the result, in [`Scheme::ALL`] order after
     /// canonicalization. Empty means "all five". The sweep itself always
-    /// runs all five schemes in one pass (`run_all` amortizes the trace
-    /// walk), so a subset changes the response, not the simulation cost.
+    /// runs all five schemes, so a subset changes the response, not the
+    /// simulation cost.
     pub schemes: Vec<Scheme>,
-    /// Workload-pool fan-out for the sweep (`0` = all cores). Changes
+    /// Pool workers for the sweep's jobs (`0` = all cores). Changes
     /// wall-clock only; excluded from the canonical form and the digest.
     pub threads: usize,
     /// DRAM timing backend. Unlike `threads` this changes result *bits* (the queued backend reorders transactions),

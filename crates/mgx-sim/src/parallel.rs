@@ -1,12 +1,15 @@
 //! Multi-core execution of the evaluation sweeps.
 //!
-//! The experiment registry's suites are embarrassingly parallel (one
-//! `Evaluated` per workload), so [`map`], a simple work-claiming pool, fans
-//! the workloads over `n` threads while preserving input order. Each
-//! workload's five-scheme sweep runs whole on one worker and no simulator
-//! state is shared between threads, so parallel runs are **bit-identical**
-//! to their sequential twins. The `figures` binary's `--threads` flag
-//! feeds this pool.
+//! The experiment registry's suites are embarrassingly parallel, so
+//! [`map`], a simple work-claiming pool, fans their jobs over `n` threads
+//! while preserving input order. The DNN, transformer and video suites
+//! hand it one job per (workload, scheme) through
+//! `experiments::sweep`, so one large workload's schemes run side by
+//! side. Graph and genome hand it one job per dataset: one worker builds
+//! the dataset's input and runs all five schemes over it. No simulator
+//! state is shared between threads, so parallel runs are
+//! **bit-identical** to their sequential twins. The `figures` binary's
+//! `--threads` flag feeds this pool.
 //!
 //! Everything is built on `std::thread::scope` — no dependencies.
 

@@ -5,8 +5,9 @@
 //! crate's `stream_*` generator, or a bare `(RegionMap, iterator)` pair —
 //! pick a scheme and configuration, and [`Simulation::run`] (or
 //! [`Simulation::run_all`] for the five-scheme sweep) consumes the phase
-//! stream one phase at a time. Peak memory is O(one phase), independent of
-//! workload length: a burst is handed to the DRAM model the moment the
+//! stream one phase at a time. Peak memory is the generator's current step
+//! plus each scheme's engine and DRAM state, independent of workload
+//! length: a burst is handed to the DRAM model the moment the
 //! protection engine expands it (writes are held only until the
 //! phase's reads have issued, mirroring a real controller's read-priority
 //! batching).

@@ -6,7 +6,8 @@
 //! targets. [`TraceSource`] is the streaming generalization the pipeline
 //! consumes instead: region declarations (always small, known up front)
 //! plus a lazy iterator of [`Phase`]s. The simulator pulls phases one at a
-//! time, so peak memory is O(one phase) regardless of workload length.
+//! time, so peak memory is one generator step regardless of workload
+//! length.
 //!
 //! Three kinds of sources qualify:
 //!

@@ -61,7 +61,7 @@ impl<'a> core::iter::Sum<&'a Traffic> for Traffic {
 /// `max(compute_time, memory_time)` — the standard double-buffering
 /// assumption the paper's simulators also make (compute and DMA overlap;
 /// the slower side dominates).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phase {
     /// Compute cycles at the *accelerator* clock.
     pub compute_cycles: u64,

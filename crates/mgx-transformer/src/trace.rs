@@ -199,7 +199,7 @@ impl Lowering {
             filter: (self.weights.0, filter_addr),
             ofmap: (self.act.0, ofmap_addr),
         };
-        emit_gemm(out, &g, &self.cfg, Dataflow::WeightStationary, &gr, None);
+        emit_gemm(out, &g, &self.cfg, Dataflow::WeightStationary, &gr, None, 0..u64::MAX);
     }
 
     /// Appends the step's K/V vectors. Contiguous: per-sequence rings,
