@@ -11,17 +11,21 @@
 //! switches every figure (and the summary and pruning tables) to
 //! machine-readable JSON, one object per line, for downstream plotting.
 //! Every id comes from `mgx_sim::experiments::FIGURES`; each suite an
-//! id needs is simulated once and shared by every id that reads it.
+//! id needs is simulated once and shared by every id that reads it, under
+//! NP and only the schemes the selected ids read of it
+//! (`Entry::reads`), so `figures fig16` never simulates MGX on genome.
 //! `--threads N` fans each suite's independent jobs, one per (workload,
 //! scheme) or per graph and genome dataset, across `N` pool workers
 //! (`0` = one per core); results are byte-identical to the
 //! serial run, only wall-clock changes. `--store DIR` routes every suite
 //! sweep through the same content-addressed result store the `serve`
 //! daemon uses: a repeated figure run (same scale, same simulator build)
-//! reloads its sweeps from `DIR` instead of re-simulating.
+//! reloads its sweeps from `DIR` instead of re-simulating. A store entry
+//! holds one suite under one scheme set, so a run that selects other ids
+//! may read a suite's other schemes and miss.
 //! `--stats-json PATH` additionally writes the run's full observability
-//! registry (per-suite wall-clock histograms, per-scheme
-//! simulated-bytes/DRAM-cycle totals, store hit/miss counters) as one JSON
+//! registry (per-suite wall-clock histograms, simulated-bytes/DRAM-cycle
+//! totals per simulated scheme, store hit/miss counters) as one JSON
 //! document to `PATH` — stdout stays byte-identical with or without the
 //! flag. The side-file and a serve daemon's `metrics` op render the same
 //! `mgx_*` counter families, so the two surfaces cannot disagree.
@@ -34,7 +38,7 @@
 //! figure id.
 
 use mgx_bench::{take_flag, usage_error};
-use mgx_core::MetaTraffic;
+use mgx_core::{MetaTraffic, Scheme};
 use mgx_obs::Registry;
 use mgx_serve::codec::evaluated_from_json;
 use mgx_serve::{ResultStore, StoreConfig};
@@ -46,34 +50,39 @@ use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Progress note: how much DRAM traffic a suite's sweep actually moved.
+/// Progress note: how much DRAM traffic a suite's sweep actually moved,
+/// and under which schemes.
 fn log_volume(name: &str, evals: &[Evaluated]) {
     let total: MetaTraffic = evals.iter().map(Evaluated::total_traffic).sum();
+    let schemes: Vec<&str> =
+        evals.first().map_or(Vec::new(), |e| e.results.iter().map(|r| r.scheme.label()).collect());
     eprintln!(
-        "# {name}: {} workloads, {:.2} GiB simulated across the five schemes",
+        "# {name}: {} workloads, {:.2} GiB simulated across {}",
         evals.len(),
-        total.total_bytes() as f64 / (1u64 << 30) as f64
+        total.total_bytes() as f64 / (1u64 << 30) as f64,
+        schemes.join(", ")
     );
 }
 
 /// The flags `main` reads itself, after the valued flags are extracted.
 const SWITCHES: [&str; 3] = ["--quick", "--json", "--list"];
 
-/// Runs (or reloads) one suite's five-scheme sweep, routed through the
-/// content-addressed store when `--store` is set. The digest covers the
-/// scale knobs and the simulator version, so a hit is exactly the sweep
-/// this invocation would have produced. Every sweep records into
-/// `registry` (wall-clock, per-scheme totals), which the `--stats-json`
-/// side-file renders.
+/// Runs (or reloads) one suite's sweep under `schemes`, which include NP,
+/// routed through the content-addressed store when `--store` is set. The
+/// digest covers the scheme set, the scale knobs and the simulator
+/// version, so a hit is exactly the sweep this invocation would have
+/// produced. Every sweep records into `registry` (wall-clock, per-scheme
+/// totals), which the `--stats-json` side-file renders.
 fn suite_evals(
     suite: Suite,
+    schemes: Vec<Scheme>,
     scale: &Scale,
     threads: usize,
     backend: DramBackend,
     store: Option<&ResultStore>,
     registry: &Registry,
 ) -> Vec<Evaluated> {
-    let spec = JobSpec::suite_sweep(suite, *scale, threads, backend);
+    let spec = JobSpec { suite, scale: *scale, schemes, threads, backend }.canonicalize();
     let Some(store) = store else {
         return spec.execute_observed(registry);
     };
@@ -158,14 +167,22 @@ fn main() {
     eprintln!("# dram model: {}", backend.name());
     eprintln!("# threads: {} ({threads} requested)", mgx_sim::parallel::resolve_threads(threads));
 
-    // Table order, not argument order; each suite is simulated (or
-    // reloaded) at most once and shared by every entry that reads it.
+    // Table order, not argument order. Before any suite runs, each suite
+    // gets NP plus every scheme a selected entry reads of it; it is then
+    // simulated (or reloaded) at most once and shared by those entries.
+    let selected: Vec<_> =
+        FIGURES.iter().filter(|e| ids.iter().any(|&id| id == e.id || id == "all")).collect();
+    let mut schemes: HashMap<Suite, Vec<Scheme>> = HashMap::new();
+    for (suite, read) in selected.iter().flat_map(|e| e.reads()) {
+        schemes.entry(suite).or_insert_with(|| vec![Scheme::NoProtection]).extend(read);
+    }
     let mut sweeps: HashMap<Suite, Vec<Evaluated>> = HashMap::new();
-    for e in FIGURES.iter().filter(|e| ids.iter().any(|&id| id == e.id || id == "all")) {
-        for &suite in e.suites() {
+    for e in selected {
+        for (suite, _) in e.reads() {
             sweeps.entry(suite).or_insert_with(|| {
                 eprintln!("# simulating {} suite…", suite.name());
-                let evals = suite_evals(suite, &scale, threads, backend, store, &registry);
+                let schemes = schemes[&suite].clone();
+                let evals = suite_evals(suite, schemes, &scale, threads, backend, store, &registry);
                 log_volume(suite.name(), &evals);
                 evals
             });

@@ -136,8 +136,10 @@ fn main() {
                     .collect();
                 die(&format!("unknown figure `{fig}` (render supports: {})", known.join(" ")));
             };
-            // Figures need the full five-scheme sweep; any --schemes flag
-            // is overridden so the document reloads as `Evaluated`s.
+            // Every scheme of the suite, whatever --schemes says: the
+            // document then holds NP and the figure's schemes, and its
+            // digest equals that of a default `run` of the same suite, so
+            // `render` and `run` share one store entry.
             let mut spec = spec_from_flags(&mut args, Some(suite));
             spec = JobSpec { suite, schemes: Scheme::ALL.to_vec(), ..spec };
             let doc = connect(&addr, &args).run(&spec).unwrap_or_else(|e| die(&e.to_string()));

@@ -2,7 +2,8 @@
 //! valued flag with a missing or malformed value, or a file path that
 //! cannot be opened, is rejected with exit status 2 and a hint before
 //! anything is simulated, exactly like an unknown figure id, while every
-//! documented flag parses; and `--json` prints one JSON object per line.
+//! documented flag parses; `--json` prints one JSON object per line; and a
+//! `--store` rerun reloads its sweep and prints the same bytes.
 
 use mgx_serve::json::Json;
 use std::process::{Command, Output};
@@ -78,6 +79,23 @@ fn every_documented_flag_is_accepted() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("fig12a"), "--list prints the catalog");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_rerun_is_a_hit_with_identical_stdout() {
+    let dir = std::env::temp_dir().join(format!("mgx-figures-store-{}", std::process::id()));
+    let store = dir.to_str().expect("utf-8 temp path");
+    let runs = [(); 2].map(|_| figures(&["h264", "--quick", "--json", "--store", store]));
+    let _ = std::fs::remove_dir_all(&dir);
+    for out in &runs {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let [cold, warm] =
+        runs.map(|out| (out.stdout, String::from_utf8_lossy(&out.stderr).into_owned()));
+    assert_eq!(cold.0, warm.0, "a reloaded sweep must print the simulated one's bytes");
+    assert!(!cold.1.contains("store hit"), "{}", cold.1);
+    assert!(warm.1.contains("# video: store hit"), "{}", warm.1);
+    assert!(warm.1.contains("simulated across NP, BP, MGX, MGX_VN"), "{}", warm.1);
 }
 
 #[test]

@@ -38,24 +38,24 @@ impl RmatGenerator {
     }
 
     /// Samples `num_edges` directed edges `(dst, src)`.
+    ///
+    /// Each level draws one uniform `p` and picks the quadrant whose
+    /// cumulative-probability interval holds it. Counting the thresholds
+    /// `p` reaches gives the quadrant index `q` (row bit `q >> 1`, column
+    /// bit `q & 1`) without a data-dependent branch, which the skewed
+    /// social parameters would mispredict often.
     pub fn edges(&self, num_edges: usize) -> Vec<(u32, u32)> {
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let (ta, tab) = (self.a, self.a + self.b);
+        let tabc = tab + self.c;
         let mut out = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
             let (mut r, mut c) = (0u32, 0u32);
             for _ in 0..self.scale {
                 let p: f64 = rng.gen();
-                let (dr, dc) = if p < self.a {
-                    (0, 0)
-                } else if p < self.a + self.b {
-                    (0, 1)
-                } else if p < self.a + self.b + self.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                r = (r << 1) | dr;
-                c = (c << 1) | dc;
+                let q = (p >= ta) as u32 + (p >= tab) as u32 + (p >= tabc) as u32;
+                r = (r << 1) | (q >> 1);
+                c = (c << 1) | (q & 1);
             }
             out.push((r, c));
         }
@@ -79,6 +79,44 @@ mod tests {
         let g3 = RmatGenerator::social(10, 8).edges(1000);
         assert_eq!(g1, g2);
         assert_ne!(g1, g3);
+    }
+
+    /// The quadrant choice as an if-else chain on the running sums, as
+    /// `edges` made it before it counted thresholds.
+    fn edges_by_chain(g: &RmatGenerator, num_edges: usize) -> Vec<(u32, u32)> {
+        let mut rng = StdRng::seed_from_u64(g.seed);
+        (0..num_edges)
+            .map(|_| {
+                let (mut r, mut c) = (0u32, 0u32);
+                for _ in 0..g.scale {
+                    let p: f64 = rng.gen();
+                    let (dr, dc) = if p < g.a {
+                        (0, 0)
+                    } else if p < g.a + g.b {
+                        (0, 1)
+                    } else if p < g.a + g.b + g.c {
+                        (1, 0)
+                    } else {
+                        (1, 1)
+                    };
+                    r = (r << 1) | dr;
+                    c = (c << 1) | dc;
+                }
+                (r, c)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counted_thresholds_yield_the_if_else_chains_edges() {
+        for seed in [0, 7, 0xA11CE, u64::MAX] {
+            for g in [
+                RmatGenerator::social(14, seed),
+                RmatGenerator { a: 0.25, b: 0.25, c: 0.25, scale: 11, seed },
+            ] {
+                assert_eq!(g.edges(20_000), edges_by_chain(&g, 20_000), "{g:?}");
+            }
+        }
     }
 
     #[test]

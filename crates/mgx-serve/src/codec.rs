@@ -8,7 +8,7 @@
 //! human-readable reason that the server forwards verbatim to the client.
 
 use crate::json::Json;
-use mgx_core::{MetaTraffic, Scheme};
+use mgx_core::MetaTraffic;
 use mgx_dram::{DramBackend, DramStats};
 use mgx_sim::experiments::Evaluated;
 use mgx_sim::job::{scale_json, scheme_from_label, JobSpec, Suite};
@@ -166,10 +166,13 @@ fn run_result_from(v: &Json) -> Result<RunResult, String> {
 }
 
 /// Parses a canonical result document back into the registry's
-/// [`Evaluated`] form. Requires full five-scheme sweeps (what
-/// [`JobSpec::suite_sweep`] jobs store) — `figures --store` reloads
-/// through this, and [`Evaluated::new`]'s order check re-validates every
-/// document on the way in.
+/// [`Evaluated`] form. Each workload must hold `NP` first, then other
+/// schemes in [`Scheme::ALL`](mgx_core::Scheme::ALL) order
+/// ([`Evaluated::check_order`]): what a
+/// job whose scheme set includes `NP` stores. `figures --store` reloads
+/// through this. A store file is input from outside the program, so the
+/// order is checked here, in release builds too, before
+/// [`Evaluated::new`] sees it.
 pub fn evaluated_from_json(document: &str) -> Result<Vec<Evaluated>, String> {
     let v = Json::parse(document.trim_end())?;
     let salt = v.get("v").and_then(Json::as_str).ok_or("document needs a version tag")?;
@@ -187,14 +190,9 @@ pub fn evaluated_from_json(document: &str) -> Result<Vec<Evaluated>, String> {
         let config = w.get("config").and_then(Json::as_str).unwrap_or("");
         let results =
             w.get("results").and_then(Json::as_arr).ok_or("workload needs a `results` array")?;
-        if results.len() != Scheme::ALL.len() {
-            return Err(format!(
-                "workload `{name}` stores {} schemes; reloading requires the full sweep",
-                results.len()
-            ));
-        }
-        let parsed: Result<Vec<RunResult>, String> = results.iter().map(run_result_from).collect();
-        out.push(Evaluated::new(name, config, parsed?));
+        let parsed = results.iter().map(run_result_from).collect::<Result<Vec<_>, _>>()?;
+        Evaluated::check_order(&parsed).map_err(|e| format!("workload `{name}`: {e}"))?;
+        out.push(Evaluated::new(name, config, parsed));
     }
     Ok(out)
 }
@@ -202,6 +200,8 @@ pub fn evaluated_from_json(document: &str) -> Result<Vec<Evaluated>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_core::Scheme;
+    use mgx_sim::job::run_result_json;
 
     fn tiny_spec() -> JobSpec {
         JobSpec {
@@ -278,11 +278,37 @@ mod tests {
     }
 
     #[test]
-    fn partial_sweeps_do_not_reload_as_evaluated() {
+    fn documents_without_np_do_not_reload() {
         let spec = JobSpec { schemes: vec![Scheme::Mgx], ..tiny_spec() }.canonicalize();
         let doc = spec.result_json(&spec.execute());
         let err = evaluated_from_json(&doc).unwrap_err();
-        assert!(err.contains("full sweep"), "{err}");
+        assert!(err.contains("NP first"), "{err}");
+        // An [NP, MGX] document relabelled as [MGX, NP]: the baseline
+        // is no longer first.
+        let spec = JobSpec { schemes: vec![Scheme::NoProtection, Scheme::Mgx], ..tiny_spec() };
+        let doc = spec.result_json(&spec.execute());
+        let swapped = doc.replace("\"NP\"", "\"_\"").replace("\"MGX\"", "\"NP\"");
+        let err = evaluated_from_json(&swapped.replace("\"_\"", "\"MGX\"")).unwrap_err();
+        assert!(err.contains("NP first"), "{err}");
+    }
+
+    #[test]
+    fn np_plus_a_subset_reloads_bit_exactly() {
+        let spec = JobSpec { schemes: vec![Scheme::Mgx, Scheme::NoProtection], ..tiny_spec() }
+            .canonicalize();
+        let evals = spec.execute();
+        let doc = spec.result_json(&evals);
+        let back = evaluated_from_json(&doc).unwrap();
+        assert_eq!(back.len(), evals.len());
+        for (a, b) in back.iter().zip(&evals) {
+            assert_eq!((&a.workload, &a.config), (&b.workload, &b.config));
+            let schemes: Vec<Scheme> = a.results.iter().map(|r| r.scheme).collect();
+            assert_eq!(schemes, [Scheme::NoProtection, Scheme::Mgx]);
+            for (x, y) in a.results.iter().zip(&b.results) {
+                assert_eq!(run_result_json(x), run_result_json(y), "every field, bit for bit");
+            }
+        }
+        assert_eq!(spec.result_json(&back), doc);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
+use mgx_core::Scheme;
 use mgx_dnn::trace::{stream_inference_trace, stream_training_trace};
 use mgx_dnn::Model;
 use mgx_dram::DramBackend;
@@ -18,12 +19,13 @@ pub fn setups() -> Vec<(&'static str, ArrayConfig, SimConfig)> {
     ]
 }
 
-/// Sweeps every (model, setup) pair under all schemes on `backend`, as
+/// Sweeps every (model, setup) pair under `schemes` on `backend`, as
 /// (workload, scheme) jobs of `experiments::sweep` on `threads` pool
 /// workers. Phases stream straight from `stream`'s lowering into the
 /// engine; the trace is never materialized.
 fn sweep<S: TraceSource>(
     models: Vec<Model>,
+    schemes: &[Scheme],
     threads: usize,
     backend: DramBackend,
     stream: impl Fn(&Model, &ArrayConfig, Dataflow) -> S + Sync,
@@ -38,6 +40,7 @@ fn sweep<S: TraceSource>(
         .collect();
     super::sweep(
         threads,
+        schemes,
         workloads,
         |(model, _, acfg, scfg)| {
             Simulation::over(stream(model, acfg, Dataflow::WeightStationary)).config(scfg.clone())
@@ -47,10 +50,16 @@ fn sweep<S: TraceSource>(
 }
 
 /// Simulates the inference suite (VGG, AlexNet, GoogLeNet, ResNet, BERT,
-/// DLRM) on Cloud and Edge under all schemes on `backend`, on `threads`
-/// pool workers (`0` = all cores), each claiming (workload, scheme) jobs.
-/// Output is identical to the sequential run.
-pub fn evaluate_inference(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+/// DLRM) on Cloud and Edge under `schemes` (`NP` first, then
+/// [`Scheme::ALL`] order) on `backend`, on `threads` pool workers (`0` =
+/// all cores), each claiming (workload, scheme) jobs. Output is identical
+/// to the sequential run.
+pub fn evaluate_inference(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),
@@ -59,12 +68,17 @@ pub fn evaluate_inference(scale: &Scale, threads: usize, backend: DramBackend) -
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
         Model::dlrm(scale.dnn_batch * 16),
     ];
-    sweep(models, threads, backend, stream_inference_trace)
+    sweep(models, schemes, threads, backend, stream_inference_trace)
 }
 
 /// Simulates the training suite (no DLRM, as in the paper) like
 /// [`evaluate_inference`].
-pub fn evaluate_training(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+pub fn evaluate_training(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),
@@ -72,14 +86,13 @@ pub fn evaluate_training(scale: &Scale, threads: usize, backend: DramBackend) ->
         Model::resnet50(scale.dnn_batch),
         Model::bert_base(scale.dnn_batch, scale.bert_seq),
     ];
-    sweep(models, threads, backend, stream_training_trace)
+    sweep(models, schemes, threads, backend, stream_training_trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{entry, tests::rows_of};
-    use mgx_core::Scheme;
 
     /// A single small model through the whole pipeline (smoke test — the
     /// full suites run in the `figures` binary at release speed).

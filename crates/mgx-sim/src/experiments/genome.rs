@@ -3,6 +3,7 @@
 use super::Evaluated;
 use crate::pipeline::{PhaseMode, SimConfig, Simulation};
 use crate::scale::Scale;
+use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_genome::accel::{stream_gact_trace, GactAccelConfig, GenomeWorkload};
 
@@ -15,13 +16,19 @@ pub fn setup(accel: &GactAccelConfig) -> SimConfig {
     }
 }
 
-/// Simulates the nine Fig 16 workloads under all schemes on `backend`,
-/// fanned across `threads` pool workers (`0` = all cores), each workload
-/// in one five-scheme pass. Unlike the suites on `experiments::sweep`, a
-/// workload is not split into per-scheme jobs: its GACT reference and
-/// reads dominate at quick scale, and each scheme job would rebuild them.
-/// Output is identical to the sequential run.
-pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+/// Simulates the nine Fig 16 workloads under `schemes` (`NP` first, then
+/// [`Scheme::ALL`] order) on `backend`, fanned across `threads` pool
+/// workers (`0` = all cores), each workload in one pass that steps every
+/// scheme. Unlike the suites on `experiments::sweep`, a workload is not
+/// split into per-scheme jobs: its GACT reference and reads dominate at
+/// quick scale, and each scheme job would rebuild them. Output is
+/// identical to the sequential run.
+pub fn evaluate(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let accel = GactAccelConfig::default();
     let scfg = SimConfig { dram_backend: backend, ..setup(&accel) };
     crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
@@ -36,7 +43,7 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
         Evaluated::new(
             w.label(),
             String::new(),
-            Simulation::over(src).config(scfg.clone()).run_all(),
+            Simulation::over(src).config(scfg.clone()).run_schemes(schemes),
         )
     })
 }
@@ -44,7 +51,6 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_core::Scheme;
     use mgx_genome::ErrorProfile;
 
     #[test]

@@ -3,6 +3,7 @@
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
+use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_graph::accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
 use mgx_graph::algorithms;
@@ -14,17 +15,23 @@ pub fn setup() -> SimConfig {
     SimConfig::overlapped(4, 800)
 }
 
-/// Simulates PR and BFS over the six benchmark graphs under all schemes
-/// on `backend`, with the graphs fanned across `threads` pool workers
-/// (`0` = all cores); each worker generates its graph and runs both PR and
-/// BFS, each in one five-scheme pass, so generation parallelizes too.
+/// Simulates PR and BFS over the six benchmark graphs under `schemes`
+/// (`NP` first, then [`Scheme::ALL`] order) on `backend`, with the graphs
+/// fanned across `threads` pool workers (`0` = all cores); each worker
+/// generates its graph and runs both PR and BFS, each in one pass that
+/// steps every scheme, so generation parallelizes too.
 /// Unlike the suites on `experiments::sweep`, the graph is not split into
 /// per-scheme jobs: the R-MAT graph dominates at quick scale, and each
 /// scheme job would have to rebuild it or keep every graph resident at
 /// once (232 MB peak RSS with all six standard-scale graphs resident,
 /// against 146 MB for this fan-out at 2 threads).
 /// Output order and bits are identical to the sequential run.
-pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+pub fn evaluate(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let accel = GraphAccelConfig::default();
     let scfg = SimConfig { dram_backend: backend, ..setup() };
     let per_dataset = crate::parallel::map(threads, Dataset::suite().to_vec(), |ds| {
@@ -42,7 +49,7 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
             .map(|w| {
                 let results = Simulation::over(stream_graph_trace(&g, w, &accel))
                     .config(scfg.clone())
-                    .run_all();
+                    .run_schemes(schemes);
                 Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results)
             })
             .collect::<Vec<_>>()
@@ -53,7 +60,6 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgx_core::Scheme;
     use mgx_graph::rmat::RmatGenerator;
 
     #[test]

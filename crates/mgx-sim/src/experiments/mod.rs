@@ -1,11 +1,14 @@
 //! The experiment registry: one `evaluate` per workload suite, and the
 //! figure table [`FIGURES`].
 //!
-//! Workloads are simulated once across all five schemes
-//! ([`Evaluated`]) and the figures slice those results, so regenerating
-//! Fig 12 and Fig 13 costs one simulation pass, not two. The DNN,
-//! transformer and video suites run through one `sweep`; graph and
-//! genome fan out one job per dataset themselves.
+//! A suite's workloads are simulated once, under NP and the schemes the
+//! caller asks for ([`Evaluated`]), and the figures slice those results,
+//! so regenerating Fig 12 and Fig 13 costs one simulation pass, not two.
+//! Each [`FIGURES`] entry declares the schemes it reads of each suite
+//! ([`Entry::reads`]), so a caller simulates only what it prints. The
+//! DNN, transformer and video suites run through one `sweep` of
+//! (workload, scheme) jobs; graph and genome fan out one job per dataset
+//! themselves, which steps the requested schemes down one pass.
 
 pub mod dnn;
 pub mod genome;
@@ -22,36 +25,52 @@ use crate::scale::Scale;
 use mgx_core::{MetaTraffic, Scheme};
 use mgx_trace::TraceSource;
 
-/// One workload simulated under every scheme (in [`Scheme::ALL`] order).
+/// One workload simulated under NP and some or all of the other schemes.
 #[derive(Debug, Clone)]
 pub struct Evaluated {
     /// Workload label.
     pub workload: String,
     /// Configuration label (`"Cloud"`, `"Edge"`, or empty).
     pub config: String,
-    /// Results in [`Scheme::ALL`] order (`NP` first). Accessors such as
-    /// [`Evaluated::np`] rely on this order; build through
-    /// [`Evaluated::new`] so a reordered or partial sweep fails loudly
-    /// instead of silently mislabeling the baseline.
+    /// Results, `NP` first, then the other simulated schemes in
+    /// [`Scheme::ALL`] order. Accessors such as [`Evaluated::np`] rely on
+    /// this order; build through [`Evaluated::new`] so a reordered sweep,
+    /// or one without its NP baseline, fails loudly instead of silently
+    /// mislabeling the baseline.
     pub results: Vec<RunResult>,
 }
 
 impl Evaluated {
-    /// Wraps a full five-scheme sweep, checking (in debug builds) that
-    /// `results` follow [`Scheme::ALL`] order — exactly what
-    /// [`crate::Simulation::run_all`] produces.
+    /// Wraps one workload's results, checking (in debug builds) the order
+    /// [`Evaluated::check_order`] checks — what
+    /// [`crate::Simulation::run_all`] and every suite's `evaluate` produce.
     pub fn new(
         workload: impl Into<String>,
         config: impl Into<String>,
         results: Vec<RunResult>,
     ) -> Self {
-        debug_assert_eq!(results.len(), Scheme::ALL.len(), "partial sweep");
-        debug_assert!(
-            results.iter().zip(Scheme::ALL.iter()).all(|(r, &s)| r.scheme == s),
-            "results must be in Scheme::ALL order, got {:?}",
-            results.iter().map(|r| r.scheme).collect::<Vec<_>>()
-        );
+        if cfg!(debug_assertions) {
+            if let Err(e) = Self::check_order(&results) {
+                panic!("{e}");
+            }
+        }
         Self { workload: workload.into(), config: config.into(), results }
+    }
+
+    /// Checks the order of [`Evaluated::results`]: `NP` first, then other
+    /// schemes of [`Scheme::ALL`], each at most once and in that order.
+    pub fn check_order(results: &[RunResult]) -> Result<(), String> {
+        let rank = |r: &RunResult| Scheme::ALL.iter().position(|&s| s == r.scheme);
+        let ranks: Vec<Option<usize>> = results.iter().map(rank).collect();
+        let ordered = ranks.first() == Some(&Some(0))
+            && ranks.windows(2).all(|w| matches!(w, [Some(a), Some(b)] if a < b));
+        if ordered {
+            return Ok(());
+        }
+        Err(format!(
+            "results must be NP first, then in Scheme::ALL order, got {:?}",
+            results.iter().map(|r| r.scheme).collect::<Vec<_>>()
+        ))
     }
 
     /// The no-protection baseline run.
@@ -103,20 +122,22 @@ impl Evaluated {
 const CLAIM_ORDER: [Scheme; 5] =
     [Scheme::Baseline, Scheme::MgxMac, Scheme::NoProtection, Scheme::Mgx, Scheme::MgxVn];
 
-/// Simulates every workload under all five schemes: one [`Evaluated`] per
-/// workload, in input order, each built by `evaluated` from its results in
-/// [`Scheme::ALL`] order. `simulation` sets up one workload's run: its
-/// trace source and configuration.
+/// Simulates every workload under `schemes` (`NP` first, then
+/// [`Scheme::ALL`] order): one [`Evaluated`] per workload, in input order,
+/// each built by `evaluated` from its results in the order of `schemes`.
+/// `simulation` sets up one workload's run: its trace source and
+/// configuration.
 ///
-/// [`parallel::map`] claims (workload, scheme) jobs, workload-major with
-/// [`CLAIM_ORDER`] inside each workload, so one large workload's schemes
-/// run side by side instead of bounding the sweep's wall time; at one
-/// thread the same jobs run in that order. Each job regenerates its
-/// workload's trace, and the per-scheme runs are bit-identical to one
-/// [`Simulation::run_all`] pass, because no scheme's state is shared with
-/// another's.
+/// [`parallel::map`] claims a (workload, scheme) job for each scheme of
+/// `schemes` and nothing else, workload-major with [`CLAIM_ORDER`] inside
+/// each workload, so one large workload's schemes run side by side
+/// instead of bounding the sweep's wall time; at one thread the same jobs
+/// run in that order. Each job regenerates its workload's trace, and the
+/// per-scheme runs are bit-identical to one [`Simulation::run_schemes`]
+/// pass, because no scheme's state is shared with another's.
 pub(crate) fn sweep<W, S>(
     threads: usize,
+    schemes: &[Scheme],
     workloads: Vec<W>,
     simulation: impl Fn(&W) -> Simulation<S> + Sync,
     evaluated: impl Fn(W, Vec<RunResult>) -> Evaluated,
@@ -125,12 +146,13 @@ where
     W: Sync,
     S: TraceSource,
 {
-    let jobs = (0..workloads.len()).flat_map(|w| CLAIM_ORDER.map(|s| (w, s))).collect();
+    let claimed: Vec<Scheme> = CLAIM_ORDER.into_iter().filter(|s| schemes.contains(s)).collect();
+    let jobs = (0..workloads.len()).flat_map(|w| claimed.iter().map(move |&s| (w, s))).collect();
     let runs = parallel::map(threads, jobs, |(w, s)| simulation(&workloads[w]).scheme(s).run());
-    let results = runs.chunks(CLAIM_ORDER.len()).map(|claimed| {
-        Scheme::ALL
+    let results = runs.chunks(claimed.len()).map(|runs| {
+        schemes
             .iter()
-            .map(|&s| claimed.iter().find(|r| r.scheme == s).expect("every scheme ran"))
+            .map(|&s| runs.iter().find(|r| r.scheme == s).expect("every scheme ran"))
             .cloned()
             .collect()
     });
@@ -144,13 +166,15 @@ fn collect_rows(evals: &[Evaluated], schemes: &[Scheme]) -> Vec<Row> {
 /// Where a [`FIGURES`] entry's output comes from.
 #[derive(Debug, Clone, Copy)]
 pub enum Source {
-    /// One suite's five-scheme sweep, one row per workload and listed
-    /// scheme, in this scheme order.
+    /// One suite's sweep, one row per workload and listed scheme, in this
+    /// scheme order.
     Suite(Suite, &'static [Scheme]),
-    /// Fig 3: the BP rows of DNN inference and training (Cloud) and graph.
-    Fig3,
-    /// The headline claims, over DNN inference, DNN training and graph.
-    Summary,
+    /// Fig 3: one row per listed scheme of each listed suite, in this
+    /// order; the DNN suites contribute their Cloud workloads only.
+    Fig3(&'static [(Suite, &'static [Scheme])]),
+    /// The headline claims ([`summary_claims`]), which read the listed
+    /// schemes of DNN inference, DNN training and graph.
+    Summary(&'static [(Suite, &'static [Scheme])]),
     /// The compressed-format table, which simulates nothing.
     Pruning,
     /// [`sensitivity::all`], which builds its own traces.
@@ -170,6 +194,7 @@ pub struct Entry {
     pub source: Source,
 }
 
+const BP: &[Scheme] = &[Scheme::Baseline];
 const MGX_BP: &[Scheme] = &[Scheme::Mgx, Scheme::Baseline];
 const PROTECTED: &[Scheme] = &[Scheme::Mgx, Scheme::MgxVn, Scheme::MgxMac, Scheme::Baseline];
 
@@ -180,7 +205,11 @@ pub const FIGURES: &[Entry] = &[
     Entry {
         id: "fig3",
         title: "Traffic overhead of traditional protection (MAC vs VN breakdown)",
-        source: Source::Fig3,
+        source: Source::Fig3(&[
+            (Suite::DnnInference, BP),
+            (Suite::DnnTraining, BP),
+            (Suite::Graph, BP),
+        ]),
     },
     Entry {
         id: "fig12a",
@@ -247,7 +276,15 @@ pub const FIGURES: &[Entry] = &[
                 dataflow, VN scheme",
         source: Source::Ablations,
     },
-    Entry { id: "summary", title: "paper vs measured", source: Source::Summary },
+    Entry {
+        id: "summary",
+        title: "paper vs measured",
+        source: Source::Summary(&[
+            (Suite::DnnInference, MGX_BP),
+            (Suite::DnnTraining, &[Scheme::Mgx]),
+            (Suite::Graph, MGX_BP),
+        ]),
+    },
 ];
 
 /// The [`FIGURES`] entry named `id`.
@@ -256,21 +293,21 @@ pub fn entry(id: &str) -> Option<&'static Entry> {
 }
 
 impl Entry {
-    /// The suites whose sweeps [`Entry::render`] reads.
-    pub fn suites(&self) -> &[Suite] {
-        match &self.source {
-            Source::Suite(suite, _) => std::slice::from_ref(suite),
-            Source::Fig3 | Source::Summary => {
-                &[Suite::DnnInference, Suite::DnnTraining, Suite::Graph]
-            }
-            Source::Pruning | Source::Ablations => &[],
+    /// The suites whose sweeps [`Entry::render`] reads, each with the
+    /// schemes it reads besides `NP`.
+    pub fn reads(&self) -> Vec<(Suite, &'static [Scheme])> {
+        match self.source {
+            Source::Suite(suite, schemes) => vec![(suite, schemes)],
+            Source::Fig3(reads) | Source::Summary(reads) => reads.to_vec(),
+            Source::Pruning | Source::Ablations => Vec::new(),
         }
     }
 
     /// Renders the entry as `figures` prints it: text tables, each
     /// followed by a blank line, or with `json` one JSON object per line.
-    /// `sweep` supplies the five-scheme sweep of each of
-    /// [`Entry::suites`]; `scale` and `threads` drive the ablation sweeps.
+    /// `sweep` supplies the sweep of each suite of [`Entry::reads`], which
+    /// must hold `NP` and at least the schemes listed for that suite;
+    /// `scale` and `threads` drive the ablation sweeps.
     pub fn render<'a>(
         &self,
         sweep: impl Fn(Suite) -> &'a [Evaluated],
@@ -281,13 +318,14 @@ impl Entry {
         let figure = |rows| vec![Figure { id: self.id, title: self.title.into(), rows }];
         let figures = match self.source {
             Source::Suite(suite, schemes) => figure(collect_rows(sweep(suite), schemes)),
-            Source::Fig3 => figure(fig3_rows(
-                sweep(Suite::DnnInference),
-                sweep(Suite::DnnTraining),
-                sweep(Suite::Graph),
-            )),
+            Source::Fig3(reads) => figure(
+                reads
+                    .iter()
+                    .flat_map(|&(suite, schemes)| fig3_rows(suite, sweep(suite), schemes))
+                    .collect(),
+            ),
             Source::Ablations => sensitivity::all(scale, threads),
-            Source::Summary => {
+            Source::Summary(_) => {
                 let claims = summary_claims(
                     sweep(Suite::DnnInference),
                     sweep(Suite::DnnTraining),
@@ -399,25 +437,24 @@ impl Entry {
     }
 }
 
-/// Fig 3: memory-traffic overhead breakdown (MAC vs VN) of the traditional
-/// protection scheme across all 23 workloads.
-fn fig3_rows(
-    dnn_inference: &[Evaluated],
-    dnn_training: &[Evaluated],
-    graphs: &[Evaluated],
-) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (evals, suffix) in [(dnn_inference, "-Inf"), (dnn_training, "-Train")] {
-        for e in evals.iter().filter(|e| e.config == "Cloud") {
-            rows.extend(
-                e.rows(&[Scheme::Baseline])
-                    .into_iter()
-                    .map(|row| Row { workload: format!("{}{}", e.workload, suffix), ..row }),
-            );
-        }
-    }
-    rows.extend(collect_rows(graphs, &[Scheme::Baseline]));
-    rows
+/// Fig 3's rows of one suite: the memory-traffic overhead breakdown (MAC
+/// vs VN) of `schemes`. A DNN suite contributes its Cloud workloads, each
+/// suffixed with the suite's phase; any other suite all its workloads.
+fn fig3_rows(suite: Suite, evals: &[Evaluated], schemes: &[Scheme]) -> Vec<Row> {
+    let suffix = match suite {
+        Suite::DnnInference => "-Inf",
+        Suite::DnnTraining => "-Train",
+        _ => return collect_rows(evals, schemes),
+    };
+    evals
+        .iter()
+        .filter(|e| e.config == "Cloud")
+        .flat_map(|e| {
+            e.rows(schemes)
+                .into_iter()
+                .map(move |row| Row { workload: format!("{}{}", e.workload, suffix), ..row })
+        })
+        .collect()
 }
 
 /// A paper-claim vs measured-value line of the summary table.
@@ -554,9 +591,11 @@ mod tests {
     }
 
     /// Eight workloads, one about ten times the size of each other one,
-    /// swept at 1, 2 and 5 threads, which claim (workload, scheme) jobs in
-    /// different interleavings: each must return the labels, order and
-    /// results of one `run_all` pass per workload, in `Scheme::ALL` order.
+    /// swept under three scheme sets at 1, 2 and 5 threads, which claim
+    /// (workload, scheme) jobs in different interleavings: each must claim
+    /// one job per workload and listed scheme, and return the labels,
+    /// order and results of one `run_schemes` pass per workload over the
+    /// same schemes.
     #[test]
     fn sweep_is_identical_at_every_thread_count() {
         let tiles = [6, 5, 60, 7, 6, 5, 8, 6];
@@ -565,22 +604,32 @@ mod tests {
         let simulation = |tiles| {
             Simulation::over(hopping_tiles(tiles)).config(crate::SimConfig::overlapped(1, 900))
         };
-        let expect: Vec<Evaluated> = workloads
-            .iter()
-            .map(|(name, tiles)| Evaluated::new(name, "cfg", simulation(*tiles).run_all()))
-            .collect();
-        for threads in [1, 2, 5] {
+        let subsets: [&[Scheme]; 3] = [
+            &Scheme::ALL,
+            &[Scheme::NoProtection, Scheme::Baseline],
+            &[Scheme::NoProtection, Scheme::Mgx, Scheme::MgxVn],
+        ];
+        for (schemes, threads) in subsets.into_iter().flat_map(|s| [1, 2, 5].map(|t| (s, t))) {
+            let expect = workloads.iter().map(|(name, tiles)| {
+                Evaluated::new(name, "cfg", simulation(*tiles).run_schemes(schemes))
+            });
+            let jobs = std::sync::atomic::AtomicUsize::new(0);
             let got = sweep(
                 threads,
+                schemes,
                 workloads.clone(),
-                |&(_, tiles)| simulation(tiles),
+                |&(_, tiles)| {
+                    jobs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    simulation(tiles)
+                },
                 |(name, _), results| Evaluated::new(name, "cfg", results),
             );
-            assert_eq!(got.len(), expect.len());
-            for (e, g) in expect.iter().zip(&got) {
+            assert_eq!(jobs.into_inner(), workloads.len() * schemes.len(), "claimed jobs");
+            assert_eq!(got.len(), workloads.len());
+            for (e, g) in expect.zip(&got) {
                 assert_eq!((&g.workload, &g.config), (&e.workload, &e.config));
-                let schemes: Vec<Scheme> = g.results.iter().map(|r| r.scheme).collect();
-                assert_eq!(schemes, Scheme::ALL, "{} at {threads} threads", g.workload);
+                let got_schemes: Vec<Scheme> = g.results.iter().map(|r| r.scheme).collect();
+                assert_eq!(got_schemes, schemes, "{} at {threads} threads", g.workload);
                 for (a, b) in e.results.iter().zip(&g.results) {
                     let at = format!("{} {} at {threads} threads", g.workload, b.scheme.label());
                     assert_eq!(a.dram_cycles, b.dram_cycles, "{at}");
@@ -618,10 +667,36 @@ mod tests {
     }
 
     #[test]
+    fn new_accepts_np_plus_a_subset() {
+        let e = Evaluated::new("w", "", vec![stub(Scheme::NoProtection), stub(Scheme::MgxMac)]);
+        assert_eq!(e.of(Scheme::MgxMac).scheme, Scheme::MgxMac);
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "partial sweep")]
-    fn new_rejects_a_partial_sweep() {
-        Evaluated::new("w", "", vec![stub(Scheme::NoProtection), stub(Scheme::Mgx)]);
+    #[should_panic(expected = "NP first")]
+    fn new_rejects_a_sweep_without_np() {
+        Evaluated::new("w", "", vec![stub(Scheme::Baseline), stub(Scheme::Mgx)]);
+    }
+
+    #[test]
+    fn check_order_rejects_repeats_and_schemes_off_the_wire() {
+        let order = |schemes: &[Scheme]| {
+            Evaluated::check_order(&schemes.iter().map(|&s| stub(s)).collect::<Vec<_>>())
+        };
+        assert!(order(&[Scheme::NoProtection]).is_ok());
+        assert!(order(&[Scheme::NoProtection, Scheme::Mgx, Scheme::MgxMac]).is_ok());
+        assert!(order(&[]).is_err());
+        assert!(order(&[Scheme::NoProtection, Scheme::Mgx, Scheme::Mgx]).is_err());
+        assert!(order(&[Scheme::NoProtection, Scheme::MgxMac, Scheme::Mgx]).is_err());
+        assert!(order(&[Scheme::NoProtection, Scheme::SplitCounter]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme missing")]
+    fn of_panics_on_a_scheme_that_was_not_simulated() {
+        let e = Evaluated::new("w", "", vec![stub(Scheme::NoProtection), stub(Scheme::Mgx)]);
+        e.of(Scheme::Baseline);
     }
 
     /// `(scheme, time)` of each row of a JSON-rendered figure line.
@@ -652,7 +727,7 @@ mod tests {
         let scale = Scale::quick();
         for e in FIGURES {
             let Source::Suite(suite, schemes) = e.source else { continue };
-            assert_eq!(e.suites(), [suite]);
+            assert_eq!(e.reads(), [(suite, schemes)]);
             let json = e.render(|_| &evals, &scale, 1, true);
             let head = format!("{{\"id\":\"{}\",\"title\":\"{}\",\"rows\":[", e.id, e.title);
             assert!(json.starts_with(&head) && json.ends_with("]}\n"), "{json}");
@@ -663,6 +738,33 @@ mod tests {
             let text = e.render(|_| &evals, &scale, 1, false);
             assert!(text.starts_with(&format!("## {} — {}\n", e.id, e.title)), "{text}");
             assert_eq!(text.lines().count(), 2 + want.len() + 1, "{text}");
+        }
+    }
+
+    /// Every entry renders, as JSON and as text, from sweeps that hold
+    /// `NP` plus only the schemes its [`Entry::reads`] declares for each
+    /// suite: a read of any other scheme or suite panics. The ablations
+    /// build their own traces and are left out.
+    #[test]
+    fn every_entry_renders_from_only_the_schemes_it_declares() {
+        let workloads = [("VGG", "Cloud"), ("VGG", "Edge"), ("PR-g", ""), ("BFS-g", "")];
+        for e in FIGURES.iter().filter(|e| !matches!(e.source, Source::Ablations)) {
+            let sweeps: std::collections::HashMap<Suite, Vec<Evaluated>> = e
+                .reads()
+                .into_iter()
+                .map(|(suite, schemes)| {
+                    let held = Scheme::ALL
+                        .into_iter()
+                        .filter(|s| *s == Scheme::NoProtection || schemes.contains(s));
+                    let results = || held.clone().map(stub).collect();
+                    let evals = workloads.map(|(w, c)| Evaluated::new(w, c, results()));
+                    (suite, evals.to_vec())
+                })
+                .collect();
+            for json in [true, false] {
+                let out = e.render(|suite| &sweeps[&suite], &Scale::quick(), 1, json);
+                assert!(out.contains(e.id), "{}: {out}", e.id);
+            }
         }
     }
 

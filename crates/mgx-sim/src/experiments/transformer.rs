@@ -10,6 +10,7 @@
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
+use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_scalesim::ArrayConfig;
 use mgx_trace::{Phase, RegionMap, TraceSource};
@@ -46,10 +47,16 @@ fn models() -> [TransformerConfig; 2] {
 }
 
 /// Simulates prefill, decode, and paged decode for both named shapes under
-/// all schemes on `backend`, as ((model × stage), scheme) jobs of
-/// `experiments::sweep` on `threads` pool workers (`0` = all cores).
-/// Output order and bits are identical to the sequential run.
-pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+/// `schemes` (`NP` first, then [`Scheme::ALL`] order) on `backend`, as
+/// ((model × stage), scheme) jobs of `experiments::sweep` on `threads`
+/// pool workers (`0` = all cores). Output order and bits are identical to
+/// the sequential run.
+pub fn evaluate(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let req = request(scale);
     let paged = PagedConfig::default();
     let acfg = array();
@@ -58,6 +65,7 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
         models().iter().flat_map(|&m| STAGES.map(|s| (m, s))).collect();
     super::sweep(
         threads,
+        schemes,
         workloads,
         |(m, stage)| {
             // The three stages stream different generator types; boxing
@@ -85,7 +93,6 @@ fn boxed(
 mod tests {
     use super::*;
     use crate::experiments::{entry, tests::rows_of};
-    use mgx_core::Scheme;
 
     /// One small decode workload through the suite config — keeps the
     /// debug-build cost of the smoke test down, like the DNN suite's

@@ -7,6 +7,7 @@
 use super::Evaluated;
 use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
+use mgx_core::Scheme;
 use mgx_dram::DramBackend;
 use mgx_h264::decoder::{stream_decode_trace, DecoderConfig};
 use mgx_h264::GopStructure;
@@ -16,14 +17,21 @@ pub fn setup() -> SimConfig {
     SimConfig::overlapped(1, 500)
 }
 
-/// Simulates an IBPB GOP decode under all schemes on `backend`: the five
-/// schemes are `experiments::sweep` jobs on `threads` pool workers (`0` =
-/// all cores), each regenerating the decode trace. Output is identical to
-/// the sequential run.
-pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Evaluated> {
+/// Simulates an IBPB GOP decode under `schemes` (`NP` first, then
+/// [`Scheme::ALL`] order) on `backend`: each scheme is an
+/// `experiments::sweep` job on `threads` pool workers (`0` = all cores),
+/// each regenerating the decode trace. Output is identical to the
+/// sequential run.
+pub fn evaluate(
+    scale: &Scale,
+    schemes: &[Scheme],
+    threads: usize,
+    backend: DramBackend,
+) -> Vec<Evaluated> {
     let cfg = SimConfig { dram_backend: backend, ..setup() };
     super::sweep(
         threads,
+        schemes,
         vec![GopStructure::ibpb(scale.video_frames)],
         |gop| {
             Simulation::over(stream_decode_trace(gop, &DecoderConfig::default()))
@@ -37,11 +45,10 @@ pub fn evaluate(scale: &Scale, threads: usize, backend: DramBackend) -> Vec<Eval
 mod tests {
     use super::*;
     use crate::experiments::{entry, tests::rows_of};
-    use mgx_core::Scheme;
 
     #[test]
     fn video_decode_follows_the_usual_ordering() {
-        let evals = evaluate(&Scale::quick(), 1, DramBackend::ClosedForm);
+        let evals = evaluate(&Scale::quick(), &Scheme::ALL, 1, DramBackend::ClosedForm);
         let json = entry("h264").unwrap().render(|_| &evals, &Scale::quick(), 1, true);
         let rows = rows_of(&json);
         assert_eq!(rows.len(), 3);

@@ -2,8 +2,8 @@
 //!
 //! A [`JobSpec`] names everything that determines a sweep's *results*: a
 //! workload suite from the experiment registry, the [`Scale`] knobs, and
-//! the scheme subset to report — plus execution knobs (pool `threads`)
-//! that change only wall-clock, never bits. [`JobSpec::canonicalize`]
+//! the scheme subset to simulate and report — plus execution knobs (pool
+//! `threads`) that change only wall-clock, never bits. [`JobSpec::canonicalize`]
 //! folds equivalent specs onto one representative and
 //! [`JobSpec::digest`] turns that canonical form into a stable 64-bit
 //! content address, so a result store keyed by it memoizes repeated
@@ -98,10 +98,11 @@ pub struct JobSpec {
     /// Scaling knobs (the presets [`Scale::quick`]/[`Scale::standard`] or
     /// any explicit combination).
     pub scale: Scale,
-    /// Schemes to include in the result, in [`Scheme::ALL`] order after
-    /// canonicalization. Empty means "all five". The sweep itself always
-    /// runs all five schemes, so a subset changes the response, not the
-    /// simulation cost.
+    /// Schemes to simulate and include in the result, in [`Scheme::ALL`]
+    /// order after canonicalization. Empty means "all five".
+    /// [`JobSpec::execute`] simulates `NP` as well, whether listed or not,
+    /// because every normalized figure divides by it; a subset without
+    /// `NP` leaves it out of the result document only.
     pub schemes: Vec<Scheme>,
     /// Pool workers for the sweep's jobs (`0` = all cores). Changes
     /// wall-clock only; excluded from the canonical form and the digest.
@@ -112,8 +113,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A full five-scheme sweep of `suite` — what the `figures` binary
-    /// consumes per suite.
+    /// A full five-scheme sweep of `suite`: what a default `mgx-client run`
+    /// asks for, and what `figures all` simulates of every suite whose
+    /// entries read all five schemes.
     pub fn suite_sweep(suite: Suite, scale: Scale, threads: usize, backend: DramBackend) -> Self {
         Self { suite, scale, schemes: Scheme::ALL.to_vec(), threads, backend }
     }
@@ -177,18 +179,26 @@ impl JobSpec {
 
     /// Runs the sweep through the suite's experiment-registry entry point
     /// (the one the `figures` binary calls), returning every workload of
-    /// the suite under all five schemes. The DRAM backend rides in from
-    /// the spec: it changes bits, which is exactly why it lives in the
-    /// digest; `threads` changes only wall-clock.
+    /// the suite under `NP` plus the canonical `schemes`, in
+    /// [`Scheme::ALL`] order; no other scheme is simulated. Schemes share
+    /// no state, so each result is bit-identical to the same scheme's
+    /// result in a five-scheme sweep. The DRAM backend rides in from the
+    /// spec: it changes bits, which is exactly why it lives in the digest;
+    /// `threads` changes only wall-clock.
     pub fn execute(&self) -> Vec<Evaluated> {
-        let (scale, threads, b) = (&self.scale, self.threads, self.backend);
+        let requested = self.clone().canonicalize().schemes;
+        let schemes: Vec<Scheme> = Scheme::ALL
+            .into_iter()
+            .filter(|s| *s == Scheme::NoProtection || requested.contains(s))
+            .collect();
+        let (scale, s, threads, b) = (&self.scale, &schemes[..], self.threads, self.backend);
         match self.suite {
-            Suite::DnnInference => dnn::evaluate_inference(scale, threads, b),
-            Suite::DnnTraining => dnn::evaluate_training(scale, threads, b),
-            Suite::Graph => graph::evaluate(scale, threads, b),
-            Suite::Genome => genome::evaluate(scale, threads, b),
-            Suite::Video => video::evaluate(scale, threads, b),
-            Suite::Transformer => transformer::evaluate(scale, threads, b),
+            Suite::DnnInference => dnn::evaluate_inference(scale, s, threads, b),
+            Suite::DnnTraining => dnn::evaluate_training(scale, s, threads, b),
+            Suite::Graph => graph::evaluate(scale, s, threads, b),
+            Suite::Genome => genome::evaluate(scale, s, threads, b),
+            Suite::Video => video::evaluate(scale, s, threads, b),
+            Suite::Transformer => transformer::evaluate(scale, s, threads, b),
         }
     }
 
@@ -198,9 +208,9 @@ impl JobSpec {
     ///
     /// * `mgx_suite_wall_ns{suite=…}` — wall-clock of the whole sweep;
     /// * `mgx_simulated_bytes_total{suite=…,scheme=…}` and
-    ///   `mgx_dram_cycles_total{suite=…,scheme=…}` — per-scheme totals
-    ///   (schemes share one trace walk, so wall-clock is only separable
-    ///   per suite, but simulated work is exact per scheme).
+    ///   `mgx_dram_cycles_total{suite=…,scheme=…}` — per-scheme totals of
+    ///   the schemes [`JobSpec::execute`] simulated (`NP` and the
+    ///   requested ones); a scheme that was not simulated gets no series.
     pub fn execute_observed(&self, registry: &mgx_obs::Registry) -> Vec<Evaluated> {
         let suite = self.suite.name();
         let wall = registry.histogram_with(
@@ -379,22 +389,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threads_never_change_the_result_document() {
+    /// Tiny full-sweep specs of the graph and genome suites, which step
+    /// their schemes down one pass per dataset, and of the video suite,
+    /// which claims one `experiments::sweep` job per scheme.
+    fn tiny_specs() -> [JobSpec; 3] {
         let quick = Scale::quick();
-        for (suite, scale) in [
+        [
             (Suite::Graph, Scale { graph_divisor: 4000, pr_iters: 1, ..quick }),
             (
                 Suite::Genome,
                 Scale { genome_reads: 2, genome_read_len: 200, genome_divisor: 4000, ..quick },
             ),
             (Suite::Video, Scale { video_frames: 4, ..quick }),
-        ] {
+        ]
+        .map(|(suite, scale)| JobSpec { suite, scale, ..tiny_video_spec() })
+    }
+
+    #[test]
+    fn threads_never_change_the_result_document() {
+        for spec in tiny_specs() {
             let document = |threads| {
-                let spec = JobSpec { suite, scale, threads, ..tiny_video_spec() };
+                let spec = JobSpec { threads, ..spec.clone() };
                 spec.result_json(&spec.execute())
             };
-            assert_eq!(document(1), document(3), "{} document moved with threads", suite.name());
+            assert_eq!(
+                document(1),
+                document(3),
+                "{} document moved with threads",
+                spec.suite.name()
+            );
+        }
+    }
+
+    /// A subset spec simulates `NP` and its schemes, nothing else, and its
+    /// document equals the one the same subset reports from a full sweep.
+    #[test]
+    fn a_subset_simulates_only_its_schemes_and_reports_the_full_sweeps_bytes() {
+        use Scheme::{Baseline, Mgx, MgxMac, MgxVn, NoProtection};
+        for full in tiny_specs() {
+            let full_evals = full.execute();
+            for schemes in [vec![NoProtection, Mgx], vec![MgxMac, Baseline], vec![MgxVn]] {
+                let simulated: Vec<Scheme> = Scheme::ALL
+                    .into_iter()
+                    .filter(|s| *s == NoProtection || schemes.contains(s))
+                    .collect();
+                for threads in [1, 3] {
+                    let spec = JobSpec { schemes: schemes.clone(), threads, ..full.clone() };
+                    let evals = spec.execute();
+                    let at = format!("{} {schemes:?} at {threads} threads", spec.suite.name());
+                    for e in &evals {
+                        let got: Vec<Scheme> = e.results.iter().map(|r| r.scheme).collect();
+                        assert_eq!(got, simulated, "{at}");
+                    }
+                    assert_eq!(spec.result_json(&evals), spec.result_json(&full_evals), "{at}");
+                }
+            }
         }
     }
 
@@ -502,7 +551,8 @@ mod tests {
     fn execute_matches_the_registry_entry_point() {
         let spec = tiny_video_spec();
         let via_job = spec.execute();
-        let direct = crate::experiments::video::evaluate(&spec.scale, 1, spec.backend);
+        let direct =
+            crate::experiments::video::evaluate(&spec.scale, &Scheme::ALL, 1, spec.backend);
         assert_eq!(via_job.len(), direct.len());
         for (a, b) in via_job.iter().zip(&direct) {
             assert_eq!(a.workload, b.workload);

@@ -6,7 +6,7 @@
 //! hand it one job per (workload, scheme) through
 //! `experiments::sweep`, so one large workload's schemes run side by
 //! side. Graph and genome hand it one job per dataset: one worker builds
-//! the dataset's input and runs all five schemes over it. No simulator
+//! the dataset's input and runs the requested schemes over it. No simulator
 //! state is shared between threads, so parallel runs are
 //! **bit-identical** to their sequential twins. The `figures` binary's
 //! `--threads` flag feeds this pool.

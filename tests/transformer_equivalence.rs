@@ -197,8 +197,9 @@ proptest! {
         bert_seq in 2u64..5,
     ) {
         let scale = Scale { dnn_batch, bert_seq, ..Scale::quick() };
-        let reference = transformer::evaluate(&scale, 1, DramBackend::ClosedForm);
-        let got = transformer::evaluate(&scale, 4, DramBackend::ClosedForm);
+        let all = &mgx_core::Scheme::ALL;
+        let reference = transformer::evaluate(&scale, all, 1, DramBackend::ClosedForm);
+        let got = transformer::evaluate(&scale, all, 4, DramBackend::ClosedForm);
         prop_assert_eq!(reference.len(), got.len());
         for (r, o) in reference.iter().zip(&got) {
             prop_assert_eq!(&r.workload, &o.workload);
