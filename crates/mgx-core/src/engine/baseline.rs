@@ -285,6 +285,9 @@ impl ProtectionEngine for BaselineEngine {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::MAC_COARSE_BASE;
