@@ -69,6 +69,19 @@ pub struct AccessOutcome {
     pub hit: bool,
     /// If a dirty victim was evicted, its line address (a DRAM write).
     pub writeback: Option<u64>,
+    /// The way that now holds the line: pass it to
+    /// [`CacheSim::repeat_hits`] while the line is resident.
+    pub way: Way,
+}
+
+/// Where an access left its line: a flat index into every way of the
+/// cache, and the line's tag. A line never moves between ways, so the way
+/// holds the line until an eviction replaces it; checking that costs one
+/// tag compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way {
+    index: usize,
+    tag: u64,
 }
 
 /// Running hit/miss/traffic statistics. Every miss fills one line.
@@ -97,16 +110,29 @@ impl CacheStats {
     }
 }
 
+/// One way, packed into 16 B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineState {
+    /// [`NO_TAG`] while the way is invalid.
     tag: u64,
-    dirty: bool,
-    /// Monotonic timestamp of last touch (for LRU).
-    last_use: u64,
-    valid: bool,
+    /// `(last use << 1) | dirty`: the clock of the last touch (for LRU)
+    /// and the dirty bit. Zero while the way is invalid; a valid way's
+    /// clock is at least 1, so the least stamp is an invalid way if there
+    /// is one, else the least-recently-used way.
+    stamp: u64,
 }
 
-const INVALID: LineState = LineState { tag: 0, dirty: false, last_use: 0, valid: false };
+/// A tag no address has (a tag is at most 58 bits), so an invalid way
+/// never matches a lookup.
+const NO_TAG: u64 = u64::MAX;
+
+const INVALID: LineState = LineState { tag: NO_TAG, stamp: 0 };
+
+impl LineState {
+    fn dirty(&self) -> bool {
+        self.stamp & 1 == 1
+    }
+}
 
 /// `log2(LINE_BYTES)`: an address's line number is `addr >> LINE_SHIFT`.
 const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
@@ -163,86 +189,79 @@ impl CacheSim {
         self.clock += 1;
         let (set_idx, tag) = self.index(addr);
         let tag_bits = self.set_mask.count_ones();
-        let write = dir == Dir::Write;
-        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
+        let touched = self.clock << 1 | (dir == Dir::Write) as u64;
+        let base = set_idx * self.ways;
+        let set = &mut self.lines[base..base + self.ways];
 
-        // One pass finds a hit or the victim. An invalid way's stamp is 0
-        // and a valid one's at least 1, so the least stamp picks the first
-        // invalid way, else the least-recently-used one.
+        // One pass finds a hit or the victim: the least stamp.
         let mut victim = 0;
         let mut oldest = u64::MAX;
         for (way, line) in set.iter_mut().enumerate() {
-            if line.valid && line.tag == tag {
-                line.last_use = self.clock;
-                line.dirty |= write;
+            if line.tag == tag {
+                line.stamp = touched | (line.stamp & 1);
                 self.stats.hits += 1;
-                return AccessOutcome { hit: true, writeback: None };
+                return AccessOutcome {
+                    hit: true,
+                    writeback: None,
+                    way: Way { index: base + way, tag },
+                };
             }
-            if line.last_use < oldest {
-                oldest = line.last_use;
+            if line.stamp < oldest {
+                oldest = line.stamp;
                 victim = way;
             }
         }
 
         self.stats.misses += 1;
         let mut writeback = None;
-        if set[victim].valid && set[victim].dirty {
+        if set[victim].dirty() {
             writeback = Some(((set[victim].tag << tag_bits) | set_idx as u64) << LINE_SHIFT);
             self.stats.writebacks += 1;
         }
-        set[victim] = LineState { tag, dirty: write, last_use: self.clock, valid: true };
-        AccessOutcome { hit: false, writeback }
+        set[victim] = LineState { tag, stamp: touched };
+        AccessOutcome { hit: false, writeback, way: Way { index: base + victim, tag } }
     }
 
-    /// Applies `rounds` passes of [`access`](Self::access) over `lines`,
-    /// in order, in closed form — provided every line is resident.
+    /// Applies `rounds` passes of [`access`](Self::access) over the lines
+    /// that `ways` held when reported, in order, in closed form — provided
+    /// every way still holds its line.
     ///
     /// Every access of those passes is a hit, and a hit evicts nothing, so
     /// their whole effect is: the clock and the hit count advance by
-    /// `rounds × lines.len()`, each line's LRU stamp becomes that of its
-    /// access in the last pass, and a write dirties every line. Each
-    /// line's set is scanned once: the ways found there are restamped.
-    /// Returns `false` and changes nothing if any line is absent; the
-    /// caller then runs the scalar loop, whose first access misses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` holds more than four lines (the metadata walk
-    /// passes one or two).
-    pub fn repeat_hits(&mut self, lines: &[u64], dir: Dir, rounds: u64) -> bool {
-        let mut ways = [0; 4];
-        assert!(lines.len() <= ways.len(), "repeat_hits takes at most 4 lines");
-        for (way, &addr) in ways.iter_mut().zip(lines) {
-            match self.way_of(addr) {
-                Some(w) => *way = w,
-                None => return false,
-            }
+    /// `rounds × ways.len()`, each line's LRU stamp becomes that of its
+    /// access in the last pass, and a write dirties every line. Checking a
+    /// way is one tag compare. Returns `false` and changes nothing if a way
+    /// no longer holds its line; the caller then runs the scalar loop,
+    /// whose first access misses.
+    pub fn repeat_hits(&mut self, ways: &[Way], dir: Dir, rounds: u64) -> bool {
+        if !ways.iter().all(|w| self.lines[w.index].tag == w.tag) {
+            return false;
         }
-        let width = lines.len() as u64;
+        let width = ways.len() as u64;
         let total = rounds * width;
         if total == 0 {
             return true;
         }
-        // The last pass touches `lines[i]` at clock `last_pass + i + 1`.
+        // The last pass touches `ways[i]` at clock `last_pass + i + 1`.
         let last_pass = self.clock + total - width;
-        for (i, &way) in ways[..lines.len()].iter().enumerate() {
-            let line = &mut self.lines[way];
-            line.last_use = last_pass + i as u64 + 1;
-            line.dirty |= dir == Dir::Write;
+        let write = (dir == Dir::Write) as u64;
+        for (i, w) in ways.iter().enumerate() {
+            let line = &mut self.lines[w.index];
+            line.stamp = (last_pass + i as u64 + 1) << 1 | (line.stamp & 1) | write;
         }
         self.clock += total;
         self.stats.hits += total;
         true
     }
 
-    /// Index into `lines` of the way holding `addr`'s line, if resident.
-    fn way_of(&self, addr: u64) -> Option<usize> {
+    /// The way holding `addr`'s line, if resident.
+    fn way_of(&self, addr: u64) -> Option<Way> {
         let (set_idx, tag) = self.index(addr);
         let base = set_idx * self.ways;
         self.lines[base..base + self.ways]
             .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|way| base + way)
+            .position(|l| l.tag == tag)
+            .map(|way| Way { index: base + way, tag })
     }
 
     /// Checks residency without updating LRU or stats.
@@ -256,7 +275,7 @@ impl CacheSim {
         let mut dirty = Vec::new();
         for i in 0..self.lines.len() {
             let line = self.lines[i];
-            if line.valid && line.dirty {
+            if line.dirty() {
                 dirty.push(self.line_addr(i / self.ways, line.tag));
                 self.stats.writebacks += 1;
             }
@@ -496,10 +515,11 @@ mod proptests {
         }
 
         /// `repeat_hits` leaves the cache exactly as the scalar loop of
-        /// hits it stands for, and refuses (changing nothing) when a line
-        /// is absent. 32 candidate lines over 4 sets of 4 ways keep about
-        /// half of them resident, and a run of the resident lines sorted by
-        /// set usually puts several picks in one set.
+        /// hits it stands for, given the ways the lines' last accesses
+        /// reported, and refuses (changing nothing) when a way no longer
+        /// holds its line. 32 candidate lines over 4 sets of 4 ways keep
+        /// about half of them resident, and a run of the resident lines
+        /// sorted by set usually puts several picks in one set.
         #[test]
         fn repeat_hits_equals_scalar_access_loop(
             history in proptest::collection::vec((0u64..32, any::<bool>()), 1..200),
@@ -512,12 +532,16 @@ mod proptests {
             let cfg = CacheConfig { capacity_bytes: 1024, ways: 4 };
             let dir_of = |w: bool| if w { Dir::Write } else { Dir::Read };
             let mut sim = CacheSim::new(cfg);
+            let mut reported = std::collections::HashMap::new();
             for &(line, w) in &history {
-                sim.access(line * 64, dir_of(w));
+                reported.insert(line * 64, sim.access(line * 64, dir_of(w)).way);
             }
             let sets = cfg.sets() as u64;
             let (mut resident, absent): (Vec<u64>, Vec<u64>) =
                 (0..32u64).map(|line| line * 64).partition(|&addr| sim.probe(addr));
+            for addr in &resident {
+                prop_assert_eq!(sim.way_of(*addr), Some(reported[addr]), "a line moved");
+            }
             resident.sort_by_key(|&addr| (addr / 64 % sets, addr));
             let (start, count, reverse) = pick;
             let start = start % resident.len();
@@ -526,11 +550,12 @@ mod proptests {
             if reverse {
                 lines.reverse();
             }
+            let ways: Vec<Way> = lines.iter().map(|addr| reported[addr]).collect();
             let dir = dir_of(write);
 
             let mut batched = sim.clone();
             let mut scalar = sim.clone();
-            prop_assert!(batched.repeat_hits(&lines, dir, rounds));
+            prop_assert!(batched.repeat_hits(&ways, dir, rounds));
             for _ in 0..rounds {
                 for &addr in &lines {
                     prop_assert!(scalar.access(addr, dir).hit);
@@ -544,8 +569,17 @@ mod proptests {
             }
             prop_assert_eq!(state(&batched), state(&scalar));
 
-            let mut with_absent = lines.clone();
-            with_absent.insert(absent_at.min(lines.len()), absent[0]);
+            // An evicted line's stale way, else a way of the absent line's
+            // set that never held it.
+            let stale = match absent.iter().find_map(|addr| reported.get(addr)) {
+                Some(&way) => way,
+                None => {
+                    let (set, tag) = sim.index(absent[0]);
+                    Way { index: set * cfg.ways + absent_at % cfg.ways, tag }
+                }
+            };
+            let mut with_absent = ways.clone();
+            with_absent.insert(absent_at.min(ways.len()), stale);
             let before = state(&sim);
             prop_assert!(!sim.repeat_hits(&with_absent, dir, rounds));
             prop_assert_eq!(state(&sim), before, "a refused repeat_hits changed the cache");

@@ -30,7 +30,7 @@ use super::macside::MacStream;
 use super::{emit_data_burst, LineBurst, MetaTraffic, ProtectionEngine, TxnKind};
 use crate::layout::{self, BaselineLayout, ENTRIES_PER_LINE};
 use crate::policy::ProtectionConfig;
-use mgx_cache::{CacheConfig, CacheSim};
+use mgx_cache::{CacheConfig, CacheSim, Way};
 use mgx_trace::{Dir, MemRequest, RegionMap, LINE_BYTES};
 use std::collections::HashMap;
 
@@ -116,10 +116,10 @@ impl BaselineEngine {
 
     /// One cached access to metadata line `line`: a miss fills the line,
     /// and a dirty victim's writeback runs its cascade. Returns whether
-    /// the access hit. Forced inline: the walk makes one call per metadata
-    /// access.
+    /// the access hit and the way it left the line in. Forced inline: the
+    /// walk makes one call per metadata access.
     #[inline(always)]
-    fn touch(&mut self, line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) -> bool {
+    fn touch(&mut self, line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) -> (bool, Way) {
         let out = self.cache.access(line, dir);
         if !out.hit {
             self.record_emit(line, Dir::Read, emit);
@@ -127,7 +127,7 @@ impl BaselineEngine {
         if let Some(wb) = out.writeback {
             self.process_writeback(wb, emit);
         }
-        out.hit
+        (out.hit, out.way)
     }
 
     /// Handles a dirty-line writeback plus the cascading parent updates.
@@ -162,19 +162,23 @@ impl BaselineEngine {
         }
     }
 
-    /// One cached access to VN line `vn_line`, with a tree walk on a miss.
-    fn vn_access(&mut self, vn_line: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
-        if self.touch(vn_line, dir, emit) {
-            return;
-        }
-        // Verify the freshly fetched VN line: climb until a cached node.
-        let mut node = self.tree.vn_parent(vn_line);
-        while !self.touch(node, dir, emit) {
-            match self.tree.tree_parent_of(node) {
-                Some(p) => node = p,
-                None => break, // verified against the on-chip root
+    /// One cached access to VN line `leaf` (its index in the VN table),
+    /// with a tree walk on a miss. Returns the VN line's way.
+    fn vn_access(&mut self, leaf: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) -> Way {
+        let (hit, way) = self.touch(layout::VN_BASE + leaf * LINE_BYTES, dir, emit);
+        if !hit {
+            // Verify the freshly fetched VN line: climb by level and index
+            // until a cached node, or up to the node under the on-chip
+            // root.
+            let mut idx = leaf;
+            for level in 0..self.tree.tree_depth() {
+                idx /= self.tree.arity();
+                if self.touch(self.tree.node(level, idx), dir, emit).0 {
+                    break;
+                }
             }
         }
+        way
     }
 
     /// The cached VN (+ fine MAC) walk of one request. Every fill,
@@ -205,23 +209,24 @@ impl BaselineEngine {
     ///
     /// A group's lines share one VN line (under split counters, 8 groups
     /// do) and one fine MAC line. A line makes both accesses scalar; if
-    /// both metadata lines are then resident, every later access of the
-    /// group is a hit, and hits never evict, so [`CacheSim::repeat_hits`]
-    /// applies them in closed form. Otherwise the line's own fills and
-    /// cascade evicted one of them, and the next line runs scalar too.
+    /// both ways those accesses reported still hold their lines, every
+    /// later access of the group is a hit, and hits never evict, so
+    /// [`CacheSim::repeat_hits`] applies them in closed form. Otherwise the
+    /// line's own fills and cascade evicted one of them, and the next line
+    /// runs scalar too.
     fn walk_lines(&mut self, from: u64, to: u64, dir: Dir, emit: &mut dyn FnMut(LineBurst)) {
         let fine_mac = self.mac.is_none();
         let mut line = from;
         while line <= to {
             let addr = line * LINE_BYTES;
-            let meta = [layout::vn_line_of(addr >> self.vn_shift), layout::mac_fine_line_of(addr)];
-            self.vn_access(meta[0], dir, emit);
+            let vn_way = self.vn_access(layout::vn_line_index(addr >> self.vn_shift), dir, emit);
+            let mut ways = [vn_way; 2];
             if fine_mac {
-                self.touch(meta[1], dir, emit);
+                ways[1] = self.touch(layout::mac_fine_line_of(addr), dir, emit).1;
             }
             let group_last = (line | (ENTRIES_PER_LINE - 1)).min(to);
-            let meta = if fine_mac { &meta[..] } else { &meta[..1] };
-            line = if self.cache.repeat_hits(meta, dir, group_last - line) {
+            let ways = if fine_mac { &ways[..] } else { &ways[..1] };
+            line = if self.cache.repeat_hits(ways, dir, group_last - line) {
                 group_last + 1
             } else {
                 line + 1

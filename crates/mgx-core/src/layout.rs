@@ -151,6 +151,21 @@ impl BaselineLayout {
         self.level_widths.len()
     }
 
+    /// The tree's fan-out.
+    pub fn arity(&self) -> u64 {
+        self.arity
+    }
+
+    /// Line address of node `idx` of `level` (0 is the level just above
+    /// the VN lines). The parent of node `idx` is node `idx / arity` of
+    /// the next level, and that of VN line `i` is node `i / arity` of
+    /// level 0, so a climb that carries its level and index needs neither
+    /// [`vn_parent`](Self::vn_parent) nor
+    /// [`tree_parent_of`](Self::tree_parent_of).
+    pub fn node(&self, level: usize, idx: u64) -> u64 {
+        TREE_BASE + (self.level_offsets[level] + idx) * LINE_BYTES
+    }
+
     /// Parent tree-node line of a VN line address.
     ///
     /// # Panics
@@ -158,8 +173,7 @@ impl BaselineLayout {
     /// Panics if `vn_line_addr` is not inside the VN table.
     pub fn vn_parent(&self, vn_line_addr: u64) -> u64 {
         assert!((VN_BASE..TREE_BASE).contains(&vn_line_addr), "not a VN line");
-        let idx = (vn_line_addr - VN_BASE) / LINE_BYTES;
-        TREE_BASE + (self.level_offsets[0] + idx / self.arity) * LINE_BYTES
+        self.node(0, (vn_line_addr - VN_BASE) / LINE_BYTES / self.arity)
     }
 
     /// Parent of a tree-node line, or `None` for the top node (whose parent
@@ -180,8 +194,7 @@ impl BaselineLayout {
         if level + 1 >= self.level_widths.len() {
             return None;
         }
-        let idx = off - self.level_offsets[level];
-        Some(TREE_BASE + (self.level_offsets[level + 1] + idx / self.arity) * LINE_BYTES)
+        Some(self.node(level + 1, (off - self.level_offsets[level]) / self.arity))
     }
 }
 
@@ -270,6 +283,14 @@ mod tests {
             .collect();
         assert_eq!(path, want);
         assert_eq!(path.len(), l.tree_depth());
+        // Carrying the level and index gives the same chain.
+        let by_level: Vec<u64> = (0..l.tree_depth())
+            .scan(vn_line_index(0x1234_5040), |idx, level| {
+                *idx /= l.arity();
+                Some(l.node(level, *idx))
+            })
+            .collect();
+        assert_eq!(by_level, want);
         // Every climb ends at the one node under the root.
         assert_eq!(climb(&l, 0).last(), Some(&node_1g(6, 0)));
     }
