@@ -21,8 +21,10 @@
 //! sweep through the same content-addressed result store the `serve`
 //! daemon uses: a repeated figure run (same scale, same simulator build)
 //! reloads its sweeps from `DIR` instead of re-simulating. A store entry
-//! holds one suite under one scheme set, so a run that selects other ids
-//! may read a suite's other schemes and miss.
+//! holds one suite under one scheme set. A run whose scheme set has no
+//! entry of its own is served from the suite's five-scheme entry, cut down
+//! to the schemes it reads, so `fig14a` after `fig14b` (which reads every
+//! scheme) reloads; a run that reads schemes of a smaller entry misses.
 //! `--stats-json PATH` additionally writes the run's full observability
 //! registry (per-suite wall-clock histograms, simulated-bytes/DRAM-cycle
 //! totals per simulated scheme, store hit/miss counters) as one JSON
@@ -71,7 +73,9 @@ const SWITCHES: [&str; 3] = ["--quick", "--json", "--list"];
 /// routed through the content-addressed store when `--store` is set. The
 /// digest covers the scheme set, the scale knobs and the simulator
 /// version, so a hit is exactly the sweep this invocation would have
-/// produced. Every sweep records into `registry` (wall-clock, per-scheme
+/// produced. Each scheme's runs are independent of the others, so on a
+/// miss the same spec's five-scheme entry serves too, cut down to NP plus
+/// `schemes`. Every sweep records into `registry` (wall-clock, per-scheme
 /// totals), which the `--stats-json` side-file renders.
 fn suite_evals(
     suite: Suite,
@@ -86,16 +90,26 @@ fn suite_evals(
     let Some(store) = store else {
         return spec.execute_observed(registry);
     };
-    let digest = spec.digest();
-    if let Some(doc) = store.get(digest) {
+    let all = JobSpec { schemes: Scheme::ALL.to_vec(), ..spec.clone() };
+    let entries = if spec.schemes == all.schemes { vec![&spec] } else { vec![&spec, &all] };
+    for entry in entries {
+        let Some(doc) = store.get(entry.digest()) else { continue };
         match evaluated_from_json(&doc) {
             Ok(evals) => {
-                eprintln!("# {}: store hit ({})", suite.name(), spec.digest_hex());
-                return evals;
+                eprintln!("# {}: store hit ({})", suite.name(), entry.digest_hex());
+                return evals
+                    .into_iter()
+                    .map(|e| {
+                        let mut results = e.results;
+                        results.retain(|r| spec.schemes.contains(&r.scheme));
+                        Evaluated::new(e.workload, e.config, results)
+                    })
+                    .collect();
             }
             Err(e) => eprintln!("# {}: discarding unreadable store entry ({e})", suite.name()),
         }
     }
+    let digest = spec.digest();
     let evals = spec.execute_observed(registry);
     if let Err(e) = store.put(digest, spec.result_json(&evals)) {
         eprintln!("# {}: store write failed ({e}); continuing uncached", suite.name());

@@ -99,6 +99,32 @@ fn a_store_rerun_is_a_hit_with_identical_stdout() {
 }
 
 #[test]
+fn a_five_scheme_store_entry_serves_a_subset() {
+    // fig14b reads every scheme of the graph suite, fig14a only MGX and
+    // BP: the second run must reload the first one's entry, not simulate
+    // and store a second one. The storeless reference runs alongside.
+    let dir = std::env::temp_dir().join(format!("mgx-figures-superset-{}", std::process::id()));
+    let store = dir.to_str().expect("utf-8 temp path");
+    let storeless = std::thread::spawn(|| figures(&["fig14a", "--quick", "--json"]));
+    let runs = [
+        ["fig14b", "--quick", "--json", "--store", store],
+        ["fig14a", "--quick", "--json", "--store", store],
+    ]
+    .map(|args| figures(&args));
+    let entries = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let storeless = storeless.join().expect("the storeless run");
+    for out in runs.iter().chain([&storeless]) {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let subset = String::from_utf8_lossy(&runs[1].stderr);
+    assert!(subset.contains("# graph: store hit"), "{subset}");
+    assert!(subset.contains("simulated across NP, BP, MGX\n"), "{subset}");
+    assert_eq!(runs[1].stdout, storeless.stdout, "the subset must print a fresh run's bytes");
+    assert_eq!(entries, 1, "the subset run must not store an entry of its own");
+}
+
+#[test]
 fn json_mode_prints_one_json_object_per_line() {
     let out = figures(&["pruning", "h264", "--quick", "--json"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
