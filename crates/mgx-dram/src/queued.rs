@@ -21,13 +21,16 @@
 //!
 //! The queue is **run-granular**: [`DramModel::access_burst`] appends one
 //! `Pending` fragment per contiguous per-channel run (address, line
-//! count, cached head decode) instead of one entry per 64-byte line, and
-//! the service loop retires whole **row streaks** through the closed-form
-//! [`DramSim::access_burst`] arithmetic (`burst_on_channel`) instead of a
-//! scalar [`DramSim::access`] per line. The pick reads each candidate's
+//! count, cached head decode and row remainder) instead of one entry per
+//! 64-byte line, and the service loop retires whole **row streaks**
+//! through the closed-form [`DramSim::access_burst`] arithmetic
+//! (`burst_on_channel`) instead of a scalar [`DramSim::access`] per line;
+//! a 1-line streak, the common case under the baseline's metadata misses,
+//! goes to [`DramSim::access`] itself. The pick reads each candidate's
 //! open row straight from the wrapped simulator's flat bank array, through
 //! the bank index the fragment caches, so the queue keeps no copy of bank
-//! state. Both the pick and the service are still *defined* by the
+//! state, and steps past a missing head by its cached row remainder. A
+//! head is decoded again only when it crosses into a new row. Both the pick and the service are still *defined* by the
 //! per-line reference discipline — pick the first queued line whose bank
 //! holds its row open, else the queue front — and the batched loop
 //! reproduces that discipline **bit-identically by construction**:
@@ -61,6 +64,10 @@
 //! and scalar `access` lines at queue depths {1, 4, 32} and asserts the
 //! run-granular path is bit-identical — completions, [`DramStats`],
 //! row-hit counts — to servicing the same lines one entry at a time.
+//! That gate shares the pick and the streak service with the code it
+//! checks, so this module's unit tests also compare the queue with an
+//! independent per-line model: a plain queue of lines per channel, one
+//! push and one [`DramSim::access`] per line.
 //!
 //! # Where it provably agrees with the closed form
 //!
@@ -127,7 +134,7 @@ struct Pending {
     head_bank: u32,
     /// Lines from the head to the end of its row, at least 1 (the
     /// fragment may end sooner).
-    head_left: u32,
+    head_left: u64,
     /// Cached head decode: row.
     head_row: u64,
 }
@@ -224,7 +231,7 @@ impl QueuedDramSim {
             // First streak: the cached head. Later streaks start at row
             // boundaries of the channel-local line space, one row apart.
             let (mut bank, mut row) = (frag.head_bank, frag.head_row);
-            let (mut off, mut left) = (0, frag.head_left as u64);
+            let (mut off, mut left) = (0, frag.head_left);
             loop {
                 if banks[bank as usize].open_row == Some(row) {
                     return Some(Streak { idx, off, bank, row, left });
@@ -243,7 +250,7 @@ impl QueuedDramSim {
     /// The queue front's head streak: the service when nothing hits.
     fn front(&self, ch: usize) -> Streak {
         let f = &self.queues[ch][0];
-        Streak { idx: 0, off: 0, bank: f.head_bank, row: f.head_row, left: f.head_left as u64 }
+        Streak { idx: 0, off: 0, bank: f.head_bank, row: f.head_row, left: f.head_left }
     }
 
     /// Services `streak` on channel `ch`, at most `credit` lines: a single
@@ -277,10 +284,10 @@ impl QueuedDramSim {
         let tail_lines = frag.lines - k - h;
         let tail_head = |sim: &Self, local: u64| {
             if h < left {
-                (bank, row, (left - h) as u32)
+                (bank, row, left - h)
             } else {
                 let (bank, row) = sim.decode_local(ch, local);
-                (bank, row, sim.lines_per_row() as u32)
+                (bank, row, sim.lines_per_row())
             }
         };
         if k == 0 {
@@ -334,7 +341,7 @@ impl QueuedDramSim {
             lines: count,
             dir,
             head_bank,
-            head_left: (lpr - local_line % lpr) as u32,
+            head_left: lpr - local_line % lpr,
             head_row,
         });
         self.lines_queued[ch] = n0 + count;
