@@ -30,10 +30,11 @@
 //! open row straight from the wrapped simulator's flat bank array, through
 //! the bank index the fragment caches, so the queue keeps no copy of bank
 //! state, and steps past a missing head by its cached row remainder. A
-//! head is decoded again only when it crosses into a new row. Both the pick and the service are still *defined* by the
-//! per-line reference discipline — pick the first queued line whose bank
-//! holds its row open, else the queue front — and the batched loop
-//! reproduces that discipline **bit-identically by construction**:
+//! head is decoded again only when it crosses into a new row. Both the
+//! pick and the service are still *defined* by the per-line reference
+//! discipline — pick the first queued line whose bank holds its row open,
+//! else the queue front — and the batched loop reproduces that discipline
+//! **bit-identically by construction**:
 //!
 //! * *streaks service atomically under the per-line pick.* Once a line of
 //!   a row streak is serviced, its successors hit the row it (re)opened
