@@ -15,9 +15,9 @@
 //! NP and only the schemes the selected ids read of it
 //! (`Entry::reads`), so `figures fig16` never simulates MGX on genome.
 //! `--threads N` fans each suite's independent jobs, one per (workload,
-//! scheme) or per graph and genome dataset, across `N` pool workers
-//! (`0` = one per core); results are byte-identical to the
-//! serial run, only wall-clock changes. `--store DIR` routes every suite
+//! scheme), across `N` pool workers (`0` = one per core), after building
+//! the graph and genome inputs one per dataset on the same pool; results
+//! are byte-identical to the serial run, only wall-clock changes. `--store DIR` routes every suite
 //! sweep through the same content-addressed result store the `serve`
 //! daemon uses: a repeated figure run (same scale, same simulator build)
 //! reloads its sweeps from `DIR` instead of re-simulating. A store entry

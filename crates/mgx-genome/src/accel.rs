@@ -17,6 +17,7 @@ use crate::dsoft::{dsoft, DsoftParams};
 use crate::index::SeedIndex;
 use crate::sequence::{ErrorProfile, ReadSimulator, Reference};
 use mgx_trace::{DataClass, MemRequest, Phase, RegionMap, Trace, TraceSource};
+use std::borrow::Borrow;
 
 /// GACT array farm configuration (§VII-A: 64 arrays × 64 PEs @ 800 MHz).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,29 +86,58 @@ impl GenomeWorkload {
     }
 }
 
+/// One chromosome's scaled synthetic reference and its seed index: the
+/// input that every read stream of the chromosome shares, whatever its
+/// error profile. Building the index is most of a genome workload's cost.
+#[derive(Debug)]
+pub struct IndexedReference {
+    /// The synthetic chromosome.
+    pub reference: Reference,
+    /// Its 12-mer seed index.
+    pub index: SeedIndex,
+}
+
+impl IndexedReference {
+    /// Synthesizes `workload`'s chromosome at `1/scale_divisor` scale, but
+    /// at least four reads of `read_len` long, and indexes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale_divisor == 0`.
+    pub fn build(
+        workload: &GenomeWorkload,
+        read_len: usize,
+        scale_divisor: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(scale_divisor > 0, "scale divisor must be positive");
+        let ref_len = (workload.full_len / scale_divisor).max(read_len * 4);
+        let reference = Reference::synthesize(workload.chromosome, ref_len, seed);
+        let index = SeedIndex::build(&reference.seq, 12);
+        Self { reference, index }
+    }
+}
+
 /// Streams the GACT memory trace for `reads` simulated reads of
-/// `read_len` bases against a `1/scale_divisor`-scale synthetic chromosome:
-/// reads are sampled, D-SOFT-filtered, and emitted one at a time, so the
+/// `read_len` bases with `profile`'s errors against `input`, which is
+/// owned or shared (`&IndexedReference`, `Arc<IndexedReference>`): reads
+/// are sampled, D-SOFT-filtered, and emitted one at a time, so the
 /// resident state is one read's candidate tiles — a full-depth sequencing
 /// run never materializes.
 ///
 /// # Panics
 ///
-/// Panics if `scale_divisor == 0` or the scaled reference is shorter than
-/// one read.
-pub fn stream_gact_trace(
-    workload: &GenomeWorkload,
+/// Panics, once streamed, if the reference is not longer than one read.
+pub fn stream_gact_reads<I: Borrow<IndexedReference>>(
+    input: I,
+    profile: ErrorProfile,
     cfg: &GactAccelConfig,
     reads: usize,
     read_len: usize,
-    scale_divisor: usize,
     seed: u64,
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
-    assert!(scale_divisor > 0, "scale divisor must be positive");
-    let ref_len = (workload.full_len / scale_divisor).max(read_len * 4);
-    let reference = Reference::synthesize(workload.chromosome, ref_len, seed);
-    let index = SeedIndex::build(&reference.seq, 12);
-    let mut sim = ReadSimulator::new(workload.profile, read_len, seed ^ 0x5eed);
+    let ref_len = input.borrow().reference.len();
+    let mut sim = ReadSimulator::new(profile, read_len, seed ^ 0x5eed);
     let params = DsoftParams { threshold: 16, ..DsoftParams::default() };
 
     let mut regions = RegionMap::new();
@@ -132,10 +162,11 @@ pub fn stream_gact_trace(
     let mut tb_off = 0u64;
     let mut q_off = 0u64;
     let phases = (0..reads).flat_map(move |_| {
-        let read = sim.sample(&reference);
+        let IndexedReference { reference, index } = input.borrow();
+        let read = sim.sample(reference);
         let tiles_per_read = (read.seq.len() as u64).div_ceil(tile);
         let mut step = Trace::default();
-        for cand in dsoft(&index, &read.seq, &params).iter().take(2) {
+        for cand in dsoft(index, &read.seq, &params).iter().take(2) {
             for t in 0..tiles_per_read {
                 let ref_pos = (cand.ref_pos as u64 + t * tile).min(ref_len as u64 - tile);
                 // One phase per GACT tile.
@@ -156,6 +187,25 @@ pub fn stream_gact_trace(
     (regions, phases)
 }
 
+/// Streams the GACT memory trace of `workload`: [`IndexedReference::build`]
+/// followed by [`stream_gact_reads`] over the owned input.
+///
+/// # Panics
+///
+/// Panics if `scale_divisor == 0`, and once streamed if the scaled
+/// reference is not longer than one read.
+pub fn stream_gact_trace(
+    workload: &GenomeWorkload,
+    cfg: &GactAccelConfig,
+    reads: usize,
+    read_len: usize,
+    scale_divisor: usize,
+    seed: u64,
+) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
+    let input = IndexedReference::build(workload, read_len, scale_divisor, seed);
+    stream_gact_reads(input, workload.profile, cfg, reads, read_len, seed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +218,24 @@ mod tests {
             profile: ErrorProfile::pacbio(),
         };
         stream_gact_trace(&w, &GactAccelConfig::default(), 6, 1200, 500, 7).collect_trace()
+    }
+
+    /// One chromosome's three error profiles, streamed over one shared
+    /// input, collect to the traces `stream_gact_trace` builds per workload.
+    #[test]
+    fn a_shared_input_streams_each_profiles_trace() {
+        let cfg = GactAccelConfig::default();
+        let chr_y: Vec<GenomeWorkload> =
+            GenomeWorkload::suite().into_iter().filter(|w| w.chromosome == "chrY").collect();
+        assert_eq!(chr_y.len(), 3);
+        let input = IndexedReference::build(&chr_y[0], 1200, 500, 7);
+        for w in &chr_y {
+            let shared = stream_gact_reads(&input, w.profile, &cfg, 6, 1200, 7).collect_trace();
+            let own = stream_gact_trace(w, &cfg, 6, 1200, 500, 7).collect_trace();
+            assert!(!own.phases.is_empty(), "{}", w.label());
+            assert_eq!(shared.phases, own.phases, "{}", w.label());
+            assert_eq!(format!("{:?}", shared.regions), format!("{:?}", own.regions));
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! K-mer seed index: Darwin's seed-pointer + position tables (Fig 15).
 
-use std::collections::HashMap;
-
 /// Packs a k-mer into 2-bit-per-base form; `None` if it contains a
 /// non-ACGT byte.
 pub fn pack_kmer(kmer: &[u8]) -> Option<u64> {
@@ -21,13 +19,18 @@ pub fn pack_kmer(kmer: &[u8]) -> Option<u64> {
 
 /// An exact-match seed index over a reference sequence.
 ///
-/// Functionally equivalent to Darwin's two-level seed-pointer/position
-/// table: [`SeedIndex::lookup`] returns every reference position where the
-/// seed occurs.
+/// Laid out like Darwin's two-level seed-pointer/position table: every
+/// indexed position, sorted by its packed seed, beside that seed, so a
+/// seed's positions are one contiguous, ascending run found by binary
+/// search. [`SeedIndex::lookup`] returns every reference position where
+/// the seed occurs. It costs 12 bytes per indexed position.
 #[derive(Debug)]
 pub struct SeedIndex {
     k: usize,
-    positions: HashMap<u64, Vec<u32>>,
+    /// Packed seed of each entry of `positions`, ascending.
+    seeds: Vec<u64>,
+    /// Reference positions, grouped by seed and ascending within a seed.
+    positions: Vec<u32>,
 }
 
 impl SeedIndex {
@@ -38,15 +41,14 @@ impl SeedIndex {
     /// Panics if `k` is 0 or > 31.
     pub fn build(reference: &[u8], k: usize) -> Self {
         assert!(k > 0 && k <= 31, "seed length must be 1..=31");
-        let mut positions: HashMap<u64, Vec<u32>> = HashMap::new();
-        if reference.len() >= k {
-            for i in 0..=reference.len() - k {
-                if let Some(key) = pack_kmer(&reference[i..i + k]) {
-                    positions.entry(key).or_default().push(i as u32);
-                }
-            }
-        }
-        Self { k, positions }
+        let mut entries: Vec<(u64, u32)> = reference
+            .windows(k)
+            .enumerate()
+            .filter_map(|(i, kmer)| Some((pack_kmer(kmer)?, i as u32)))
+            .collect();
+        entries.sort_unstable();
+        let (seeds, positions) = entries.into_iter().unzip();
+        Self { k, seeds, positions }
     }
 
     /// Seed length.
@@ -56,19 +58,24 @@ impl SeedIndex {
 
     /// Number of distinct seeds present.
     pub fn distinct_seeds(&self) -> usize {
-        self.positions.len()
+        self.seeds.chunk_by(|a, b| a == b).count()
     }
 
-    /// Reference positions of `seed` (empty if absent or malformed).
+    /// Reference positions of `seed` in ascending order (empty if absent or
+    /// malformed).
     pub fn lookup(&self, seed: &[u8]) -> &[u32] {
         debug_assert_eq!(seed.len(), self.k);
-        pack_kmer(seed).and_then(|key| self.positions.get(&key)).map_or(&[], Vec::as_slice)
+        let Some(key) = pack_kmer(seed) else { return &[] };
+        let lo = self.seeds.partition_point(|&s| s < key);
+        let len = self.seeds[lo..].iter().take_while(|&&s| s == key).count();
+        &self.positions[lo..lo + len]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn pack_kmer_is_injective_for_fixed_k() {
@@ -102,6 +109,32 @@ mod tests {
             })
             .sum();
         assert_eq!(total, r.len() - 4);
+    }
+
+    /// On a reference with planted repeats and a few non-ACGT bytes, every
+    /// k-mer's lookup equals the ascending positions a linear scan finds,
+    /// and the distinct seeds are the distinct well-formed k-mers.
+    #[test]
+    fn lookup_equals_a_linear_scan() {
+        let mut r = crate::sequence::Reference::synthesize("chrT", 20_000, 5).seq;
+        for at in [0, 7, 12_345, 19_999] {
+            r[at] = b'N';
+        }
+        for k in [4, 12] {
+            let idx = SeedIndex::build(&r, k);
+            let mut scan: HashMap<&[u8], Vec<u32>> = HashMap::new();
+            for (i, kmer) in r.windows(k).enumerate() {
+                if kmer.iter().all(|b| b"ACGT".contains(b)) {
+                    scan.entry(kmer).or_default().push(i as u32);
+                }
+            }
+            assert!(scan.values().any(|p| p.len() > 1), "k = {k}: the repeats must recur");
+            for kmer in r.windows(k) {
+                let want = scan.get(kmer).map_or(&[][..], Vec::as_slice);
+                assert_eq!(idx.lookup(kmer), want, "k = {k}, seed {:?}", kmer);
+            }
+            assert_eq!(idx.distinct_seeds(), scan.len(), "k = {k}");
+        }
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl ReadSimulator {
         }
         SimulatedRead { seq, true_pos: start }
     }
-
-    /// Samples a batch of reads.
-    pub fn batch(&mut self, reference: &Reference, count: usize) -> Vec<SimulatedRead> {
-        (0..count).map(|_| self.sample(reference)).collect()
-    }
 }
 
 #[cfg(test)]

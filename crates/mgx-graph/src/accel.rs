@@ -67,28 +67,20 @@ impl GraphWorkload {
     }
 }
 
-/// Per-tile nonzero counts in one O(nnz) pass.
-fn tile_histogram(g: &Csr, cfg: &GraphAccelConfig) -> (usize, usize, Vec<u64>) {
-    let dst_blocks = g.n.div_ceil(cfg.dst_block).max(1);
-    let src_tiles = g.n.div_ceil(cfg.src_tile).max(1);
-    let mut nnz = vec![0u64; dst_blocks * src_tiles];
-    for r in 0..g.n {
-        let db = r / cfg.dst_block;
-        for (c, _) in g.row(r) {
-            let st = c as usize / cfg.src_tile;
-            nnz[db * src_tiles + st] += 1;
-        }
-    }
-    (dst_blocks, src_tiles, nnz)
-}
-
-/// Everything one tile phase needs, precomputed so the schedule can stream
-/// without holding the graph.
-struct TileSchedule {
+/// A graph as the accelerator streams it: per-tile nonzero counts and the
+/// regions they are read from, precomputed in one O(nnz) pass so the
+/// schedule streams without holding the graph. It holds
+/// `dst_blocks × src_tiles` counts (at most 64 for the standard-scale
+/// suite at 64 Ki-vertex tiles), so one schedule is cheap to keep and to
+/// clone per simulation run.
+#[derive(Debug, Clone)]
+pub struct TileSchedule {
     cfg: GraphAccelConfig,
     n: usize,
     src_tiles: usize,
+    /// Nonzeros of tile `(db, st)` at `db * src_tiles + st`.
     tile_nnz: Vec<u64>,
+    regions: RegionMap,
     adj: RegionId,
     rank: [RegionId; 2],
     /// `(adjacency, rank0, rank1)` base addresses.
@@ -96,6 +88,57 @@ struct TileSchedule {
 }
 
 impl TileSchedule {
+    /// Tiles `g` for the accelerator `cfg` and lays out its regions: the
+    /// pre-tiled adjacency stream and two ping-pong attribute buffers.
+    pub fn new(g: &Csr, cfg: &GraphAccelConfig) -> Self {
+        let dst_blocks = g.n.div_ceil(cfg.dst_block).max(1);
+        let src_tiles = g.n.div_ceil(cfg.src_tile).max(1);
+        let mut tile_nnz = vec![0u64; dst_blocks * src_tiles];
+        for r in 0..g.n {
+            let db = r / cfg.dst_block;
+            for (c, _) in g.row(r) {
+                tile_nnz[db * src_tiles + c as usize / cfg.src_tile] += 1;
+            }
+        }
+        let mut regions = RegionMap::new();
+        let adj_bytes = (g.nnz() as u64 * cfg.entry_bytes).max(64);
+        let vec_bytes = (g.n as u64 * cfg.entry_bytes).max(64);
+        let adj = regions.alloc("adjacency", adj_bytes, DataClass::Adjacency);
+        // Ping-pong attribute buffers: read one, write the other, swap.
+        let rank = [
+            regions.alloc("rank0", vec_bytes, DataClass::VertexAttr),
+            regions.alloc("rank1", vec_bytes, DataClass::VertexAttr),
+        ];
+        let bases = (regions.get(adj).base, regions.get(rank[0]).base, regions.get(rank[1]).base);
+        Self { cfg: *cfg, n: g.n, src_tiles, tile_nnz, regions, adj, rank, bases }
+    }
+
+    /// Streams the memory trace of `sweeps(workload)` SpMV iterations
+    /// following Fig 10's schedule: one tile phase is resident at a time,
+    /// so arbitrarily large iteration counts cost constant memory.
+    pub fn stream(
+        mut self,
+        workload: GraphWorkload,
+    ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
+        // Tile schedule order: (sweep, db, st), adjacency streamed in order
+        // within each sweep.
+        let per_sweep = self.tile_nnz.len();
+        let src_tiles = self.src_tiles;
+        let regions = std::mem::take(&mut self.regions);
+        let mut adj_off = 0u64;
+        let phases = (0..workload.sweeps() * per_sweep).flat_map(move |tile| {
+            let (sweep, rest) = (tile / per_sweep, tile % per_sweep);
+            let (db, st) = (rest / src_tiles, rest % src_tiles);
+            if rest == 0 {
+                adj_off = 0; // each sweep restarts the adjacency stream
+            }
+            let mut step = Trace::default();
+            self.emit_tile(&mut step, sweep, db, st, &mut adj_off);
+            step.phases
+        });
+        (regions, phases)
+    }
+
     /// Emits the phase of tile `(sweep, db, st)`. `adj_off` is the running
     /// offset into the pre-tiled adjacency stream, advanced per tile.
     fn emit_tile(&self, out: &mut Trace, sweep: usize, db: usize, st: usize, adj_off: &mut u64) {
@@ -138,8 +181,8 @@ impl TileSchedule {
     }
 }
 
-/// Streams the memory trace of `sweeps(workload)` SpMV iterations over `g`
-/// following Fig 10's schedule: one tile phase is resident at a time, so
+/// Streams the memory trace of `sweeps(workload)` SpMV iterations over `g`:
+/// [`TileSchedule::new`] followed by [`TileSchedule::stream`], so
 /// arbitrarily large graphs and iteration counts cost constant memory
 /// beyond the O(tiles) nonzero histogram.
 pub fn stream_graph_trace(
@@ -147,34 +190,7 @@ pub fn stream_graph_trace(
     workload: GraphWorkload,
     cfg: &GraphAccelConfig,
 ) -> impl TraceSource<Phases = impl Iterator<Item = Phase>> {
-    let (dst_blocks, src_tiles, tile_nnz) = tile_histogram(g, cfg);
-    let mut regions = RegionMap::new();
-    let adj_bytes = (g.nnz() as u64 * cfg.entry_bytes).max(64);
-    let vec_bytes = (g.n as u64 * cfg.entry_bytes).max(64);
-    let adj = regions.alloc("adjacency", adj_bytes, DataClass::Adjacency);
-    // Ping-pong attribute buffers: read one, write the other, swap.
-    let rank = [
-        regions.alloc("rank0", vec_bytes, DataClass::VertexAttr),
-        regions.alloc("rank1", vec_bytes, DataClass::VertexAttr),
-    ];
-    let bases = (regions.get(adj).base, regions.get(rank[0]).base, regions.get(rank[1]).base);
-    let schedule = TileSchedule { cfg: *cfg, n: g.n, src_tiles, tile_nnz, adj, rank, bases };
-
-    // Tile schedule order: (sweep, db, st), adjacency streamed in order
-    // within each sweep.
-    let per_sweep = dst_blocks * src_tiles;
-    let mut adj_off = 0u64;
-    let phases = (0..workload.sweeps() * per_sweep).flat_map(move |tile| {
-        let (sweep, rest) = (tile / per_sweep, tile % per_sweep);
-        let (db, st) = (rest / src_tiles, rest % src_tiles);
-        if rest == 0 {
-            adj_off = 0; // each sweep restarts the adjacency stream
-        }
-        let mut step = Trace::default();
-        schedule.emit_tile(&mut step, sweep, db, st, &mut adj_off);
-        step.phases
-    });
-    (regions, phases)
+    TileSchedule::new(g, cfg).stream(workload)
 }
 
 #[cfg(test)]

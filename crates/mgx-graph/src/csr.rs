@@ -75,19 +75,6 @@ impl Csr {
         }
     }
 
-    /// Entries inside the tile `[row0, row1) × [col0, col1)`.
-    pub fn tile_nnz(&self, row0: usize, row1: usize, col0: u32, col1: u32) -> u64 {
-        let mut count = 0;
-        for r in row0..row1.min(self.n) {
-            for (c, _) in self.row(r) {
-                if c >= col0 && c < col1 {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Mean entries per row.
     pub fn avg_degree(&self) -> f64 {
         if self.n == 0 {
@@ -131,16 +118,6 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-6, "column {c} sums to {sum}");
             }
         }
-    }
-
-    #[test]
-    fn tile_nnz_partitions_the_matrix() {
-        let g = diamond();
-        let total: u64 = (0..2)
-            .flat_map(|rt| (0..2).map(move |ct| (rt, ct)))
-            .map(|(rt, ct)| g.tile_nnz(rt * 2, rt * 2 + 2, ct as u32 * 2, ct as u32 * 2 + 2))
-            .sum();
-        assert_eq!(total, g.nnz() as u64);
     }
 
     #[test]

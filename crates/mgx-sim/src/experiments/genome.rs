@@ -5,7 +5,7 @@ use crate::pipeline::{PhaseMode, SimConfig, Simulation};
 use crate::scale::Scale;
 use mgx_core::Scheme;
 use mgx_dram::DramBackend;
-use mgx_genome::accel::{stream_gact_trace, GactAccelConfig, GenomeWorkload};
+use mgx_genome::accel::{stream_gact_reads, GactAccelConfig, GenomeWorkload, IndexedReference};
 
 /// Simulation setup for Darwin/GACT (§VII-A): four DDR4-2400 channels,
 /// 800 MHz, 64 arrays that fetch-then-compute (no double buffering).
@@ -17,40 +17,53 @@ pub fn setup(accel: &GactAccelConfig) -> SimConfig {
 }
 
 /// Simulates the nine Fig 16 workloads under `schemes` (`NP` first, then
-/// [`Scheme::ALL`] order) on `backend`, fanned across `threads` pool
-/// workers (`0` = all cores), each workload in one pass that steps every
-/// scheme. Unlike the suites on `experiments::sweep`, a workload is not
-/// split into per-scheme jobs: its GACT reference and reads dominate at
-/// quick scale, and each scheme job would rebuild them. Output is
-/// identical to the sequential run.
+/// [`Scheme::ALL`] order) on `backend`, on `threads` pool workers (`0` =
+/// all cores). One pool job per chromosome builds its reference and seed
+/// index, which its three error profiles share; then each (workload,
+/// scheme) pair is an `experiments::sweep` job that streams its reads over
+/// that shared input. Output is identical to the sequential run.
 pub fn evaluate(
     scale: &Scale,
     schemes: &[Scheme],
     threads: usize,
     backend: DramBackend,
 ) -> Vec<Evaluated> {
+    const SEED: u64 = 0xD4A;
     let accel = GactAccelConfig::default();
     let scfg = SimConfig { dram_backend: backend, ..setup(&accel) };
-    crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
-        let src = stream_gact_trace(
-            &w,
-            &accel,
-            scale.genome_reads,
-            scale.genome_read_len,
-            scale.genome_divisor,
-            0xD4A,
-        );
-        Evaluated::new(
-            w.label(),
-            String::new(),
-            Simulation::over(src).config(scfg.clone()).run_schemes(schemes),
-        )
-    })
+    let workloads = GenomeWorkload::suite();
+    let mut chromosomes = workloads.clone();
+    chromosomes.dedup_by_key(|w| w.chromosome);
+    let inputs = crate::parallel::map(threads, chromosomes, |w| {
+        let input = IndexedReference::build(&w, scale.genome_read_len, scale.genome_divisor, SEED);
+        (w.chromosome, input)
+    });
+    let input_of = |w: &GenomeWorkload| {
+        &inputs.iter().find(|(chromosome, _)| *chromosome == w.chromosome).expect("built").1
+    };
+    super::sweep(
+        threads,
+        schemes,
+        workloads.into_iter().map(|w| (input_of(&w), w)).collect(),
+        |&(input, w)| {
+            let reads = stream_gact_reads(
+                input,
+                w.profile,
+                &accel,
+                scale.genome_reads,
+                scale.genome_read_len,
+                SEED,
+            );
+            Simulation::over(reads).config(scfg.clone())
+        },
+        |(_, w), results| Evaluated::new(w.label(), String::new(), results),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_genome::accel::stream_gact_trace;
     use mgx_genome::ErrorProfile;
 
     #[test]

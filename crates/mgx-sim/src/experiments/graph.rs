@@ -5,7 +5,7 @@ use crate::pipeline::{SimConfig, Simulation};
 use crate::scale::Scale;
 use mgx_core::Scheme;
 use mgx_dram::DramBackend;
-use mgx_graph::accel::{stream_graph_trace, GraphAccelConfig, GraphWorkload};
+use mgx_graph::accel::{GraphAccelConfig, GraphWorkload, TileSchedule};
 use mgx_graph::algorithms;
 use mgx_graph::Dataset;
 
@@ -16,16 +16,13 @@ pub fn setup() -> SimConfig {
 }
 
 /// Simulates PR and BFS over the six benchmark graphs under `schemes`
-/// (`NP` first, then [`Scheme::ALL`] order) on `backend`, with the graphs
-/// fanned across `threads` pool workers (`0` = all cores); each worker
-/// generates its graph and runs both PR and BFS, each in one pass that
-/// steps every scheme, so generation parallelizes too.
-/// Unlike the suites on `experiments::sweep`, the graph is not split into
-/// per-scheme jobs: the R-MAT graph dominates at quick scale, and each
-/// scheme job would have to rebuild it or keep every graph resident at
-/// once (232 MB peak RSS with all six standard-scale graphs resident,
-/// against 146 MB for this fan-out at 2 threads).
-/// Output order and bits are identical to the sequential run.
+/// (`NP` first, then [`Scheme::ALL`] order) on `backend`, on `threads`
+/// pool workers (`0` = all cores). One pool job per dataset generates its
+/// graph, counts its BFS sweeps and keeps only its [`TileSchedule`], so
+/// generation parallelizes and no graph outlives its job; then each
+/// (workload, scheme) pair is an `experiments::sweep` job that streams a
+/// clone of its dataset's tiles. Output order and bits are identical to
+/// the sequential run.
 pub fn evaluate(
     scale: &Scale,
     schemes: &[Scheme],
@@ -34,32 +31,34 @@ pub fn evaluate(
 ) -> Vec<Evaluated> {
     let accel = GraphAccelConfig::default();
     let scfg = SimConfig { dram_backend: backend, ..setup() };
-    let per_dataset = crate::parallel::map(threads, Dataset::suite().to_vec(), |ds| {
+    let inputs = crate::parallel::map(threads, Dataset::suite().to_vec(), |ds| {
         let g = ds.generate(scale.graph_divisor, 0xA11CE);
         // BFS sweep count measured on the actual graph from its busiest
         // vertex (hub), as the accelerator would execute it.
         let hub = (0..g.n).max_by_key(|&r| g.row_ptr[r + 1] - g.row_ptr[r]).unwrap_or(0) as u32;
         let (_, sweeps) = algorithms::bfs(&g, hub);
-        let workloads = [
-            GraphWorkload::PageRank { iters: scale.pr_iters },
-            GraphWorkload::Bfs { levels: sweeps.clamp(2, 10) },
-        ];
-        workloads
-            .into_iter()
-            .map(|w| {
-                let results = Simulation::over(stream_graph_trace(&g, w, &accel))
-                    .config(scfg.clone())
-                    .run_schemes(schemes);
-                Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results)
-            })
-            .collect::<Vec<_>>()
+        (ds.name, TileSchedule::new(&g, &accel), sweeps.clamp(2, 10))
     });
-    per_dataset.into_iter().flatten().collect()
+    let workloads: Vec<(String, TileSchedule, GraphWorkload)> = inputs
+        .into_iter()
+        .flat_map(|(name, tiles, levels)| {
+            [GraphWorkload::PageRank { iters: scale.pr_iters }, GraphWorkload::Bfs { levels }]
+                .map(|w| (format!("{}-{}", w.label(), name), tiles.clone(), w))
+        })
+        .collect();
+    super::sweep(
+        threads,
+        schemes,
+        workloads,
+        |(_, tiles, w)| Simulation::over(tiles.clone().stream(*w)).config(scfg.clone()),
+        |(label, ..), results| Evaluated::new(label, String::new(), results),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgx_graph::accel::stream_graph_trace;
     use mgx_graph::rmat::RmatGenerator;
 
     #[test]

@@ -5,10 +5,11 @@
 //! caller asks for ([`Evaluated`]), and the figures slice those results,
 //! so regenerating Fig 12 and Fig 13 costs one simulation pass, not two.
 //! Each [`FIGURES`] entry declares the schemes it reads of each suite
-//! ([`Entry::reads`]), so a caller simulates only what it prints. The
-//! DNN, transformer and video suites run through one `sweep` of
-//! (workload, scheme) jobs; graph and genome fan out one job per dataset
-//! themselves, which steps the requested schemes down one pass.
+//! ([`Entry::reads`]), so a caller simulates only what it prints. Every
+//! suite runs its simulations through one `sweep` of (workload, scheme)
+//! jobs. Graph and genome first build each shared input once (a graph's
+//! tile schedule, a chromosome's reference and seed index) and hand the
+//! sweep workloads that hold only those inputs.
 
 pub mod dnn;
 pub mod genome;
@@ -132,9 +133,11 @@ const CLAIM_ORDER: [Scheme; 5] =
 /// `schemes` and nothing else, workload-major with [`CLAIM_ORDER`] inside
 /// each workload, so one large workload's schemes run side by side
 /// instead of bounding the sweep's wall time; at one thread the same jobs
-/// run in that order. Each job regenerates its workload's trace, and the
-/// per-scheme runs are bit-identical to one [`Simulation::run_schemes`]
-/// pass, because no scheme's state is shared with another's.
+/// run in that order. This is the only schedule of a suite's simulation
+/// runs. Each job regenerates its workload's trace from the workload, so a
+/// workload holds only what its trace is streamed from. No scheme's state
+/// is shared with another's, so each run is bit-identical to the same
+/// scheme's [`Simulation::run`] on its own.
 pub(crate) fn sweep<W, S>(
     threads: usize,
     schemes: &[Scheme],
@@ -594,8 +597,7 @@ mod tests {
     /// swept under three scheme sets at 1, 2 and 5 threads, which claim
     /// (workload, scheme) jobs in different interleavings: each must claim
     /// one job per workload and listed scheme, and return the labels,
-    /// order and results of one `run_schemes` pass per workload over the
-    /// same schemes.
+    /// order and results of one `Simulation::run` per workload and scheme.
     #[test]
     fn sweep_is_identical_at_every_thread_count() {
         let tiles = [6, 5, 60, 7, 6, 5, 8, 6];
@@ -611,7 +613,8 @@ mod tests {
         ];
         for (schemes, threads) in subsets.into_iter().flat_map(|s| [1, 2, 5].map(|t| (s, t))) {
             let expect = workloads.iter().map(|(name, tiles)| {
-                Evaluated::new(name, "cfg", simulation(*tiles).run_schemes(schemes))
+                let runs = schemes.iter().map(|&s| simulation(*tiles).scheme(s).run()).collect();
+                Evaluated::new(name, "cfg", runs)
             });
             let jobs = std::sync::atomic::AtomicUsize::new(0);
             let got = sweep(

@@ -389,9 +389,9 @@ mod tests {
         }
     }
 
-    /// Tiny full-sweep specs of the graph and genome suites, which step
-    /// their schemes down one pass per dataset, and of the video suite,
-    /// which claims one `experiments::sweep` job per scheme.
+    /// Tiny full-sweep specs of the graph, genome and video suites, which
+    /// all claim (workload, scheme) jobs through `experiments::sweep`; graph
+    /// and genome share one built input among their workloads' jobs.
     fn tiny_specs() -> [JobSpec; 3] {
         let quick = Scale::quick();
         [

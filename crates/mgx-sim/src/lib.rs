@@ -19,9 +19,9 @@
 //! and `mgx-client render`.
 //!
 //! Sweeps parallelize without changing a single result bit: the
-//! [`parallel`] pool fans independent (workload, scheme) jobs, or whole
-//! graph and genome datasets, across cores (the `figures` binary's
-//! `--threads` flag).
+//! [`parallel`] pool fans independent (workload, scheme) jobs across
+//! cores, after building the graph and genome suites' shared inputs the
+//! same way (the `figures` binary's `--threads` flag).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,11 @@
 //!
 //! The experiment registry's suites are embarrassingly parallel, so
 //! [`map`], a simple work-claiming pool, fans their jobs over `n` threads
-//! while preserving input order. The DNN, transformer and video suites
-//! hand it one job per (workload, scheme) through
-//! `experiments::sweep`, so one large workload's schemes run side by
-//! side. Graph and genome hand it one job per dataset: one worker builds
-//! the dataset's input and runs the requested schemes over it. No simulator
+//! while preserving input order. Every suite hands it one job per
+//! (workload, scheme) through `experiments::sweep`, so one large
+//! workload's schemes run side by side. Graph and genome first hand it one
+//! job per dataset or chromosome that builds the input their workloads
+//! share (a tile schedule, a reference and its seed index). No simulator
 //! state is shared between threads, so parallel runs are
 //! **bit-identical** to their sequential twins. The `figures` binary's
 //! `--threads` flag feeds this pool.

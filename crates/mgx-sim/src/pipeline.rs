@@ -341,18 +341,11 @@ impl<S: TraceSource> Simulation<S> {
 
     /// Consumes the source once, stepping all five schemes in turn on the
     /// calling thread; results come back in [`Scheme::ALL`] order (`NP`
-    /// first).
+    /// first). The scheme selected by [`Simulation::scheme`] plays no part.
     pub fn run_all(self) -> Vec<RunResult> {
-        self.run_schemes(&Scheme::ALL)
-    }
-
-    /// Consumes the source once, stepping each of `schemes` in turn on the
-    /// calling thread; results come back in the order of `schemes`. The
-    /// scheme selected by [`Simulation::scheme`] plays no part.
-    pub(crate) fn run_schemes(self, schemes: &[Scheme]) -> Vec<RunResult> {
         let (regions, phases) = self.source.into_stream();
         let mut runs: Vec<SchemeRun> =
-            schemes.iter().map(|&s| SchemeRun::new(s, &regions, &self.cfg)).collect();
+            Scheme::ALL.iter().map(|&s| SchemeRun::new(s, &regions, &self.cfg)).collect();
         for phase in phases {
             for run in &mut runs {
                 run.step(&phase, &self.cfg);
